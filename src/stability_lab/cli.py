@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     ContentDomain,
+    Dataset,
     DiscreteDistribution,
     load_dataset,
     tv_distance,
@@ -33,7 +34,13 @@ from .core import (
 from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
 from .errors import ConfigError, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
-from .naf import SafeAssignment, censorship_report, naf_report, nfl_witness
+from .naf import (
+    SafeAssignment,
+    censorship_report,
+    naf_report,
+    nfl_thresholds,
+    nfl_witness,
+)
 from .transform import (
     TransformConfig,
     dp_transform_trace,
@@ -142,20 +149,36 @@ def _learner(cfg, key):
     raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
 
 
-def _domain_for_dataset(cfg, dataset_path: Path) -> ContentDomain:
+def _dataset(cfg) -> Dataset:
+    """The `dataset` file, one symbol per line, read once.
+
+    The domain is the `domain` field (a path or an inline object) or, when
+    that is absent, the file's own distinct lines.
+    """
+    path = _existing_path(cfg, "dataset")
     raw = _field(cfg, "domain", None)
     if raw is None:
-        domain, _ = ingest_corpus(dataset_path, "line")
-        return domain
+        return ingest_corpus(path, "line")[1]
     if isinstance(raw, str):
         with open(_existing_path(cfg, "domain"), "r", encoding="utf-8") as fh:
-            return ContentDomain.from_json_obj(json.load(fh))
-    if isinstance(raw, dict):
+            domain = ContentDomain.from_json_obj(json.load(fh))
+    elif isinstance(raw, dict):
         try:
-            return ContentDomain.from_json_obj(raw)
+            domain = ContentDomain.from_json_obj(raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"domain: {exc}") from exc
-    raise ConfigError("domain: expected a path or {'symbols': [...]}")
+    else:
+        raise ConfigError("domain: expected a path or {'symbols': [...]}")
+    return load_dataset(path, domain)
+
+
+def _transform_config(cfg) -> TransformConfig:
+    return TransformConfig.from_params(
+        epsilon=_num(cfg, "epsilon", lo=0.0, open_lo=True),
+        delta=_num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
+        eta=_num(cfg, "eta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
+        m=_int(cfg, "m", lo=1),
+    )
 
 
 # --- report plumbing --------------------------------------------------------
@@ -276,10 +299,9 @@ def _run_nfl_check(cfg: dict, seed: int):
     q2 = _distribution(cfg, "q2", p.domain)
     witness = nfl_witness(p, q1, q2)
     satisfied = witness.p_value >= witness.threshold - 1e-12
-    alpha = tv_distance(q1, q2)
-    thresholds = np.minimum(q1.weights, q2.weights) / (2.0 * (1.0 - alpha))
+    thresholds = nfl_thresholds(q1, q2)
     payload = {
-        "tv": alpha,
+        "tv": tv_distance(q1, q2),
         "witness": {
             "symbol": witness.symbol,
             "p_value": witness.p_value,
@@ -308,9 +330,8 @@ def _run_censorship(cfg: dict, seed: int):
 
 
 def _run_hist(cfg: dict, seed: int):
-    dataset_path = _existing_path(cfg, "dataset")
-    domain = _domain_for_dataset(cfg, dataset_path)
-    dataset = load_dataset(dataset_path, domain)
+    dataset = _dataset(cfg)
+    domain = dataset.domain
     epsilon = _num(cfg, "epsilon", lo=0.0, open_lo=True)
     delta = _num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True)
     noise_seed = derive_seed(seed, "hist-noise")
@@ -330,16 +351,9 @@ def _run_hist(cfg: dict, seed: int):
 
 
 def _run_transform(cfg: dict, seed: int):
-    dataset_path = _existing_path(cfg, "dataset")
-    domain = _domain_for_dataset(cfg, dataset_path)
-    dataset = load_dataset(dataset_path, domain)
+    dataset = _dataset(cfg)
     learner = _learner(cfg, "learner")
-    config = TransformConfig.from_params(
-        epsilon=_num(cfg, "epsilon", lo=0.0, open_lo=True),
-        delta=_num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        eta=_num(cfg, "eta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        m=_int(cfg, "m", lo=1),
-    )
+    config = _transform_config(cfg)
     tape_seed = _int(cfg, "tape_seed", default=derive_seed(seed, "tape"))
     trace = dp_transform_trace(
         learner,
@@ -364,7 +378,7 @@ def _run_transform(cfg: dict, seed: int):
     }
     rows = [
         {"symbol": s, "weight": float(w)}
-        for s, w in zip(domain.symbols, trace.output.weights)
+        for s, w in zip(dataset.domain.symbols, trace.output.weights)
     ]
     return payload, rows, EXIT_PASS
 
@@ -372,12 +386,7 @@ def _run_transform(cfg: dict, seed: int):
 def _run_prop1(cfg: dict, seed: int):
     data_dist = _distribution(cfg, "data_distribution")
     learner = _learner(cfg, "learner")
-    config = TransformConfig.from_params(
-        epsilon=_num(cfg, "epsilon", lo=0.0, open_lo=True),
-        delta=_num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        eta=_num(cfg, "eta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        m=_int(cfg, "m", lo=1),
-    )
+    config = _transform_config(cfg)
     outer = _int(cfg, "outer_trials", lo=1)
     inner = _int(cfg, "inner_trials", lo=1)
     premise = _int(cfg, "premise_trials", default=200, lo=1)

@@ -266,22 +266,27 @@ def _all_event_gaps(diff: np.ndarray) -> np.ndarray:
     return sums
 
 
-def tv_event_form(
-    q1: DiscreteDistribution, q2: DiscreteDistribution
-) -> tuple[float, Event]:
-    """Brute-force sup over all events of q1(E) - q2(E), with a maximizer.
+def _max_event(domain: ContentDomain, diff: np.ndarray) -> tuple[float, Event]:
+    """Max over all events E of sum_{z in E} diff(z), with a maximizer.
 
     Enumerates every one of the 2^|Z| events, so it is an oracle for small
     domains only (|Z| <= EVENT_ENUM_MAX).
     """
-    _require_same_domain(q1, q2)
-    if q1.domain.size > EVENT_ENUM_MAX:
+    if domain.size > EVENT_ENUM_MAX:
         raise DomainTooLarge(
             f"event enumeration is capped at |Z| <= {EVENT_ENUM_MAX}"
         )
-    gaps = _all_event_gaps(q1.weights - q2.weights)
+    gaps = _all_event_gaps(diff)
     best = int(np.argmax(gaps))
-    return float(gaps[best]), Event(q1.domain, best)
+    return float(gaps[best]), Event(domain, best)
+
+
+def tv_event_form(
+    q1: DiscreteDistribution, q2: DiscreteDistribution
+) -> tuple[float, Event]:
+    """Brute-force sup over all events of q1(E) - q2(E), with a maximizer."""
+    _require_same_domain(q1, q2)
+    return _max_event(q1.domain, q1.weights - q2.weights)
 
 
 def sample_indices(q: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
@@ -329,9 +334,12 @@ def load_dataset(path: str | Path, domain: ContentDomain) -> Dataset:
 
     Blank lines are ignored.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    tokens = [line.strip() for line in text.splitlines()]
-    return Dataset(domain, [t for t in tokens if t])
+    return Dataset(domain, _line_tokens(Path(path).read_text(encoding="utf-8")))
+
+
+def _line_tokens(text: str) -> list[str]:
+    """One token per non-blank line, surrounding whitespace stripped."""
+    return [t for t in (line.strip() for line in text.splitlines()) if t]
 
 
 def read_distribution(

@@ -10,8 +10,7 @@ Tapes are generated by a counter-based hash (splitmix64 applied twice),
 so the tape for any (seed, symbol) cell is addressable directly. That
 keeps Monte Carlo runs over millions of fresh tapes cheap and makes the
 per-trial convention used by `disagreement_estimate` (tape seed =
-root seed + trial index) identical no matter how trials are batched or
-parallelized.
+root seed + trial index) identical no matter how trials are batched.
 """
 
 from __future__ import annotations
@@ -82,23 +81,36 @@ def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
     return CouplingTape(domain=domain, variates=variates, seed=seed)
 
 
-def _race_rows(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """argmin_z variates[i, z] / weights[z] per row, zero weights excluded.
+def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
 
-    np.argmin takes the first minimum, which implements the lowest-index
-    tie rule.
+    Broadcasting covers one tape against a (k, |Z|) weight matrix and a
+    (n, |Z|) block of tapes against one weight vector. The mask is
+    `weights > 0` rather than a division check because a -0.0 weight would
+    give -inf and win. np.argmin takes the first minimum, which implements
+    the lowest-index tie rule.
     """
-    ratios = np.full_like(variates, np.inf)
-    support = weights > 0
-    ratios[:, support] = variates[:, support] / weights[support]
-    return np.argmin(ratios, axis=1)
+    with np.errstate(divide="ignore"):
+        return np.argmin(np.where(weights > 0, variates / weights, np.inf), axis=-1)
+
+
+def _tape_chunks(seed: int, trials: int, size: int):
+    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in row blocks."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    chunk = max(1, _CHUNK_CELLS // size)
+    base = np.uint64(seed & _U64_MASK)
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        seeds = base + np.arange(start, start + count, dtype=np.uint64)
+        yield _exp_variates(seeds, size)
 
 
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample."""
     if q.domain != tape.domain:
         raise DomainMismatch("tape and distribution domains differ")
-    return int(_race_rows(tape.variates[None, :], q.weights)[0])
+    return int(_race(tape.variates, q.weights))
 
 
 def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
@@ -119,11 +131,7 @@ def race_matrix(tape: CouplingTape, weight_matrix: np.ndarray) -> np.ndarray:
     """
     if weight_matrix.shape[1] != tape.domain.size:
         raise DomainMismatch("weight matrix width does not match the domain")
-    ratios = np.full(weight_matrix.shape, np.inf)
-    support = weight_matrix > 0
-    spread = np.broadcast_to(tape.variates, weight_matrix.shape)
-    ratios[support] = spread[support] / weight_matrix[support]
-    return np.argmin(ratios, axis=1)
+    return _race(tape.variates, weight_matrix)
 
 
 def disagreement_estimate(
@@ -131,24 +139,16 @@ def disagreement_estimate(
 ) -> float:
     """Fraction of fresh tapes on which q1's and q2's samples differ.
 
-    Trial i uses the tape with seed `seed + i`, so splitting trials across
-    workers cannot change the estimate. The expected value is bounded by
+    Trial i uses the tape with seed `seed + i`, so batching the trials
+    cannot change the estimate. The expected value is bounded by
     2*TV(q1,q2) / (1 + TV(q1,q2)).
     """
     if q1.domain != q2.domain:
         raise DomainMismatch("coupled distributions must share a domain")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    size = q1.domain.size
-    chunk = max(1, _CHUNK_CELLS // size)
-    base = seed & _U64_MASK
     disagreements = 0
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        seeds = np.uint64(base) + np.arange(start, start + count, dtype=np.uint64)
-        variates = _exp_variates(seeds, size)
-        x1 = _race_rows(variates, q1.weights)
-        x2 = _race_rows(variates, q2.weights)
+    for variates in _tape_chunks(seed, trials, q1.domain.size):
+        x1 = _race(variates, q1.weights)
+        x2 = _race(variates, q2.weights)
         disagreements += int(np.count_nonzero(x1 != x2))
     return disagreements / trials
 
@@ -158,12 +158,7 @@ def coupled_marginal_counts(
 ) -> np.ndarray:
     """Histogram of coupled samples over `trials` fresh tapes (seed + i)."""
     size = q.domain.size
-    chunk = max(1, _CHUNK_CELLS // size)
-    base = seed & _U64_MASK
     counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        seeds = np.uint64(base) + np.arange(start, start + count, dtype=np.uint64)
-        x = _race_rows(_exp_variates(seeds, size), q.weights)
-        counts += np.bincount(x, minlength=size)
+    for variates in _tape_chunks(seed, trials, size):
+        counts += np.bincount(_race(variates, q.weights), minlength=size)
     return counts

@@ -25,9 +25,8 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     Event,
-    _all_event_gaps,
+    _max_event,
     _require_same_domain,
-    EVENT_ENUM_MAX,
 )
 from .errors import DomainTooLarge, EmptyDataset
 
@@ -35,6 +34,9 @@ from .errors import DomainTooLarge, EmptyDataset
 # the size only up to a constant; 8 keeps the Monte Carlo accuracy target
 # comfortably satisfied without inflating sample demands.
 HIST_SIZE_CONSTANT = 8.0
+
+# Largest joint output law (in atoms) that histogram_output_law will build.
+OUTPUT_LAW_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,7 @@ def dp_beta_event_form(
     _require_same_domain(p, p_prime)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if p.domain.size > EVENT_ENUM_MAX:
-        raise DomainTooLarge(
-            f"event enumeration is capped at |Z| <= {EVENT_ENUM_MAX}"
-        )
-    gaps = _all_event_gaps(p.weights - math.exp(alpha) * p_prime.weights)
-    best = int(np.argmax(gaps))
-    return float(gaps[best]), Event(p.domain, best)
+    return _max_event(p.domain, p.weights - math.exp(alpha) * p_prime.weights)
 
 
 def symmetric_dp_beta(
@@ -254,11 +250,21 @@ def coordinate_output_law(
 def histogram_output_law(
     counts: tuple[int, ...], epsilon: float, delta: float, tail: float = 1e-12
 ) -> dict[tuple[float, ...], float]:
-    """Joint output law over all coordinates (noise is independent per symbol)."""
+    """Joint output law over all coordinates (noise is independent per symbol).
+
+    The joint has one atom per combination of coordinate atoms; when that
+    product exceeds OUTPUT_LAW_MAX, DomainTooLarge is raised before any of
+    it is built.
+    """
     k = sum(counts)
+    marginals = [coordinate_output_law(c, k, epsilon, delta, tail) for c in counts]
+    atoms = math.prod(len(marginal) for marginal in marginals)
+    if atoms > OUTPUT_LAW_MAX:
+        raise DomainTooLarge(
+            f"joint output law has {atoms} atoms, above the cap {OUTPUT_LAW_MAX}"
+        )
     joint: dict[tuple[float, ...], float] = {(): 1.0}
-    for c in counts:
-        marginal = coordinate_output_law(c, k, epsilon, delta, tail)
+    for marginal in marginals:
         joint = {
             key + (v,): pk * pv
             for key, pk in joint.items()

@@ -22,7 +22,7 @@ class DomainMismatch(StabilityLabError):
 
 
 class DomainTooLarge(StabilityLabError):
-    """The domain exceeds the cap for exhaustive event enumeration."""
+    """An exhaustive enumeration (of events or output atoms) exceeds its cap."""
 
 
 class EmptyList(StabilityLabError):

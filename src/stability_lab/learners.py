@@ -6,7 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContentDomain, Dataset, DiscreteDistribution, make_distribution
+from .core import (
+    ContentDomain,
+    Dataset,
+    DiscreteDistribution,
+    _line_tokens,
+    make_distribution,
+)
 from .errors import EmptyCorpus, EmptyDataset
 from .transform import Learner
 
@@ -51,11 +57,7 @@ def ingest_corpus(
     if tokenization not in ("line", "whitespace"):
         raise ValueError(f"unknown tokenization {tokenization!r}")
     text = Path(path).read_text(encoding="utf-8")
-    if tokenization == "line":
-        tokens = [line.strip() for line in text.splitlines()]
-        tokens = [t for t in tokens if t]
-    else:
-        tokens = text.split()
+    tokens = _line_tokens(text) if tokenization == "line" else text.split()
     if not tokens:
         raise EmptyCorpus(f"no tokens found in {path}")
     domain = ContentDomain(tuple(sorted(set(tokens))))

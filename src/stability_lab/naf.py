@@ -215,23 +215,30 @@ def feasibility_alpha(safes: SafeAssignment) -> float:
     return 0.0 if mass == 1.0 else -math.log(mass)
 
 
+def nfl_thresholds(q1: DiscreteDistribution, q2: DiscreteDistribution) -> np.ndarray:
+    """Per-symbol no-free-lunch threshold min(q1, q2) / (2 * (1 - TV(q1, q2))).
+
+    At TV = 1 the denominator vanishes and the bound is uninformative,
+    which is reported as DegenerateTV instead of a vacuous threshold.
+    """
+    alpha = tv_distance(q1, q2)
+    if alpha >= 1.0 - 1e-12:
+        raise DegenerateTV("safe models are at total variation 1")
+    return np.minimum(q1.weights, q2.weights) / (2.0 * (1.0 - alpha))
+
+
 def nfl_witness(
     p: DiscreteDistribution,
     q1: DiscreteDistribution,
     q2: DiscreteDistribution,
 ) -> NflWitness:
-    """Symbol where p is forced above min(q1, q2) / (2 * (1 - TV(q1, q2))).
+    """Symbol where p meets its no-free-lunch threshold (see nfl_thresholds).
 
     Whatever p is, some symbol meets the threshold; the returned symbol
-    maximizes the slack p(z) - threshold(z). At TV = 1 the denominator
-    vanishes and the bound is uninformative, which is reported as
-    DegenerateTV instead of a vacuous witness.
+    maximizes the slack p(z) - threshold(z).
     """
     _require_pair_domain(p, q1, q2)
-    alpha = tv_distance(q1, q2)
-    if alpha >= 1.0 - 1e-12:
-        raise DegenerateTV("safe models are at total variation 1")
-    thresholds = np.minimum(q1.weights, q2.weights) / (2.0 * (1.0 - alpha))
+    thresholds = nfl_thresholds(q1, q2)
     best = int(np.argmax(p.weights - thresholds))
     return NflWitness(
         symbol=p.domain.symbols[best],

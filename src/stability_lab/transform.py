@@ -32,7 +32,7 @@ from .core import (
 from .coupling import new_tape, race_matrix
 from .dp import DpParams, NoisyHistogram, _histogram_from_counts, required_k
 from .errors import SizeMismatch
-from .util import derive_seed, map_indexed
+from .util import derive_seed
 
 # Coefficient on eta in the reported deviation bound: the accuracy chain
 # contributes 3*eta, the histogram failure event at most eta more, and the
@@ -46,7 +46,6 @@ class Learner:
 
     name: str
     train: Callable[[Dataset, int], DiscreteDistribution]
-    m: int | None = None
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ def transform_bound_experiment(
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)
 
-    per_trial = map_indexed(one_outer, outer_trials)
+    per_trial = [one_outer(t) for t in range(outer_trials)]
     grand_mean = float(np.mean(per_trial))
     return BoundExperimentReport(
         config=config,

@@ -1,21 +1,13 @@
-"""Seed derivation and optional trial-level parallelism.
+"""Seed derivation.
 
 Every randomized operation in this package takes an explicit seed; child
 seeds are derived by hashing (root seed, component label, index) so that
-trial fan-out is deterministic and collision-free regardless of how many
-workers execute the trials.
+trial fan-out is deterministic and collision-free.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
-
-T = TypeVar("T")
-
-THREADS_ENV_VAR = "STABILITY_LAB_THREADS"
 
 
 def derive_seed(root: int, label: str, index: int = 0) -> int:
@@ -27,26 +19,3 @@ def derive_seed(root: int, label: str, index: int = 0) -> int:
     payload = f"{root}/{label}/{index}".encode()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def worker_count() -> int:
-    """Worker cap from the STABILITY_LAB_THREADS env var (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_indexed(fn: Callable[[int], T], n: int) -> list[T]:
-    """[fn(0), ..., fn(n-1)], optionally computed by a thread pool.
-
-    Results are collected by index, so the output is identical for any
-    worker count provided fn(i) depends only on i.
-    """
-    workers = worker_count()
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(fn, range(n)))

@@ -73,9 +73,13 @@ class TestCoupledSample:
         assert coupled_sample(tape, q) == coupled_sample(tape, q)
 
     def test_zero_weight_never_wins(self):
-        q = dist([0.5, 0.0, 0.5])
-        for seed in range(200):
-            assert coupled_sample(new_tape(domain(3), seed), q) != "z1"
+        # v / -0.0 is -inf, so a signed zero must be masked like a plain one
+        for zero in (0.0, -0.0):
+            q = dist([0.5, zero, 0.5])
+            for seed in range(200):
+                assert coupled_sample(new_tape(domain(3), seed), q) != "z1"
+            assert coupled_marginal_counts(q, 1000, seed=4)[1] == 0
+            assert race_matrix(new_tape(domain(3), 5), q.weights[None, :])[0] != 1
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
@@ -105,6 +109,20 @@ class TestCoupledSample:
         batch = race_matrix(tape, stacked)
         for i, m in enumerate(models):
             assert batch[i] == coupled_sample_index(tape, m)
+        # many tapes against one model: trial i of the Monte Carlo helpers is
+        # the race on new_tape(seed + i)
+        d = domain(5)
+        q1, q2 = models[0], models[1]
+        seed, n = 500, 40
+        winners = [coupled_sample_index(new_tape(d, seed + i), q1) for i in range(n)]
+        assert np.array_equal(
+            coupled_marginal_counts(q1, n, seed), np.bincount(winners, minlength=5)
+        )
+        for i in range(n):
+            tape = new_tape(d, seed + i)
+            differ = coupled_sample_index(tape, q1) != coupled_sample_index(tape, q2)
+            assert disagreement_estimate(q1, q2, 1, seed + i) == float(differ)
+            assert coupled_marginal_counts(q1, 1, seed + i)[winners[i]] == 1
 
 
 class TestDisagreementEstimate:
@@ -141,8 +159,11 @@ class TestDisagreementEstimate:
 
     def test_trials_validation(self):
         q = dist([0.5, 0.5])
-        with pytest.raises(ValueError):
-            disagreement_estimate(q, q, 0, seed=0)
+        for trials in (0, -3):
+            with pytest.raises(ValueError):
+                disagreement_estimate(q, q, trials, seed=0)
+            with pytest.raises(ValueError):
+                coupled_marginal_counts(q, trials, seed=0)
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):

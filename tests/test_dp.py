@@ -244,6 +244,12 @@ class TestExactAudit:
         for (va, vb), mass in joint.items():
             assert mass == pytest.approx(a[va] * b[vb], rel=1e-12)
 
+    def test_joint_law_size_cap(self):
+        # 111 atoms per coordinate: 111**4 ~ 1.5e8 joint atoms, over the cap
+        assert len(coordinate_output_law(250, 1000, 1.0, 1e-3)) == 111
+        with pytest.raises(DomainTooLarge):
+            histogram_output_law((250,) * 4, 1.0, 1e-3)
+
     def test_micro_audit_passes(self):
         audit = audit_histogram_dp(3, 2, epsilon=1.0, delta=1e-3)
         assert audit.passed

@@ -1,11 +1,7 @@
 import numpy as np
-import pytest
 
-from conftest import dist, domain
-from stability_lab import derive_seed, new_tape, transform_bound_experiment
-from stability_lab.learners import learner_empirical
-from stability_lab.transform import TransformConfig
-from stability_lab.util import map_indexed, worker_count
+from conftest import domain
+from stability_lab import derive_seed, new_tape
 
 
 class TestDeriveSeed:
@@ -35,38 +31,3 @@ class TestTapeDeterminism:
             atol=1e-12,
         )
 
-
-class TestWorkers:
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("STABILITY_LAB_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "junk")
-        assert worker_count() == 1
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "-2")
-        assert worker_count() == 1
-
-    def test_map_indexed_order(self, monkeypatch):
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "4")
-        assert map_indexed(lambda i: i * i, 20) == [i * i for i in range(20)]
-
-    def test_experiment_identical_across_worker_counts(self, monkeypatch):
-        config = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
-        data = dist([0.4, 0.3, 0.2, 0.1])
-        learner = learner_empirical(1.0)
-
-        def run():
-            return transform_bound_experiment(
-                learner, data, config, outer_trials=4, inner_trials=5, seed=3,
-                premise_trials=5,
-            )
-
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "1")
-        serial = run()
-        monkeypatch.setenv("STABILITY_LAB_THREADS", "3")
-        threaded = run()
-        assert serial.per_trial_tv == threaded.per_trial_tv
-        assert serial.alpha_hat == threaded.alpha_hat
