@@ -136,7 +136,8 @@ def _safe_models(cfg, key) -> SafeAssignment:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _learner(cfg, key):
+def _learner(cfg, key, domain: ContentDomain):
+    """The learner spec; a constant model must live on the data's `domain`."""
     raw = _field(cfg, key)
     if not isinstance(raw, dict):
         raise ConfigError(f"{key}: expected an object with a 'kind' field")
@@ -145,7 +146,7 @@ def _learner(cfg, key):
         smoothing = _num(raw, "smoothing", default=0.0, lo=0.0)
         return learner_empirical(smoothing)
     if kind == "constant":
-        return learner_constant(_distribution(raw, "model"))
+        return learner_constant(_distribution(raw, "model", domain))
     raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
 
 
@@ -352,7 +353,7 @@ def _run_hist(cfg: dict, seed: int):
 
 def _run_transform(cfg: dict, seed: int):
     dataset = _dataset(cfg)
-    learner = _learner(cfg, "learner")
+    learner = _learner(cfg, "learner", dataset.domain)
     config = _transform_config(cfg)
     tape_seed = _int(cfg, "tape_seed", default=derive_seed(seed, "tape"))
     trace = dp_transform_trace(
@@ -385,7 +386,7 @@ def _run_transform(cfg: dict, seed: int):
 
 def _run_prop1(cfg: dict, seed: int):
     data_dist = _distribution(cfg, "data_distribution")
-    learner = _learner(cfg, "learner")
+    learner = _learner(cfg, "learner", data_dist.domain)
     config = _transform_config(cfg)
     outer = _int(cfg, "outer_trials", lo=1)
     inner = _int(cfg, "inner_trials", lo=1)

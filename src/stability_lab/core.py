@@ -80,17 +80,7 @@ class DiscreteDistribution:
 
     def __init__(self, domain: ContentDomain, weights):
         w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != domain.size:
-            raise LengthMismatch(
-                f"expected {domain.size} weights, got shape {w.shape}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise NegativeWeight("weights must be finite")
-        if np.any(w < 0):
-            raise NegativeWeight(f"negative weight at index {int(np.argmin(w))}")
-        total = float(w.sum())
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
-            raise NotNormalized(f"weights sum to {total!r}, not 1")
+        _check_probability_rows(w, (domain.size,))
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "domain", domain)
@@ -132,6 +122,30 @@ class DiscreteDistribution:
         if domain is not None and domain != file_domain:
             raise DomainMismatch("distribution symbols do not match the domain")
         return cls(domain or file_domain, obj["weights"])
+
+
+def _check_probability_rows(w: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Raise unless `w` has `shape` and each row along its last axis is a
+    probability vector: finite, non-negative, summing to one within
+    NORMALIZATION_ATOL.
+
+    The one home of the distribution rule, for a single weight vector and
+    for a (k, |Z|) matrix of shard models validated in one pass.
+    """
+    if w.shape != shape:
+        raise LengthMismatch(f"expected weights of shape {shape}, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NegativeWeight("weights must be finite")
+    if (w < 0).any():
+        at = np.unravel_index(int(np.argmin(w)), w.shape)
+        raise NegativeWeight(
+            f"negative weight at index {', '.join(str(int(i)) for i in at)}"
+        )
+    totals = w.sum(axis=-1)
+    off = np.abs(totals - 1.0) > NORMALIZATION_ATOL
+    if off.any():
+        total = float(np.atleast_1d(totals)[np.atleast_1d(off)][0])
+        raise NotNormalized(f"weights sum to {total!r}, not 1")
 
 
 def make_distribution(domain: ContentDomain, weights) -> DiscreteDistribution:

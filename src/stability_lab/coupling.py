@@ -16,6 +16,7 @@ root seed + trial index) identical no matter how trials are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +28,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
-# Largest chunk of (trials x symbols) variate cells materialized at once.
-_CHUNK_CELLS = 4_000_000
+# Largest block of race cells (tapes x models x symbols) materialized at
+# once: 2**17 float64 cells keep each temporary near 1 MB.
+_CHUNK_CELLS = 2**17
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -84,21 +86,30 @@ def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
 def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
 
-    Broadcasting covers one tape against a (k, |Z|) weight matrix and a
-    (n, |Z|) block of tapes against one weight vector. The mask is
-    `weights > 0` rather than a division check because a -0.0 weight would
-    give -inf and win. np.argmin takes the first minimum, which implements
-    the lowest-index tie rule.
+    Broadcasting covers one tape against a (k, |Z|) weight matrix, a
+    (n, |Z|) block of tapes against one weight vector, and a (n, 1, |Z|)
+    block of tapes against a (k, |Z|) matrix. Weights that are not > 0 are
+    replaced by +0.0 before the division, so they give +inf (variates are
+    strictly positive and finite) and never win; a -0.0 weight left as it
+    is would give -inf and win. Masking the weights rather than the
+    quotient does the mask once per weight cell, not once per broadcast
+    cell. np.argmin takes the first minimum, which implements the
+    lowest-index tie rule.
     """
     with np.errstate(divide="ignore"):
-        return np.argmin(np.where(weights > 0, variates / weights, np.inf), axis=-1)
+        return np.argmin(variates / np.where(weights > 0, weights, 0.0), axis=-1)
+
+
+def _tapes_per_block(cells_per_tape: int) -> int:
+    """Tapes whose race cells fit in one _CHUNK_CELLS block (at least one)."""
+    return max(1, _CHUNK_CELLS // max(1, cells_per_tape))
 
 
 def _tape_chunks(seed: int, trials: int, size: int):
     """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in row blocks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chunk = max(1, _CHUNK_CELLS // size)
+    chunk = _tapes_per_block(size)
     base = np.uint64(seed & _U64_MASK)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
@@ -132,6 +143,28 @@ def race_matrix(tape: CouplingTape, weight_matrix: np.ndarray) -> np.ndarray:
     if weight_matrix.shape[1] != tape.domain.size:
         raise DomainMismatch("weight matrix width does not match the domain")
     return _race(tape.variates, weight_matrix)
+
+
+def race_tapes(
+    domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
+) -> np.ndarray:
+    """Coupled sample index of every weight row on each seed's tape.
+
+    Returns a (len(seeds), n_models) array whose row j equals
+    race_matrix(new_tape(domain, seeds[j]), weight_matrix) bit for bit: the
+    tapes are made by the same counter-based hash and raced by the same
+    kernel, in blocks of at most _CHUNK_CELLS cells.
+    """
+    weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
+    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != domain.size:
+        raise DomainMismatch("weight matrix width does not match the domain")
+    keys = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64)
+    out = np.empty((keys.size, weight_matrix.shape[0]), dtype=np.intp)
+    block = _tapes_per_block(weight_matrix.size)
+    for start in range(0, keys.size, block):
+        variates = _exp_variates(keys[start : start + block], domain.size)
+        out[start : start + block] = _race(variates[:, None, :], weight_matrix)
+    return out
 
 
 def disagreement_estimate(

@@ -13,7 +13,7 @@ from .core import (
     _line_tokens,
     make_distribution,
 )
-from .errors import EmptyCorpus, EmptyDataset
+from .errors import DomainMismatch, EmptyCorpus, EmptyDataset
 from .transform import Learner
 
 
@@ -33,7 +33,23 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
         counts = dataset.counts().astype(np.float64) + smoothing
         return make_distribution(dataset.domain, counts / counts.sum())
 
-    return Learner(name=f"empirical(smoothing={smoothing:g})", train=train)
+    def train_shards(
+        domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
+    ) -> np.ndarray:
+        # One bincount over row * |Z| + index counts every shard at once;
+        # the per-row sum and division then match train's bit for bit.
+        k, m = shard_indices.shape
+        if m == 0 and smoothing == 0:
+            raise EmptyDataset("the unsmoothed empirical learner needs data")
+        size = domain.size
+        cells = (np.arange(k, dtype=np.int64)[:, None] * size + shard_indices).ravel()
+        counts = np.bincount(cells, minlength=k * size).reshape(k, size)
+        counts = counts.astype(np.float64) + smoothing
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    return Learner(
+        name=f"empirical(smoothing={smoothing:g})", train=train, train_shards=train_shards
+    )
 
 
 def learner_constant(q: DiscreteDistribution) -> Learner:
@@ -42,7 +58,14 @@ def learner_constant(q: DiscreteDistribution) -> Learner:
     def train(dataset: Dataset, seed: int) -> DiscreteDistribution:
         return q
 
-    return Learner(name="constant", train=train)
+    def train_shards(
+        domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
+    ) -> np.ndarray:
+        if domain != q.domain:
+            raise DomainMismatch("the constant model lives on a different domain")
+        return np.broadcast_to(q.weights, (shard_indices.shape[0], domain.size))
+
+    return Learner(name="constant", train=train, train_shards=train_shards)
 
 
 def ingest_corpus(

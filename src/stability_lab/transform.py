@@ -25,13 +25,14 @@ from .core import (
     ContentDomain,
     Dataset,
     DiscreteDistribution,
+    _check_probability_rows,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
-from .coupling import new_tape, race_matrix
+from .coupling import _tapes_per_block, race_tapes
 from .dp import DpParams, NoisyHistogram, _histogram_from_counts, required_k
-from .errors import SizeMismatch
+from .errors import DomainMismatch, SizeMismatch
 from .util import derive_seed
 
 # Coefficient on eta in the reported deviation bound: the accuracy chain
@@ -42,10 +43,19 @@ ETA_COEFFICIENT = 5.0
 
 @dataclass(frozen=True)
 class Learner:
-    """Deterministic map from (dataset, seed) to an output distribution."""
+    """Deterministic map from (dataset, seed) to an output distribution.
+
+    `train_shards`, when given, is the batched form used by the transform:
+    `train_shards(domain, shard_indices, train_seed)` takes the (k, m)
+    index matrix of k shards and returns a (k, |Z|) weight matrix whose
+    row i equals `train(shard_i, derive_seed(train_seed, "shard-train",
+    i)).weights` bit for bit. Without it the transform trains shard by
+    shard through `train`, which stays the reference.
+    """
 
     name: str
     train: Callable[[Dataset, int], DiscreteDistribution]
+    train_shards: Callable[[ContentDomain, np.ndarray, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -154,28 +164,45 @@ class TransformTrace:
 def _shard_weight_matrix(
     learner: Learner, sample: Dataset, config: TransformConfig, train_seed: int
 ) -> np.ndarray:
-    """Train the k shard models; rows are their weight vectors."""
+    """Train the k shard models; rows are their weight vectors.
+
+    Uses the learner's batched `train_shards` when it has one, else trains
+    shard by shard. Either way every model must live on the sample's
+    domain, and the matrix is validated once as k distributions.
+    """
     if sample.size != config.m_priv:
         raise SizeMismatch(
             f"expected k*m = {config.m_priv} items, got {sample.size}"
         )
-    rows = []
-    for i in range(config.k):
-        shard = sample.slice(i * config.m, (i + 1) * config.m)
-        q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
-        rows.append(q.weights)
-    return np.stack(rows)
+    domain = sample.domain
+    if learner.train_shards is not None:
+        weights = learner.train_shards(
+            domain, sample.indices.reshape(config.k, config.m), train_seed
+        )
+    else:
+        rows = []
+        for i in range(config.k):
+            shard = sample.slice(i * config.m, (i + 1) * config.m)
+            q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
+            if q.domain != domain:
+                raise DomainMismatch(f"shard {i}'s model lives on a different domain")
+            rows.append(q.weights)
+        weights = np.stack(rows)
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_probability_rows(weights, (config.k, domain.size))
+    return weights
 
 
-def _transform_from_weights(
+def _release(
     domain: ContentDomain,
-    shard_weights: np.ndarray,
+    coupled: np.ndarray,
     config: TransformConfig,
-    tape_seed: int,
     noise_seed: int,
-) -> TransformTrace:
-    tape = new_tape(domain, tape_seed)
-    coupled = race_matrix(tape, shard_weights)
+) -> tuple[NoisyHistogram, DiscreteDistribution, bool]:
+    """Private histogram of the coupled samples, projected onto the simplex.
+
+    Returns (histogram, output model, whether the uniform fallback was used).
+    """
     counts = np.bincount(coupled, minlength=domain.size)
     hist = _histogram_from_counts(
         domain, counts, config.epsilon, config.delta, noise_seed
@@ -186,12 +213,24 @@ def _transform_from_weights(
         # Any distribution is admissible when the box misses the simplex;
         # uniform is the neutral choice.
         projected = make_distribution(domain, np.full(domain.size, 1.0 / domain.size))
+    return hist, projected, fallback
+
+
+def _transform_from_weights(
+    domain: ContentDomain,
+    shard_weights: np.ndarray,
+    config: TransformConfig,
+    tape_seed: int,
+    noise_seed: int,
+) -> TransformTrace:
+    coupled = race_tapes(domain, [tape_seed], shard_weights)[0]
+    hist, output, fallback = _release(domain, coupled, config, noise_seed)
     return TransformTrace(
         shard_weights=shard_weights,
         coupled_indices=coupled,
         histogram=hist,
         fallback_used=fallback,
-        output=projected,
+        output=output,
     )
 
 
@@ -313,15 +352,18 @@ def transform_bound_experiment(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
         acc = np.zeros(domain.size)
-        for j in range(inner_trials):
-            trace = _transform_from_weights(
-                domain,
-                weights,
-                config,
-                derive_seed(seed, "tape", t * inner_trials + j),
-                derive_seed(seed, "noise", t * inner_trials + j),
-            )
-            acc += trace.output.weights
+        # Race one block of tapes at a time so the coupled indices stay
+        # within the race's cell budget; each trial still gets its own
+        # histogram release, in trial order.
+        first = t * inner_trials
+        block = _tapes_per_block(weights.size)
+        for start in range(first, first + inner_trials, block):
+            trials = range(start, min(start + block, first + inner_trials))
+            tape_seeds = [derive_seed(seed, "tape", i) for i in trials]
+            coupled = race_tapes(domain, tape_seeds, weights)
+            for i, row in zip(trials, coupled):
+                _, output, _ = _release(domain, row, config, derive_seed(seed, "noise", i))
+                acc += output.weights
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)
 

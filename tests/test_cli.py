@@ -225,6 +225,15 @@ class TestTransform:
         code, _ = run_cli(tmp_path, "transform", cfg)
         assert code == 1
 
+    def test_constant_model_on_foreign_domain_errors(self, tmp_path, capsys):
+        config = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
+        cfg = self.config(tmp_path, config.m_priv)
+        foreign = {"symbols": ["x0", "x1", "x2", "x3"], "weights": [0.25] * 4}
+        cfg["learner"] = {"kind": "constant", "model": foreign}
+        code, report = run_cli(tmp_path, "transform", cfg)
+        assert code == 1 and report is None
+        assert "model: distribution symbols do not match" in capsys.readouterr().err
+
     def test_tape_seed_flag_pins_the_tape(self, tmp_path):
         config = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
         cfg = self.config(tmp_path, config.m_priv)

@@ -13,7 +13,12 @@ from stability_lab import (
     new_tape,
     tv_distance,
 )
-from stability_lab.coupling import _exp_variates, coupled_marginal_counts, race_matrix
+from stability_lab.coupling import (
+    _exp_variates,
+    coupled_marginal_counts,
+    race_matrix,
+    race_tapes,
+)
 from stability_lab.errors import DomainMismatch
 
 
@@ -168,3 +173,32 @@ class TestDisagreementEstimate:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             disagreement_estimate(dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]), 10, seed=0)
+
+
+class TestRaceTapes:
+    SEEDS = [0, 2**64 - 1, 1, 12345, 2**63, 0x9E3779B97F4A7C15, 2**64 - 2]
+
+    def weights(self):
+        rng = np.random.default_rng(41)
+        rows = [random_distribution(rng, 6, sparsify=0.4).weights for _ in range(9)]
+        # signed zeros must be masked exactly as race_matrix masks them
+        rows.append(np.array([0.5, 0.0, -0.0, 0.25, 0.25, 0.0]))
+        rows.append(np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("tapes_per_block", [None, 1, 3])
+    def test_matches_per_tape_races(self, monkeypatch, tapes_per_block):
+        d, w = domain(6), self.weights()
+        if tapes_per_block is not None:
+            # 1: every block holds one tape; 3: 7 seeds leave a ragged last block
+            monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", tapes_per_block * w.size)
+        got = race_tapes(d, self.SEEDS, w)
+        assert got.shape == (len(self.SEEDS), w.shape[0])
+        for row, seed in zip(got, self.SEEDS):
+            assert np.array_equal(row, race_matrix(new_tape(d, seed), w))
+        assert np.all(got[:, -1] == 5)
+        assert not np.any(np.isin(got[:, -2], (1, 2, 5)))
+
+    def test_width_mismatch(self):
+        with pytest.raises(DomainMismatch):
+            race_tapes(domain(5), [1, 2], self.weights())

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import dist, domain
-from stability_lab import Dataset, ingest_corpus, learner_constant, learner_empirical
-from stability_lab.errors import EmptyCorpus, EmptyDataset
+from stability_lab import (
+    ContentDomain,
+    Dataset,
+    derive_seed,
+    ingest_corpus,
+    learner_constant,
+    learner_empirical,
+    make_distribution,
+)
+from stability_lab.errors import DomainMismatch, EmptyCorpus, EmptyDataset
 
 
 class TestLearnerEmpirical:
@@ -42,6 +50,45 @@ class TestLearnerConstant:
         learner = learner_constant(q)
         for items in (["z0"], ["z1", "z1"], ["z0", "z1", "z0"]):
             assert learner.train(Dataset(domain(2), items), 0) is q
+
+
+class TestTrainShards:
+    """train_shards row i must equal the scalar train on shard i, bit for bit."""
+
+    def assert_rows_match(self, learner, d, shard_indices, train_seed=5):
+        batch = learner.train_shards(d, shard_indices, train_seed)
+        assert batch.shape == (shard_indices.shape[0], d.size)
+        for i, idx in enumerate(shard_indices):
+            shard = Dataset.from_indices(d, idx)
+            q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
+            assert np.array_equal(batch[i], q.weights)
+
+    # sizes above 8 sum each row with numpy's unrolled pairwise reduction
+    @pytest.mark.parametrize("size", [2, 8, 13, 40])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1, 0.5, 1.0, 1e6])
+    def test_empirical(self, smoothing, size):
+        rng = np.random.default_rng(size)
+        for m in (1, 7, 50):
+            indices = rng.integers(0, size, size=(23, m))
+            self.assert_rows_match(learner_empirical(smoothing), domain(size), indices)
+
+    def test_empirical_empty_unsmoothed_rejected(self):
+        with pytest.raises(EmptyDataset):
+            learner_empirical(0.0).train_shards(
+                domain(2), np.zeros((3, 0), dtype=np.int64), 0
+            )
+
+    def test_constant(self):
+        q = dist([0.1, 0.0, 0.6, 0.3])
+        indices = np.random.default_rng(2).integers(0, 4, size=(11, 3))
+        self.assert_rows_match(learner_constant(q), domain(4), indices)
+
+    def test_constant_rejects_foreign_domain(self):
+        q = make_distribution(ContentDomain(("x", "y")), [0.5, 0.5])
+        with pytest.raises(DomainMismatch):
+            learner_constant(q).train_shards(
+                ContentDomain(("a", "b")), np.zeros((3, 2), dtype=np.int64), 0
+            )
 
 
 class TestIngestCorpus:

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dist, domain, random_distribution
+import stability_lab.coupling as coupling_mod
+import stability_lab.transform as transform_mod
 from stability_lab import (
+    ContentDomain,
     Dataset,
+    Learner,
     TransformConfig,
     derive_seed,
     deviation_bound,
@@ -16,12 +20,19 @@ from stability_lab import (
     estimate_premise_alpha,
     learner_constant,
     learner_empirical,
+    make_distribution,
     sample_dataset,
     simplex_project_linf,
     transform_bound_experiment,
     tv_distance,
 )
-from stability_lab.errors import SizeMismatch
+from stability_lab.errors import (
+    DomainMismatch,
+    LengthMismatch,
+    NegativeWeight,
+    NotNormalized,
+    SizeMismatch,
+)
 from stability_lab.transform import _shard_weight_matrix, _transform_from_weights
 
 # small-k config: epsilon large enough that a handful of shards suffice
@@ -181,6 +192,67 @@ class TestDpTransform:
         )
         assert via_weights.output == direct
 
+    @pytest.mark.parametrize(
+        "learner",
+        [
+            learner_empirical(0.5),
+            learner_constant(dist([0.5, 0.0, 0.2, 0.1, 0.1, 0.05, 0.03, 0.02])),
+        ],
+        ids=["empirical", "constant"],
+    )
+    def test_shard_matrix_batched_equals_per_shard(self, learner):
+        sample = sample_dataset(D8, TINY.m_priv, seed=12)
+        per_shard = Learner(learner.name, train=learner.train)
+        assert np.array_equal(
+            _shard_weight_matrix(learner, sample, TINY, train_seed=78),
+            _shard_weight_matrix(per_shard, sample, TINY, train_seed=78),
+        )
+
+    def test_shard_matrix_validated_once(self):
+        sample = sample_dataset(D8, TINY.m_priv, seed=13)
+        good = learner_empirical(1.0)
+
+        def batch_with(row, value):
+            def train_shards(d, shard_indices, train_seed):
+                w = good.train_shards(d, shard_indices, train_seed).copy()
+                w[row] = value
+                return w
+
+            return Learner("bad", train=good.train, train_shards=train_shards)
+
+        last = TINY.k - 1
+        with pytest.raises(NegativeWeight):
+            _shard_weight_matrix(batch_with(last, [-0.1, 1.1] + [0.0] * 6), sample, TINY, 0)
+        with pytest.raises(NotNormalized):
+            _shard_weight_matrix(batch_with(last, [0.2] * 8), sample, TINY, 0)
+        narrow = Learner(
+            "narrow", train=good.train,
+            train_shards=lambda d, idx, seed: np.full((idx.shape[0], 7), 1 / 7),
+        )
+        with pytest.raises(LengthMismatch):
+            _shard_weight_matrix(narrow, sample, TINY, 0)
+
+    def test_foreign_domain_model_rejected(self, monkeypatch):
+        # same width, different symbols: both training paths must refuse it
+        # before any race
+        data = make_distribution(ContentDomain(("a", "b")), [0.5, 0.5])
+        q = make_distribution(ContentDomain(("x", "y")), [0.3, 0.7])
+        sample = sample_dataset(data, TINY.m_priv, seed=14)
+
+        def no_race(*args):
+            raise AssertionError("raced a foreign-domain model")
+
+        monkeypatch.setattr(transform_mod, "race_tapes", no_race)
+        constant = learner_constant(q)
+        for learner in (constant, Learner(constant.name, train=constant.train)):
+            with pytest.raises(DomainMismatch):
+                dp_transform(learner, sample, TINY, 1, 2)
+            with pytest.raises(DomainMismatch):
+                transform_bound_experiment(
+                    learner, data, TINY, outer_trials=1, inner_trials=2, seed=3,
+                    premise_trials=2,
+                )
+
 
 class TestDeviationBound:
     def test_formula(self):
@@ -233,32 +305,44 @@ class TestBoundExperiment:
         obj = report.to_json_obj()
         assert obj["k"] == TINY.k and len(obj["per_trial_tv"]) == 3
 
-    def test_inner_average_equals_repeated_dp_transform(self):
+    @staticmethod
+    def check_inner_average(inner_trials):
         # the experiment's averaged model must be exactly the average of
-        # dp_transform runs with the same derived seeds
+        # dp_transform runs with the same derived seeds, here trained shard
+        # by shard through the scalar train
         learner = learner_empirical(1.0)
+        per_shard = Learner(learner.name, train=learner.train)
         seed = 17
         report = transform_bound_experiment(
-            learner, D8, TINY, outer_trials=1, inner_trials=4, seed=seed,
+            learner, D8, TINY, outer_trials=2, inner_trials=inner_trials, seed=seed,
             premise_trials=5,
         )
-        sample = sample_dataset(D8, TINY.m_priv, derive_seed(seed, "private-sample", 0))
-        base = sample_dataset(D8, TINY.m, derive_seed(seed, "base-sample", 0))
-        base_model = learner.train(base, derive_seed(seed, "base-train", 0))
-        acc = np.zeros(8)
-        for j in range(4):
-            acc += dp_transform(
-                learner,
-                sample,
-                TINY,
-                tape_seed=derive_seed(seed, "tape", j),
-                noise_seed=derive_seed(seed, "noise", j),
-                train_seed=derive_seed(seed, "transform-train", 0),
-            ).weights
-        from stability_lab import make_distribution
+        for t in range(2):
+            sample = sample_dataset(
+                D8, TINY.m_priv, derive_seed(seed, "private-sample", t)
+            )
+            base = sample_dataset(D8, TINY.m, derive_seed(seed, "base-sample", t))
+            base_model = learner.train(base, derive_seed(seed, "base-train", t))
+            acc = np.zeros(8)
+            for j in range(t * inner_trials, (t + 1) * inner_trials):
+                acc += dp_transform(
+                    per_shard,
+                    sample,
+                    TINY,
+                    tape_seed=derive_seed(seed, "tape", j),
+                    noise_seed=derive_seed(seed, "noise", j),
+                    train_seed=derive_seed(seed, "transform-train", t),
+                ).weights
+            mean_model = make_distribution(D8.domain, acc / inner_trials)
+            assert report.per_trial_tv[t] == tv_distance(mean_model, base_model)
 
-        expected = tv_distance(make_distribution(D8.domain, acc / 4), base_model)
-        assert report.per_trial_tv[0] == pytest.approx(expected, abs=1e-15)
+    def test_inner_average_equals_repeated_dp_transform(self):
+        self.check_inner_average(4)
+
+    def test_inner_average_spans_race_blocks(self, monkeypatch):
+        # blocks of 3 tapes: 7 inner trials race in blocks of 3, 3 and 1
+        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * TINY.k * 8)
+        self.check_inner_average(7)
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
