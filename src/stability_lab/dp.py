@@ -14,7 +14,6 @@ being trusted from the analysis alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -188,9 +187,14 @@ def _histogram_from_counts(
     present = np.flatnonzero(counts)
     rng = np.random.default_rng(seed)
     noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+    # Vector form of _noisy_value over the present symbols. np.minimum and
+    # np.maximum cost less than np.clip or np.where on the few-symbol
+    # histograms of the transform.
+    noisy = (counts[present] + noise) / k
+    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
+    released[noisy < tau] = 0.0
     values = np.zeros(domain.size)
-    for z, g in zip(present, noise):
-        values[z] = _noisy_value(int(counts[z]), int(g), k, tau)
+    values[present] = released
     return NoisyHistogram(
         domain=domain, values=values, epsilon=epsilon, delta=delta, k=k, tau=tau
     )
@@ -223,6 +227,15 @@ def private_histogram(
 # tail whose mass is accounted for conservatively).
 
 
+def _check_law_args(k: int, epsilon: float, tail: float) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 < tail < 1:
+        raise ValueError("tail must lie in (0, 1)")
+
+
 def coordinate_output_law(
     count: int, k: int, epsilon: float, delta: float, tail: float = 1e-12
 ) -> dict[float, float]:
@@ -230,8 +243,11 @@ def coordinate_output_law(
 
     Noise values are enumerated until the remaining two-sided tail mass
     drops below `tail`; the returned probabilities then sum to at least
-    1 - tail.
+    1 - tail. Raises ValueError for k < 1, epsilon <= 0 or tail outside
+    (0, 1), and DomainTooLarge when the enumeration would pass
+    OUTPUT_LAW_MAX noise values.
     """
+    _check_law_args(k, epsilon, tail)
     if count == 0:
         return {0.0: 1.0}
     tau = histogram_threshold(epsilon, delta, k)
@@ -239,6 +255,11 @@ def coordinate_output_law(
     span = 1
     while 2.0 * p ** (span + 1) / (1.0 + p) > tail:
         span += 1
+        if 2 * span + 1 > OUTPUT_LAW_MAX:
+            raise DomainTooLarge(
+                f"noise enumeration needs more than {OUTPUT_LAW_MAX} values "
+                f"at epsilon={epsilon}, tail={tail}"
+            )
     norm = (1.0 - p) / (1.0 + p)
     law: dict[float, float] = {}
     for g in range(-span, span + 1):
@@ -247,17 +268,12 @@ def coordinate_output_law(
     return law
 
 
-def histogram_output_law(
-    counts: tuple[int, ...], epsilon: float, delta: float, tail: float = 1e-12
-) -> dict[tuple[float, ...], float]:
-    """Joint output law over all coordinates (noise is independent per symbol).
+def _joint_law(marginals: list[dict[float, float]]) -> dict[tuple[float, ...], float]:
+    """Product of independent coordinate laws, keyed by the tuple of atoms.
 
-    The joint has one atom per combination of coordinate atoms; when that
-    product exceeds OUTPUT_LAW_MAX, DomainTooLarge is raised before any of
-    it is built.
+    Raises DomainTooLarge before building anything when the product of the
+    marginal sizes exceeds OUTPUT_LAW_MAX.
     """
-    k = sum(counts)
-    marginals = [coordinate_output_law(c, k, epsilon, delta, tail) for c in counts]
     atoms = math.prod(len(marginal) for marginal in marginals)
     if atoms > OUTPUT_LAW_MAX:
         raise DomainTooLarge(
@@ -271,6 +287,21 @@ def histogram_output_law(
             for v, pv in marginal.items()
         }
     return joint
+
+
+def histogram_output_law(
+    counts: tuple[int, ...], epsilon: float, delta: float, tail: float = 1e-12
+) -> dict[tuple[float, ...], float]:
+    """Joint output law over all coordinates (noise is independent per symbol).
+
+    The joint has one atom per combination of coordinate atoms; when that
+    product exceeds OUTPUT_LAW_MAX, DomainTooLarge is raised before any of
+    it is built.
+    """
+    k = sum(counts)
+    return _joint_law(
+        [coordinate_output_law(c, k, epsilon, delta, tail) for c in counts]
+    )
 
 
 def dp_beta_over_laws(
@@ -290,14 +321,30 @@ def dp_beta_over_laws(
 
 
 def _replacement_neighbors(k: int, size: int):
-    """Ordered pairs of count vectors that differ by replacing one element."""
-    bins = list(_compositions(k, size))
-    for a, b in itertools.product(bins, bins):
-        if a != b and sum(abs(x - y) for x, y in zip(a, b)) == 2:
+    """Ordered pairs of count vectors that differ by replacing one element.
+
+    For each composition a (in lexicographic order) the neighbours
+    a - e_i + e_j, i with a[i] > 0 and j != i, are yielded in lexicographic
+    order too, so the pairs come out sorted by (a, b).
+    """
+    for a in _compositions(k, size):
+        neighbors = []
+        for i in range(size):
+            if a[i] == 0:
+                continue
+            for j in range(size):
+                if j != i:
+                    b = list(a)
+                    b[i] -= 1
+                    b[j] += 1
+                    neighbors.append(tuple(b))
+        neighbors.sort()
+        for b in neighbors:
             yield a, b
 
 
 def _compositions(total: int, parts: int):
+    """Tuples of `parts` non-negative ints summing to `total`, in lexicographic order."""
     if parts == 1:
         yield (total,)
         return
@@ -331,8 +378,19 @@ def audit_histogram_dp(
     For each ordered neighbor pair of count vectors the full (truncated)
     output laws are built and the exact additive slack at e^epsilon is
     computed; the audit passes when the worst slack is at most delta.
-    Feasible for small k and domain_size only.
+    The cost is one joint law per count vector and
+    |bins| x (non-zero counts) x (domain_size - 1) pair checks, where
+    |bins| = C(k + domain_size - 1, domain_size - 1). Raises ValueError for
+    k < 1, domain_size < 1, epsilon <= 0 or tail outside (0, 1), and
+    DomainTooLarge when one joint law would pass OUTPUT_LAW_MAX atoms.
     """
+    _check_law_args(k, epsilon, tail)
+    if domain_size < 1:
+        raise ValueError("domain_size must be at least 1")
+    # Every count vector sums to k, so only k + 1 coordinate laws exist.
+    coordinate_laws = [
+        coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)
+    ]
     worst = -1.0
     worst_pair = None
     checked = 0
@@ -340,7 +398,7 @@ def audit_histogram_dp(
     for a, b in _replacement_neighbors(k, domain_size):
         for c in (a, b):
             if c not in laws:
-                laws[c] = histogram_output_law(c, epsilon, delta, tail)
+                laws[c] = _joint_law([coordinate_laws[x] for x in c])
         beta = dp_beta_over_laws(laws[a], laws[b], epsilon)
         checked += 1
         if beta > worst:

@@ -141,6 +141,12 @@ def simplex_project_linf(
     x = np.clip(a, 0.0, 1.0)
     residual = 1.0 - float(x.sum())
     for i in range(x.size):
+        if residual == 0.0:
+            # Every later step would be max(0.0, lower - x) = 0.0, since
+            # lower <= x wherever the box is feasible; adding it only turns
+            # -0.0 into 0.0.
+            x[i:] += 0.0
+            break
         if residual > 0:
             step = min(residual, float(upper[i] - x[i]))
         else:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from stability_lab import (
     symmetric_dp_beta,
     tv_distance,
 )
-from stability_lab.dp import coordinate_output_law
+from stability_lab.dp import (
+    _histogram_from_counts,
+    _noisy_value,
+    _replacement_neighbors,
+    _two_sided_geometric,
+    coordinate_output_law,
+)
 from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset
 
 
@@ -212,6 +219,48 @@ class TestPrivateHistogram:
                 hits += 1
         assert hits >= 0.88 * runs
 
+    @staticmethod
+    def _scalar_values(counts, epsilon, delta, seed):
+        """Reference: _noisy_value applied symbol by symbol."""
+        k = int(counts.sum())
+        tau = histogram_threshold(epsilon, delta, k)
+        present = np.flatnonzero(counts)
+        rng = np.random.default_rng(seed)
+        noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+        values = np.zeros(counts.size)
+        for z, g in zip(present, noise):
+            values[z] = _noisy_value(int(counts[z]), int(g), k, tau)
+        return values
+
+    def test_vector_release_equals_scalar_loop(self):
+        # tau * k = 2 ln(2 / delta) / epsilon + 1 does not depend on k; this
+        # delta makes it 17, and at k = 85 the float tau is exactly 17 / 85,
+        # so a noisy count of 17 lands on the threshold itself.
+        epsilon, delta = 1.0, 2.0 * math.exp(-8.0)
+        at_tau = 17
+        assert histogram_threshold(epsilon, delta, 85) == at_tau / 85
+        rng = np.random.default_rng(47)
+        count_vectors = [
+            np.array([1]),
+            np.array([40]),  # one symbol: positive noise clips to 1
+            np.array([at_tau - 2, at_tau - 1, at_tau, at_tau + 1, at_tau + 2]),
+            np.array([at_tau - 2, at_tau - 1, at_tau, at_tau + 1, at_tau + 2, 0, 1, 3]),
+            np.array([at_tau] * 8),
+            np.array([0, 0, 0, 0, 0, 0, 0, at_tau + 1]),  # clips to 1
+            rng.integers(0, 3 * at_tau, size=5000) * (rng.random(5000) < 0.5),
+        ]
+        clipped = suppressed = released = on_threshold = 0
+        for counts in count_vectors:
+            for seed in range(25):
+                h = _histogram_from_counts(domain(counts.size), counts, epsilon, delta, seed)
+                expected = self._scalar_values(counts, epsilon, delta, seed)
+                assert h.values.tobytes() == expected.tobytes()
+                clipped += int(np.count_nonzero(h.values == 1.0))
+                suppressed += int(np.count_nonzero((counts > 0) & (h.values == 0.0)))
+                released += int(np.count_nonzero((h.values > 0) & (h.values < 1)))
+                on_threshold += int(np.count_nonzero(h.values == h.tau))
+        assert clipped > 0 and suppressed > 0 and released > 0 and on_threshold > 0
+
     def test_json_report(self):
         s = Dataset(domain(3), ["z0"] * 9 + ["z2"])
         h = private_histogram(s, 2.0, 1e-4, seed=5)
@@ -264,3 +313,53 @@ class TestExactAudit:
         law_a = histogram_output_law((10, 0), 1.0, 0.5)
         law_b = histogram_output_law((9, 1), 1.0, 0.5)
         assert dp_beta_over_laws(law_a, law_b, 0.0) > 0.05
+
+    def test_audit_at_benchmark_scale(self):
+        audit = audit_histogram_dp(10, 5, epsilon=1.0, delta=1e-3)
+        assert audit.pairs_checked == 14300
+        assert audit.worst_pair == ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3))
+        assert audit.passed
+
+    @pytest.mark.parametrize("k, size", [(0, 3), (3, 1), (3, 2), (6, 4), (10, 5)])
+    def test_replacement_neighbors_match_brute_force(self, k, size):
+        # Reference: every ordered pair of compositions, filtered to L1 distance 2.
+        bins = [c for c in itertools.product(range(k + 1), repeat=size) if sum(c) == k]
+        expected = [
+            (a, b)
+            for a, b in itertools.product(bins, bins)
+            if a != b and sum(abs(x - y) for x, y in zip(a, b)) == 2
+        ]
+        assert list(_replacement_neighbors(k, size)) == expected
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tail": -1e-12},
+            {"tail": 0.0},
+            {"tail": 1.0},
+            {"tail": float("nan")},
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
+            {"epsilon": float("nan")},
+            {"k": 0},
+            {"domain_size": 0},
+            {"domain_size": -1},
+        ],
+    )
+    def test_audit_input_validation(self, kwargs):
+        args = {"k": 3, "domain_size": 2, "epsilon": 1.0, "delta": 1e-3, **kwargs}
+        with pytest.raises(ValueError):
+            audit_histogram_dp(**args)
+        if "domain_size" not in kwargs:
+            del args["domain_size"]
+            with pytest.raises(ValueError):
+                coordinate_output_law(1, **args)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-300])
+    def test_noise_enumeration_cap(self, epsilon):
+        # ~5.5e7 noise values at epsilon = 1e-6; at 1e-300 the ratio
+        # exp(-epsilon / 2) rounds to 1 and the tail never shrinks.
+        with pytest.raises(DomainTooLarge):
+            coordinate_output_law(2, 3, epsilon, 1e-3)
+        with pytest.raises(DomainTooLarge):
+            audit_histogram_dp(3, 2, epsilon, 1e-3)

@@ -119,6 +119,58 @@ class TestSimplexProjectLinf:
             assert np.abs(p.weights - a).max() <= eta + 1e-9
             assert p.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def _full_loop(values, eta):
+        """Reference: the push loop walked over every coordinate, no early exit."""
+        a = np.asarray(values, dtype=np.float64)
+        lower = np.maximum(a - eta, 0.0)
+        upper = np.minimum(a + eta, 1.0)
+        if lower.sum() > 1.0 or upper.sum() < 1.0:
+            return None
+        x = np.clip(a, 0.0, 1.0)
+        residual = 1.0 - float(x.sum())
+        for i in range(x.size):
+            if residual > 0:
+                step = min(residual, float(upper[i] - x[i]))
+            else:
+                step = max(residual, float(lower[i] - x[i]))
+            x[i] += step
+            residual -= step
+        return x
+
+    def test_early_exit_matches_full_loop(self):
+        rng = np.random.default_rng(46)
+        cases = [
+            ([0.0, 0.0, 0.5, 0.5], 0.1),  # exact mass: residual 0 from the start
+            ([-0.0, 0.0, 1.0, -0.0], 0.2),  # -0.0 left behind the exit
+            ([1.0, 1.0, 0.0], 0.6),  # values at 1, surplus
+            ([1.0, 0.0, 0.0, -0.0], 0.3),
+            ([0.3, 0.0, 0.2, 0.0, -0.0], 0.4),  # deficit
+            ([0.7, 0.6, 0.0, -0.0], 0.2),  # surplus
+            ([1.2, -0.1, 0.0], 0.3),  # outside [0, 1] before the clip
+            ([0.0, 0.0], 0.3),  # infeasible: upper bounds sum below 1
+            ([0.9, 0.9, 0.0], 0.1),  # infeasible: lower bounds sum above 1
+        ]
+        for _ in range(200):
+            size = int(rng.integers(2, 12))
+            v = np.where(rng.random(size) < 0.3, 0.0, rng.random(size) * 0.6)
+            v[rng.random(size) < 0.1] = 1.0
+            v[(v == 0.0) & (rng.random(size) < 0.5)] = -0.0
+            cases.append((v, float(rng.uniform(0.01, 0.5))))
+        big = rng.dirichlet(np.ones(5000)) + rng.normal(0.0, 1e-4, 5000)
+        big[rng.random(5000) < 0.2] = 0.0
+        cases += [(big, 1e-3), (big, 1e-5), (np.zeros(5000), 1e-3)]
+        nones = 0
+        for values, eta in cases:
+            expected = self._full_loop(values, eta)
+            p = simplex_project_linf(domain(len(values)), np.asarray(values), eta)
+            if expected is None:
+                nones += 1
+                assert p is None
+            else:
+                assert p.weights.tobytes() == expected.tobytes()
+        assert 3 <= nones < len(cases) - 3
+
 
 D8 = dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
 
