@@ -34,11 +34,18 @@ _CHUNK_CELLS = 2**17
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
+    """splitmix64 finalizer over a uint64 array (wrapping arithmetic).
+
+    `x + _GOLD` is the one allocation; every later step works in place on
+    it, so `x` itself is never written.
+    """
     z = x + _GOLD
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
@@ -47,12 +54,18 @@ def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
     Row i, column z is a pure function of (seeds[i], z): the seed is mixed
     into a stream key, the symbol index is folded in, and the resulting 64
     bits become a uniform in (0,1) mapped through -log. Values are strictly
-    positive and finite by construction.
+    positive and finite by construction. The float steps run in place on
+    one buffer; `seeds` is never written.
     """
     keys = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
     cells = _splitmix64(keys + np.arange(size, dtype=np.uint64)[None, :])
-    u = ((cells >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return -np.log(u)
+    cells >>= np.uint64(11)
+    u = cells.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    return u
 
 
 @dataclass(frozen=True, eq=False)

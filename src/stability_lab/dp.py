@@ -153,8 +153,9 @@ class NoisyHistogram:
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.domain.size,):
             raise ValueError("histogram needs one value per symbol")
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("histogram values must lie in [0, 1]")
+        # Written so that NaN fails too; -0.0 passes, as it compares equal to 0.
+        if not ((v >= 0.0) & (v <= 1.0)).all():
+            raise ValueError("histogram values must be finite and lie in [0, 1]")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -312,12 +313,21 @@ def dp_beta_over_laws(
     Mass missing from `law` (the truncated tail) is charged to beta in
     full, so the result is an upper bound on the exact slack.
     """
-    scale = math.exp(alpha)
+    return _beta_over_laws(law, _missing_mass(law), law_prime, math.exp(alpha))
+
+
+def _missing_mass(law: dict) -> float:
+    """Probability mass a truncated law lacks, max(0, 1 - total)."""
+    return max(0.0, 1.0 - sum(law.values()))
+
+
+def _beta_over_laws(law: dict, missing: float, law_prime: dict, scale: float) -> float:
+    """sum over atoms of max(law - scale * law_prime, 0), plus law's missing mass."""
     beta = sum(
         max(mass - scale * law_prime.get(atom, 0.0), 0.0)
         for atom, mass in law.items()
     )
-    return beta + max(0.0, 1.0 - sum(law.values()))
+    return beta + missing
 
 
 def _replacement_neighbors(k: int, size: int):
@@ -391,15 +401,19 @@ def audit_histogram_dp(
     coordinate_laws = [
         coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)
     ]
+    scale = math.exp(epsilon)
     worst = -1.0
     worst_pair = None
     checked = 0
-    laws: dict[tuple[int, ...], dict] = {}
+    # Count vector -> (joint law, its missing mass), each built once.
+    laws: dict[tuple[int, ...], tuple[dict, float]] = {}
     for a, b in _replacement_neighbors(k, domain_size):
         for c in (a, b):
             if c not in laws:
-                laws[c] = _joint_law([coordinate_laws[x] for x in c])
-        beta = dp_beta_over_laws(laws[a], laws[b], epsilon)
+                joint = _joint_law([coordinate_laws[x] for x in c])
+                laws[c] = (joint, _missing_mass(joint))
+        law, missing = laws[a]
+        beta = _beta_over_laws(law, missing, laws[b][0], scale)
         checked += 1
         if beta > worst:
             worst, worst_pair = beta, (a, b)

@@ -239,16 +239,15 @@ def nfl_witness(
     """
     _require_pair_domain(p, q1, q2)
     thresholds = nfl_thresholds(q1, q2)
-    best = int(np.argmax(p.weights - thresholds))
-    return NflWitness(
-        symbol=p.domain.symbols[best],
-        p_value=float(p.weights[best]),
-        threshold=float(thresholds[best]),
-    )
+    w = p.weights
+    # ndarray.argmax keeps np.argmax's first-maximum rule without its wrapper.
+    best = int((w - thresholds).argmax())
+    return NflWitness(p.domain.symbols[best], w.item(best), thresholds.item(best))
 
 
 def _require_pair_domain(p, q1, q2):
-    if q1.domain != p.domain or q2.domain != p.domain:
+    d = p.domain
+    if (q1.domain is not d and q1.domain != d) or (q2.domain is not d and q2.domain != d):
         raise DomainMismatch("all three distributions must share a domain")
 
 

@@ -14,12 +14,31 @@ from stability_lab import (
     tv_distance,
 )
 from stability_lab.coupling import (
+    _GOLD,
+    _MIX1,
+    _MIX2,
     _exp_variates,
     coupled_marginal_counts,
     race_matrix,
     race_tapes,
 )
 from stability_lab.errors import DomainMismatch
+
+
+def _out_of_place_exp_variates(seeds, size):
+    """The tape hash written with a fresh array at every step: the oracle
+    for the in-place form in stability_lab.coupling."""
+
+    def splitmix64(x):
+        z = x + _GOLD
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+    keys = splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
+    cells = splitmix64(keys + np.arange(size, dtype=np.uint64)[None, :])
+    u = ((cells >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return -np.log(u)
 
 
 class TestNewTape:
@@ -58,6 +77,60 @@ class TestNewTape:
         batch = _exp_variates(seeds, 6)
         for i in range(50):
             assert np.array_equal(batch[i], new_tape(d, 123 + i).variates)
+
+
+class TestTapeHashBits:
+    # new_tape(domain(8), seed).variates as float.hex(), recorded from the
+    # out-of-place hash; any change to the hash's arithmetic shows here.
+    GOLDEN = {
+        0: [
+            "0x1.b5458a89b6fa9p-2", "0x1.cb1b17abfb0b1p+0", "0x1.58dfb7f29d7c5p-1",
+            "0x1.9533f0c093e29p-6", "0x1.fcc2f7f45bf7fp-1", "0x1.82f9fcb156032p+1",
+            "0x1.624148a263c64p-5", "0x1.536dd13b25f9cp+1",
+        ],
+        1: [
+            "0x1.ff9191e4e4296p-1", "0x1.483cf25b08afep-1", "0x1.378533210c5aap-2",
+            "0x1.7858a2f866cacp-2", "0x1.1b0f09d4799f0p-3", "0x1.87d5efefb7a39p-1",
+            "0x1.a93c7e187bfc1p+0", "0x1.9c8c2df8808aep+0",
+        ],
+        2**63: [
+            "0x1.482b8b6c82e87p-1", "0x1.47ca915c03c8cp-1", "0x1.61e72744608e5p-1",
+            "0x1.6acb01cc9994cp+1", "0x1.ba06b528b2b3fp+1", "0x1.5e8ee71cc98aap+0",
+            "0x1.5f6c8c9b56d55p-2", "0x1.6fd08a4807dfcp+0",
+        ],
+        2**64 - 1: [
+            "0x1.0124566401933p+0", "0x1.cb4cd93f4a12dp-1", "0x1.246bdee07a8fcp+0",
+            "0x1.1e71b94d5f2e7p+2", "0x1.266c3bdd22082p+2", "0x1.9153ae4767624p+0",
+            "0x1.92b31b06f9c73p-4", "0x1.2503dbbe57843p+1",
+        ],
+    }
+
+    @staticmethod
+    def seeds():
+        rng = np.random.default_rng(2718)
+        fixed = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        drawn = rng.integers(0, 2**64 - 1, size=40, dtype=np.uint64, endpoint=True)
+        return np.concatenate([fixed, drawn])
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_variates(self, seed):
+        variates = new_tape(domain(8), seed).variates.tolist()
+        assert [v.hex() for v in variates] == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("size", [1, 5000])
+    def test_matches_out_of_place_hash(self, size):
+        seeds = self.seeds()
+        got = _exp_variates(seeds, size)
+        assert got.dtype == np.float64 and got.shape == (seeds.size, size)
+        assert got.tobytes() == _out_of_place_exp_variates(seeds, size).tobytes()
+
+    def test_seed_array_not_written(self):
+        seeds = self.seeds()
+        before = seeds.copy()
+        _exp_variates(seeds, 7)
+        assert np.array_equal(seeds, before)
+        race_tapes(domain(7), seeds, np.full((3, 7), 1.0 / 7.0))
+        assert np.array_equal(seeds, before)
 
 
 class TestCoupledSample:

@@ -279,6 +279,32 @@ class TestPrivateHistogram:
                 tau=0.1,
             )
 
+    @staticmethod
+    def _histogram(values):
+        return NoisyHistogram(
+            domain=domain(len(values)),
+            values=np.array(values),
+            epsilon=1.0,
+            delta=1e-3,
+            k=3,
+            tau=0.1,
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2**-52])
+    def test_histogram_rejects_non_finite_and_out_of_range(self, bad):
+        # NaN compares false both ways, so only a check written as
+        # "inside [0, 1]" rejects it; to_json_obj would drop it silently.
+        with pytest.raises(ValueError):
+            self._histogram([bad, 0.5])
+        with pytest.raises(ValueError):
+            self._histogram([0.25, 0.25, bad])
+
+    def test_histogram_accepts_closed_interval(self):
+        h = self._histogram([-0.0, 0.0, 1.0, 0.5])
+        assert h.values.tolist() == [0.0, 0.0, 1.0, 0.5]
+        assert math.copysign(1.0, h.values[0]) == -1.0
+        assert h.to_json_obj()["values"] == {"z2": 1.0, "z3": 0.5}
+
 
 class TestExactAudit:
     def test_coordinate_law_mass(self):
@@ -319,6 +345,34 @@ class TestExactAudit:
         assert audit.pairs_checked == 14300
         assert audit.worst_pair == ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3))
         assert audit.passed
+
+    @pytest.mark.parametrize(
+        "k, size, beta_hex, pair, pairs",
+        [
+            (10, 5, "0x1.b5e901b5315c2p-13", ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3)), 14300),
+            (4, 3, "0x1.b5e901789f991p-13", ((1, 1, 2), (0, 1, 3)), 60),
+            (6, 3, "0x1.b5e901789f990p-13", ((1, 1, 4), (0, 1, 5)), 126),
+            (5, 4, "0x1.b5e90196e3fa9p-13", ((1, 1, 2, 1), (0, 1, 2, 2)), 420),
+        ],
+    )
+    def test_audit_pinned_bits(self, k, size, beta_hex, pair, pairs):
+        # Values of the audit that charged each law's missing mass per pair;
+        # computing it once per count vector must not move a bit.
+        audit = audit_histogram_dp(k, size, epsilon=1.0, delta=1e-3)
+        assert (audit.worst_beta.hex(), audit.worst_pair, audit.pairs_checked) == (
+            beta_hex,
+            pair,
+            pairs,
+        )
+
+    def test_beta_over_laws_charges_missing_mass(self):
+        from stability_lab.dp import dp_beta_over_laws
+
+        law = {0.0: 0.5, 0.25: 0.25}
+        law_prime = {0.0: 0.5, 0.25: 0.5}
+        assert dp_beta_over_laws(law, law_prime, 0.0) == 0.25
+        assert dp_beta_over_laws(law_prime, law, 0.0) == 0.25
+        assert dp_beta_over_laws(law, law, 0.0) == 0.25
 
     @pytest.mark.parametrize("k, size", [(0, 3), (3, 1), (3, 2), (6, 4), (10, 5)])
     def test_replacement_neighbors_match_brute_force(self, k, size):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dist, domain, random_distribution, random_pair
 from stability_lab import (
+    ContentDomain,
     Dataset,
     SafeAssignment,
     censorship_report,
@@ -27,6 +28,20 @@ from stability_lab.errors import (
     DomainMismatch,
     EmptySafeAssignment,
 )
+
+
+def _reference_nfl_witness(p, q1, q2):
+    """The NFL witness written through numpy's wrappers: the oracle for the
+    trimmed path. Returns (symbol, p_value, threshold)."""
+    alpha = 0.5 * float(np.abs(q1.weights - q2.weights).sum())
+    thresholds = np.minimum(q1.weights, q2.weights) / (2.0 * (1.0 - alpha))
+    best = int(np.argmax(p.weights - thresholds))
+    return p.domain.symbols[best], float(p.weights[best]), float(thresholds[best])
+
+
+def _bits(witness):
+    symbol, p_value, threshold = witness
+    return symbol, p_value.hex(), threshold.hex()
 
 
 def safes(*weight_rows) -> SafeAssignment:
@@ -283,6 +298,74 @@ class TestNflWitness:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             nfl_witness(dist([0.5, 0.5]), dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]))
+
+    def test_bits_match_reference_on_grid(self):
+        # The benchmark's 1,771-point grid on 4 symbols, against random pairs
+        # and pairs with +0.0 / -0.0 weights; every field must match bit for bit.
+        rng = np.random.default_rng(4242)
+        grid = [
+            dist(np.array((a, b, c, 20 - a - b - c), dtype=float) / 20.0)
+            for a in range(21)
+            for b in range(21 - a)
+            for c in range(21 - a - b)
+        ]
+        assert len(grid) == 1771
+        pairs = [random_pair(rng, 4) for _ in range(8)]
+        pairs += [random_pair(rng, 4, sparsify=0.25) for _ in range(6)]
+        pairs.append((dist([0.5, -0.0, 0.5, 0.0]), dist([-0.0, 0.25, 0.5, 0.25])))
+        pairs.append((dist([0.0, -0.0, 1.0, 0.0]), dist([0.1, 0.2, 0.3, 0.4])))
+        extra_p = [dist([-0.0, 0.5, 0.5, -0.0]), dist([0.25, 0.25, 0.25, 0.25])]
+        for q1, q2 in pairs:
+            if tv_distance(q1, q2) >= 1.0 - 1e-12:
+                # disjoint sparse draws: no threshold to compare
+                with pytest.raises(DegenerateTV):
+                    nfl_witness(grid[0], q1, q2)
+                continue
+            for p in grid + extra_p:
+                assert _bits(nfl_witness(p, q1, q2)) == _bits(
+                    _reference_nfl_witness(p, q1, q2)
+                )
+
+    def test_slack_tie_goes_to_first_index(self):
+        q = dist([0.25, 0.25, 0.25, 0.25])
+        # slack 0.375 at z1 and z2, -0.125 elsewhere
+        w = nfl_witness(dist([0.0, 0.5, 0.5, 0.0]), q, q)
+        assert (w.symbol, w.p_value, w.threshold) == ("z1", 0.5, 0.125)
+        w = nfl_witness(dist([-0.0, 0.5, 0.5, -0.0]), q, q)
+        assert w.symbol == "z1"
+        # every slack equal: z0
+        assert nfl_witness(q, q, q).symbol == "z0"
+
+    def test_equal_but_distinct_domains_accepted(self):
+        def on(symbols, weights):
+            return make_distribution(ContentDomain(tuple(symbols)), weights)
+
+        p = on("abc", [0.2, 0.3, 0.5])
+        q1 = on("abc", [0.6, 0.2, 0.2])
+        q2 = on("abc", [0.1, 0.1, 0.8])
+        assert p.domain is not q1.domain and p.domain == q1.domain
+        shared = [make_distribution(p.domain, q.weights) for q in (q1, q2)]
+        assert tv_distance(q1, q2).hex() == tv_distance(*shared).hex()
+        assert _bits(nfl_witness(p, q1, q2)) == _bits(nfl_witness(p, *shared))
+
+    def test_different_domains_rejected(self):
+        def on(symbols):
+            return make_distribution(ContentDomain(tuple(symbols)), [0.2, 0.3, 0.5])
+
+        base, other = on("abc"), on("abd")
+        with pytest.raises(DomainMismatch):
+            tv_distance(base, other)
+        for args in ((other, base, base), (base, other, base), (base, base, other)):
+            with pytest.raises(DomainMismatch):
+                nfl_witness(*args)
+
+    def test_tv_distance_bits_match_sum(self):
+        rng = np.random.default_rng(9)
+        for size in (2, 4, 8, 9, 100, 1000):
+            for _ in range(5):
+                q1, q2 = random_pair(rng, size, sparsify=0.3)
+                expected = 0.5 * float(np.abs(q1.weights - q2.weights).sum())
+                assert tv_distance(q1, q2).hex() == expected.hex()
 
 
 class TestCensorship:
