@@ -67,25 +67,40 @@ def _field(cfg: dict, key: str, default=_REQUIRED):
     return default
 
 
-def _num(cfg, key, default=_REQUIRED, lo=None, hi=None, open_lo=False, open_hi=False):
-    raw = _field(cfg, key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    v = float(raw)
-    if lo is not None and (v < lo or (open_lo and v == lo)):
-        raise ConfigError(f"{key}: must be {'>' if open_lo else '>='} {lo}")
-    if hi is not None and (v > hi or (open_hi and v == hi)):
-        raise ConfigError(f"{key}: must be {'<' if open_hi else '<='} {hi}")
-    return v
+# Config field -> (type, test of the typed value, what the field must be):
+# each field's one rule. The entries of alpha_grid follow "alpha". A float
+# field also takes a JSON integer; no field takes a bool.
+_RULES = {
+    "alpha": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "margin": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "smoothing": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "epsilon": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "delta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "eta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "m": (int, lambda v: v >= 1, "an integer >= 1"),
+    "outer_trials": (int, lambda v: v >= 1, "an integer >= 1"),
+    "inner_trials": (int, lambda v: v >= 1, "an integer >= 1"),
+    "premise_trials": (int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (int, lambda v: True, "an integer"),
+    "tape_seed": (int, lambda v: True, "an integer"),
+    "tokenization": (str, lambda v: v in ("line", "whitespace"), "'line' or 'whitespace'"),
+}
 
 
-def _int(cfg, key, default=_REQUIRED, lo=None):
-    raw = _field(cfg, key, default)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-    if lo is not None and raw < lo:
-        raise ConfigError(f"{key}: must be >= {lo}")
-    return raw
+def _check(key: str, raw, rule: str):
+    """`raw` typed and tested by `rule`'s entry, else a ConfigError naming `key`."""
+    kind, test, text = _RULES[rule]
+    typed = isinstance(raw, (int, float) if kind is float else kind)
+    try:
+        if typed and not isinstance(raw, bool) and test(kind(raw)):
+            return kind(raw)
+    except OverflowError:  # a JSON integer too large for a float
+        pass
+    raise ConfigError(f"{key}: expected {text}, got {raw!r}")
+
+
+def _param(cfg: dict, key: str, default=_REQUIRED):
+    return _check(key, _field(cfg, key, default), key)
 
 
 def _existing_path(cfg, key) -> Path:
@@ -98,23 +113,28 @@ def _existing_path(cfg, key) -> Path:
     return path
 
 
-def _distribution(cfg, key, domain: ContentDomain | None = None) -> DiscreteDistribution:
-    """A distribution from either a file path or an inline JSON object."""
+def _json_object(cfg, key, build):
+    """`build(obj)` for the field's JSON object, given inline or as a file path."""
     raw = _field(cfg, key)
-    try:
-        if isinstance(raw, str):
-            path = Path(raw)
-            if not path.exists():
-                raise ConfigError(f"{key}: file not found: {raw}")
+    if isinstance(raw, str):
+        path = _existing_path(cfg, key)
+        try:
             with open(path, "r", encoding="utf-8") as fh:
-                return DiscreteDistribution.from_json_obj(json.load(fh), domain)
-        if isinstance(raw, dict):
-            return DiscreteDistribution.from_json_obj(raw, domain)
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key}: expected a JSON object, inline or as a file path")
+    try:
+        return build(raw)
     except StabilityLabError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{key}: invalid distribution spec ({exc})") from exc
-    raise ConfigError(f"{key}: expected a path or an inline distribution object")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: invalid spec ({exc!r})") from exc
+
+
+def _distribution(cfg, key, domain: ContentDomain | None = None) -> DiscreteDistribution:
+    return _json_object(cfg, key, lambda obj: DiscreteDistribution.from_json_obj(obj, domain))
 
 
 def _safe_models(cfg, key) -> SafeAssignment:
@@ -143,8 +163,7 @@ def _learner(cfg, key, domain: ContentDomain):
         raise ConfigError(f"{key}: expected an object with a 'kind' field")
     kind = raw.get("kind")
     if kind == "empirical":
-        smoothing = _num(raw, "smoothing", default=0.0, lo=0.0)
-        return learner_empirical(smoothing)
+        return learner_empirical(_param(raw, "smoothing", 0.0))
     if kind == "constant":
         return learner_constant(_distribution(raw, "model", domain))
     raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
@@ -157,28 +176,17 @@ def _dataset(cfg) -> Dataset:
     that is absent, the file's own distinct lines.
     """
     path = _existing_path(cfg, "dataset")
-    raw = _field(cfg, "domain", None)
-    if raw is None:
+    if _field(cfg, "domain", None) is None:
         return ingest_corpus(path, "line")[1]
-    if isinstance(raw, str):
-        with open(_existing_path(cfg, "domain"), "r", encoding="utf-8") as fh:
-            domain = ContentDomain.from_json_obj(json.load(fh))
-    elif isinstance(raw, dict):
-        try:
-            domain = ContentDomain.from_json_obj(raw)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"domain: {exc}") from exc
-    else:
-        raise ConfigError("domain: expected a path or {'symbols': [...]}")
-    return load_dataset(path, domain)
+    return load_dataset(path, _json_object(cfg, "domain", ContentDomain.from_json_obj))
 
 
 def _transform_config(cfg) -> TransformConfig:
     return TransformConfig.from_params(
-        epsilon=_num(cfg, "epsilon", lo=0.0, open_lo=True),
-        delta=_num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        eta=_num(cfg, "eta", lo=0.0, hi=1.0, open_lo=True, open_hi=True),
-        m=_int(cfg, "m", lo=1),
+        epsilon=_param(cfg, "epsilon"),
+        delta=_param(cfg, "delta"),
+        eta=_param(cfg, "eta"),
+        m=_param(cfg, "m"),
     )
 
 
@@ -247,19 +255,18 @@ def _run_tv(cfg: dict, seed: int):
 def _run_dp_beta(cfg: dict, seed: int):
     p = _distribution(cfg, "p")
     p_prime = _distribution(cfg, "p_prime", p.domain)
-    alpha = _num(cfg, "alpha", lo=0.0)
+    alpha = _param(cfg, "alpha")
     grid = _field(cfg, "alpha_grid", None)
     if grid is None:
         grid = [alpha]
-    if not isinstance(grid, list) or not all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 0 for a in grid
-    ):
-        raise ConfigError("alpha_grid: expected a list of numbers >= 0")
+    if not isinstance(grid, list):
+        raise ConfigError(f"alpha_grid: expected a list, got {grid!r}")
+    grid = [_check("alpha_grid", a, "alpha") for a in grid]
     small = p.domain.size <= EVENT_ENUM_MAX
     curve = []
     for a in grid:
         point = {
-            "alpha": float(a),
+            "alpha": a,
             "beta": dp_beta(p, p_prime, a),
             "beta_reverse": dp_beta(p_prime, p, a),
             "symmetric_beta": symmetric_dp_beta(p, p_prime, a),
@@ -284,7 +291,7 @@ def _run_dp_beta(cfg: dict, seed: int):
 def _run_naf_check(cfg: dict, seed: int):
     model = _distribution(cfg, "model")
     safes = _safe_models(cfg, "safe_models")
-    alpha = _num(cfg, "alpha", lo=0.0)
+    alpha = _param(cfg, "alpha")
     report = naf_report(model, safes, alpha)
     rows = [
         {"content_id": c, "symbol": z, "log_ratio": r}
@@ -321,7 +328,7 @@ def _run_nfl_check(cfg: dict, seed: int):
 
 def _run_censorship(cfg: dict, seed: int):
     safes = _safe_models(cfg, "safe_models")
-    alpha = _num(cfg, "alpha", lo=0.0)
+    alpha = _param(cfg, "alpha")
     report = censorship_report(safes, alpha)
     rows = [
         {"symbol": s, "bound": float(b)}
@@ -333,8 +340,8 @@ def _run_censorship(cfg: dict, seed: int):
 def _run_hist(cfg: dict, seed: int):
     dataset = _dataset(cfg)
     domain = dataset.domain
-    epsilon = _num(cfg, "epsilon", lo=0.0, open_lo=True)
-    delta = _num(cfg, "delta", lo=0.0, hi=1.0, open_lo=True, open_hi=True)
+    epsilon = _param(cfg, "epsilon")
+    delta = _param(cfg, "delta")
     noise_seed = derive_seed(seed, "hist-noise")
     hist = private_histogram(dataset, epsilon, delta, noise_seed)
     counts = dataset.counts()
@@ -355,7 +362,7 @@ def _run_transform(cfg: dict, seed: int):
     dataset = _dataset(cfg)
     learner = _learner(cfg, "learner", dataset.domain)
     config = _transform_config(cfg)
-    tape_seed = _int(cfg, "tape_seed", default=derive_seed(seed, "tape"))
+    tape_seed = _param(cfg, "tape_seed", derive_seed(seed, "tape"))
     trace = dp_transform_trace(
         learner,
         dataset,
@@ -388,10 +395,10 @@ def _run_prop1(cfg: dict, seed: int):
     data_dist = _distribution(cfg, "data_distribution")
     learner = _learner(cfg, "learner", data_dist.domain)
     config = _transform_config(cfg)
-    outer = _int(cfg, "outer_trials", lo=1)
-    inner = _int(cfg, "inner_trials", lo=1)
-    premise = _int(cfg, "premise_trials", default=200, lo=1)
-    margin = _num(cfg, "margin", default=0.02, lo=0.0)
+    outer = _param(cfg, "outer_trials")
+    inner = _param(cfg, "inner_trials")
+    premise = _param(cfg, "premise_trials", 200)
+    margin = _param(cfg, "margin", 0.02)
     report = transform_bound_experiment(
         learner, data_dist, config, outer, inner, seed, premise_trials=premise
     )
@@ -407,10 +414,7 @@ def _run_prop1(cfg: dict, seed: int):
 
 def _run_ingest(cfg: dict, seed: int):
     corpus = _existing_path(cfg, "corpus")
-    tokenization = _field(cfg, "tokenization", "line")
-    if tokenization not in ("line", "whitespace"):
-        raise ConfigError("tokenization: expected 'line' or 'whitespace'")
-    domain, dataset = ingest_corpus(corpus, tokenization)
+    domain, dataset = ingest_corpus(corpus, _param(cfg, "tokenization", "line"))
     counts = dataset.counts()
     payload = {
         "domain_size": domain.size,
@@ -488,9 +492,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed: expected an integer")
+        seed = args.seed if args.seed is not None else _param(config, "seed", 0)
         if getattr(args, "tape_seed", None) is not None:
             config["tape_seed"] = args.tape_seed
         report, rows, code = run(args.subcommand, config, seed)
@@ -498,10 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.csv:
             _write_csv(rows, args.csv)
         return code
-    except StabilityLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (StabilityLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

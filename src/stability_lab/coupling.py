@@ -99,9 +99,9 @@ def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
 def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
 
-    Broadcasting covers one tape against a (k, |Z|) weight matrix, a
-    (n, |Z|) block of tapes against one weight vector, and a (n, 1, |Z|)
-    block of tapes against a (k, |Z|) matrix. Weights that are not > 0 are
+    Broadcasting covers one tape against one weight vector, a (n, |Z|)
+    block of tapes against one weight vector, and a (n, 1, |Z|) block of
+    tapes against a (k, |Z|) matrix. Weights that are not > 0 are
     replaced by +0.0 before the division, so they give +inf (variates are
     strictly positive and finite) and never win; a -0.0 weight left as it
     is would give -inf and win. Masking the weights rather than the
@@ -147,26 +147,16 @@ def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
     return tape.domain.symbols[coupled_sample_index(tape, q)]
 
 
-def race_matrix(tape: CouplingTape, weight_matrix: np.ndarray) -> np.ndarray:
-    """Coupled sample index for each row of a (n_models, |Z|) weight matrix.
-
-    Row i equals coupled_sample_index(tape, q_i); all rows share the one
-    tape, which is the point of the coupling.
-    """
-    if weight_matrix.shape[1] != tape.domain.size:
-        raise DomainMismatch("weight matrix width does not match the domain")
-    return _race(tape.variates, weight_matrix)
-
-
 def race_tapes(
     domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
 ) -> np.ndarray:
     """Coupled sample index of every weight row on each seed's tape.
 
-    Returns a (len(seeds), n_models) array whose row j equals
-    race_matrix(new_tape(domain, seeds[j]), weight_matrix) bit for bit: the
-    tapes are made by the same counter-based hash and raced by the same
-    kernel, in blocks of at most _CHUNK_CELLS cells.
+    Returns a (len(seeds), n_models) array whose entry (j, i) equals
+    coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
+    weight row i: all rows share each tape, which is the point of the
+    coupling. The tapes are made by the same counter-based hash and raced
+    by the same kernel, in blocks of at most _CHUNK_CELLS cells.
     """
     weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
     if weight_matrix.ndim != 2 or weight_matrix.shape[1] != domain.size:

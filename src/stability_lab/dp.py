@@ -48,12 +48,16 @@ class DpParams:
     beta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        for name in ("delta", "eta", "beta"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
+        _check_privacy(self.epsilon, self.delta)
+        for name in ("eta", "beta"):
+            if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
+
+
+def _check_privacy(epsilon: float, delta: float) -> None:
+    """The one (epsilon, delta) rule: epsilon > 0 and 0 < delta < 1; NaN fails."""
+    if not (epsilon > 0 and 0 < delta < 1):
+        raise ValueError(f"need epsilon > 0 and 0 < delta < 1, got {epsilon!r}, {delta!r}")
 
 
 def freq(dataset: Dataset, symbol: str) -> float:
@@ -114,8 +118,10 @@ def histogram_threshold(epsilon: float, delta: float, k: int) -> float:
 
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
-    absent from its neighbor.
+    absent from its neighbor. Raises ValueError unless epsilon > 0 and
+    0 < delta < 1.
     """
+    _check_privacy(epsilon, delta)
     return 2.0 * math.log(2.0 / delta) / (epsilon * k) + 1.0 / k
 
 
@@ -228,11 +234,9 @@ def private_histogram(
 # tail whose mass is accounted for conservatively).
 
 
-def _check_law_args(k: int, epsilon: float, tail: float) -> None:
+def _check_law_args(k: int, tail: float) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     if not 0 < tail < 1:
         raise ValueError("tail must lie in (0, 1)")
 
@@ -244,14 +248,14 @@ def coordinate_output_law(
 
     Noise values are enumerated until the remaining two-sided tail mass
     drops below `tail`; the returned probabilities then sum to at least
-    1 - tail. Raises ValueError for k < 1, epsilon <= 0 or tail outside
-    (0, 1), and DomainTooLarge when the enumeration would pass
-    OUTPUT_LAW_MAX noise values.
+    1 - tail. Raises ValueError for k < 1, tail outside (0, 1) or an
+    (epsilon, delta) that histogram_threshold refuses, and DomainTooLarge
+    when the enumeration would pass OUTPUT_LAW_MAX noise values.
     """
-    _check_law_args(k, epsilon, tail)
+    _check_law_args(k, tail)
+    tau = histogram_threshold(epsilon, delta, k)
     if count == 0:
         return {0.0: 1.0}
-    tau = histogram_threshold(epsilon, delta, k)
     p = math.exp(-epsilon / 2.0)
     span = 1
     while 2.0 * p ** (span + 1) / (1.0 + p) > tail:
@@ -391,10 +395,11 @@ def audit_histogram_dp(
     The cost is one joint law per count vector and
     |bins| x (non-zero counts) x (domain_size - 1) pair checks, where
     |bins| = C(k + domain_size - 1, domain_size - 1). Raises ValueError for
-    k < 1, domain_size < 1, epsilon <= 0 or tail outside (0, 1), and
-    DomainTooLarge when one joint law would pass OUTPUT_LAW_MAX atoms.
+    k < 1, domain_size < 1, tail outside (0, 1), epsilon <= 0 or delta
+    outside (0, 1), and DomainTooLarge when one joint law would pass
+    OUTPUT_LAW_MAX atoms.
     """
-    _check_law_args(k, epsilon, tail)
+    _check_law_args(k, tail)
     if domain_size < 1:
         raise ValueError("domain_size must be at least 1")
     # Every count vector sums to k, so only k + 1 coordinate laws exist.

@@ -16,7 +16,7 @@ total variation alpha, the averaged output model stays within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -63,24 +63,23 @@ class TransformConfig:
     """Shard layout and privacy parameters for the transform.
 
     The histogram failure probability is tied to eta, which fixes the
-    shard count k and hence the private sample size m_priv = k * m.
+    shard count k and hence the private sample size m_priv = k * m; both
+    are derived here, never set.
     """
 
     epsilon: float
     delta: float
     eta: float
     m: int
-    k: int
-    m_priv: int
+    k: int = field(init=False)
+    m_priv: int = field(init=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("base sample size m must be >= 1")
-        expected_k = required_k(self.params)
-        if self.k != expected_k:
-            raise ValueError(f"k must equal required_k(...) = {expected_k}")
-        if self.m_priv != self.k * self.m:
-            raise ValueError("m_priv must equal k * m")
+        k = required_k(self.params)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m_priv", k * self.m)
 
     @property
     def params(self) -> DpParams:
@@ -92,8 +91,7 @@ class TransformConfig:
     def from_params(
         cls, epsilon: float, delta: float, eta: float, m: int
     ) -> "TransformConfig":
-        k = required_k(DpParams(epsilon=epsilon, delta=delta, eta=eta, beta=eta))
-        return cls(epsilon=epsilon, delta=delta, eta=eta, m=m, k=k, m_priv=k * m)
+        return cls(epsilon, delta, eta, m)
 
 
 def estimate_premise_alpha(
@@ -126,7 +124,8 @@ def simplex_project_linf(
     """A distribution within eta of `values` in l_inf, or None if none exists.
 
     The box [max(0, a-eta), min(1, a+eta)] meets the simplex exactly when
-    the lower bounds sum to at most 1 and the upper bounds to at least 1.
+    no coordinate's interval is empty (lower <= upper), the lower bounds
+    sum to at most 1 and the upper bounds to at least 1.
     Construction: clip the input into [0, 1], then push the mass surplus
     or deficit through the coordinates in index order within each
     coordinate's remaining slack.
@@ -136,7 +135,7 @@ def simplex_project_linf(
     a = np.asarray(values, dtype=np.float64)
     lower = np.maximum(a - eta, 0.0)
     upper = np.minimum(a + eta, 1.0)
-    if lower.sum() > 1.0 or upper.sum() < 1.0:
+    if (upper < lower).any() or lower.sum() > 1.0 or upper.sum() < 1.0:
         return None
     x = np.clip(a, 0.0, 1.0)
     residual = 1.0 - float(x.sum())

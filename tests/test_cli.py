@@ -413,3 +413,62 @@ class TestHarnessContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["tv"] == 0.0
+
+
+class TestConfigErrorContract:
+    """A bad config field exits 1 with `error: <field>:` and no traceback."""
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, subcommand, cfg, field):
+        code, report = run_cli(tmp_path, subcommand, cfg)
+        err = capsys.readouterr().err
+        assert code == 1 and report is None
+        assert err.startswith(f"error: {field}:"), err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def hist_config(tmp_path, **fields):
+        data = tmp_path / "sample.txt"
+        data.write_text("a\nb\na\n")
+        return {"dataset": str(data), "epsilon": 1.0, "delta": 1e-3, **fields}
+
+    @pytest.mark.parametrize(
+        "domain_file, inline",
+        [
+            ("{not json", None),
+            ('{"names": ["a", "b"]}', None),
+            ('{"symbols": []}', None),
+            ('{"symbols": ["a", "a"]}', None),
+            (None, {"symbols": 5}),
+        ],
+    )
+    def test_malformed_domain(self, tmp_path, capsys, domain_file, inline):
+        if domain_file is not None:
+            path = tmp_path / "domain.json"
+            path.write_text(domain_file)
+            inline = str(path)
+        cfg = self.hist_config(tmp_path, domain=inline)
+        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain")
+
+    @pytest.mark.parametrize(
+        "subcommand, field, value",
+        [
+            ("prop1", "m", True),
+            ("hist", "epsilon", "1"),
+            ("dp-beta", "alpha_grid", [0.1, -1]),
+            ("ingest", "tokenization", "char"),
+            ("hist", "delta", 1),
+        ],
+    )
+    def test_bad_field(self, tmp_path, capsys, subcommand, field, value):
+        base = {
+            "prop1": TestProp1().config(),
+            "hist": self.hist_config(tmp_path),
+            "dp-beta": {
+                "p": {"symbols": ["a", "b"], "weights": [0.75, 0.25]},
+                "p_prime": {"symbols": ["a", "b"], "weights": [0.25, 0.75]},
+                "alpha": 0.0,
+            },
+            "ingest": {"corpus": self.hist_config(tmp_path)["dataset"]},
+        }[subcommand]
+        self.assert_rejected(tmp_path, capsys, subcommand, {**base, field: value}, field)

@@ -10,6 +10,7 @@ from stability_lab import (
     coupled_sample,
     coupled_sample_index,
     disagreement_estimate,
+    make_distribution,
     new_tape,
     tv_distance,
 )
@@ -19,7 +20,6 @@ from stability_lab.coupling import (
     _MIX2,
     _exp_variates,
     coupled_marginal_counts,
-    race_matrix,
     race_tapes,
 )
 from stability_lab.errors import DomainMismatch
@@ -157,7 +157,7 @@ class TestCoupledSample:
             for seed in range(200):
                 assert coupled_sample(new_tape(domain(3), seed), q) != "z1"
             assert coupled_marginal_counts(q, 1000, seed=4)[1] == 0
-            assert race_matrix(new_tape(domain(3), 5), q.weights[None, :])[0] != 1
+            assert not np.any(race_tapes(domain(3), range(200), q.weights[None, :]) == 1)
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
@@ -179,12 +179,12 @@ class TestCoupledSample:
             counts = coupled_marginal_counts(q, 10**5, seed=100 + trial)
             assert chisquare(counts, q.weights * 10**5).pvalue > 0.001
 
-    def test_race_matrix_matches_scalar(self):
+    def test_race_tapes_matches_scalar(self):
         rng = np.random.default_rng(8)
         tape = new_tape(domain(5), 77)
         models = [random_distribution(rng, 5, sparsify=0.3) for _ in range(20)]
         stacked = np.stack([m.weights for m in models])
-        batch = race_matrix(tape, stacked)
+        batch = race_tapes(domain(5), [77], stacked)[0]
         for i, m in enumerate(models):
             assert batch[i] == coupled_sample_index(tape, m)
         # many tapes against one model: trial i of the Monte Carlo helpers is
@@ -254,7 +254,7 @@ class TestRaceTapes:
     def weights(self):
         rng = np.random.default_rng(41)
         rows = [random_distribution(rng, 6, sparsify=0.4).weights for _ in range(9)]
-        # signed zeros must be masked exactly as race_matrix masks them
+        # signed zeros must be masked exactly as coupled_sample_index masks them
         rows.append(np.array([0.5, 0.0, -0.0, 0.25, 0.25, 0.0]))
         rows.append(np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
         return np.stack(rows)
@@ -268,7 +268,9 @@ class TestRaceTapes:
         got = race_tapes(d, self.SEEDS, w)
         assert got.shape == (len(self.SEEDS), w.shape[0])
         for row, seed in zip(got, self.SEEDS):
-            assert np.array_equal(row, race_matrix(new_tape(d, seed), w))
+            tape = new_tape(d, seed)
+            scalar = [coupled_sample_index(tape, make_distribution(d, r)) for r in w]
+            assert np.array_equal(row, scalar)
         assert np.all(got[:, -1] == 5)
         assert not np.any(np.isin(got[:, -2], (1, 2, 5)))
 

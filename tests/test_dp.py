@@ -170,6 +170,27 @@ class TestRequiredK:
             DpParams(epsilon=1.0, delta=1e-5, eta=1.0, beta=0.1)
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta",
+    [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1), (-1.0, 0.1),
+     (float("nan"), 0.1), (1.0, float("nan"))],
+)
+def test_privacy_parameters_rejected_everywhere(epsilon, delta):
+    sample = Dataset(domain(2), ["z0", "z0", "z1"])
+    calls = [
+        lambda: histogram_threshold(epsilon, delta, 3),
+        lambda: private_histogram(sample, epsilon, delta, seed=0),
+        lambda: _histogram_from_counts(domain(2), np.array([2, 1]), epsilon, delta, 0),
+        lambda: coordinate_output_law(0, 3, epsilon, delta),
+        lambda: coordinate_output_law(2, 3, epsilon, delta),
+        lambda: audit_histogram_dp(3, 2, epsilon, delta),
+        lambda: DpParams(epsilon=epsilon, delta=delta, eta=0.1, beta=0.1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestPrivateHistogram:
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):

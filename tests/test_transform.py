@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from stability_lab import (
     learner_constant,
     learner_empirical,
     make_distribution,
+    required_k,
     sample_dataset,
     simplex_project_linf,
     transform_bound_experiment,
@@ -44,15 +46,13 @@ class TestTransformConfig:
         assert TINY.m_priv == TINY.k * TINY.m
         assert TINY.k >= 1
 
-    def test_invariants_enforced(self):
+    def test_replace_rederives_k(self):
+        wider = dataclasses.replace(TINY, eta=0.2)
+        assert wider.k == required_k(wider.params) > TINY.k
+        assert wider.m_priv == wider.k * TINY.m
+        assert wider == TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.2, m=3)
         with pytest.raises(ValueError):
-            TransformConfig(
-                epsilon=2.0, delta=0.05, eta=0.3, m=3, k=TINY.k + 1, m_priv=TINY.m_priv
-            )
-        with pytest.raises(ValueError):
-            TransformConfig(
-                epsilon=2.0, delta=0.05, eta=0.3, m=3, k=TINY.k, m_priv=TINY.m_priv + 1
-            )
+            dataclasses.replace(TINY, k=TINY.k + 1)
 
     def test_beta_is_tied_to_eta(self):
         assert TINY.params.beta == TINY.params.eta
@@ -170,6 +170,16 @@ class TestSimplexProjectLinf:
             else:
                 assert p.weights.tobytes() == expected.tobytes()
         assert 3 <= nones < len(cases) - 3
+
+    def test_empty_coordinate_box_is_infeasible(self):
+        # The sums alone pass, but a value below -eta leaves its coordinate
+        # the empty box [0, a + eta]. (A value above 1 + eta cannot slip
+        # through: its lower bound alone exceeds 1.)
+        cases = [([0.9107, -0.0569, 0.0387], 0.05), ([0.5, -0.2, 0.6, 0.1], 0.1)]
+        for values, eta in cases:
+            a = np.asarray(values)
+            assert np.maximum(a - eta, 0.0).sum() <= 1.0 <= np.minimum(a + eta, 1.0).sum()
+            assert simplex_project_linf(domain(a.size), a, eta) is None
 
 
 D8 = dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
