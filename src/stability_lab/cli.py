@@ -113,6 +113,16 @@ def _existing_path(cfg, key) -> Path:
     return path
 
 
+def _text_file(cfg, key, read):
+    """`read(path)` for the field's text file; a file that cannot be read as
+    UTF-8 text (a directory, bad bytes) is a config error naming the field."""
+    path = _existing_path(cfg, key)
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
+
+
 def _json_object(cfg, key, build):
     """`build(obj)` for the field's JSON object, given inline or as a file path."""
     raw = _field(cfg, key)
@@ -175,10 +185,10 @@ def _dataset(cfg) -> Dataset:
     The domain is the `domain` field (a path or an inline object) or, when
     that is absent, the file's own distinct lines.
     """
-    path = _existing_path(cfg, "dataset")
     if _field(cfg, "domain", None) is None:
-        return ingest_corpus(path, "line")[1]
-    return load_dataset(path, _json_object(cfg, "domain", ContentDomain.from_json_obj))
+        return _text_file(cfg, "dataset", lambda path: ingest_corpus(path, "line")[1])
+    domain = _json_object(cfg, "domain", ContentDomain.from_json_obj)
+    return _text_file(cfg, "dataset", lambda path: load_dataset(path, domain))
 
 
 def _transform_config(cfg) -> TransformConfig:
@@ -413,8 +423,8 @@ def _run_prop1(cfg: dict, seed: int):
 
 
 def _run_ingest(cfg: dict, seed: int):
-    corpus = _existing_path(cfg, "corpus")
-    domain, dataset = ingest_corpus(corpus, _param(cfg, "tokenization", "line"))
+    tokenization = _param(cfg, "tokenization", "line")
+    domain, dataset = _text_file(cfg, "corpus", lambda path: ingest_corpus(path, tokenization))
     counts = dataset.counts()
     payload = {
         "domain_size": domain.size,

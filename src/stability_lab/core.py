@@ -65,7 +65,12 @@ class ContentDomain:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ContentDomain":
-        return cls(tuple(obj["symbols"]))
+        """The domain of a {"symbols": [...]} object; the symbols must be a
+        JSON list of strings (TypeError otherwise)."""
+        symbols = obj["symbols"]
+        if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+            raise TypeError(f'"symbols" must be a list of strings, got {symbols!r}')
+        return cls(tuple(symbols))
 
 
 class DiscreteDistribution:
@@ -118,7 +123,7 @@ class DiscreteDistribution:
     def from_json_obj(
         cls, obj: dict, domain: ContentDomain | None = None
     ) -> "DiscreteDistribution":
-        file_domain = ContentDomain(tuple(obj["symbols"]))
+        file_domain = ContentDomain.from_json_obj(obj)
         if domain is not None and domain != file_domain:
             raise DomainMismatch("distribution symbols do not match the domain")
         return cls(domain or file_domain, obj["weights"])

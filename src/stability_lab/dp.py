@@ -113,8 +113,9 @@ def required_k(params: DpParams) -> int:
     return math.ceil(numerator / (params.eta * params.epsilon))
 
 
-def histogram_threshold(epsilon: float, delta: float, k: int) -> float:
-    """Frequency cutoff tau = 2*ln(2/delta)/(epsilon*k) + 1/k.
+def histogram_threshold(epsilon: float, delta: float, k):
+    """Frequency cutoff tau = 2*ln(2/delta)/(epsilon*k) + 1/k (elementwise
+    for an array of k).
 
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
@@ -159,9 +160,7 @@ class NoisyHistogram:
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.domain.size,):
             raise ValueError("histogram needs one value per symbol")
-        # Written so that NaN fails too; -0.0 passes, as it compares equal to 0.
-        if not ((v >= 0.0) & (v <= 1.0)).all():
-            raise ValueError("histogram values must be finite and lie in [0, 1]")
+        _check_unit_interval(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -182,6 +181,44 @@ class NoisyHistogram:
         }
 
 
+def _check_unit_interval(values: np.ndarray) -> None:
+    # Written so that NaN fails too; -0.0 passes, as it compares equal to 0.
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError("histogram values must be finite and lie in [0, 1]")
+
+
+def _release_rows(
+    counts: np.ndarray, epsilon: float, delta: float, seeds
+) -> np.ndarray:
+    """Released values of every row of an (n, |Z|) count matrix.
+
+    Row i is the release of that row alone, with k_i its sum: its present
+    symbols, in index order, get the noise of one default_rng(seeds[i]).
+    The threshold, clamp and range check then run once over the matrix.
+    Raises EmptyDataset for a row with no counts.
+    """
+    _check_privacy(epsilon, delta)
+    k = counts.sum(axis=1)
+    if (k < 1).any():
+        raise EmptyDataset("every histogram row needs a non-empty sample")
+    tau = histogram_threshold(epsilon, delta, k)
+    rows, cols = np.nonzero(counts)
+    p = math.exp(-epsilon / 2.0)
+    noise = np.concatenate([
+        _two_sided_geometric(np.random.default_rng(seed), p, size)
+        for seed, size in zip(seeds, np.bincount(rows, minlength=k.size).tolist())
+    ])
+    # Vector form of _noisy_value over the present cells. np.minimum and
+    # np.maximum cost less than np.clip or np.where here.
+    noisy = (counts[rows, cols] + noise) / k[rows]
+    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
+    released[noisy < tau[rows]] = 0.0
+    values = np.zeros(counts.shape)
+    values[rows, cols] = released
+    _check_unit_interval(values)
+    return values
+
+
 def _histogram_from_counts(
     domain: ContentDomain,
     counts: np.ndarray,
@@ -189,19 +226,10 @@ def _histogram_from_counts(
     delta: float,
     seed: int,
 ) -> NoisyHistogram:
+    """The histogram release of one count vector: one row of _release_rows."""
     k = int(counts.sum())
+    values = _release_rows(np.asarray(counts)[None, :], epsilon, delta, [seed])[0]
     tau = histogram_threshold(epsilon, delta, k)
-    present = np.flatnonzero(counts)
-    rng = np.random.default_rng(seed)
-    noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
-    # Vector form of _noisy_value over the present symbols. np.minimum and
-    # np.maximum cost less than np.clip or np.where on the few-symbol
-    # histograms of the transform.
-    noisy = (counts[present] + noise) / k
-    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
-    released[noisy < tau] = 0.0
-    values = np.zeros(domain.size)
-    values[present] = released
     return NoisyHistogram(
         domain=domain, values=values, epsilon=epsilon, delta=delta, k=k, tau=tau
     )

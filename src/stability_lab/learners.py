@@ -14,7 +14,7 @@ from .core import (
     make_distribution,
 )
 from .errors import DomainMismatch, EmptyCorpus, EmptyDataset
-from .transform import Learner
+from .transform import Learner, _row_counts
 
 
 def learner_empirical(smoothing: float = 0.0) -> Learner:
@@ -36,15 +36,11 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
     ) -> np.ndarray:
-        # One bincount over row * |Z| + index counts every shard at once;
-        # the per-row sum and division then match train's bit for bit.
-        k, m = shard_indices.shape
-        if m == 0 and smoothing == 0:
+        # One bincount counts every shard at once; the per-row sum and
+        # division then match train's bit for bit.
+        if shard_indices.shape[1] == 0 and smoothing == 0:
             raise EmptyDataset("the unsmoothed empirical learner needs data")
-        size = domain.size
-        cells = (np.arange(k, dtype=np.int64)[:, None] * size + shard_indices).ravel()
-        counts = np.bincount(cells, minlength=k * size).reshape(k, size)
-        counts = counts.astype(np.float64) + smoothing
+        counts = _row_counts(shard_indices, domain.size).astype(np.float64) + smoothing
         return counts / counts.sum(axis=1, keepdims=True)
 
     return Learner(

@@ -31,7 +31,7 @@ from .core import (
     tv_distance,
 )
 from .coupling import _tapes_per_block, race_tapes
-from .dp import DpParams, NoisyHistogram, _histogram_from_counts, required_k
+from .dp import DpParams, NoisyHistogram, _release_rows, histogram_threshold, required_k
 from .errors import DomainMismatch, SizeMismatch
 from .util import derive_seed
 
@@ -128,31 +128,53 @@ def simplex_project_linf(
     sum to at most 1 and the upper bounds to at least 1.
     Construction: clip the input into [0, 1], then push the mass surplus
     or deficit through the coordinates in index order within each
-    coordinate's remaining slack.
+    coordinate's remaining slack. This is one row of _project_rows.
+    """
+    rows, feasible = _project_rows(np.asarray(values, dtype=np.float64)[None, :], eta)
+    return make_distribution(domain, rows[0]) if feasible[0] else None
+
+
+def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Project each row of an (n, |Z|) matrix as simplex_project_linf does.
+
+    Returns (projected rows, feasible mask); an infeasible row gets the
+    uniform distribution, the neutral choice when its box misses the
+    simplex. Each row equals the sequential push loop bit for bit: while
+    every full slack s is taken, the residual before step i is
+    r_0 - s_0 - ... - s_{i-1}, subtracted in that order by
+    np.subtract.accumulate. The first step whose slack covers the residual
+    takes the residual itself, leaving exactly 0, and every later
+    coordinate gets + 0.0 (which only turns -0.0 into 0.0).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    a = np.asarray(values, dtype=np.float64)
-    lower = np.maximum(a - eta, 0.0)
-    upper = np.minimum(a + eta, 1.0)
-    if (upper < lower).any() or lower.sum() > 1.0 or upper.sum() < 1.0:
-        return None
-    x = np.clip(a, 0.0, 1.0)
-    residual = 1.0 - float(x.sum())
-    for i in range(x.size):
-        if residual == 0.0:
-            # Every later step would be max(0.0, lower - x) = 0.0, since
-            # lower <= x wherever the box is feasible; adding it only turns
-            # -0.0 into 0.0.
-            x[i:] += 0.0
-            break
-        if residual > 0:
-            step = min(residual, float(upper[i] - x[i]))
-        else:
-            step = max(residual, float(lower[i] - x[i]))
-        x[i] += step
-        residual -= step
-    return make_distribution(domain, x)
+    lower = np.maximum(values - eta, 0.0)
+    upper = np.minimum(values + eta, 1.0)
+    feasible = ~(
+        (upper < lower).any(axis=1)
+        | (lower.sum(axis=1) > 1.0)
+        | (upper.sum(axis=1) < 1.0)
+    )
+    out = np.full(values.shape, 1.0 / values.shape[1])
+    x = np.clip(values[feasible], 0.0, 1.0)
+    residual = 1.0 - x.sum(axis=1)
+    surplus = (residual > 0)[:, None]
+    # Slack in the residual's direction; lower <= x <= upper on a
+    # feasible row, so a zero residual stops at the first step.
+    slack = np.where(surplus, upper[feasible] - x, lower[feasible] - x)
+    before = np.empty_like(x)
+    before[:, 0] = residual
+    before[:, 1:] = slack[:, :-1]
+    np.subtract.accumulate(before, axis=1, out=before)
+    full = np.where(surplus, before > slack, before < slack)
+    np.logical_and.accumulate(full, axis=1, out=full)
+    stop = np.ones_like(full)  # the first step that is not a full slack
+    stop[:, 1:] = full[:, :-1]
+    stop &= ~full
+    x += np.where(full, slack, np.where(stop, before, 0.0))
+    out[feasible] = x
+    _check_probability_rows(out, values.shape)
+    return out, feasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,26 +221,24 @@ def _shard_weight_matrix(
 
 
 def _release(
-    domain: ContentDomain,
-    coupled: np.ndarray,
-    config: TransformConfig,
-    noise_seed: int,
-) -> tuple[NoisyHistogram, DiscreteDistribution, bool]:
-    """Private histogram of the coupled samples, projected onto the simplex.
+    counts: np.ndarray, config: TransformConfig, noise_seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Private histograms of the count rows, projected onto the simplex.
 
-    Returns (histogram, output model, whether the uniform fallback was used).
+    Row i is released with noise seed noise_seeds[i]. Returns the (n, |Z|)
+    released values, the (n, |Z|) output models and the mask of rows that
+    took the uniform fallback.
     """
-    counts = np.bincount(coupled, minlength=domain.size)
-    hist = _histogram_from_counts(
-        domain, counts, config.epsilon, config.delta, noise_seed
-    )
-    projected = simplex_project_linf(domain, hist.values, config.eta)
-    fallback = projected is None
-    if fallback:
-        # Any distribution is admissible when the box misses the simplex;
-        # uniform is the neutral choice.
-        projected = make_distribution(domain, np.full(domain.size, 1.0 / domain.size))
-    return hist, projected, fallback
+    values = _release_rows(counts, config.epsilon, config.delta, noise_seeds)
+    outputs, feasible = _project_rows(values, config.eta)
+    return values, outputs, ~feasible
+
+
+def _row_counts(coupled: np.ndarray, size: int) -> np.ndarray:
+    """(n, size) symbol counts of each row of coupled sample indices."""
+    n = coupled.shape[0]
+    cells = (np.arange(n, dtype=np.intp)[:, None] * size + coupled).ravel()
+    return np.bincount(cells, minlength=n * size).reshape(n, size)
 
 
 def _transform_from_weights(
@@ -229,13 +249,18 @@ def _transform_from_weights(
     noise_seed: int,
 ) -> TransformTrace:
     coupled = race_tapes(domain, [tape_seed], shard_weights)[0]
-    hist, output, fallback = _release(domain, coupled, config, noise_seed)
+    values, outputs, fallback = _release(
+        _row_counts(coupled[None, :], domain.size), config, [noise_seed]
+    )
+    eps, delta, k = config.epsilon, config.delta, config.k
     return TransformTrace(
         shard_weights=shard_weights,
         coupled_indices=coupled,
-        histogram=hist,
-        fallback_used=fallback,
-        output=output,
+        histogram=NoisyHistogram(
+            domain, values[0], eps, delta, k, histogram_threshold(eps, delta, k)
+        ),
+        fallback_used=bool(fallback[0]),
+        output=make_distribution(domain, outputs[0]),
     )
 
 
@@ -356,19 +381,25 @@ def transform_bound_experiment(
         weights = _shard_weight_matrix(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
+        # Release the inner trials in chunks of at most _CHUNK_CELLS count
+        # cells (all 300 trials of criterion 6 at once), racing each chunk's
+        # tapes in blocks within the race's cell budget and keeping only
+        # their counts. The outputs are added row by row in trial order:
+        # the rounding of the sum depends on its order.
+        trials = range(t * inner_trials, (t + 1) * inner_trials)
+        race_block = _tapes_per_block(weights.size)
+        release_block = _tapes_per_block(domain.size)
         acc = np.zeros(domain.size)
-        # Race one block of tapes at a time so the coupled indices stay
-        # within the race's cell budget; each trial still gets its own
-        # histogram release, in trial order.
-        first = t * inner_trials
-        block = _tapes_per_block(weights.size)
-        for start in range(first, first + inner_trials, block):
-            trials = range(start, min(start + block, first + inner_trials))
-            tape_seeds = [derive_seed(seed, "tape", i) for i in trials]
-            coupled = race_tapes(domain, tape_seeds, weights)
-            for i, row in zip(trials, coupled):
-                _, output, _ = _release(domain, row, config, derive_seed(seed, "noise", i))
-                acc += output.weights
+        for first in range(0, inner_trials, release_block):
+            chunk = trials[first : first + release_block]
+            counts = np.empty((len(chunk), domain.size), dtype=np.intp)
+            for start in range(0, len(chunk), race_block):
+                tapes = [derive_seed(seed, "tape", i) for i in chunk[start : start + race_block]]
+                coupled = race_tapes(domain, tapes, weights)
+                counts[start : start + len(tapes)] = _row_counts(coupled, domain.size)
+            noise_seeds = [derive_seed(seed, "noise", i) for i in chunk]
+            for row in _release(counts, config, noise_seeds)[1]:
+                acc += row
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)
 

@@ -472,3 +472,32 @@ class TestConfigErrorContract:
             "ingest": {"corpus": self.hist_config(tmp_path)["dataset"]},
         }[subcommand]
         self.assert_rejected(tmp_path, capsys, subcommand, {**base, field: value}, field)
+
+    @pytest.mark.parametrize("subcommand, field", [
+        ("hist", "dataset"), ("transform", "dataset"), ("ingest", "corpus"),
+    ])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not-utf8", "directory"])
+    def test_unreadable_text_file(self, tmp_path, capsys, subcommand, field, content):
+        if content is None:
+            path = "."  # a directory exists but cannot be read as text
+        else:
+            path = tmp_path / "corpus.txt"
+            path.write_bytes(content)
+        base = {
+            "hist": self.hist_config(tmp_path),
+            "transform": {
+                **self.hist_config(tmp_path), "eta": 0.3, "m": 1,
+                "learner": {"kind": "empirical", "smoothing": 1.0},
+            },
+            "ingest": {},
+        }[subcommand]
+        cfg = {**base, field: str(path)}
+        self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
+
+    @pytest.mark.parametrize("symbols", ["ab", [1, 2]])
+    def test_symbols_not_a_list_of_strings(self, tmp_path, capsys, symbols):
+        cfg = self.hist_config(tmp_path, domain={"symbols": symbols})
+        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain")
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1")

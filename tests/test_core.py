@@ -307,6 +307,19 @@ class TestSerialization:
         d = domain(4)
         assert ContentDomain.from_json_obj(d.to_json_obj()) == d
 
+    @pytest.mark.parametrize("symbols", ["ab", [1, 2], ["a", 2], ("a", "b"), {"a": 1}])
+    def test_symbols_must_be_a_list_of_strings(self, tmp_path, symbols):
+        # A JSON string used to be split into one-character symbols.
+        with pytest.raises(TypeError):
+            ContentDomain.from_json_obj({"symbols": symbols})
+        with pytest.raises(TypeError):
+            DiscreteDistribution.from_json_obj({"symbols": symbols, "weights": [0.5, 0.5]})
+        if not isinstance(symbols, tuple):
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
+            with pytest.raises(TypeError):
+                read_distribution(path)
+
     def test_load_dataset(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("a\nb\n\na\n")

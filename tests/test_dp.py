@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dist, domain, random_distribution, random_pair
+from conftest import dist, domain, random_distribution, random_pair, scalar_histogram_values
 from stability_lab import (
     Dataset,
     DpParams,
@@ -24,6 +24,7 @@ from stability_lab import (
 )
 from stability_lab.dp import (
     _histogram_from_counts,
+    _release_rows,
     _noisy_value,
     _replacement_neighbors,
     _two_sided_geometric,
@@ -325,6 +326,49 @@ class TestPrivateHistogram:
         assert h.values.tolist() == [0.0, 0.0, 1.0, 0.5]
         assert math.copysign(1.0, h.values[0]) == -1.0
         assert h.to_json_obj()["values"] == {"z2": 1.0, "z3": 0.5}
+
+
+class TestReleaseRows:
+    def test_rows_equal_scalar_release(self):
+        # tau * k = 17 at this (epsilon, delta) whatever k is, so rows of
+        # k = 85 have noisy counts on the threshold itself.
+        epsilon, delta = 1.0, 2.0 * math.exp(-8.0)
+        rng = np.random.default_rng(73)
+        matrices = []
+        for size in (1, 2, 8, 40):
+            m = rng.integers(0, 30, size=(30, size)) * (rng.random((30, size)) < 0.6)
+            m[:, 0] += 1  # no empty row; row sums (k) differ row to row
+            lone = np.zeros((4, size), dtype=m.dtype)
+            lone[:, -1] = [1, 17, 40, 85]  # one present symbol
+            matrices += [m, lone]
+        on_tau = np.zeros((6, 5), dtype=np.int64)
+        on_tau[:] = [15, 16, 17, 18, 19]
+        on_tau[:, 0] += 85 - on_tau.sum(axis=1)  # k = 85 in every row
+        matrices.append(on_tau)
+        clipped = suppressed = lone_rows = 0
+        for counts in matrices:
+            seeds = [int(s) for s in rng.integers(0, 2**63, size=counts.shape[0])]
+            values = _release_rows(counts, epsilon, delta, seeds)
+            assert values.shape == counts.shape
+            for row, got, seed in zip(counts, values, seeds):
+                expected = scalar_histogram_values(row, epsilon, delta, seed)
+                assert got.tobytes() == expected.tobytes()
+                clipped += int(np.count_nonzero(got == 1.0))
+                suppressed += int(np.count_nonzero((row > 0) & (got == 0.0)))
+                lone_rows += int(np.count_nonzero(row) == 1)
+        assert clipped > 0 and suppressed > 0 and lone_rows >= 16
+
+    def test_histogram_from_counts_is_one_row(self):
+        counts = np.array([0, 5, 1, 9])
+        h = _histogram_from_counts(domain(4), counts, 2.0, 1e-3, seed=11)
+        assert h.values.tobytes() == _release_rows(counts[None, :], 2.0, 1e-3, [11])[0].tobytes()
+        assert h.k == 15 and h.tau == histogram_threshold(2.0, 1e-3, 15)
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(EmptyDataset):
+            _release_rows(np.array([[1, 2], [0, 0]]), 1.0, 1e-3, [1, 2])
+        with pytest.raises(ValueError):
+            _release_rows(np.array([[1, 2]]), 1.0, 1.0, [1])
 
 
 class TestExactAudit:

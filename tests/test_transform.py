@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dist, domain, random_distribution
+from conftest import dist, domain, random_distribution, scalar_histogram_values, scalar_project
 import stability_lab.coupling as coupling_mod
 import stability_lab.transform as transform_mod
 from stability_lab import (
@@ -182,7 +182,67 @@ class TestSimplexProjectLinf:
             assert simplex_project_linf(domain(a.size), a, eta) is None
 
 
-D8 = dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
+class TestProjectRows:
+    @staticmethod
+    def rows_for(size, rng):
+        """Rows at one |Z|: surplus, deficit, exact, -0.0, rounded and infeasible."""
+        rows = [np.zeros(size), np.full(size, 1.0 / size), np.full(size, 1.0)]
+        for _ in range(12):
+            v = rng.dirichlet(np.ones(size)) + rng.normal(0.0, 0.3 / size, size)
+            v[rng.random(size) < 0.25] = 0.0
+            v[(v == 0.0) & (rng.random(size) < 0.5)] = -0.0
+            v[rng.random(size) < 0.05] = 1.0
+            rows += [v, np.round(v, 2), np.round(rng.dirichlet(np.ones(size)), 3)]
+        return np.array(rows)
+
+    def test_rows_match_scalar_loop(self):
+        rng = np.random.default_rng(71)
+        seen = dict.fromkeys(["surplus", "deficit", "exact", "infeasible"], 0)
+        cases = [(np.array([[0.9107, -0.0569, 0.0387]]), 0.05)]  # empty box
+        for size in range(1, 51):
+            values = self.rows_for(size, rng)
+            cases += [(values, eta) for eta in (0.5 / size, 2.0 / size, 0.3)]
+        for values, eta in cases:
+            out, feasible = transform_mod._project_rows(values, eta)
+            assert out.shape == values.shape and feasible.shape == (values.shape[0],)
+            for row, got, ok in zip(values, out, feasible):
+                expected = scalar_project(row, eta)
+                public = simplex_project_linf(domain(row.size), row, eta)
+                if expected is None:
+                    seen["infeasible"] += 1
+                    assert not ok and public is None
+                    assert got.tobytes() == np.full(row.size, 1.0 / row.size).tobytes()
+                    continue
+                residual = 1.0 - float(np.clip(row, 0.0, 1.0).sum())
+                seen["surplus" if residual > 0 else "deficit" if residual < 0 else "exact"] += 1
+                assert ok
+                assert got.tobytes() == expected.tobytes()
+                assert public.weights.tobytes() == expected.tobytes()
+        assert min(seen.values()) >= 20, seen
+        assert transform_mod._project_rows(cases[0][0], 0.05)[1].tolist() == [False]
+
+    def test_keeps_negative_zero_like_the_loop(self):
+        # An exact row exits at once: every coordinate gets + 0.0, so -0.0
+        # becomes 0.0; a surplus row keeps -0.0 only where the loop does.
+        values = np.array([[-0.0, 0.0, 1.0, -0.0], [0.5, -0.0, 0.2, -0.0]])
+        out, _ = transform_mod._project_rows(values, 0.2)
+        for row, got in zip(values, out):
+            assert got.tobytes() == scalar_project(row, 0.2).tobytes()
+
+    def test_row_sums_match_vector_sums(self):
+        # The feasibility tests and the residual sum each row with
+        # x.sum(axis=1); the scalar form summed the 1-D row.
+        rng = np.random.default_rng(72)
+        for size in (1, 7, 8, 9, 16, 50, 129, 5000):
+            x = rng.random((6, size)) * rng.choice([1e-8, 1.0, 1e8], (6, size))
+            assert x.sum(axis=1).tobytes() == np.array([r.sum() for r in x]).tobytes()
+
+    def test_eta_validation(self):
+        with pytest.raises(ValueError):
+            transform_mod._project_rows(np.full((2, 2), 0.5), 0.0)
+
+
+D8 =dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
 
 
 class TestDpTransform:
@@ -368,35 +428,53 @@ class TestBoundExperiment:
         assert obj["k"] == TINY.k and len(obj["per_trial_tv"]) == 3
 
     @staticmethod
-    def check_inner_average(inner_trials):
+    def check_inner_average(inner_trials, config=TINY):
         # the experiment's averaged model must be exactly the average of
         # dp_transform runs with the same derived seeds, here trained shard
-        # by shard through the scalar train
+        # by shard through the scalar train; each run's histogram and
+        # output must equal the scalar release and projection of its
+        # coupled counts. Returns (fallback trials, suppressed symbols).
         learner = learner_empirical(1.0)
         per_shard = Learner(learner.name, train=learner.train)
         seed = 17
         report = transform_bound_experiment(
-            learner, D8, TINY, outer_trials=2, inner_trials=inner_trials, seed=seed,
+            learner, D8, config, outer_trials=2, inner_trials=inner_trials, seed=seed,
             premise_trials=5,
         )
+        fallbacks = suppressed = 0
         for t in range(2):
             sample = sample_dataset(
-                D8, TINY.m_priv, derive_seed(seed, "private-sample", t)
+                D8, config.m_priv, derive_seed(seed, "private-sample", t)
             )
-            base = sample_dataset(D8, TINY.m, derive_seed(seed, "base-sample", t))
+            base = sample_dataset(D8, config.m, derive_seed(seed, "base-sample", t))
             base_model = learner.train(base, derive_seed(seed, "base-train", t))
             acc = np.zeros(8)
             for j in range(t * inner_trials, (t + 1) * inner_trials):
-                acc += dp_transform(
+                noise_seed = derive_seed(seed, "noise", j)
+                trace = dp_transform_trace(
                     per_shard,
                     sample,
-                    TINY,
+                    config,
                     tape_seed=derive_seed(seed, "tape", j),
-                    noise_seed=derive_seed(seed, "noise", j),
+                    noise_seed=noise_seed,
                     train_seed=derive_seed(seed, "transform-train", t),
-                ).weights
+                )
+                counts = np.bincount(trace.coupled_indices, minlength=8)
+                values = scalar_histogram_values(
+                    counts, config.epsilon, config.delta, noise_seed
+                )
+                projected = scalar_project(values, config.eta)
+                if projected is None:
+                    projected = np.full(8, 1.0 / 8)
+                assert trace.histogram.values.tobytes() == values.tobytes()
+                assert trace.output.weights.tobytes() == projected.tobytes()
+                assert trace.fallback_used == (scalar_project(values, config.eta) is None)
+                fallbacks += trace.fallback_used
+                suppressed += int(np.count_nonzero((counts > 0) & (values == 0.0)))
+                acc += trace.output.weights
             mean_model = make_distribution(D8.domain, acc / inner_trials)
             assert report.per_trial_tv[t] == tv_distance(mean_model, base_model)
+        return fallbacks, suppressed
 
     def test_inner_average_equals_repeated_dp_transform(self):
         self.check_inner_average(4)
@@ -405,6 +483,27 @@ class TestBoundExperiment:
         # blocks of 3 tapes: 7 inner trials race in blocks of 3, 3 and 1
         monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * TINY.k * 8)
         self.check_inner_average(7)
+
+    def test_inner_average_spans_release_chunks(self, monkeypatch):
+        # 24 cells: one tape per race block, and the 7 inner trials are
+        # released in chunks of 3, 3 and 1 rows of |Z| = 8 counts
+        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
+        self.check_inner_average(7)
+
+    def test_inner_average_adds_rows_in_trial_order(self):
+        # With 40 rows the rounding of the sum depends on its order: the
+        # same rows added in reverse give a different per_trial_tv here.
+        self.check_inner_average(40)
+
+    def test_inner_average_covers_fallback_and_suppression(self):
+        # k = 2 and eta < 1/8: two distinct coupled samples both fall below
+        # tau, the all-zero histogram's box misses the simplex, and that
+        # trial takes the uniform fallback inside a batch of feasible ones.
+        config = TransformConfig.from_params(epsilon=200.0, delta=0.9, eta=0.1, m=2)
+        assert config.k == 2
+        fallbacks, suppressed = self.check_inner_average(7, config)
+        assert 1 <= fallbacks < 14 and suppressed >= 1
+        assert self.check_inner_average(4)[1] >= 1
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
