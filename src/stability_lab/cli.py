@@ -155,14 +155,16 @@ def _safe_models(cfg, key) -> SafeAssignment:
     for i, item in enumerate(raw):
         if isinstance(item, dict) and "model" in item:
             cid = item.get("id", f"c{i}")
+            if not isinstance(cid, str):
+                raise ConfigError(f"{key}: entry {i}: id must be a string, got {cid!r}")
             model = _distribution(item, "model")
         else:
             cid = f"c{i}"
             model = _distribution({key: item}, key)
-        entries.append((str(cid), model))
+        entries.append((cid, model))
     try:
         return SafeAssignment(tuple(entries))
-    except StabilityLabError as exc:
+    except (StabilityLabError, ValueError) as exc:  # ValueError: a duplicate id
         raise ConfigError(f"{key}: {exc}") from exc
 
 

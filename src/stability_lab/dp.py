@@ -126,12 +126,14 @@ def histogram_threshold(epsilon: float, delta: float, k):
     return 2.0 * math.log(2.0 / delta) / (epsilon * k) + 1.0 / k
 
 
-def _noisy_value(count: int, noise: int, k: int, tau: float) -> float:
-    """Released value for a raw count: threshold, then clamp to [0, 1]."""
-    noisy = (count + noise) / k
-    if noisy >= tau:
-        return min(max(noisy, 0.0), 1.0)
-    return 0.0
+def _threshold_clamp(noisy_counts: np.ndarray, k, tau) -> np.ndarray:
+    """The release rule: noisy_counts / k, zero below tau, else clamped to
+    [0, 1]; k and tau are scalars or arrays that broadcast against the counts."""
+    # np.minimum and np.maximum cost less than np.clip or np.where here.
+    noisy = noisy_counts / k
+    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
+    released[noisy < tau] = 0.0
+    return released
 
 
 def _two_sided_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
@@ -208,13 +210,8 @@ def _release_rows(
         _two_sided_geometric(np.random.default_rng(seed), p, size)
         for seed, size in zip(seeds, np.bincount(rows, minlength=k.size).tolist())
     ])
-    # Vector form of _noisy_value over the present cells. np.minimum and
-    # np.maximum cost less than np.clip or np.where here.
-    noisy = (counts[rows, cols] + noise) / k[rows]
-    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
-    released[noisy < tau[rows]] = 0.0
     values = np.zeros(counts.shape)
-    values[rows, cols] = released
+    values[rows, cols] = _threshold_clamp(counts[rows, cols] + noise, k[rows], tau[rows])
     _check_unit_interval(values)
     return values
 
@@ -276,11 +273,15 @@ def coordinate_output_law(
 
     Noise values are enumerated until the remaining two-sided tail mass
     drops below `tail`; the returned probabilities then sum to at least
-    1 - tail. Raises ValueError for k < 1, tail outside (0, 1) or an
+    1 - tail. Each atom is the release rule _threshold_clamp applied to
+    count + g, keyed in order of the noise value g. Raises ValueError for
+    k < 1, a count outside [0, k], tail outside (0, 1) or an
     (epsilon, delta) that histogram_threshold refuses, and DomainTooLarge
     when the enumeration would pass OUTPUT_LAW_MAX noise values.
     """
     _check_law_args(k, tail)
+    if not 0 <= count <= k:
+        raise ValueError(f"count must lie in [0, k], got {count!r} with k={k}")
     tau = histogram_threshold(epsilon, delta, k)
     if count == 0:
         return {0.0: 1.0}
@@ -294,9 +295,10 @@ def coordinate_output_law(
                 f"at epsilon={epsilon}, tail={tail}"
             )
     norm = (1.0 - p) / (1.0 + p)
+    # (count + g) / k in int64 -> float64 is Python's int division below 2**53.
+    atoms = _threshold_clamp(count + np.arange(-span, span + 1), k, tau).tolist()
     law: dict[float, float] = {}
-    for g in range(-span, span + 1):
-        v = _noisy_value(count, g, k, tau)
+    for g, v in zip(range(-span, span + 1), atoms):
         law[v] = law.get(v, 0.0) + norm * p ** abs(g)
     return law
 
@@ -440,11 +442,10 @@ def audit_histogram_dp(
     checked = 0
     # Count vector -> (joint law, its missing mass), each built once.
     laws: dict[tuple[int, ...], tuple[dict, float]] = {}
+    for c in _compositions(k, domain_size):
+        joint = _joint_law([coordinate_laws[x] for x in c])
+        laws[c] = (joint, _missing_mass(joint))
     for a, b in _replacement_neighbors(k, domain_size):
-        for c in (a, b):
-            if c not in laws:
-                joint = _joint_law([coordinate_laws[x] for x in c])
-                laws[c] = (joint, _missing_mass(joint))
         law, missing = laws[a]
         beta = _beta_over_laws(law, missing, laws[b][0], scale)
         checked += 1

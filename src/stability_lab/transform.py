@@ -31,7 +31,7 @@ from .core import (
     tv_distance,
 )
 from .coupling import _tapes_per_block, race_tapes
-from .dp import DpParams, NoisyHistogram, _release_rows, histogram_threshold, required_k
+from .dp import DpParams, NoisyHistogram, _histogram_from_counts, _release_rows, required_k
 from .errors import DomainMismatch, SizeMismatch
 from .util import derive_seed
 
@@ -220,48 +220,11 @@ def _shard_weight_matrix(
     return weights
 
 
-def _release(
-    counts: np.ndarray, config: TransformConfig, noise_seeds
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Private histograms of the count rows, projected onto the simplex.
-
-    Row i is released with noise seed noise_seeds[i]. Returns the (n, |Z|)
-    released values, the (n, |Z|) output models and the mask of rows that
-    took the uniform fallback.
-    """
-    values = _release_rows(counts, config.epsilon, config.delta, noise_seeds)
-    outputs, feasible = _project_rows(values, config.eta)
-    return values, outputs, ~feasible
-
-
 def _row_counts(coupled: np.ndarray, size: int) -> np.ndarray:
     """(n, size) symbol counts of each row of coupled sample indices."""
     n = coupled.shape[0]
     cells = (np.arange(n, dtype=np.intp)[:, None] * size + coupled).ravel()
     return np.bincount(cells, minlength=n * size).reshape(n, size)
-
-
-def _transform_from_weights(
-    domain: ContentDomain,
-    shard_weights: np.ndarray,
-    config: TransformConfig,
-    tape_seed: int,
-    noise_seed: int,
-) -> TransformTrace:
-    coupled = race_tapes(domain, [tape_seed], shard_weights)[0]
-    values, outputs, fallback = _release(
-        _row_counts(coupled[None, :], domain.size), config, [noise_seed]
-    )
-    eps, delta, k = config.epsilon, config.delta, config.k
-    return TransformTrace(
-        shard_weights=shard_weights,
-        coupled_indices=coupled,
-        histogram=NoisyHistogram(
-            domain, values[0], eps, delta, k, histogram_threshold(eps, delta, k)
-        ),
-        fallback_used=bool(fallback[0]),
-        output=make_distribution(domain, outputs[0]),
-    )
 
 
 def dp_transform_trace(
@@ -272,10 +235,19 @@ def dp_transform_trace(
     noise_seed: int,
     train_seed: int = 0,
 ) -> TransformTrace:
-    """dp_transform plus all intermediates."""
+    """dp_transform plus all intermediates; one row of the batched release."""
     weights = _shard_weight_matrix(learner, sample, config, train_seed)
-    return _transform_from_weights(
-        sample.domain, weights, config, tape_seed, noise_seed
+    domain = sample.domain
+    coupled = race_tapes(domain, [tape_seed], weights)[0]
+    counts = np.bincount(coupled, minlength=domain.size)
+    histogram = _histogram_from_counts(domain, counts, config.epsilon, config.delta, noise_seed)
+    outputs, feasible = _project_rows(histogram.values[None, :], config.eta)
+    return TransformTrace(
+        shard_weights=weights,
+        coupled_indices=coupled,
+        histogram=histogram,
+        fallback_used=not feasible[0],
+        output=make_distribution(domain, outputs[0]),
     )
 
 
@@ -317,7 +289,6 @@ class BoundExperimentReport:
     per_trial_tv: tuple[float, ...]
     grand_mean_tv: float
     bound: float
-    eta_coefficient: float = ETA_COEFFICIENT
 
     def within_bound(self, margin: float = 0.0) -> bool:
         return self.grand_mean_tv <= self.bound + margin
@@ -337,7 +308,7 @@ class BoundExperimentReport:
             "alpha_hat": self.alpha_hat,
             "grand_mean_tv": self.grand_mean_tv,
             "bound": self.bound,
-            "eta_coefficient": self.eta_coefficient,
+            "eta_coefficient": ETA_COEFFICIENT,
             "per_trial_tv": list(self.per_trial_tv),
         }
 
@@ -398,7 +369,8 @@ def transform_bound_experiment(
                 coupled = race_tapes(domain, tapes, weights)
                 counts[start : start + len(tapes)] = _row_counts(coupled, domain.size)
             noise_seeds = [derive_seed(seed, "noise", i) for i in chunk]
-            for row in _release(counts, config, noise_seeds)[1]:
+            values = _release_rows(counts, config.epsilon, config.delta, noise_seeds)
+            for row in _project_rows(values, config.eta)[0]:
                 acc += row
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)

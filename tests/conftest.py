@@ -46,9 +46,17 @@ def random_pair(rng: np.random.Generator, size: int, sparsify: float = 0.0):
 
 # --- scalar oracles ---------------------------------------------------------
 #
-# Verbatim copies of the one-vector bodies that the row forms
-# dp._release_rows and transform._project_rows replaced; the row forms
-# must match them bit for bit.
+# Verbatim copies of the scalar and one-vector bodies that the row forms
+# dp._release_rows, dp._threshold_clamp and transform._project_rows
+# replaced; the row forms must match them bit for bit.
+
+
+def scalar_noisy_value(count: int, noise: int, k: int, tau: float) -> float:
+    """Released value for a raw count: threshold, then clamp to [0, 1]."""
+    noisy = (count + noise) / k
+    if noisy >= tau:
+        return min(max(noisy, 0.0), 1.0)
+    return 0.0
 
 
 def scalar_histogram_values(counts, epsilon, delta, seed):

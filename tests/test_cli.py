@@ -501,3 +501,17 @@ class TestConfigErrorContract:
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
         self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1")
+
+    @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
+    @pytest.mark.parametrize(
+        "ids",
+        [("doc1", "doc1"), (None, "doc2"), (["x"], "doc2"), (7, "doc2"), ("c1", "doc2")],
+        ids=["duplicate", "null", "list", "number", "clashes-with-default"],
+    )
+    def test_bad_safe_model_ids(self, tmp_path, capsys, subcommand, ids):
+        model = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
+        entries = [{"id": cid, "model": model} for cid in ids]
+        if ids[0] == "c1":
+            entries[1] = model  # an entry without an id is named c1
+        cfg = {"model": model, "safe_models": entries, "alpha": 0.5}
+        self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models")

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dist, domain, random_distribution, random_pair, scalar_histogram_values
+from conftest import (
+    dist,
+    domain,
+    random_distribution,
+    random_pair,
+    scalar_histogram_values,
+    scalar_noisy_value,
+)
 from stability_lab import (
     Dataset,
     DpParams,
@@ -25,7 +32,6 @@ from stability_lab import (
 from stability_lab.dp import (
     _histogram_from_counts,
     _release_rows,
-    _noisy_value,
     _replacement_neighbors,
     _two_sided_geometric,
     coordinate_output_law,
@@ -243,7 +249,7 @@ class TestPrivateHistogram:
 
     @staticmethod
     def _scalar_values(counts, epsilon, delta, seed):
-        """Reference: _noisy_value applied symbol by symbol."""
+        """Reference: scalar_noisy_value applied symbol by symbol."""
         k = int(counts.sum())
         tau = histogram_threshold(epsilon, delta, k)
         present = np.flatnonzero(counts)
@@ -251,7 +257,7 @@ class TestPrivateHistogram:
         noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
         values = np.zeros(counts.size)
         for z, g in zip(present, noise):
-            values[z] = _noisy_value(int(counts[z]), int(g), k, tau)
+            values[z] = scalar_noisy_value(int(counts[z]), int(g), k, tau)
         return values
 
     def test_vector_release_equals_scalar_loop(self):
@@ -376,6 +382,36 @@ class TestExactAudit:
         law = coordinate_output_law(2, 3, 1.0, 1e-3)
         total = sum(law.values())
         assert 1.0 - 1e-10 <= total <= 1.0 + 1e-12
+
+    def test_coordinate_law_atoms_equal_scalar_rule(self):
+        # tau * k = 17 at this (epsilon, delta), and at k = 85 the float tau
+        # is exactly 17 / 85: some noisy count lands on the threshold.
+        epsilon, delta, k = 1.0, 2.0 * math.exp(-8.0), 85
+        tau = histogram_threshold(epsilon, delta, k)
+        assert tau == 17 / k
+        p = math.exp(-epsilon / 2.0)
+        norm = (1.0 - p) / (1.0 + p)
+        span = 1  # the default tail 1e-12, as coordinate_output_law enumerates it
+        while 2.0 * p ** (span + 1) / (1.0 + p) > 1e-12:
+            span += 1
+        assert coordinate_output_law(0, k, epsilon, delta) == {0.0: 1.0}
+        on_tau = 0
+        for c in range(1, k + 1):
+            expected: dict[float, float] = {}
+            for g in range(-span, span + 1):
+                v = scalar_noisy_value(c, g, k, tau)
+                expected[v] = expected.get(v, 0.0) + norm * p ** abs(g)
+            law = coordinate_output_law(c, k, epsilon, delta)
+            assert list(law.items()) == list(expected.items())
+            on_tau += tau in law
+        assert on_tau > 0
+
+    @pytest.mark.parametrize("count", [-2, -1, 4, 7])
+    def test_count_outside_zero_to_k_rejected(self, count):
+        with pytest.raises(ValueError, match="count"):
+            coordinate_output_law(count, 3, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="count"):
+            histogram_output_law((count, 3 - count), 1.0, 1e-3)
 
     def test_joint_law_factorizes(self):
         joint = histogram_output_law((1, 2), 1.0, 1e-3)

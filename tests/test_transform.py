@@ -35,7 +35,7 @@ from stability_lab.errors import (
     NotNormalized,
     SizeMismatch,
 )
-from stability_lab.transform import _shard_weight_matrix, _transform_from_weights
+from stability_lab.transform import _shard_weight_matrix
 
 # small-k config: epsilon large enough that a handful of shards suffice
 TINY = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
@@ -301,18 +301,6 @@ class TestDpTransform:
         t2 = dp_transform_trace(learner, s2, TINY, 13, 23)
         assert np.array_equal(t1.histogram.values, t2.histogram.values)
         assert t1.output == t2.output
-
-    def test_trace_matches_public_entry_point(self):
-        learner = learner_empirical(1.0)
-        sample = sample_dataset(D8, TINY.m_priv, seed=11)
-        weights = _shard_weight_matrix(learner, sample, TINY, train_seed=77)
-        via_weights = _transform_from_weights(
-            sample.domain, weights, TINY, tape_seed=14, noise_seed=24
-        )
-        direct = dp_transform(
-            learner, sample, TINY, tape_seed=14, noise_seed=24, train_seed=77
-        )
-        assert via_weights.output == direct
 
     @pytest.mark.parametrize(
         "learner",
