@@ -153,15 +153,12 @@ def _safe_models(cfg, key) -> SafeAssignment:
         raise ConfigError(f"{key}: expected a non-empty list")
     entries = []
     for i, item in enumerate(raw):
+        cid, where = f"c{i}", f"{key}: entry {i}"
         if isinstance(item, dict) and "model" in item:
-            cid = item.get("id", f"c{i}")
+            cid, item = item.get("id", cid), item["model"]
             if not isinstance(cid, str):
-                raise ConfigError(f"{key}: entry {i}: id must be a string, got {cid!r}")
-            model = _distribution(item, "model")
-        else:
-            cid = f"c{i}"
-            model = _distribution({key: item}, key)
-        entries.append((cid, model))
+                raise ConfigError(f"{where}: id must be a string, got {cid!r}")
+        entries.append((cid, _distribution({where: item}, where)))
     try:
         return SafeAssignment(tuple(entries))
     except (StabilityLabError, ValueError) as exc:  # ValueError: a duplicate id
@@ -194,12 +191,7 @@ def _dataset(cfg) -> Dataset:
 
 
 def _transform_config(cfg) -> TransformConfig:
-    return TransformConfig.from_params(
-        epsilon=_param(cfg, "epsilon"),
-        delta=_param(cfg, "delta"),
-        eta=_param(cfg, "eta"),
-        m=_param(cfg, "m"),
-    )
+    return TransformConfig(*(_param(cfg, key) for key in ("epsilon", "delta", "eta", "m")))
 
 
 # --- report plumbing --------------------------------------------------------
@@ -384,12 +376,7 @@ def _run_transform(cfg: dict, seed: int):
         train_seed=derive_seed(seed, "train"),
     )
     payload = {
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "eta": config.eta,
-        "m": config.m,
-        "k": config.k,
-        "m_priv": config.m_priv,
+        **config.to_json_obj(),
         "learner": learner.name,
         "tape_seed": tape_seed,
         "fallback_used": trace.fallback_used,

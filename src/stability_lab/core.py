@@ -257,8 +257,7 @@ class Event:
         )
 
     def probability(self, q: DiscreteDistribution) -> float:
-        if q.domain != self.domain:
-            raise DomainMismatch("event and distribution domains differ")
+        _require_same_domain(self, q)
         return float(q.weights[self.indicator()].sum())
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContentDomain, DiscreteDistribution
+from .core import ContentDomain, DiscreteDistribution, _require_same_domain
 from .errors import DomainMismatch
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -132,8 +132,7 @@ def _tape_chunks(seed: int, trials: int, size: int):
 
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample."""
-    if q.domain != tape.domain:
-        raise DomainMismatch("tape and distribution domains differ")
+    _require_same_domain(tape, q)
     return int(_race(tape.variates, q.weights))
 
 
@@ -179,8 +178,7 @@ def disagreement_estimate(
     cannot change the estimate. The expected value is bounded by
     2*TV(q1,q2) / (1 + TV(q1,q2)).
     """
-    if q1.domain != q2.domain:
-        raise DomainMismatch("coupled distributions must share a domain")
+    _require_same_domain(q1, q2)
     disagreements = 0
     for variates in _tape_chunks(seed, trials, q1.domain.size):
         x1 = _race(variates, q1.weights)

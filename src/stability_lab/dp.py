@@ -197,9 +197,9 @@ def _release_rows(
     Row i is the release of that row alone, with k_i its sum: its present
     symbols, in index order, get the noise of one default_rng(seeds[i]).
     The threshold, clamp and range check then run once over the matrix.
-    Raises EmptyDataset for a row with no counts.
+    Raises EmptyDataset for a row with no counts, then histogram_threshold's
+    ValueError for an (epsilon, delta) it refuses.
     """
-    _check_privacy(epsilon, delta)
     k = counts.sum(axis=1)
     if (k < 1).any():
         raise EmptyDataset("every histogram row needs a non-empty sample")
@@ -244,8 +244,6 @@ def private_histogram(
     zero), so the mechanism never reports a false positive. Privacy is
     with respect to replacing one element of the input sample.
     """
-    if dataset.size == 0:
-        raise EmptyDataset("the histogram needs a non-empty sample")
     return _histogram_from_counts(
         dataset.domain, dataset.counts(), epsilon, delta, seed
     )
@@ -259,7 +257,10 @@ def private_histogram(
 # tail whose mass is accounted for conservatively).
 
 
-def _check_law_args(k: int, tail: float) -> None:
+def _check_law_args(k: int, tail: float, *counts) -> None:
+    for n in (k, *counts):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError(f"counts and k must be integers (not bool), got {n!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0 < tail < 1:
@@ -275,11 +276,12 @@ def coordinate_output_law(
     drops below `tail`; the returned probabilities then sum to at least
     1 - tail. Each atom is the release rule _threshold_clamp applied to
     count + g, keyed in order of the noise value g. Raises ValueError for
-    k < 1, a count outside [0, k], tail outside (0, 1) or an
-    (epsilon, delta) that histogram_threshold refuses, and DomainTooLarge
-    when the enumeration would pass OUTPUT_LAW_MAX noise values.
+    a count or k that is not an integer (a bool is not), k < 1, a count
+    outside [0, k], tail outside (0, 1) or an (epsilon, delta) that
+    histogram_threshold refuses, and DomainTooLarge when the enumeration
+    would pass OUTPUT_LAW_MAX noise values.
     """
-    _check_law_args(k, tail)
+    _check_law_args(k, tail, count)
     if not 0 <= count <= k:
         raise ValueError(f"count must lie in [0, k], got {count!r} with k={k}")
     tau = histogram_threshold(epsilon, delta, k)
@@ -425,9 +427,9 @@ def audit_histogram_dp(
     The cost is one joint law per count vector and
     |bins| x (non-zero counts) x (domain_size - 1) pair checks, where
     |bins| = C(k + domain_size - 1, domain_size - 1). Raises ValueError for
-    k < 1, domain_size < 1, tail outside (0, 1), epsilon <= 0 or delta
-    outside (0, 1), and DomainTooLarge when one joint law would pass
-    OUTPUT_LAW_MAX atoms.
+    a k that is not an integer or is < 1, domain_size < 1, tail outside
+    (0, 1), epsilon <= 0 or delta outside (0, 1), and DomainTooLarge when
+    one joint law would pass OUTPUT_LAW_MAX atoms.
     """
     _check_law_args(k, tail)
     if domain_size < 1:

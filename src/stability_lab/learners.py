@@ -27,21 +27,18 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
 
-    def train(dataset: Dataset, seed: int) -> DiscreteDistribution:
-        if dataset.size == 0 and smoothing == 0:
-            raise EmptyDataset("the unsmoothed empirical learner needs data")
-        counts = dataset.counts().astype(np.float64) + smoothing
-        return make_distribution(dataset.domain, counts / counts.sum())
-
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
     ) -> np.ndarray:
-        # One bincount counts every shard at once; the per-row sum and
-        # division then match train's bit for bit.
+        # One bincount counts every shard at once; train is its one-row call.
         if shard_indices.shape[1] == 0 and smoothing == 0:
             raise EmptyDataset("the unsmoothed empirical learner needs data")
         counts = _row_counts(shard_indices, domain.size).astype(np.float64) + smoothing
         return counts / counts.sum(axis=1, keepdims=True)
+
+    def train(dataset: Dataset, seed: int) -> DiscreteDistribution:
+        weights = train_shards(dataset.domain, dataset.indices[None, :], seed)[0]
+        return make_distribution(dataset.domain, weights)
 
     return Learner(
         name=f"empirical(smoothing={smoothing:g})", train=train, train_shards=train_shards

@@ -20,6 +20,7 @@ from .core import (
     ContentDomain,
     Dataset,
     DiscreteDistribution,
+    _require_same_domain,
     min_envelope,
     tv_distance,
 )
@@ -95,6 +96,11 @@ class SafeAssignment:
             raise EmptySafeAssignment("the safe assignment has no entries")
 
 
+def _first_occurrences(indices: np.ndarray) -> np.ndarray:
+    """Positions of each distinct index's first occurrence, in input order."""
+    return np.sort(np.unique(indices, return_index=True)[1])
+
+
 def safe_leave_one_out(learner, dataset: Dataset, seed: int) -> SafeAssignment:
     """One safe model per distinct item: retrain without one occurrence of it.
 
@@ -104,15 +110,11 @@ def safe_leave_one_out(learner, dataset: Dataset, seed: int) -> SafeAssignment:
     if dataset.size < 2:
         raise DatasetTooSmall("leave-one-out needs at least two items")
     entries = []
-    seen = set()
-    for pos, idx in enumerate(dataset.indices):
-        if int(idx) in seen:
-            continue
-        seen.add(int(idx))
+    for pos in _first_occurrences(dataset.indices):
         reduced = Dataset.from_indices(
             dataset.domain, np.delete(dataset.indices, pos)
         )
-        symbol = dataset.domain.symbols[int(idx)]
+        symbol = dataset.domain.symbols[int(dataset.indices[pos])]
         entries.append((symbol, learner.train(reduced, seed)))
     return SafeAssignment(tuple(entries))
 
@@ -133,28 +135,25 @@ def safe_sharded(learner, dataset: Dataset, seed: int) -> SafeAssignment:
         Dataset.from_indices(dataset.domain, dataset.indices[np.sort(perm[half:])]),
     ]
     models = [learner.train(shard, seed) for shard in shards]
-    in_shard = [set(int(i) for i in shard.indices) for shard in shards]
-    entries = []
-    seen = set()
-    for idx in dataset.indices:
-        idx = int(idx)
-        if idx in seen:
-            continue
-        seen.add(idx)
-        symbol = dataset.domain.symbols[idx]
-        if idx in in_shard[0] and idx in in_shard[1]:
-            entries.append((symbol, models[0]))
-        elif idx in in_shard[0]:
-            entries.append((symbol, models[1]))
-        else:
-            entries.append((symbol, models[0]))
-    return SafeAssignment(tuple(entries))
+    # Every item is in some shard, so shard 1's model goes exactly to the
+    # items that shard 1 lacks.
+    in_shard1 = set(shards[1].indices.tolist())
+    firsts = dataset.indices[_first_occurrences(dataset.indices)].tolist()
+    return SafeAssignment(tuple(
+        (dataset.domain.symbols[i], models[0 if i in in_shard1 else 1]) for i in firsts
+    ))
 
 
-def _require_common_domain(p: DiscreteDistribution, safes: SafeAssignment):
-    safes._require_nonempty()
-    if p.domain != safes.domain:
-        raise DomainMismatch("model and safe models live on different domains")
+def _log_ratios(
+    p: DiscreteDistribution, safes: SafeAssignment
+) -> tuple[np.ndarray, np.ndarray]:
+    """p's support and the (safe model, support symbol) table of
+    ln p(z) - ln q_c(z), +inf where q_c(z) = 0."""
+    _require_same_domain(p, safes)
+    support = np.flatnonzero(p.weights > 0)
+    safe_weights = np.stack([q.weights[support] for q in safes.models])
+    with np.errstate(divide="ignore"):
+        return support, np.log(p.weights[support]) - np.log(safe_weights)
 
 
 def naf_alpha(p: DiscreteDistribution, safes: SafeAssignment) -> float:
@@ -164,16 +163,7 @@ def naf_alpha(p: DiscreteDistribution, safes: SafeAssignment) -> float:
     support; +inf when some safe model puts zero mass where p does not.
     Symbols with p(z) = 0 impose no constraint.
     """
-    _require_common_domain(p, safes)
-    support = p.weights > 0
-    log_p = np.log(p.weights[support])
-    worst = 0.0
-    for _, q in safes:
-        qw = q.weights[support]
-        if np.any(qw == 0):
-            return math.inf
-        worst = max(worst, float((log_p - np.log(qw)).max()))
-    return worst
+    return max(0.0, float(_log_ratios(p, safes)[1].max()))
 
 
 def is_naf(
@@ -185,21 +175,14 @@ def is_naf(
     and the list names every (c, z) whose log-ratio exceeds alpha, so a
     failed check doubles as a soft flag report rather than a bare verdict.
     """
-    _require_common_domain(p, safes)
+    support, table = _log_ratios(p, safes)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    support = np.flatnonzero(p.weights > 0)
-    log_p = np.log(p.weights[support])
-    symbols = p.domain.symbols
-    violations = []
-    for cid, q in safes:
-        qw = q.weights[support]
-        with np.errstate(divide="ignore"):
-            ratios = log_p - np.log(qw)
-        for pos in np.flatnonzero(ratios > alpha):
-            violations.append(
-                Violation(cid, symbols[int(support[pos])], float(ratios[pos]))
-            )
+    ids, symbols = safes.ids, p.domain.symbols
+    violations = [
+        Violation(ids[c], symbols[int(support[pos])], float(table[c, pos]))
+        for c, pos in zip(*np.nonzero(table > alpha))
+    ]
     return (not violations), violations
 
 
@@ -237,18 +220,13 @@ def nfl_witness(
     Whatever p is, some symbol meets the threshold; the returned symbol
     maximizes the slack p(z) - threshold(z).
     """
-    _require_pair_domain(p, q1, q2)
+    _require_same_domain(p, q1)
+    _require_same_domain(p, q2)
     thresholds = nfl_thresholds(q1, q2)
     w = p.weights
     # ndarray.argmax keeps np.argmax's first-maximum rule without its wrapper.
     best = int((w - thresholds).argmax())
     return NflWitness(p.domain.symbols[best], w.item(best), thresholds.item(best))
-
-
-def _require_pair_domain(p, q1, q2):
-    d = p.domain
-    if (q1.domain is not d and q1.domain != d) or (q2.domain is not d and q2.domain != d):
-        raise DomainMismatch("all three distributions must share a domain")
 
 
 @dataclass(frozen=True, eq=False)

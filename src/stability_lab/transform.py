@@ -16,7 +16,7 @@ total variation alpha, the averaged output model stays within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,13 +26,14 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     _check_probability_rows,
+    _require_same_domain,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
 from .coupling import _tapes_per_block, race_tapes
 from .dp import DpParams, NoisyHistogram, _histogram_from_counts, _release_rows, required_k
-from .errors import DomainMismatch, SizeMismatch
+from .errors import SizeMismatch
 from .util import derive_seed
 
 # Coefficient on eta in the reported deviation bound: the accuracy chain
@@ -92,6 +93,10 @@ class TransformConfig:
         cls, epsilon: float, delta: float, eta: float, m: int
     ) -> "TransformConfig":
         return cls(epsilon, delta, eta, m)
+
+    def to_json_obj(self) -> dict:
+        """The payload fields epsilon, delta, eta, m, k and m_priv, in that order."""
+        return asdict(self)
 
 
 def estimate_premise_alpha(
@@ -211,8 +216,7 @@ def _shard_weight_matrix(
         for i in range(config.k):
             shard = sample.slice(i * config.m, (i + 1) * config.m)
             q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
-            if q.domain != domain:
-                raise DomainMismatch(f"shard {i}'s model lives on a different domain")
+            _require_same_domain(q, sample)
             rows.append(q.weights)
         weights = np.stack(rows)
     weights = np.asarray(weights, dtype=np.float64)
@@ -295,12 +299,7 @@ class BoundExperimentReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "epsilon": self.config.epsilon,
-            "delta": self.config.delta,
-            "eta": self.config.eta,
-            "m": self.config.m,
-            "k": self.config.k,
-            "m_priv": self.config.m_priv,
+            **self.config.to_json_obj(),
             "outer_trials": self.outer_trials,
             "inner_trials": self.inner_trials,
             "premise_trials": self.premise_trials,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from stability_lab import ContentDomain, DiscreteDistribution, make_distribution
+from stability_lab import ContentDomain, Dataset, DiscreteDistribution, make_distribution
 from stability_lab.dp import _two_sided_geometric, histogram_threshold
 
 _DOMAINS: dict[int, ContentDomain] = {}
@@ -96,3 +96,92 @@ def scalar_project(values, eta):
         x[i] += step
         residual -= step
     return x
+
+
+# --- loop oracles for the NAF table, the first-occurrence walk and the
+# empirical learner ----------------------------------------------------------
+#
+# Verbatim copies of the per-model loops that naf._log_ratios,
+# naf._first_occurrences and the one-row learner_empirical.train replaced
+# (their domain checks left out); the rewritten forms must match them bit
+# for bit.
+
+
+def loop_naf_alpha(p, safes) -> float:
+    support = p.weights > 0
+    log_p = np.log(p.weights[support])
+    worst = 0.0
+    for _, q in safes:
+        qw = q.weights[support]
+        if np.any(qw == 0):
+            return math.inf
+        worst = max(worst, float((log_p - np.log(qw)).max()))
+    return worst
+
+
+def loop_is_naf(p, safes, alpha):
+    """(ok, violations) with each violation a (content_id, symbol, log_ratio)."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    support = np.flatnonzero(p.weights > 0)
+    log_p = np.log(p.weights[support])
+    symbols = p.domain.symbols
+    violations = []
+    for cid, q in safes:
+        qw = q.weights[support]
+        with np.errstate(divide="ignore"):
+            ratios = log_p - np.log(qw)
+        for pos in np.flatnonzero(ratios > alpha):
+            violations.append(
+                (cid, symbols[int(support[pos])], float(ratios[pos]))
+            )
+    return (not violations), violations
+
+
+def seen_set_leave_one_out(learner, dataset, seed):
+    """safe_leave_one_out's entries, as a tuple of (symbol, model)."""
+    entries = []
+    seen = set()
+    for pos, idx in enumerate(dataset.indices):
+        if int(idx) in seen:
+            continue
+        seen.add(int(idx))
+        reduced = Dataset.from_indices(
+            dataset.domain, np.delete(dataset.indices, pos)
+        )
+        symbol = dataset.domain.symbols[int(idx)]
+        entries.append((symbol, learner.train(reduced, seed)))
+    return tuple(entries)
+
+
+def seen_set_sharded(learner, dataset, seed):
+    """safe_sharded's entries, as a tuple of (symbol, model)."""
+    perm = np.random.default_rng(seed).permutation(dataset.size)
+    half = dataset.size // 2
+    shards = [
+        Dataset.from_indices(dataset.domain, dataset.indices[np.sort(perm[:half])]),
+        Dataset.from_indices(dataset.domain, dataset.indices[np.sort(perm[half:])]),
+    ]
+    models = [learner.train(shard, seed) for shard in shards]
+    in_shard = [set(int(i) for i in shard.indices) for shard in shards]
+    entries = []
+    seen = set()
+    for idx in dataset.indices:
+        idx = int(idx)
+        if idx in seen:
+            continue
+        seen.add(idx)
+        symbol = dataset.domain.symbols[idx]
+        if idx in in_shard[0] and idx in in_shard[1]:
+            entries.append((symbol, models[0]))
+        elif idx in in_shard[0]:
+            entries.append((symbol, models[1]))
+        else:
+            entries.append((symbol, models[0]))
+    return tuple(entries)
+
+
+def direct_empirical_weights(dataset, smoothing: float) -> np.ndarray:
+    """learner_empirical(smoothing).train(dataset, seed).weights, one vector."""
+    counts = dataset.counts().astype(np.float64) + smoothing
+    return counts / counts.sum()

@@ -414,6 +414,41 @@ class TestHarnessContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["tv"] == 0.0
 
+    # One config per exit code: a pass, an error, and a failed check.
+    EXIT_CASES = {
+        0: ("tv", {"q1": {"symbols": ["a"], "weights": [1.0]},
+                   "q2": {"symbols": ["a"], "weights": [1.0]}}),
+        1: ("tv", {"q1": {"symbols": ["a"], "weights": [1.0]}}),
+        2: ("naf-check", {"model": {"symbols": ["a", "b"], "weights": [0.5, 0.5]},
+                          "safe_models": [{"symbols": ["a", "b"], "weights": [0.25, 0.75]}],
+                          "alpha": 0.5}),
+    }
+
+    @pytest.mark.parametrize("code", sorted(EXIT_CASES))
+    def test_module_exit_code_propagates(self, tmp_path, code):
+        subcommand, cfg = self.EXIT_CASES[code]
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stability_lab", subcommand, "--config", cfg_path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: q2:") if code == 1 else not proc.stderr
+
+    @pytest.mark.parametrize("code", sorted(EXIT_CASES))
+    def test_entrypoint_exits_with_main_code(self, tmp_path, monkeypatch, code):
+        import stability_lab.cli as cli_mod
+
+        subcommand, cfg = self.EXIT_CASES[code]
+        argv = [subcommand, "--config", write_config(tmp_path, "cfg.json", cfg),
+                "--out", str(tmp_path / "report.json")]
+        monkeypatch.setattr(sys, "argv", ["stability-lab", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli_mod.entrypoint()
+        assert info.value.code == code
+
 
 class TestConfigErrorContract:
     """A bad config field exits 1 with `error: <field>:` and no traceback."""
@@ -515,3 +550,13 @@ class TestConfigErrorContract:
             entries[1] = model  # an entry without an id is named c1
         cfg = {"model": model, "safe_models": entries, "alpha": 0.5}
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models")
+
+    @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
+    @pytest.mark.parametrize("wrapped", [True, False], ids=["id-and-model", "bare"])
+    def test_bad_safe_model_named_by_entry(self, tmp_path, capsys, subcommand, wrapped):
+        model = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
+        bad = {"symbols": ["a", "b"], "weights": [1.25, -0.25]}
+        second = {"id": "doc2", "model": bad} if wrapped else bad
+        cfg = {"model": model, "safe_models": [{"id": "doc1", "model": model}, second],
+               "alpha": 0.5}
+        self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models: entry 1")

@@ -1,0 +1,88 @@
+"""Every two-operand domain check goes through core._require_same_domain.
+
+Each site must reject an operand on a foreign domain of the same width
+(so no shape error can stand in for the check) with the one shared
+message, and accept an equal but distinct copy of the domain.
+"""
+
+import pytest
+
+from conftest import dist, domain
+from stability_lab import (
+    ContentDomain,
+    Dataset,
+    Event,
+    Learner,
+    SafeAssignment,
+    TransformConfig,
+    coupled_sample,
+    coupled_sample_index,
+    disagreement_estimate,
+    dp_transform,
+    is_naf,
+    make_distribution,
+    naf_alpha,
+    new_tape,
+    nfl_witness,
+)
+from stability_lab.errors import DomainMismatch, EmptySafeAssignment
+
+MESSAGE = "operands live on different content domains"
+
+FOREIGN = ContentDomain(("y0", "y1", "y2"))
+COPY = ContentDomain(("z0", "z1", "z2"))  # equal to domain(3), another object
+
+
+def on(d):
+    return make_distribution(d, [0.5, 0.25, 0.25])
+
+
+def _transform_with_shard_model(q):
+    """dp_transform whose per-shard `train` returns q (no train_shards)."""
+    config = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=1)
+    sample = Dataset.from_indices(domain(3), [0] * config.m_priv)
+    learner = Learner(name="fixed", train=lambda dataset, seed: q)
+    return dp_transform(learner, sample, config, tape_seed=1, noise_seed=2)
+
+
+def _nfl(slot):
+    def call(d):
+        operands = [on(domain(3)), on(domain(3)), on(domain(3))]
+        operands[slot] = on(d)
+        return nfl_witness(*operands)
+    return call
+
+
+SITES = {
+    "Event.probability": lambda d: Event(domain(3), 0b011).probability(on(d)),
+    "coupled_sample_index": lambda d: coupled_sample_index(new_tape(domain(3), 5), on(d)),
+    "coupled_sample": lambda d: coupled_sample(new_tape(d, 5), on(domain(3))),
+    "disagreement_estimate": lambda d: disagreement_estimate(on(domain(3)), on(d), 10, 0),
+    "naf_alpha": lambda d: naf_alpha(on(d), SafeAssignment.from_models([dist([0.2, 0.3, 0.5])])),
+    "is_naf": lambda d: is_naf(on(d), SafeAssignment.from_models([dist([0.2, 0.3, 0.5])]), 0.1),
+    "nfl_witness p": _nfl(0),
+    "nfl_witness q1": _nfl(1),
+    "nfl_witness q2": _nfl(2),
+    "dp_transform per-shard model": lambda d: _transform_with_shard_model(on(d)),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_foreign_domain_of_equal_width_rejected(site):
+    with pytest.raises(DomainMismatch) as info:
+        SITES[site](FOREIGN)
+    assert str(info.value) == MESSAGE
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_equal_copy_of_the_domain_accepted(site):
+    SITES[site](COPY)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p, s: naf_alpha(p, s),
+    lambda p, s: is_naf(p, s, 0.5),
+])
+def test_empty_safe_assignment_rejected(check):
+    with pytest.raises(EmptySafeAssignment):
+        check(dist([0.5, 0.5]), SafeAssignment(()))

@@ -104,6 +104,11 @@ class TestDpBeta:
 
 
 class TestDpBetaEventForm:
+    @pytest.mark.parametrize("alpha", [-1e-12, -1.0])
+    def test_negative_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            dp_beta_event_form(dist([0.4, 0.6]), dist([0.5, 0.5]), alpha)
+
     def test_identical_laws(self):
         q = dist([0.4, 0.6])
         value, _ = dp_beta_event_form(q, q, 0.3)
@@ -296,6 +301,13 @@ class TestPrivateHistogram:
         assert obj["k"] == 10 and obj["epsilon"] == 2.0
         assert set(obj["values"]) <= {"z0", "z2"}
 
+    @pytest.mark.parametrize("values", [[0.5], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_histogram_needs_one_value_per_symbol(self, values):
+        with pytest.raises(ValueError, match="one value per symbol"):
+            NoisyHistogram(
+                domain=domain(2), values=np.array(values), epsilon=1.0, delta=1e-3, k=3, tau=0.1
+            )
+
     def test_histogram_validation(self):
         with pytest.raises(ValueError):
             NoisyHistogram(
@@ -412,6 +424,37 @@ class TestExactAudit:
             coordinate_output_law(count, 3, 1.0, 1e-3)
         with pytest.raises(ValueError, match="count"):
             histogram_output_law((count, 3 - count), 1.0, 1e-3)
+
+    @pytest.mark.parametrize("count, k", [
+        (1.5, 3), (1.0, 3), (True, 3), (np.float64(1.0), 3), (1, 3.0), (1, True),
+    ])
+    def test_non_integer_count_or_k_rejected(self, count, k):
+        with pytest.raises(ValueError, match="integers"):
+            coordinate_output_law(count, k, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("counts", [(1.5, 1.5), (True, False), (1, 2.0)])
+    def test_non_integer_counts_rejected_by_joint_law(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            histogram_output_law(counts, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_audit_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="integers"):
+            audit_histogram_dp(k, 2, 1.0, 1e-3)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert coordinate_output_law(np.int64(2), np.int64(3), 1.0, 1e-3) == (
+            coordinate_output_law(2, 3, 1.0, 1e-3)
+        )
+        counts = np.array([1, 2], dtype=np.int32)
+        assert histogram_output_law(tuple(counts), 1.0, 1e-3) == (
+            histogram_output_law((1, 2), 1.0, 1e-3)
+        )
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_audit_without_neighbours_rejected(self, k):
+        with pytest.raises(ValueError, match="no neighboring datasets"):
+            audit_histogram_dp(k, 1, 1.0, 1e-3)
 
     def test_joint_law_factorizes(self):
         joint = histogram_output_law((1, 2), 1.0, 1e-3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dist, domain
+from conftest import direct_empirical_weights, dist, domain
 from stability_lab import (
     ContentDomain,
     Dataset,
@@ -42,6 +42,18 @@ class TestLearnerEmpirical:
         s = Dataset(domain(3), ["z0", "z2", "z2"])
         learner = learner_empirical(0.5)
         assert learner.train(s, 1) == learner.train(s, 999)
+
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 17, 300, 5000])
+    @pytest.mark.parametrize("width", [1, 3, 8, 50])
+    def test_one_row_call_matches_direct_formula(self, size, width):
+        rng = np.random.default_rng(size * 100 + width)
+        data = Dataset.from_indices(domain(width), rng.integers(0, width, size))
+        for smoothing in (0.0, 0.5, 1.0, 3.7):
+            if size == 0 and smoothing == 0.0:
+                continue
+            q = learner_empirical(smoothing).train(data, 0)
+            assert q.weights.tobytes() == direct_empirical_weights(data, smoothing).tobytes()
 
 
 class TestLearnerConstant:

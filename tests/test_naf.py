@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dist, domain, random_distribution, random_pair
+from conftest import (
+    dist,
+    domain,
+    loop_is_naf,
+    loop_naf_alpha,
+    random_distribution,
+    random_pair,
+    seen_set_leave_one_out,
+    seen_set_sharded,
+)
 from stability_lab import (
     ContentDomain,
     Dataset,
@@ -417,3 +426,76 @@ class TestNafReport:
         assert obj["alpha_star"] == math.inf
         assert obj["violations"][0]["log_ratio"] == math.inf
         assert obj["ok"] is False
+
+
+def _entry_bits(entries):
+    return [(cid, model.weights.tobytes()) for cid, model in entries]
+
+
+class TestLoopOracles:
+    """The shared log-ratio table and first-occurrence walk against the
+    per-model loops they replaced (tests/conftest.py), bit for bit."""
+
+    def random_case(self, rng):
+        size = int(rng.integers(1, 9))
+        p = random_distribution(rng, size, sparsify=float(rng.choice([0.0, 0.4])))
+        models = [
+            random_distribution(rng, size, sparsify=float(rng.choice([0.0, 0.3, 0.6])))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        if rng.random() < 0.2:
+            models.append(p)  # ratios of exactly 0
+        return p, SafeAssignment.from_models(models)
+
+    def test_naf_alpha_bits(self):
+        rng = np.random.default_rng(901)
+        infinite = zero = 0
+        for _ in range(600):
+            p, s = self.random_case(rng)
+            got, expected = naf_alpha(p, s), loop_naf_alpha(p, s)
+            assert type(got) is float
+            assert got.hex() == expected.hex()
+            infinite += math.isinf(got)
+            zero += got == 0.0
+        assert infinite > 0 and zero > 0
+
+    def test_is_naf_bits_and_order(self):
+        rng = np.random.default_rng(902)
+        flagged = 0
+        for _ in range(600):
+            p, s = self.random_case(rng)
+            alphas = [0.0, float(rng.random() * 2.0)]
+            worst = loop_naf_alpha(p, s)
+            if math.isfinite(worst):
+                alphas.append(worst)  # an exact ratio, which is not exceeded
+            for alpha in alphas:
+                ok, violations = is_naf(p, s, alpha)
+                expected_ok, expected = loop_is_naf(p, s, alpha)
+                assert ok == expected_ok
+                assert [(c, z, r.hex()) for c, z, r in violations] == [
+                    (c, z, r.hex()) for c, z, r in expected
+                ]
+                flagged += len(violations) > 1
+        assert flagged > 0
+
+    def test_safe_constructions_bits(self):
+        rng = np.random.default_rng(903)
+        where = {"both": 0, "first only": 0, "second only": 0}
+        for case in range(300):
+            size = int(rng.integers(1, 9))
+            n = int(rng.integers(2, 41))
+            q = random_distribution(rng, size, sparsify=0.3)
+            data = Dataset.from_indices(q.domain, rng.choice(size, n, p=q.weights))
+            learner = learner_empirical(float(rng.choice([0.0, 1.0])))
+            seed = case
+            got = safe_leave_one_out(learner, data, seed)
+            assert _entry_bits(got) == _entry_bits(seen_set_leave_one_out(learner, data, seed))
+            got = safe_sharded(learner, data, seed)
+            assert _entry_bits(got) == _entry_bits(seen_set_sharded(learner, data, seed))
+            perm = np.random.default_rng(seed).permutation(n)
+            first = set(data.indices[perm[: n // 2]].tolist())
+            second = set(data.indices[perm[n // 2 :]].tolist())
+            where["both"] += len(first & second)
+            where["first only"] += len(first - second)
+            where["second only"] += len(second - first)
+        assert min(where.values()) > 0, where

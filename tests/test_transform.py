@@ -57,6 +57,18 @@ class TestTransformConfig:
     def test_beta_is_tied_to_eta(self):
         assert TINY.params.beta == TINY.params.eta
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_base_sample_size_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            TransformConfig(epsilon=2.0, delta=0.05, eta=0.3, m=m)
+
+    def test_payload_fields(self):
+        obj = TINY.to_json_obj()
+        assert list(obj) == ["epsilon", "delta", "eta", "m", "k", "m_priv"]
+        assert obj == {
+            "epsilon": 2.0, "delta": 0.05, "eta": 0.3, "m": 3, "k": TINY.k, "m_priv": TINY.m_priv,
+        }
+
 
 class TestEstimatePremiseAlpha:
     def test_constant_learner_exactly_zero(self):
@@ -74,6 +86,12 @@ class TestEstimatePremiseAlpha:
         )
         sigma = 0.5 / math.sqrt(trials)
         assert abs(got - 0.5) <= 3 * sigma
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        q = dist([0.25, 0.75])
+        with pytest.raises(ValueError, match="trials"):
+            estimate_premise_alpha(learner_constant(q), q, m=5, trials=trials, seed=1)
 
     def test_range(self):
         rng = np.random.default_rng(60)
