@@ -48,6 +48,11 @@ class ContentDomain:
     def size(self) -> int:
         return len(self.symbols)
 
+    @property
+    def domain(self) -> "ContentDomain":
+        """The domain itself, so _require_same_domain takes a bare domain too."""
+        return self
+
     def __len__(self) -> int:
         return len(self.symbols)
 

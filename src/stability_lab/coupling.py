@@ -28,8 +28,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
-# Largest block of race cells (tapes x models x symbols) materialized at
-# once: 2**17 float64 cells keep each temporary near 1 MB.
+# Largest block of tape variates or released counts (tapes x symbols)
+# materialized at once: 2**17 float64 cells keep each temporary near 1 MB.
 _CHUNK_CELLS = 2**17
 
 
@@ -96,30 +96,47 @@ def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
     return CouplingTape(domain=domain, variates=variates, seed=seed)
 
 
-def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
+def _masked(weights: np.ndarray) -> np.ndarray:
+    """Weights not > 0 as +0.0: their quotient is +inf and never wins.
 
-    Broadcasting covers one tape against one weight vector, a (n, |Z|)
-    block of tapes against one weight vector, and a (n, 1, |Z|) block of
-    tapes against a (k, |Z|) matrix. Weights that are not > 0 are
-    replaced by +0.0 before the division, so they give +inf (variates are
-    strictly positive and finite) and never win; a -0.0 weight left as it
-    is would give -inf and win. Masking the weights rather than the
-    quotient does the mask once per weight cell, not once per broadcast
-    cell. np.argmin takes the first minimum, which implements the
-    lowest-index tie rule.
+    Variates are strictly positive and finite; a -0.0 left as it is would
+    give -inf and win.
     """
+    return np.where(weights > 0, weights, 0.0)
+
+
+def _race(variates: np.ndarray, weights: np.ndarray, symbols) -> np.ndarray:
+    """argmin over `symbols` of variates[z] / weights[z], as a tournament.
+
+    Both operands are symbol-major and the weights already masked: row z
+    of each is symbol z. Broadcasting covers a (|Z|, n) block of tapes
+    against one (|Z|,) weight vector and one (|Z|,) tape against a
+    (|Z|, k) block of weight columns. The first symbol's quotients seed
+    the running best; each later symbol takes the rows where its quotient
+    is strictly smaller, so an exact tie keeps the lower index, which is
+    np.argmin's first-minimum rule.
+    """
+    first, *rest = symbols
     with np.errstate(divide="ignore"):
-        return np.argmin(variates / np.where(weights > 0, weights, 0.0), axis=-1)
+        best = variates[first] / weights[first]
+        winner = np.full(best.shape, first, dtype=np.intp)
+        for z in rest:
+            q = variates[z] / weights[z]
+            winner[q < best] = z
+            np.minimum(best, q, out=best)
+    return winner
 
 
 def _tapes_per_block(cells_per_tape: int) -> int:
-    """Tapes whose race cells fit in one _CHUNK_CELLS block (at least one)."""
+    """Tapes whose cells fit in one _CHUNK_CELLS block (at least one)."""
     return max(1, _CHUNK_CELLS // max(1, cells_per_tape))
 
 
 def _tape_chunks(seed: int, trials: int, size: int):
-    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in row blocks."""
+    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in blocks.
+
+    Each block is a symbol-major (|Z|, tapes) view, the layout _race takes.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunk = _tapes_per_block(size)
@@ -127,13 +144,14 @@ def _tape_chunks(seed: int, trials: int, size: int):
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         seeds = base + np.arange(start, start + count, dtype=np.uint64)
-        yield _exp_variates(seeds, size)
+        yield _exp_variates(seeds, size).T
 
 
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample."""
     _require_same_domain(tape, q)
-    return int(_race(tape.variates, q.weights))
+    weights = _masked(q.weights)[:, None]
+    return int(_race(tape.variates[:, None], weights, range(q.domain.size))[0])
 
 
 def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
@@ -146,6 +164,42 @@ def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
     return tape.domain.symbols[coupled_sample_index(tape, q)]
 
 
+def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndarray:
+    """The masked (k, |Z|) weight matrix as a contiguous, symbol-major (|Z|, k) block."""
+    weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
+    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != domain.size:
+        raise DomainMismatch("weight matrix width does not match the domain")
+    if weight_matrix.shape[0] < 1:
+        raise ValueError("weight matrix needs at least one row")
+    return np.ascontiguousarray(_masked(weight_matrix).T)
+
+
+def _tape_winners(seeds: Sequence[int], columns: np.ndarray):
+    """Yield, seed by seed, the (k,) coupled sample indices of every weight column.
+
+    The per-matrix work is done once: each column's max and min. Each
+    tape E then races only its candidates, the symbols z with
+    E_z / max_z <= U = min_y E_y / min_y. This is exact. IEEE division is
+    monotone in the divisor, so every row's minimum quotient is at most U,
+    and a pruned symbol's quotient in any row is at least E_z / max_z > U:
+    it can be neither a minimum nor tied with one. The symbol reaching U
+    is always a candidate. When every column holds a zero weight, U is
+    +inf and every symbol stays in the race.
+    """
+    size = columns.shape[0]
+    high = columns.max(axis=1)
+    low = columns.min(axis=1)
+    keys = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64)
+    block = _tapes_per_block(size)
+    for start in range(0, keys.size, block):
+        variates = _exp_variates(keys[start : start + block], size)
+        with np.errstate(divide="ignore"):
+            bound = (variates / low).min(axis=1, keepdims=True)
+            candidates = variates / high <= bound
+        for tape, keep in zip(variates, candidates):
+            yield _race(tape, columns, np.flatnonzero(keep))
+
+
 def race_tapes(
     domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
 ) -> np.ndarray:
@@ -154,18 +208,30 @@ def race_tapes(
     Returns a (len(seeds), n_models) array whose entry (j, i) equals
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
-    coupling. The tapes are made by the same counter-based hash and raced
-    by the same kernel, in blocks of at most _CHUNK_CELLS cells.
+    coupling. The tapes are made by the same counter-based hash, in blocks
+    of at most _CHUNK_CELLS variates, and raced one by one over their
+    candidate symbols.
     """
-    weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != domain.size:
-        raise DomainMismatch("weight matrix width does not match the domain")
-    keys = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64)
-    out = np.empty((keys.size, weight_matrix.shape[0]), dtype=np.intp)
-    block = _tapes_per_block(weight_matrix.size)
-    for start in range(0, keys.size, block):
-        variates = _exp_variates(keys[start : start + block], domain.size)
-        out[start : start + block] = _race(variates[:, None, :], weight_matrix)
+    columns = _weight_columns(domain, weight_matrix)
+    out = np.empty((len(seeds), columns.shape[1]), dtype=np.intp)
+    for j, winners in enumerate(_tape_winners(seeds, columns)):
+        out[j] = winners
+    return out
+
+
+def race_counts(
+    domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
+) -> np.ndarray:
+    """(len(seeds), |Z|) symbol counts of each row of race_tapes.
+
+    Row j counts how many weight rows won each symbol on seeds[j]'s tape.
+    Only one tape's winners exist at a time, never the whole
+    (len(seeds), n_models) matrix.
+    """
+    columns = _weight_columns(domain, weight_matrix)
+    out = np.empty((len(seeds), domain.size), dtype=np.intp)
+    for j, winners in enumerate(_tape_winners(seeds, columns)):
+        out[j] = np.bincount(winners, minlength=domain.size)
     return out
 
 
@@ -179,10 +245,12 @@ def disagreement_estimate(
     2*TV(q1,q2) / (1 + TV(q1,q2)).
     """
     _require_same_domain(q1, q2)
+    symbols = range(q1.domain.size)
+    w1, w2 = _masked(q1.weights), _masked(q2.weights)
     disagreements = 0
     for variates in _tape_chunks(seed, trials, q1.domain.size):
-        x1 = _race(variates, q1.weights)
-        x2 = _race(variates, q2.weights)
+        x1 = _race(variates, w1, symbols)
+        x2 = _race(variates, w2, symbols)
         disagreements += int(np.count_nonzero(x1 != x2))
     return disagreements / trials
 
@@ -192,7 +260,8 @@ def coupled_marginal_counts(
 ) -> np.ndarray:
     """Histogram of coupled samples over `trials` fresh tapes (seed + i)."""
     size = q.domain.size
+    weights = _masked(q.weights)
     counts = np.zeros(size, dtype=np.int64)
     for variates in _tape_chunks(seed, trials, size):
-        counts += np.bincount(_race(variates, q.weights), minlength=size)
+        counts += np.bincount(_race(variates, weights, range(size)), minlength=size)
     return counts

@@ -257,10 +257,13 @@ def private_histogram(
 # tail whose mass is accounted for conservatively).
 
 
-def _check_law_args(k: int, tail: float, *counts) -> None:
-    for n in (k, *counts):
+def _check_law_args(k: int, tail: float, *sizes) -> None:
+    """k and each of `sizes` (counts, or the audit's domain_size) must be integers."""
+    for n in (k, *sizes):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError(f"counts and k must be integers (not bool), got {n!r}")
+            raise ValueError(
+                f"k, counts and domain_size must be integers (not bool), got {n!r}"
+            )
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0 < tail < 1:
@@ -427,11 +430,12 @@ def audit_histogram_dp(
     The cost is one joint law per count vector and
     |bins| x (non-zero counts) x (domain_size - 1) pair checks, where
     |bins| = C(k + domain_size - 1, domain_size - 1). Raises ValueError for
-    a k that is not an integer or is < 1, domain_size < 1, tail outside
-    (0, 1), epsilon <= 0 or delta outside (0, 1), and DomainTooLarge when
-    one joint law would pass OUTPUT_LAW_MAX atoms.
+    a k or domain_size that is not an integer (a bool is not), k < 1,
+    domain_size < 1, tail outside (0, 1), epsilon <= 0 or delta outside
+    (0, 1), and DomainTooLarge when one joint law would pass
+    OUTPUT_LAW_MAX atoms.
     """
-    _check_law_args(k, tail)
+    _check_law_args(k, tail, domain_size)
     if domain_size < 1:
         raise ValueError("domain_size must be at least 1")
     # Every count vector sums to k, so only k + 1 coordinate laws exist.

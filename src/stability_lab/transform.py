@@ -31,7 +31,7 @@ from .core import (
     sample_dataset,
     tv_distance,
 )
-from .coupling import _tapes_per_block, race_tapes
+from .coupling import _tapes_per_block, race_counts, race_tapes
 from .dp import DpParams, NoisyHistogram, _histogram_from_counts, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import derive_seed
@@ -224,13 +224,6 @@ def _shard_weight_matrix(
     return weights
 
 
-def _row_counts(coupled: np.ndarray, size: int) -> np.ndarray:
-    """(n, size) symbol counts of each row of coupled sample indices."""
-    n = coupled.shape[0]
-    cells = (np.arange(n, dtype=np.intp)[:, None] * size + coupled).ravel()
-    return np.bincount(cells, minlength=n * size).reshape(n, size)
-
-
 def dp_transform_trace(
     learner: Learner,
     sample: Dataset,
@@ -352,21 +345,16 @@ def transform_bound_experiment(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
         # Release the inner trials in chunks of at most _CHUNK_CELLS count
-        # cells (all 300 trials of criterion 6 at once), racing each chunk's
-        # tapes in blocks within the race's cell budget and keeping only
-        # their counts. The outputs are added row by row in trial order:
-        # the rounding of the sum depends on its order.
+        # cells (all 300 trials of criterion 6 at once); race_counts keeps
+        # only each tape's symbol counts. The outputs are added row by row
+        # in trial order: the rounding of the sum depends on its order.
         trials = range(t * inner_trials, (t + 1) * inner_trials)
-        race_block = _tapes_per_block(weights.size)
         release_block = _tapes_per_block(domain.size)
         acc = np.zeros(domain.size)
         for first in range(0, inner_trials, release_block):
             chunk = trials[first : first + release_block]
-            counts = np.empty((len(chunk), domain.size), dtype=np.intp)
-            for start in range(0, len(chunk), race_block):
-                tapes = [derive_seed(seed, "tape", i) for i in chunk[start : start + race_block]]
-                coupled = race_tapes(domain, tapes, weights)
-                counts[start : start + len(tapes)] = _row_counts(coupled, domain.size)
+            tapes = [derive_seed(seed, "tape", i) for i in chunk]
+            counts = race_counts(domain, tapes, weights)
             noise_seeds = [derive_seed(seed, "noise", i) for i in chunk]
             values = _release_rows(counts, config.epsilon, config.delta, noise_seeds)
             for row in _project_rows(values, config.eta)[0]:

@@ -98,6 +98,30 @@ def scalar_project(values, eta):
     return x
 
 
+# --- argmin race oracle ----------------------------------------------------
+#
+# Verbatim copy of the argmin body that coupling._race's symbol-major
+# tournament replaced; race_tapes, race_counts, coupled_sample_index and
+# the Monte Carlo helpers must match it bit for bit.
+
+
+def argmin_race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
+
+    Broadcasting covers one tape against one weight vector, a (n, |Z|)
+    block of tapes against one weight vector, and a (n, 1, |Z|) block of
+    tapes against a (k, |Z|) matrix. Weights that are not > 0 are
+    replaced by +0.0 before the division, so they give +inf (variates are
+    strictly positive and finite) and never win; a -0.0 weight left as it
+    is would give -inf and win. Masking the weights rather than the
+    quotient does the mask once per weight cell, not once per broadcast
+    cell. np.argmin takes the first minimum, which implements the
+    lowest-index tie rule.
+    """
+    with np.errstate(divide="ignore"):
+        return np.argmin(variates / np.where(weights > 0, weights, 0.0), axis=-1)
+
+
 # --- loop oracles for the NAF table, the first-occurrence walk and the
 # empirical learner ----------------------------------------------------------
 #

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stability_lab.coupling as coupling_mod
-from conftest import dist, domain, random_distribution, random_pair
+from conftest import argmin_race, dist, domain, random_distribution, random_pair
 from stability_lab import (
     CouplingTape,
     coupled_sample,
@@ -20,9 +20,11 @@ from stability_lab.coupling import (
     _MIX2,
     _exp_variates,
     coupled_marginal_counts,
+    race_counts,
     race_tapes,
 )
 from stability_lab.errors import DomainMismatch
+from stability_lab.learners import learner_empirical
 
 
 def _out_of_place_exp_variates(seeds, size):
@@ -264,7 +266,7 @@ class TestRaceTapes:
         d, w = domain(6), self.weights()
         if tapes_per_block is not None:
             # 1: every block holds one tape; 3: 7 seeds leave a ragged last block
-            monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", tapes_per_block * w.size)
+            monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", tapes_per_block * w.shape[1])
         got = race_tapes(d, self.SEEDS, w)
         assert got.shape == (len(self.SEEDS), w.shape[0])
         for row, seed in zip(got, self.SEEDS):
@@ -273,7 +275,134 @@ class TestRaceTapes:
             assert np.array_equal(row, scalar)
         assert np.all(got[:, -1] == 5)
         assert not np.any(np.isin(got[:, -2], (1, 2, 5)))
+        counts = [np.bincount(row, minlength=6) for row in got]
+        assert np.array_equal(race_counts(d, self.SEEDS, w), counts)
 
     def test_width_mismatch(self):
-        with pytest.raises(DomainMismatch):
-            race_tapes(domain(5), [1, 2], self.weights())
+        for race in (race_tapes, race_counts):
+            with pytest.raises(DomainMismatch):
+                race(domain(5), [1, 2], self.weights())
+
+    @pytest.mark.parametrize("race", [race_tapes, race_counts])
+    def test_needs_a_row(self, race):
+        with pytest.raises(ValueError):
+            race(domain(5), [1, 2], np.empty((0, 5)))
+
+
+def _argmin_tapes(d, seeds):
+    """Tape-major variates of each seed's tape, as the races draw them."""
+    keys = np.array([s & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    return coupling_mod._exp_variates(keys, d.size)
+
+
+def assert_races_match_argmin(d, seeds, weights):
+    """race_tapes and race_counts equal the argmin race of every tape."""
+    expected = np.stack([argmin_race(v, weights) for v in _argmin_tapes(d, seeds)])
+    got = race_tapes(d, seeds, weights)
+    assert got.dtype == np.intp and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    counts = race_counts(d, seeds, weights)
+    assert counts.shape == (len(seeds), d.size)
+    assert np.array_equal(counts, [np.bincount(row, minlength=d.size) for row in expected])
+    return expected
+
+
+def assert_monte_carlo_matches_argmin(q1, q2, trials, seed):
+    """Both Monte Carlo helpers and coupled_sample_index equal the argmin race."""
+    d = q1.domain
+    variates = _argmin_tapes(d, range(seed, seed + trials))
+    x1, x2 = argmin_race(variates, q1.weights), argmin_race(variates, q2.weights)
+    counts = np.bincount(x1, minlength=d.size)
+    assert np.array_equal(coupled_marginal_counts(q1, trials, seed), counts)
+    assert disagreement_estimate(q1, q2, trials, seed) == np.count_nonzero(x1 != x2) / trials
+    for i in range(min(trials, 5)):
+        assert coupled_sample_index(new_tape(d, seed + i), q2) == x2[i]
+
+
+class TestTournamentMatchesArgmin:
+    """The symbol-major tournament, with and without pruning, is the argmin race."""
+
+    # Quotients E_z / w_z that tie exactly: every value is a power of two.
+    TIED_TAPES = np.array([
+        [0.5, 1.0, 0.5, 2.0],
+        [1.0, 0.5, 0.5, 1.0],
+        [2.0, 1.0, 0.5, 0.25],
+        [1.0, 1.0, 1.0, 1.0],
+    ])
+    TIED_WEIGHTS = np.array([
+        [0.125, 0.25, 0.125, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.0, 0.5, 0.25, 0.25],
+        [-0.0, 0.25, 0.25, 0.5],
+        [0.5, 0.0, 0.5, 0.0],
+    ])
+
+    def test_exact_ties_go_to_the_lowest_index(self, monkeypatch):
+        tapes = self.TIED_TAPES
+        monkeypatch.setattr(
+            coupling_mod, "_exp_variates", lambda seeds, size: tapes[seeds % len(tapes)]
+        )
+        d, w = domain(4), self.TIED_WEIGHTS
+        got = assert_races_match_argmin(d, range(8), w)
+        # tape 0 ties all four quotients of row 0, and symbols 1 and 2 of
+        # row 2 (whose symbol 0 has weight 0); tape 1 ties symbols 1 and 2
+        # of row 1; tape 3 ties all four of row 1
+        assert got[0, 0] == 0 and got[0, 2] == 1 and got[1, 1] == 1 and got[3, 1] == 0
+        # rows 0 and 1 alone have no zero weight, so the bound is finite:
+        # tape 1 prunes symbol 0 and still ties symbols 1 and 2 of row 1
+        assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
+        models = [make_distribution(d, row) for row in w]
+        for q1, q2 in zip(models, models[1:]):
+            assert_monte_carlo_matches_argmin(q1, q2, 8, 0)
+
+    def test_signed_zero_weights(self):
+        rng = np.random.default_rng(5)
+        rows = [random_distribution(rng, 6, sparsify=0.5).weights for _ in range(20)]
+        rows += [[0.5, 0.0, -0.0, 0.25, 0.25, 0.0], [-0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
+        w = np.array(rows)
+        got = assert_races_match_argmin(domain(6), TestRaceTapes.SEEDS + list(range(40)), w)
+        assert np.all(got[:, -1] == 5)
+        q1, q2 = make_distribution(domain(6), rows[-2]), make_distribution(domain(6), rows[-1])
+        assert_monte_carlo_matches_argmin(q1, q2, 300, 9)
+
+    def test_all_zero_column(self):
+        rng = np.random.default_rng(6)
+        w = rng.dirichlet(np.ones(5), size=40)
+        w[:, 3] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        got = assert_races_match_argmin(domain(5), range(100, 160), w)
+        assert not np.any(got == 3)
+        q1, q2 = make_distribution(domain(5), w[0]), make_distribution(domain(5), w[1])
+        assert_monte_carlo_matches_argmin(q1, q2, 500, 11)
+
+    def test_unsmoothed_wide_domain(self):
+        # zero weights everywhere make the pruning bound +inf: no pruning
+        d = domain(1000)
+        rng = np.random.default_rng(7)
+        shards = rng.integers(0, 1000, size=(64, 30))
+        w = learner_empirical(0.0).train_shards(d, shards, 0)
+        assert np.all((w == 0).any(axis=0))
+        assert_races_match_argmin(d, [3, 2**64 - 1, *range(20)], w)
+        q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
+        assert_monte_carlo_matches_argmin(q1, q2, 60, 13)
+
+    def test_single_symbol(self):
+        d = domain(1)
+        got = assert_races_match_argmin(d, range(5), np.array([[1.0], [0.0], [-0.0]]))
+        assert not got.any()
+        assert_monte_carlo_matches_argmin(dist([1.0]), dist([1.0]), 50, 17)
+
+    def test_prop1_shape(self):
+        # k = 3170 smoothed shards of 20 items on 8 symbols, 300 tapes: every
+        # weight is > 0, so the bound is finite and symbols are pruned
+        d = domain(8)
+        rng = np.random.default_rng(8)
+        law = rng.dirichlet(np.ones(8))
+        shards = rng.choice(8, size=(3170, 20), p=law)
+        w = learner_empirical(1.0).train_shards(d, shards, 0)
+        assert np.all(w > 0)
+        draws = rng.integers(0, 2**64 - 1, size=300, dtype=np.uint64, endpoint=True)
+        seeds = [int(s) for s in draws]
+        assert_races_match_argmin(d, seeds, w)
+        q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
+        assert_monte_carlo_matches_argmin(q1, q2, 3000, 19)

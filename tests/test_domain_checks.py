@@ -5,6 +5,7 @@ Each site must reject an operand on a foreign domain of the same width
 message, and accept an equal but distinct copy of the domain.
 """
 
+import numpy as np
 import pytest
 
 from conftest import dist, domain
@@ -20,6 +21,7 @@ from stability_lab import (
     disagreement_estimate,
     dp_transform,
     is_naf,
+    learner_constant,
     make_distribution,
     naf_alpha,
     new_tape,
@@ -64,6 +66,9 @@ SITES = {
     "nfl_witness q1": _nfl(1),
     "nfl_witness q2": _nfl(2),
     "dp_transform per-shard model": lambda d: _transform_with_shard_model(on(d)),
+    "learner_constant train_shards": lambda d: learner_constant(on(d)).train_shards(
+        domain(3), np.zeros((2, 1), dtype=np.int64), 0
+    ),
 }
 
 

@@ -542,6 +542,8 @@ class TestExactAudit:
             {"k": 0},
             {"domain_size": 0},
             {"domain_size": -1},
+            {"domain_size": 2.0},
+            {"domain_size": True},
         ],
     )
     def test_audit_input_validation(self, kwargs):

@@ -370,7 +370,9 @@ class TestDpTransform:
         def no_race(*args):
             raise AssertionError("raced a foreign-domain model")
 
+        # every name through which the transform and the experiment race
         monkeypatch.setattr(transform_mod, "race_tapes", no_race)
+        monkeypatch.setattr(transform_mod, "race_counts", no_race)
         constant = learner_constant(q)
         for learner in (constant, Learner(constant.name, train=constant.train)):
             with pytest.raises(DomainMismatch):
@@ -486,13 +488,14 @@ class TestBoundExperiment:
         self.check_inner_average(4)
 
     def test_inner_average_spans_race_blocks(self, monkeypatch):
-        # blocks of 3 tapes: 7 inner trials race in blocks of 3, 3 and 1
-        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * TINY.k * 8)
+        # 16 cells: race_counts makes the 7 inner trials' tapes in blocks
+        # of 2, 2, 2 and 1, one block per release chunk
+        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 2 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_spans_release_chunks(self, monkeypatch):
-        # 24 cells: one tape per race block, and the 7 inner trials are
-        # released in chunks of 3, 3 and 1 rows of |Z| = 8 counts
+        # 24 cells: the 7 inner trials are released in chunks of 3, 3 and 1
+        # rows of |Z| = 8 counts
         monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
         self.check_inner_average(7)
 
