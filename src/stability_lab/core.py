@@ -48,11 +48,6 @@ class ContentDomain:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def domain(self) -> "ContentDomain":
-        """The domain itself, so _require_same_domain takes a bare domain too."""
-        return self
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -266,11 +261,22 @@ class Event:
         return float(q.weights[self.indicator()].sum())
 
 
-def _require_same_domain(a, b) -> None:
+def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
+    """(n, size) symbol counts of each row of an (n, m) index matrix."""
+    n = indices.shape[0]
+    cells = (np.arange(n, dtype=np.intp)[:, None] * size + indices).ravel()
+    return np.bincount(cells, minlength=n * size).reshape(n, size)
+
+
+def _require_domain(domain: ContentDomain, operand) -> None:
     # The identity test skips the field-by-field compare when operands share
     # one domain object, the common case; equal copies still pass.
-    if a.domain is not b.domain and a.domain != b.domain:
+    if domain is not operand.domain and domain != operand.domain:
         raise DomainMismatch("operands live on different content domains")
+
+
+def _require_same_domain(a, b) -> None:
+    _require_domain(a.domain, b)
 
 
 def tv_distance(q1: DiscreteDistribution, q2: DiscreteDistribution) -> float:

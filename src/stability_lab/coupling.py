@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContentDomain, DiscreteDistribution, _require_same_domain
+from .core import ContentDomain, DiscreteDistribution, _require_same_domain, _row_counts
 from .errors import DomainMismatch
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -31,6 +31,12 @@ _U64_MASK = (1 << 64) - 1
 # Largest block of tape variates or released counts (tapes x symbols)
 # materialized at once: 2**17 float64 cells keep each temporary near 1 MB.
 _CHUNK_CELLS = 2**17
+
+# Weight columns times tapes raced per tournament step. A step costs a few
+# numpy calls whatever its width, so when k is small a block of tapes
+# races together; when k is in the thousands each tape races alone, over
+# only its own candidate symbols.
+_RACE_LANES = 2**12
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -105,25 +111,38 @@ def _masked(weights: np.ndarray) -> np.ndarray:
     return np.where(weights > 0, weights, 0.0)
 
 
-def _race(variates: np.ndarray, weights: np.ndarray, symbols) -> np.ndarray:
-    """argmin over `symbols` of variates[z] / weights[z], as a tournament.
+def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
 
-    Both operands are symbol-major and the weights already masked: row z
-    of each is symbol z. Broadcasting covers a (|Z|, n) block of tapes
-    against one (|Z|,) weight vector and one (|Z|,) tape against a
-    (|Z|, k) block of weight columns. The first symbol's quotients seed
-    the running best; each later symbol takes the rows where its quotient
-    is strictly smaller, so an exact tie keeps the lower index, which is
-    np.argmin's first-minimum rule.
+    The race of one weight vector: broadcasting covers one tape and a
+    tape-major (n, |Z|) block of tapes. Masking the weights rather than
+    the quotient does the mask once per weight cell, not once per
+    broadcast cell. np.argmin takes the first minimum, which implements
+    the lowest-index tie rule.
+    """
+    with np.errstate(divide="ignore"):
+        return np.argmin(variates / _masked(weights), axis=-1)
+
+
+def _tournament(tapes: np.ndarray, columns: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """argmin over `symbols` of tapes[z] / columns[z], entry by entry.
+
+    Both operands are symbol-major, row z of each is symbol z, and the
+    weights are already masked; broadcasting covers one tape or a
+    (|Z|, n, 1) block of tapes against a (|Z|, 1, k) block of weight
+    columns. The first symbol's quotients seed the running best; each
+    later symbol takes the entries where its quotient is strictly
+    smaller, so an exact tie keeps the lower index, which is np.argmin's
+    first-minimum rule. Call it under np.errstate(divide="ignore"):
+    masked weights divide to +inf.
     """
     first, *rest = symbols
-    with np.errstate(divide="ignore"):
-        best = variates[first] / weights[first]
-        winner = np.full(best.shape, first, dtype=np.intp)
-        for z in rest:
-            q = variates[z] / weights[z]
-            winner[q < best] = z
-            np.minimum(best, q, out=best)
+    best = tapes[first] / columns[first]
+    winner = np.full(best.shape, first, dtype=np.intp)
+    for z in rest:
+        q = tapes[z] / columns[z]
+        np.putmask(winner, q < best, z)
+        np.minimum(best, q, out=best)
     return winner
 
 
@@ -133,10 +152,7 @@ def _tapes_per_block(cells_per_tape: int) -> int:
 
 
 def _tape_chunks(seed: int, trials: int, size: int):
-    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in blocks.
-
-    Each block is a symbol-major (|Z|, tapes) view, the layout _race takes.
-    """
+    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in row blocks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunk = _tapes_per_block(size)
@@ -144,14 +160,13 @@ def _tape_chunks(seed: int, trials: int, size: int):
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         seeds = base + np.arange(start, start + count, dtype=np.uint64)
-        yield _exp_variates(seeds, size).T
+        yield _exp_variates(seeds, size)
 
 
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample."""
     _require_same_domain(tape, q)
-    weights = _masked(q.weights)[:, None]
-    return int(_race(tape.variates[:, None], weights, range(q.domain.size))[0])
+    return int(_race(tape.variates, q.weights))
 
 
 def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
@@ -174,30 +189,39 @@ def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndar
     return np.ascontiguousarray(_masked(weight_matrix).T)
 
 
-def _tape_winners(seeds: Sequence[int], columns: np.ndarray):
-    """Yield, seed by seed, the (k,) coupled sample indices of every weight column.
+def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray, keep):
+    """Race every weight column on each seed's tape, a group of tapes at a time.
 
-    The per-matrix work is done once: each column's max and min. Each
-    tape E then races only its candidates, the symbols z with
-    E_z / max_z <= U = min_y E_y / min_y. This is exact. IEEE division is
-    monotone in the divisor, so every row's minimum quotient is at most U,
-    and a pruned symbol's quotient in any row is at least E_z / max_z > U:
-    it can be neither a minimum nor tied with one. The symbol reaching U
-    is always a candidate. When every column holds a zero weight, U is
-    +inf and every symbol stays in the race.
+    out[j : j + n] = keep(winners) for the (n, k) winners of the group
+    of tapes seeds[j : j + n]. The per-matrix work is done once: each
+    column's max and min. A group then races only its candidates, the
+    symbols z with E_z / max_z <= U = min_y E_y / min_y on at least one
+    of its tapes E. This is exact. IEEE division is monotone in the
+    divisor, so every row's minimum quotient on tape E is at most U, and
+    a symbol pruned on E has quotients of at least E_z / max_z > U: it
+    can be neither a minimum nor tied with one. The symbol reaching U is
+    always a candidate. When every column holds a zero weight, U is +inf
+    and every symbol stays in the race.
     """
-    size = columns.shape[0]
+    size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
     keys = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64)
     block = _tapes_per_block(size)
-    for start in range(0, keys.size, block):
-        variates = _exp_variates(keys[start : start + block], size)
-        with np.errstate(divide="ignore"):
+    group = max(1, _RACE_LANES // k)
+    with np.errstate(divide="ignore"):
+        for start in range(0, keys.size, block):
+            variates = _exp_variates(keys[start : start + block], size)
             bound = (variates / low).min(axis=1, keepdims=True)
-            candidates = variates / high <= bound
-        for tape, keep in zip(variates, candidates):
-            yield _race(tape, columns, np.flatnonzero(keep))
+            firsts = np.arange(0, variates.shape[0], group)
+            candidates = np.logical_or.reduceat(variates / high <= bound, firsts, axis=0)
+            tapes = variates.T[:, :, None]
+            for first, symbols in zip(firsts, candidates):
+                rows = tapes[:, first : first + group]
+                winners = _tournament(rows, columns[:, None, :], symbols.nonzero()[0])
+                j = start + first
+                out[j : j + len(winners)] = keep(winners)
+    return out
 
 
 def race_tapes(
@@ -209,14 +233,12 @@ def race_tapes(
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
     coupling. The tapes are made by the same counter-based hash, in blocks
-    of at most _CHUNK_CELLS variates, and raced one by one over their
+    of at most _CHUNK_CELLS variates, and raced in groups over their
     candidate symbols.
     """
     columns = _weight_columns(domain, weight_matrix)
     out = np.empty((len(seeds), columns.shape[1]), dtype=np.intp)
-    for j, winners in enumerate(_tape_winners(seeds, columns)):
-        out[j] = winners
-    return out
+    return _race_tape_blocks(seeds, columns, out, lambda winners: winners)
 
 
 def race_counts(
@@ -225,14 +247,14 @@ def race_counts(
     """(len(seeds), |Z|) symbol counts of each row of race_tapes.
 
     Row j counts how many weight rows won each symbol on seeds[j]'s tape.
-    Only one tape's winners exist at a time, never the whole
-    (len(seeds), n_models) matrix.
+    Only one group of tapes' winners exists at a time (one tape's, or
+    about _RACE_LANES), never the whole (len(seeds), n_models) matrix.
     """
     columns = _weight_columns(domain, weight_matrix)
     out = np.empty((len(seeds), domain.size), dtype=np.intp)
-    for j, winners in enumerate(_tape_winners(seeds, columns)):
-        out[j] = np.bincount(winners, minlength=domain.size)
-    return out
+    return _race_tape_blocks(
+        seeds, columns, out, lambda winners: _row_counts(winners, domain.size)
+    )
 
 
 def disagreement_estimate(
@@ -245,12 +267,10 @@ def disagreement_estimate(
     2*TV(q1,q2) / (1 + TV(q1,q2)).
     """
     _require_same_domain(q1, q2)
-    symbols = range(q1.domain.size)
-    w1, w2 = _masked(q1.weights), _masked(q2.weights)
     disagreements = 0
     for variates in _tape_chunks(seed, trials, q1.domain.size):
-        x1 = _race(variates, w1, symbols)
-        x2 = _race(variates, w2, symbols)
+        x1 = _race(variates, q1.weights)
+        x2 = _race(variates, q2.weights)
         disagreements += int(np.count_nonzero(x1 != x2))
     return disagreements / trials
 
@@ -260,8 +280,7 @@ def coupled_marginal_counts(
 ) -> np.ndarray:
     """Histogram of coupled samples over `trials` fresh tapes (seed + i)."""
     size = q.domain.size
-    weights = _masked(q.weights)
     counts = np.zeros(size, dtype=np.int64)
     for variates in _tape_chunks(seed, trials, size):
-        counts += np.bincount(_race(variates, weights, range(size)), minlength=size)
+        counts += np.bincount(_race(variates, q.weights), minlength=size)
     return counts

@@ -11,18 +11,12 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     _line_tokens,
-    _require_same_domain,
+    _require_domain,
+    _row_counts,
     make_distribution,
 )
 from .errors import EmptyCorpus, EmptyDataset
 from .transform import Learner
-
-
-def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
-    """(n, size) symbol counts of each row of an (n, m) index matrix."""
-    n = indices.shape[0]
-    cells = (np.arange(n, dtype=np.intp)[:, None] * size + indices).ravel()
-    return np.bincount(cells, minlength=n * size).reshape(n, size)
 
 
 def learner_empirical(smoothing: float = 0.0) -> Learner:
@@ -62,7 +56,7 @@ def learner_constant(q: DiscreteDistribution) -> Learner:
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
     ) -> np.ndarray:
-        _require_same_domain(domain, q)
+        _require_domain(domain, q)
         return np.broadcast_to(q.weights, (shard_indices.shape[0], domain.size))
 
     return Learner(name="constant", train=train, train_shards=train_shards)

@@ -100,8 +100,8 @@ def scalar_project(values, eta):
 
 # --- argmin race oracle ----------------------------------------------------
 #
-# Verbatim copy of the argmin body that coupling._race's symbol-major
-# tournament replaced; race_tapes, race_counts, coupled_sample_index and
+# Verbatim copy of the argmin body that race_tapes and race_counts raced
+# with before the symbol-major tournament; they, coupled_sample_index and
 # the Monte Carlo helpers must match it bit for bit.
 
 

@@ -263,10 +263,21 @@ class TestRaceTapes:
 
     @pytest.mark.parametrize("tapes_per_block", [None, 1, 3])
     def test_matches_per_tape_races(self, monkeypatch, tapes_per_block):
+        self.check_per_tape_races(monkeypatch, tapes_per_block, None)
+
+    @pytest.mark.parametrize("tapes_per_block, tapes_per_group", [(None, 1), (None, 2), (3, 2)])
+    def test_tape_groups_match_per_tape_races(self, monkeypatch, tapes_per_block, tapes_per_group):
+        self.check_per_tape_races(monkeypatch, tapes_per_block, tapes_per_group)
+
+    def check_per_tape_races(self, monkeypatch, tapes_per_block, tapes_per_group):
         d, w = domain(6), self.weights()
         if tapes_per_block is not None:
             # 1: every block holds one tape; 3: 7 seeds leave a ragged last block
             monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", tapes_per_block * w.shape[1])
+        if tapes_per_group is not None:
+            # tapes raced in one tournament; groups of 2 in blocks of 3 leave a
+            # ragged last group inside each block
+            monkeypatch.setattr(coupling_mod, "_RACE_LANES", tapes_per_group * w.shape[0])
         got = race_tapes(d, self.SEEDS, w)
         assert got.shape == (len(self.SEEDS), w.shape[0])
         for row, seed in zip(got, self.SEEDS):
@@ -349,7 +360,10 @@ class TestTournamentMatchesArgmin:
         # of row 1; tape 3 ties all four of row 1
         assert got[0, 0] == 0 and got[0, 2] == 1 and got[1, 1] == 1 and got[3, 1] == 0
         # rows 0 and 1 alone have no zero weight, so the bound is finite:
-        # tape 1 prunes symbol 0 and still ties symbols 1 and 2 of row 1
+        # tape 1, raced alone, prunes symbol 0 and still ties symbols 1 and 2
+        # of row 1; raced with the other tapes, it races their candidates too
+        assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
+        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 1)
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
         models = [make_distribution(d, row) for row in w]
         for q1, q2 in zip(models, models[1:]):
