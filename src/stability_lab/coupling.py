@@ -7,10 +7,10 @@ exponentials give the exact marginal, P(winner = z) = q(z), and two
 distributions disagree with probability at most 2*TV / (1 + TV).
 
 Tapes are generated by a counter-based hash (splitmix64 applied twice),
-so the tape for any (seed, symbol) cell is addressable directly. That
-keeps Monte Carlo runs over millions of fresh tapes cheap and makes the
-per-trial convention used by `disagreement_estimate` (tape seed =
-root seed + trial index) identical no matter how trials are batched.
+so the tape for any (seed, symbol) cell is addressable directly. The
+Monte Carlo helpers (tape seed = root seed + trial index, so batching
+cannot change a result) stream each symbol's row over a block of tapes
+through the tournament and never build a tape block. Argmin races one tape.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ _U64_MASK = (1 << 64) - 1
 # Largest block of tape variates or released counts (tapes x symbols)
 # materialized at once: 2**17 float64 cells keep each temporary near 1 MB.
 _CHUNK_CELLS = 2**17
+
+# Tapes per streamed symbol row of the Monte Carlo helpers: 2**12 was
+# 20-30% slower, 2**16 no faster.
+_STREAM_TAPES = 2**14
 
 # Weight columns times tapes raced per tournament step. A step costs a few
 # numpy calls whatever its width, so when k is small a block of tapes
@@ -54,17 +58,16 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
-    """Unit-rate exponential variates, one row per seed, `size` per row.
+def _cell_variates(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Unit-rate exponential variate of each (stream key, symbol) cell.
 
-    Row i, column z is a pure function of (seeds[i], z): the seed is mixed
-    into a stream key, the symbol index is folded in, and the resulting 64
-    bits become a uniform in (0,1) mapped through -log. Values are strictly
-    positive and finite by construction. The float steps run in place on
-    one buffer; `seeds` is never written.
+    Tape keys and symbol offsets broadcast; key + offset goes through
+    splitmix64, and its top 53 bits become a uniform in (0,1) mapped
+    through -log (strictly positive, finite). Offsets must be uint64:
+    NumPy 2 promotes uint64 + int64 to float64. The float steps run in
+    place on one buffer; neither operand is written.
     """
-    keys = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
-    cells = _splitmix64(keys + np.arange(size, dtype=np.uint64)[None, :])
+    cells = _splitmix64(keys + symbols)
     cells >>= np.uint64(11)
     u = cells.astype(np.float64)
     u += 0.5
@@ -72,6 +75,12 @@ def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
     np.log(u, out=u)
     np.negative(u, out=u)
     return u
+
+
+def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
+    """Tape-major variates: row i, column z is the cell (key of seeds[i], z)."""
+    keys = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
+    return _cell_variates(keys, np.arange(size, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,37 +120,25 @@ def _masked(weights: np.ndarray) -> np.ndarray:
     return np.where(weights > 0, weights, 0.0)
 
 
-def _race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """argmin_z variates[..., z] / weights[..., z], zero weights excluded.
+def _tournament(rows, columns: np.ndarray) -> np.ndarray:
+    """argmin over the (z, row) pairs of row / columns[z], entry by entry.
 
-    The race of one weight vector: broadcasting covers one tape and a
-    tape-major (n, |Z|) block of tapes. Masking the weights rather than
-    the quotient does the mask once per weight cell, not once per
-    broadcast cell. np.argmin takes the first minimum, which implements
-    the lowest-index tie rule.
+    The iterator `rows` yields each raced symbol z, in increasing order,
+    with its variates; `columns` is symbol-major, row z is symbol z's
+    masked weights; (n, 1) tapes meet a (1, k) row, or n tapes (k, 1)
+    columns.
+    The first symbol's quotients seed the running best; each later symbol
+    takes the entries where its quotient is strictly smaller, so an exact
+    tie keeps the lower index (np.argmin's rule). A new winner is the
+    largest index so far, so the update is a maximum. Call it under
+    np.errstate(divide="ignore"): masked weights divide to +inf.
     """
-    with np.errstate(divide="ignore"):
-        return np.argmin(variates / _masked(weights), axis=-1)
-
-
-def _tournament(tapes: np.ndarray, columns: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """argmin over `symbols` of tapes[z] / columns[z], entry by entry.
-
-    Both operands are symbol-major, row z of each is symbol z, and the
-    weights are already masked; broadcasting covers one tape or a
-    (|Z|, n, 1) block of tapes against a (|Z|, 1, k) block of weight
-    columns. The first symbol's quotients seed the running best; each
-    later symbol takes the entries where its quotient is strictly
-    smaller, so an exact tie keeps the lower index, which is np.argmin's
-    first-minimum rule. Call it under np.errstate(divide="ignore"):
-    masked weights divide to +inf.
-    """
-    first, *rest = symbols
-    best = tapes[first] / columns[first]
+    first, values = next(rows)
+    best = values / columns[first]
     winner = np.full(best.shape, first, dtype=np.intp)
-    for z in rest:
-        q = tapes[z] / columns[z]
-        np.putmask(winner, q < best, z)
+    for z, values in rows:
+        q = values / columns[z]
+        np.maximum(winner, (q < best) * z, out=winner)
         np.minimum(best, q, out=best)
     return winner
 
@@ -151,22 +148,11 @@ def _tapes_per_block(cells_per_tape: int) -> int:
     return max(1, _CHUNK_CELLS // max(1, cells_per_tape))
 
 
-def _tape_chunks(seed: int, trials: int, size: int):
-    """Variates of the tapes seed, seed + 1, ..., seed + trials - 1, in row blocks."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    chunk = _tapes_per_block(size)
-    base = np.uint64(seed & _U64_MASK)
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        seeds = base + np.arange(start, start + count, dtype=np.uint64)
-        yield _exp_variates(seeds, size)
-
-
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
-    """Index form of coupled_sample."""
+    """Index form of coupled_sample: np.argmin's first minimum is the tie rule."""
     _require_same_domain(tape, q)
-    return int(_race(tape.variates, q.weights))
+    with np.errstate(divide="ignore"):
+        return int(np.argmin(tape.variates / _masked(q.weights)))
 
 
 def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
@@ -218,7 +204,8 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
             tapes = variates.T[:, :, None]
             for first, symbols in zip(firsts, candidates):
                 rows = tapes[:, first : first + group]
-                winners = _tournament(rows, columns[:, None, :], symbols.nonzero()[0])
+                raced = ((z, rows[z]) for z in symbols.nonzero()[0])
+                winners = _tournament(raced, columns[:, None, :])
                 j = start + first
                 out[j : j + len(winners)] = keep(winners)
     return out
@@ -257,6 +244,27 @@ def race_counts(
     )
 
 
+def _streamed_winners(models, trials: int, seed: int):
+    """(len(models), n) winners of each block of n <= _STREAM_TAPES tapes seed + i.
+
+    Symbol z's row is column z of the tape-major block, bit for bit,
+    because its offset is a uint64 scalar.
+    """
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer (not bool), got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
+    offsets = np.arange(columns.shape[0], dtype=np.uint64)
+    base = np.uint64(seed & _U64_MASK)
+    with np.errstate(divide="ignore"):
+        for start in range(0, trials, _STREAM_TAPES):
+            stop = min(start + _STREAM_TAPES, trials)
+            keys = _splitmix64(base + np.arange(start, stop, dtype=np.uint64))
+            rows = ((z, _cell_variates(keys, offset)) for z, offset in enumerate(offsets))
+            yield _tournament(rows, columns[:, :, None])
+
+
 def disagreement_estimate(
     q1: DiscreteDistribution, q2: DiscreteDistribution, trials: int, seed: int
 ) -> float:
@@ -268,9 +276,7 @@ def disagreement_estimate(
     """
     _require_same_domain(q1, q2)
     disagreements = 0
-    for variates in _tape_chunks(seed, trials, q1.domain.size):
-        x1 = _race(variates, q1.weights)
-        x2 = _race(variates, q2.weights)
+    for x1, x2 in _streamed_winners((q1, q2), trials, seed):
         disagreements += int(np.count_nonzero(x1 != x2))
     return disagreements / trials
 
@@ -279,8 +285,7 @@ def coupled_marginal_counts(
     q: DiscreteDistribution, trials: int, seed: int
 ) -> np.ndarray:
     """Histogram of coupled samples over `trials` fresh tapes (seed + i)."""
-    size = q.domain.size
-    counts = np.zeros(size, dtype=np.int64)
-    for variates in _tape_chunks(seed, trials, size):
-        counts += np.bincount(_race(variates, q.weights), minlength=size)
+    counts = np.zeros(q.domain.size, dtype=np.int64)
+    for (winners,) in _streamed_winners((q,), trials, seed):
+        counts += np.bincount(winners, minlength=q.domain.size)
     return counts

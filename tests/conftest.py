@@ -100,9 +100,11 @@ def scalar_project(values, eta):
 
 # --- argmin race oracle ----------------------------------------------------
 #
-# Verbatim copy of the argmin body that race_tapes and race_counts raced
-# with before the symbol-major tournament; they, coupled_sample_index and
-# the Monte Carlo helpers must match it bit for bit.
+# Verbatim copy of the argmin body that race_tapes, race_counts and the
+# Monte Carlo helpers raced with before the symbol-major tournament. The
+# tape races and the helpers, which stream symbol rows through the
+# tournament, must match it bit for bit; coupled_sample_index, which races
+# one explicit tape, is still an argmin.
 
 
 def argmin_race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:

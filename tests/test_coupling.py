@@ -234,16 +234,18 @@ class TestDisagreementEstimate:
     def test_independent_of_chunking(self, monkeypatch):
         q1, q2 = dist([0.6, 0.4]), dist([0.2, 0.8])
         full = disagreement_estimate(q1, q2, 3000, seed=9)
-        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(coupling_mod, "_STREAM_TAPES", 1)
         assert disagreement_estimate(q1, q2, 3000, seed=9) == full
 
     def test_trials_validation(self):
         q = dist([0.5, 0.5])
-        for trials in (0, -3):
+        for trials in (0, -3, np.int64(0), 2.5, 3.0, np.float64(3.0), True, False, "3", None):
             with pytest.raises(ValueError):
                 disagreement_estimate(q, q, trials, seed=0)
             with pytest.raises(ValueError):
                 coupled_marginal_counts(q, trials, seed=0)
+        assert coupled_marginal_counts(q, np.int64(3), seed=0).sum() == 3
+        assert disagreement_estimate(q, q, np.uint8(3), seed=0) == 0.0
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
@@ -349,10 +351,17 @@ class TestTournamentMatchesArgmin:
     ])
 
     def test_exact_ties_go_to_the_lowest_index(self, monkeypatch):
+        # the cell hash is patched, so every race reads the tied tapes: the
+        # tape-major blocks of race_tapes and race_counts, and the symbol
+        # rows the Monte Carlo helpers stream; seed j reads tape j % 4
         tapes = self.TIED_TAPES
-        monkeypatch.setattr(
-            coupling_mod, "_exp_variates", lambda seeds, size: tapes[seeds % len(tapes)]
-        )
+        stream_keys = coupling_mod._splitmix64(np.arange(8, dtype=np.uint64))
+
+        def tied_cells(keys, symbols):
+            seed = (keys[..., None] == stream_keys).argmax(axis=-1)
+            return tapes[seed % len(tapes), np.asarray(symbols, dtype=np.intp)]
+
+        monkeypatch.setattr(coupling_mod, "_cell_variates", tied_cells)
         d, w = domain(4), self.TIED_WEIGHTS
         got = assert_races_match_argmin(d, range(8), w)
         # tape 0 ties all four quotients of row 0, and symbols 1 and 2 of
@@ -420,3 +429,94 @@ class TestTournamentMatchesArgmin:
         assert_races_match_argmin(d, seeds, w)
         q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
         assert_monte_carlo_matches_argmin(q1, q2, 3000, 19)
+
+
+def _argmin_monte_carlo(q1, q2, trials, seed, tapes_per_chunk=1024):
+    """Argmin winners of q1 and q2 on the tapes seed + i (mod 2**64).
+
+    The oracle draws its tape-major blocks a chunk of tapes at a time, so a
+    wide domain never holds every tape at once.
+    """
+    x1, x2 = [], []
+    for start in range(0, trials, tapes_per_chunk):
+        stop = min(start + tapes_per_chunk, trials)
+        variates = _argmin_tapes(q1.domain, range(seed + start, seed + stop))
+        x1.append(argmin_race(variates, q1.weights))
+        x2.append(argmin_race(variates, q2.weights))
+    return np.concatenate(x1), np.concatenate(x2)
+
+
+class TestStreamedMonteCarlo:
+    """The Monte Carlo helpers stream symbol rows from the cell hash through
+    the tournament; every estimate and count equals the argmin race."""
+
+    def test_symbol_rows_are_tape_columns(self, monkeypatch):
+        # the offsets must stay uint64: uint64 + int64 promotes to float64
+        seeds = np.arange(45, dtype=np.uint64) + np.uint64(2**64 - 20)
+        block = _exp_variates(seeds, 5000)
+        tournament = coupling_mod._tournament
+        symbols = []
+
+        def recording(rows, columns):
+            def checked():
+                for z, row in rows:
+                    assert row.dtype == np.float64
+                    assert row.tobytes() == np.ascontiguousarray(block[:, z]).tobytes()
+                    symbols.append(z)
+                    yield z, row
+
+            return tournament(checked(), columns)
+
+        monkeypatch.setattr(coupling_mod, "_tournament", recording)
+        coupled_marginal_counts(dist(np.full(5000, 1 / 5000)), seeds.size, 2**64 - 20)
+        assert symbols == list(range(5000))
+
+    @staticmethod
+    def models(size):
+        """A pair with signed-zero weights and, from |Z| = 3, an all-zero column."""
+        if size == 1:
+            return dist([1.0]), dist([1.0])
+        if size == 2:
+            return dist([-0.0, 1.0]), dist([0.25, 0.75])
+        rng = np.random.default_rng(size)
+        w1, w2 = rng.dirichlet(np.ones(size), size=2)
+        w1[size // 2 :: 3] = 0.0
+        w1[:2], w2[0] = -0.0, -0.0
+        return dist(w1 / w1.sum()), dist(w2 / w2.sum())
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 1000])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_block_edges_match_argmin(self, size, edge):
+        # one tape short of a block, a whole block and one tape over it; the
+        # root seed sits so close to 2**64 - 1 that seed + i wraps midway
+        trials = coupling_mod._STREAM_TAPES + edge
+        seed = 2**64 - 1 - trials // 2
+        q1, q2 = self.models(size)
+        x1, x2 = _argmin_monte_carlo(q1, q2, trials, seed)
+        counts = coupled_marginal_counts(q1, trials, seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(x1, minlength=size))
+        assert disagreement_estimate(q1, q2, trials, seed) == np.count_nonzero(x1 != x2) / trials
+        if size > 1:
+            assert counts[0] == 0  # q1's -0.0 weight
+        if size > 2:
+            # q1's -0.0 at symbol 1, and column 0 zero in both models
+            assert counts[1] == 0 and not np.any(x2 == 0)
+
+    def test_rows_span_one_block_of_tapes(self, monkeypatch):
+        # no (tapes x |Z|) block: each hash call makes one symbol's row
+        cell_variates = coupling_mod._cell_variates
+        widths = []
+
+        def one_row(keys, symbols):
+            assert keys.ndim == 1 and np.ndim(symbols) == 0
+            widths.append(keys.size)
+            return cell_variates(keys, symbols)
+
+        q1, q2 = self.models(8)
+        x1, x2 = _argmin_monte_carlo(q1, q2, 30, 5)
+        monkeypatch.setattr(coupling_mod, "_cell_variates", one_row)
+        monkeypatch.setattr(coupling_mod, "_STREAM_TAPES", 7)
+        assert disagreement_estimate(q1, q2, 30, 5) == np.count_nonzero(x1 != x2) / 30
+        assert np.array_equal(coupled_marginal_counts(q1, 30, 5), np.bincount(x1, minlength=8))
+        assert widths == 2 * ([7] * 8 * 4 + [2] * 8)
