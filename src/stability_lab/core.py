@@ -261,6 +261,15 @@ class Event:
         return float(q.weights[self.indicator()].sum())
 
 
+def _require_count(name: str, value, minimum: int = 1) -> None:
+    """The one rule for a trial count or size: an int or np.integer, not a
+    bool (True would run one trial), and at least `minimum`."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r} (bools are not integers here)")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
     """(n, size) symbol counts of each row of an (n, m) index matrix."""
     n = indices.shape[0]

@@ -20,7 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContentDomain, DiscreteDistribution, _require_same_domain, _row_counts
+from .core import (
+    ContentDomain,
+    DiscreteDistribution,
+    _require_count,
+    _require_same_domain,
+    _row_counts,
+)
 from .errors import DomainMismatch
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -250,10 +256,7 @@ def _streamed_winners(models, trials: int, seed: int):
     Symbol z's row is column z of the tape-major block, bit for bit,
     because its offset is a uint64 scalar.
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer (not bool), got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count("trials", trials)
     columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
     base = np.uint64(seed & _U64_MASK)

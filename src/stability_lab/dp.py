@@ -15,7 +15,7 @@ being trusted from the analysis alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     DiscreteDistribution,
     Event,
     _max_event,
+    _require_count,
     _require_same_domain,
 )
 from .errors import DomainTooLarge, EmptyDataset
@@ -119,10 +120,12 @@ def histogram_threshold(epsilon: float, delta: float, k):
 
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
-    absent from its neighbor. Raises ValueError unless epsilon > 0 and
-    0 < delta < 1.
+    absent from its neighbor. Raises ValueError unless epsilon > 0,
+    0 < delta < 1 and every k is at least 1.
     """
     _check_privacy(epsilon, delta)
+    if (np.asarray(k) < 1).any():
+        raise ValueError("histogram size k must be at least 1")
     return 2.0 * math.log(2.0 / delta) / (epsilon * k) + 1.0 / k
 
 
@@ -148,7 +151,8 @@ class NoisyHistogram:
     """Released mapping a: Z -> [0, 1] plus the parameters that produced it.
 
     Symbols absent from the input sample are exactly zero, and every
-    released value sits in [0, 1].
+    released value sits in [0, 1]. The threshold tau is derived from
+    (epsilon, delta, k) by histogram_threshold, never set.
     """
 
     domain: ContentDomain
@@ -156,7 +160,7 @@ class NoisyHistogram:
     epsilon: float
     delta: float
     k: int
-    tau: float
+    tau: float = field(init=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
@@ -165,6 +169,8 @@ class NoisyHistogram:
         _check_unit_interval(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        _require_count("k", self.k)
+        object.__setattr__(self, "tau", histogram_threshold(self.epsilon, self.delta, self.k))
 
     def value(self, symbol: str) -> float:
         return float(self.values[self.domain.index_of(symbol)])
@@ -216,22 +222,6 @@ def _release_rows(
     return values
 
 
-def _histogram_from_counts(
-    domain: ContentDomain,
-    counts: np.ndarray,
-    epsilon: float,
-    delta: float,
-    seed: int,
-) -> NoisyHistogram:
-    """The histogram release of one count vector: one row of _release_rows."""
-    k = int(counts.sum())
-    values = _release_rows(np.asarray(counts)[None, :], epsilon, delta, [seed])[0]
-    tau = histogram_threshold(epsilon, delta, k)
-    return NoisyHistogram(
-        domain=domain, values=values, epsilon=epsilon, delta=delta, k=k, tau=tau
-    )
-
-
 def private_histogram(
     dataset: Dataset, epsilon: float, delta: float, seed: int
 ) -> NoisyHistogram:
@@ -242,11 +232,11 @@ def private_histogram(
     frequency is released if it clears the threshold tau and is clamped
     to [0, 1], otherwise zero. Absent symbols are untouched (exactly
     zero), so the mechanism never reports a false positive. Privacy is
-    with respect to replacing one element of the input sample.
+    with respect to replacing one element of the input sample. The values
+    are one row of _release_rows.
     """
-    return _histogram_from_counts(
-        dataset.domain, dataset.counts(), epsilon, delta, seed
-    )
+    values = _release_rows(dataset.counts()[None, :], epsilon, delta, [seed])[0]
+    return NoisyHistogram(dataset.domain, values, epsilon, delta, dataset.size)
 
 
 # --- exact micro-scale audit ------------------------------------------------
@@ -255,19 +245,6 @@ def private_histogram(
 # so for tiny k and |Z| the full output law of the mechanism fits in a
 # dict and the privacy slack can be computed exactly (up to a truncated
 # tail whose mass is accounted for conservatively).
-
-
-def _check_law_args(k: int, tail: float, *sizes) -> None:
-    """k and each of `sizes` (counts, or the audit's domain_size) must be integers."""
-    for n in (k, *sizes):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError(
-                f"k, counts and domain_size must be integers (not bool), got {n!r}"
-            )
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not 0 < tail < 1:
-        raise ValueError("tail must lie in (0, 1)")
 
 
 def coordinate_output_law(
@@ -284,8 +261,11 @@ def coordinate_output_law(
     histogram_threshold refuses, and DomainTooLarge when the enumeration
     would pass OUTPUT_LAW_MAX noise values.
     """
-    _check_law_args(k, tail, count)
-    if not 0 <= count <= k:
+    _require_count("k", k)
+    _require_count("count", count, 0)
+    if not 0 < tail < 1:
+        raise ValueError("tail must lie in (0, 1)")
+    if count > k:
         raise ValueError(f"count must lie in [0, k], got {count!r} with k={k}")
     tau = histogram_threshold(epsilon, delta, k)
     if count == 0:
@@ -435,9 +415,8 @@ def audit_histogram_dp(
     (0, 1), and DomainTooLarge when one joint law would pass
     OUTPUT_LAW_MAX atoms.
     """
-    _check_law_args(k, tail, domain_size)
-    if domain_size < 1:
-        raise ValueError("domain_size must be at least 1")
+    _require_count("k", k)
+    _require_count("domain_size", domain_size)
     # Every count vector sums to k, so only k + 1 coordinate laws exist.
     coordinate_laws = [
         coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,10 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
     train(S) puts (count(z) + smoothing) / (|S| + smoothing * |Z|) on each
     symbol; smoothing 0 is the pure memorizer, large smoothing approaches
     uniform. Ignores its seed (the map is deterministic in the data).
+    Raises ValueError unless smoothing is a finite number >= 0.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:  # NaN fails too
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
 
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int

@@ -11,7 +11,7 @@ no-free-lunch witness for far-apart safe models are all computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -235,14 +235,20 @@ class CensorshipReport:
 
     bounds[z] = min(1, e^alpha * min_c q_c(z)) caps what an alpha-NAF
     model may put on z; the deficit is the mass that cannot be placed
-    anywhere, max(0, 1 - sum(bounds)).
+    anywhere, max(0, 1 - sum(bounds)). Both totals are derived from the
+    bounds, never set.
     """
 
     alpha: float
     domain: ContentDomain
     bounds: np.ndarray
-    allowed_mass: float
-    deficit: float
+    allowed_mass: float = field(init=False)
+    deficit: float = field(init=False)
+
+    def __post_init__(self):
+        allowed = float(self.bounds.sum())
+        object.__setattr__(self, "allowed_mass", allowed)
+        object.__setattr__(self, "deficit", max(0.0, 1.0 - allowed))
 
     def to_json_obj(self) -> dict:
         return {
@@ -260,14 +266,7 @@ def censorship_report(safes: SafeAssignment, alpha: float) -> CensorshipReport:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     bounds = np.minimum(math.exp(alpha) * safes.envelope(), 1.0)
-    allowed = float(bounds.sum())
-    return CensorshipReport(
-        alpha=alpha,
-        domain=safes.domain,
-        bounds=bounds,
-        allowed_mass=allowed,
-        deficit=max(0.0, 1.0 - allowed),
-    )
+    return CensorshipReport(alpha=alpha, domain=safes.domain, bounds=bounds)
 
 
 @dataclass(frozen=True, eq=False)

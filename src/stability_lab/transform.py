@@ -26,13 +26,14 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     _check_probability_rows,
+    _require_count,
     _require_same_domain,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
 from .coupling import _tapes_per_block, race_counts, race_tapes
-from .dp import DpParams, NoisyHistogram, _histogram_from_counts, _release_rows, required_k
+from .dp import DpParams, NoisyHistogram, _release_rows, private_histogram, required_k
 from .errors import SizeMismatch
 from .util import derive_seed
 
@@ -76,8 +77,7 @@ class TransformConfig:
     m_priv: int = field(init=False)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("base sample size m must be >= 1")
+        _require_count("m", self.m)
         k = required_k(self.params)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m_priv", k * self.m)
@@ -111,8 +111,7 @@ def estimate_premise_alpha(
     This is the output-stability level the transform's bound is stated
     against; constant learners score exactly zero.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count("trials", trials)
     total = 0.0
     for t in range(trials):
         s1 = sample_dataset(data_dist, m, derive_seed(seed, "premise-sample-a", t))
@@ -232,12 +231,14 @@ def dp_transform_trace(
     noise_seed: int,
     train_seed: int = 0,
 ) -> TransformTrace:
-    """dp_transform plus all intermediates; one row of the batched release."""
+    """dp_transform plus all intermediates: the k coupled samples are released
+    by private_histogram and projected as one row of _project_rows."""
     weights = _shard_weight_matrix(learner, sample, config, train_seed)
     domain = sample.domain
     coupled = race_tapes(domain, [tape_seed], weights)[0]
-    counts = np.bincount(coupled, minlength=domain.size)
-    histogram = _histogram_from_counts(domain, counts, config.epsilon, config.delta, noise_seed)
+    histogram = private_histogram(
+        Dataset.from_indices(domain, coupled), config.epsilon, config.delta, noise_seed
+    )
     outputs, feasible = _project_rows(histogram.values[None, :], config.eta)
     return TransformTrace(
         shard_weights=weights,
@@ -275,17 +276,25 @@ def dp_transform(
 
 @dataclass(frozen=True, eq=False)
 class BoundExperimentReport:
-    """Measured deviation of the transformed learner against its bound."""
+    """Measured deviation of the transformed learner against its bound; the
+    outer_trials, grand_mean_tv and bound fields are derived, never set."""
 
     config: TransformConfig
-    outer_trials: int
+    outer_trials: int = field(init=False)
     inner_trials: int
     premise_trials: int
     seed: int
     alpha_hat: float
     per_trial_tv: tuple[float, ...]
-    grand_mean_tv: float
-    bound: float
+    grand_mean_tv: float = field(init=False)
+    bound: float = field(init=False)
+
+    def __post_init__(self):
+        if not self.per_trial_tv:
+            raise ValueError("a report needs at least one outer trial")
+        object.__setattr__(self, "outer_trials", len(self.per_trial_tv))
+        object.__setattr__(self, "grand_mean_tv", float(np.mean(self.per_trial_tv)))
+        object.__setattr__(self, "bound", deviation_bound(self.alpha_hat, self.config.eta))
 
     def within_bound(self, margin: float = 0.0) -> bool:
         return self.grand_mean_tv <= self.bound + margin
@@ -328,8 +337,9 @@ def transform_bound_experiment(
     re-running dp_transform with the same train seed). The premise level
     alpha_hat is estimated on the side and turned into the reported bound.
     """
-    if outer_trials < 1 or inner_trials < 1:
-        raise ValueError("trial counts must be >= 1")
+    _require_count("outer_trials", outer_trials)
+    _require_count("inner_trials", inner_trials)
+    _require_count("premise_trials", premise_trials)
     alpha_hat = estimate_premise_alpha(
         learner, data_dist, config.m, premise_trials, derive_seed(seed, "premise")
     )
@@ -362,16 +372,11 @@ def transform_bound_experiment(
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)
 
-    per_trial = [one_outer(t) for t in range(outer_trials)]
-    grand_mean = float(np.mean(per_trial))
     return BoundExperimentReport(
         config=config,
-        outer_trials=outer_trials,
         inner_trials=inner_trials,
         premise_trials=premise_trials,
         seed=seed,
         alpha_hat=alpha_hat,
-        per_trial_tv=tuple(per_trial),
-        grand_mean_tv=grand_mean,
-        bound=deviation_bound(alpha_hat, config.eta),
+        per_trial_tv=tuple(one_outer(t) for t in range(outer_trials)),
     )

@@ -60,7 +60,7 @@ def scalar_noisy_value(count: int, noise: int, k: int, tau: float) -> float:
 
 
 def scalar_histogram_values(counts, epsilon, delta, seed):
-    """The released values of dp._histogram_from_counts before the row form."""
+    """The released values of dp.private_histogram before the row form."""
     k = int(counts.sum())
     tau = histogram_threshold(epsilon, delta, k)
     present = np.flatnonzero(counts)

@@ -30,7 +30,6 @@ from stability_lab import (
     tv_distance,
 )
 from stability_lab.dp import (
-    _histogram_from_counts,
     _release_rows,
     _replacement_neighbors,
     _two_sided_geometric,
@@ -192,7 +191,9 @@ def test_privacy_parameters_rejected_everywhere(epsilon, delta):
     calls = [
         lambda: histogram_threshold(epsilon, delta, 3),
         lambda: private_histogram(sample, epsilon, delta, seed=0),
-        lambda: _histogram_from_counts(domain(2), np.array([2, 1]), epsilon, delta, 0),
+        lambda: private_histogram(
+            Dataset.from_indices(domain(2), np.repeat(np.arange(2), [2, 1])), epsilon, delta, 0
+        ),
         lambda: coordinate_output_law(0, 3, epsilon, delta),
         lambda: coordinate_output_law(2, 3, epsilon, delta),
         lambda: audit_histogram_dp(3, 2, epsilon, delta),
@@ -285,7 +286,10 @@ class TestPrivateHistogram:
         clipped = suppressed = released = on_threshold = 0
         for counts in count_vectors:
             for seed in range(25):
-                h = _histogram_from_counts(domain(counts.size), counts, epsilon, delta, seed)
+                sample = Dataset.from_indices(
+                    domain(counts.size), np.repeat(np.arange(counts.size), counts)
+                )
+                h = private_histogram(sample, epsilon, delta, seed)
                 expected = self._scalar_values(counts, epsilon, delta, seed)
                 assert h.values.tobytes() == expected.tobytes()
                 clipped += int(np.count_nonzero(h.values == 1.0))
@@ -305,7 +309,7 @@ class TestPrivateHistogram:
     def test_histogram_needs_one_value_per_symbol(self, values):
         with pytest.raises(ValueError, match="one value per symbol"):
             NoisyHistogram(
-                domain=domain(2), values=np.array(values), epsilon=1.0, delta=1e-3, k=3, tau=0.1
+                domain=domain(2), values=np.array(values), epsilon=1.0, delta=1e-3, k=3
             )
 
     def test_histogram_validation(self):
@@ -316,7 +320,6 @@ class TestPrivateHistogram:
                 epsilon=1.0,
                 delta=1e-3,
                 k=3,
-                tau=0.1,
             )
 
     @staticmethod
@@ -327,7 +330,6 @@ class TestPrivateHistogram:
             epsilon=1.0,
             delta=1e-3,
             k=3,
-            tau=0.1,
         )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2**-52])
@@ -344,6 +346,37 @@ class TestPrivateHistogram:
         assert h.values.tolist() == [0.0, 0.0, 1.0, 0.5]
         assert math.copysign(1.0, h.values[0]) == -1.0
         assert h.to_json_obj()["values"] == {"z2": 1.0, "z3": 0.5}
+
+
+class TestDerivedThreshold:
+    def test_tau_is_computed(self):
+        h = NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=2.0, delta=1e-3, k=7)
+        assert h.tau == histogram_threshold(2.0, 1e-3, 7)
+        assert h.to_json_obj()["tau"] == h.tau
+
+    def test_tau_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            NoisyHistogram(
+                domain(2), np.array([0.5, 0.0]), epsilon=1.0, delta=1e-3, k=3, tau=0.1
+            )
+
+    @pytest.mark.parametrize(
+        "epsilon, delta",
+        [(0.0, 0.1), (-1.0, 0.1), (float("nan"), 0.1), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)],
+    )
+    def test_histogram_privacy_parameters_rejected(self, epsilon, delta):
+        with pytest.raises(ValueError):
+            NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=epsilon, delta=delta, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0), np.array([3, 0]), np.array([-2])])
+    def test_threshold_needs_k_at_least_one(self, k):
+        with pytest.raises(ValueError, match="k"):
+            histogram_threshold(1.0, 0.1, k)
+
+    @pytest.mark.parametrize("k", [0, -3, 2.0, True])
+    def test_histogram_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="k"):
+            NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=1.0, delta=1e-3, k=k)
 
 
 class TestReleaseRows:
@@ -378,7 +411,9 @@ class TestReleaseRows:
 
     def test_histogram_from_counts_is_one_row(self):
         counts = np.array([0, 5, 1, 9])
-        h = _histogram_from_counts(domain(4), counts, 2.0, 1e-3, seed=11)
+        h = private_histogram(
+            Dataset.from_indices(domain(4), np.repeat(np.arange(4), counts)), 2.0, 1e-3, seed=11
+        )
         assert h.values.tobytes() == _release_rows(counts[None, :], 2.0, 1e-3, [11])[0].tobytes()
         assert h.k == 15 and h.tau == histogram_threshold(2.0, 1e-3, 15)
 

@@ -34,6 +34,11 @@ class TestLearnerEmpirical:
         with pytest.raises(ValueError):
             learner_empirical(-0.5)
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            learner_empirical(smoothing)
+
     def test_empty_unsmoothed_rejected(self):
         with pytest.raises(EmptyDataset):
             learner_empirical(0.0).train(Dataset(domain(2), []), 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from stability_lab.errors import (
     DomainMismatch,
     EmptySafeAssignment,
 )
+from stability_lab.naf import CensorshipReport
 
 
 def _reference_nfl_witness(p, q1, q2):
@@ -400,6 +402,23 @@ class TestCensorship:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             censorship_report(safes([0.5, 0.5]), -1.0)
+
+    @pytest.mark.parametrize("name", ["allowed_mass", "deficit"])
+    def test_totals_cannot_be_passed(self, name):
+        bounds = dict(alpha=0.5, domain=domain(2), bounds=np.array([0.5, 0.25]))
+        assert CensorshipReport(**bounds).deficit == 0.25
+        with pytest.raises(TypeError):
+            CensorshipReport(**bounds, **{name: 0.5})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(censorship_report(safes([0.5, 0.5]), 0.5), **{name: 0.5})
+
+    def test_replace_recomputes_totals(self):
+        report = censorship_report(safes([0.8, 0.2], [0.2, 0.8]), 0.5)
+        assert report.allowed_mass == float(report.bounds.sum())
+        changed = dataclasses.replace(report, bounds=np.array([0.25, 0.5]))
+        assert (changed.allowed_mass, changed.deficit) == (0.75, 0.25)
+        full = dataclasses.replace(report, bounds=np.array([1.0, 0.5]))
+        assert (full.allowed_mass, full.deficit) == (1.5, 0.0)
 
 
 class TestNafReport:

@@ -22,6 +22,7 @@ from stability_lab import (
     learner_constant,
     learner_empirical,
     make_distribution,
+    private_histogram,
     required_k,
     sample_dataset,
     simplex_project_linf,
@@ -35,7 +36,7 @@ from stability_lab.errors import (
     NotNormalized,
     SizeMismatch,
 )
-from stability_lab.transform import _shard_weight_matrix
+from stability_lab.transform import BoundExperimentReport, _shard_weight_matrix
 
 # small-k config: epsilon large enough that a handful of shards suffice
 TINY = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
@@ -61,6 +62,15 @@ class TestTransformConfig:
     def test_base_sample_size_below_one_rejected(self, m):
         with pytest.raises(ValueError, match="m must be >= 1"):
             TransformConfig(epsilon=2.0, delta=0.05, eta=0.3, m=m)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, "3", None])
+    def test_base_sample_size_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            TransformConfig(epsilon=2.0, delta=0.05, eta=0.3, m=m)
+
+    def test_numpy_integer_base_sample_size_accepted(self):
+        config = TransformConfig(epsilon=2.0, delta=0.05, eta=0.3, m=np.int64(3))
+        assert config.m_priv == TINY.m_priv
 
     def test_payload_fields(self):
         obj = TINY.to_json_obj()
@@ -89,6 +99,12 @@ class TestEstimatePremiseAlpha:
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
+        q = dist([0.25, 0.75])
+        with pytest.raises(ValueError, match="trials"):
+            estimate_premise_alpha(learner_constant(q), q, m=5, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [True, 2.0, 2.5, np.float64(3.0)])
+    def test_non_integer_trials_rejected(self, trials):
         q = dist([0.25, 0.75])
         with pytest.raises(ValueError, match="trials"):
             estimate_premise_alpha(learner_constant(q), q, m=5, trials=trials, seed=1)
@@ -286,6 +302,26 @@ class TestDpTransform:
         assert np.unique(trace.coupled_indices).size == 1
         winner = int(trace.coupled_indices[0])
         assert trace.output.weights[winner] >= 1.0 - 2 * TINY.eta
+
+    def test_trace_histogram_is_private_histogram_of_coupled_samples(self, monkeypatch):
+        releases = []
+
+        def spy(dataset, *args):
+            releases.append(dataset)
+            return private_histogram(dataset, *args)
+
+        # the trace releases through private_histogram itself, once per run
+        monkeypatch.setattr(transform_mod, "private_histogram", spy)
+        learner = learner_empirical(1.0)
+        for seed in range(5):
+            sample = sample_dataset(D8, TINY.m_priv, seed=30 + seed)
+            trace = dp_transform_trace(learner, sample, TINY, tape_seed=seed, noise_seed=40 + seed)
+            coupled = Dataset.from_indices(D8.domain, trace.coupled_indices)
+            expected = private_histogram(coupled, TINY.epsilon, TINY.delta, 40 + seed)
+            assert trace.histogram.values.tobytes() == expected.values.tobytes()
+            assert trace.histogram.to_json_obj() == expected.to_json_obj()
+            assert trace.histogram.k == TINY.k
+            assert releases.pop() == coupled and not releases
 
     def test_k_equals_one_edge(self):
         config = TransformConfig.from_params(epsilon=100.0, delta=0.5, eta=0.3, m=4)
@@ -519,3 +555,58 @@ class TestBoundExperiment:
             transform_bound_experiment(
                 learner_empirical(1.0), D8, TINY, outer_trials=0, inner_trials=1, seed=0
             )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"outer_trials": True}, {"inner_trials": 2.0}, {"premise_trials": 2.5},
+         {"outer_trials": np.float64(1.0)}, {"inner_trials": False}],
+    )
+    def test_non_integer_trial_counts_rejected(self, kwargs):
+        args = {"outer_trials": 1, "inner_trials": 1, "premise_trials": 2, **kwargs}
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            transform_bound_experiment(learner_empirical(1.0), D8, TINY, seed=0, **args)
+
+    def test_numpy_integer_trial_counts_accepted(self):
+        args = dict(seed=4, premise_trials=3)
+        plain = transform_bound_experiment(
+            learner_empirical(1.0), D8, TINY, outer_trials=2, inner_trials=3, **args
+        )
+        typed = transform_bound_experiment(
+            learner_empirical(1.0), D8, TINY, outer_trials=np.int64(2), inner_trials=np.int32(3),
+            **args,
+        )
+        assert typed.per_trial_tv == plain.per_trial_tv
+
+
+class TestDerivedReportTotals:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return transform_bound_experiment(
+            learner_empirical(1.0), D8, TINY, outer_trials=3, inner_trials=4, seed=21,
+            premise_trials=6,
+        )
+
+    @pytest.mark.parametrize("name", ["outer_trials", "grand_mean_tv", "bound"])
+    def test_totals_cannot_be_passed(self, report, name):
+        measured = dict(
+            config=TINY, inner_trials=4, premise_trials=6, seed=21, alpha_hat=0.0,
+            per_trial_tv=(0.5,),
+        )
+        assert BoundExperimentReport(**measured).grand_mean_tv == 0.5
+        with pytest.raises(TypeError):
+            BoundExperimentReport(**measured, **{name: 1})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(report, **{name: 1})
+
+    def test_replace_recomputes_totals(self, report):
+        changed = dataclasses.replace(report, per_trial_tv=(0.25, 0.75), alpha_hat=1.0)
+        assert changed.outer_trials == 2
+        assert changed.grand_mean_tv == 0.5
+        assert changed.bound == deviation_bound(1.0, TINY.eta)
+        payload = changed.to_json_obj()
+        assert (payload["outer_trials"], payload["grand_mean_tv"]) == (2, 0.5)
+        assert payload["bound"] == changed.bound
+
+    def test_report_needs_a_trial(self, report):
+        with pytest.raises(ValueError):
+            dataclasses.replace(report, per_trial_tv=())
