@@ -270,6 +270,12 @@ def _require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def _require_alpha(alpha) -> None:
+    """The one DP/NAF level rule, the CLI's: a finite number >= 0 (NaN fails)."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+
+
 def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
     """(n, size) symbol counts of each row of an (n, m) index matrix."""
     n = indices.shape[0]

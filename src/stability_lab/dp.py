@@ -25,6 +25,7 @@ from .core import (
     DiscreteDistribution,
     Event,
     _max_event,
+    _require_alpha,
     _require_count,
     _require_same_domain,
 )
@@ -78,11 +79,8 @@ def dp_beta(
     this is the total variation distance.
     """
     _require_same_domain(p, p_prime)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return float(
-        np.maximum(p.weights - math.exp(alpha) * p_prime.weights, 0.0).sum()
-    )
+    _require_alpha(alpha)
+    return float(np.maximum(p.weights - math.exp(alpha) * p_prime.weights, 0.0).sum())
 
 
 def dp_beta_event_form(
@@ -90,8 +88,7 @@ def dp_beta_event_form(
 ) -> tuple[float, Event]:
     """Brute-force max over all 2^|Z| events of p(E) - e^alpha * p_prime(E)."""
     _require_same_domain(p, p_prime)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _require_alpha(alpha)
     return _max_event(p.domain, p.weights - math.exp(alpha) * p_prime.weights)
 
 
@@ -314,14 +311,13 @@ def histogram_output_law(
 ) -> dict[tuple[float, ...], float]:
     """Joint output law over all coordinates (noise is independent per symbol).
 
-    The joint has one atom per combination of coordinate atoms; when that
-    product exceeds OUTPUT_LAW_MAX, DomainTooLarge is raised before any of
-    it is built.
+    k is the sum of the counts, so no counts is refused as k < 1. The joint
+    has one atom per combination of coordinate atoms; when that product
+    exceeds OUTPUT_LAW_MAX, DomainTooLarge is raised before any of it is built.
     """
     k = sum(counts)
-    return _joint_law(
-        [coordinate_output_law(c, k, epsilon, delta, tail) for c in counts]
-    )
+    _require_count("k", k)
+    return _joint_law([coordinate_output_law(c, k, epsilon, delta, tail) for c in counts])
 
 
 def dp_beta_over_laws(
@@ -332,6 +328,7 @@ def dp_beta_over_laws(
     Mass missing from `law` (the truncated tail) is charged to beta in
     full, so the result is an upper bound on the exact slack.
     """
+    _require_alpha(alpha)
     return _beta_over_laws(law, _missing_mass(law), law_prime, math.exp(alpha))
 
 

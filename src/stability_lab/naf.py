@@ -20,6 +20,7 @@ from .core import (
     ContentDomain,
     Dataset,
     DiscreteDistribution,
+    _require_alpha,
     _require_same_domain,
     min_envelope,
     tv_distance,
@@ -176,8 +177,7 @@ def is_naf(
     failed check doubles as a soft flag report rather than a bare verdict.
     """
     support, table = _log_ratios(p, safes)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _require_alpha(alpha)
     ids, symbols = safes.ids, p.domain.symbols
     violations = [
         Violation(ids[c], symbols[int(support[pos])], float(table[c, pos]))
@@ -263,8 +263,7 @@ class CensorshipReport:
 
 def censorship_report(safes: SafeAssignment, alpha: float) -> CensorshipReport:
     """Per-symbol allowed-mass caps and the total withheld mass at level alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _require_alpha(alpha)
     bounds = np.minimum(math.exp(alpha) * safes.envelope(), 1.0)
     return CensorshipReport(alpha=alpha, domain=safes.domain, bounds=bounds)
 

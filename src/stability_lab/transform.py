@@ -32,8 +32,8 @@ from .core import (
     sample_dataset,
     tv_distance,
 )
-from .coupling import _tapes_per_block, race_counts, race_tapes
-from .dp import DpParams, NoisyHistogram, _release_rows, private_histogram, required_k
+from .coupling import _tapes_per_block, race_counts
+from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import derive_seed
 
@@ -84,9 +84,7 @@ class TransformConfig:
 
     @property
     def params(self) -> DpParams:
-        return DpParams(
-            epsilon=self.epsilon, delta=self.delta, eta=self.eta, beta=self.eta
-        )
+        return DpParams(epsilon=self.epsilon, delta=self.delta, eta=self.eta, beta=self.eta)
 
     @classmethod
     def from_params(
@@ -150,7 +148,7 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
     takes the residual itself, leaving exactly 0, and every later
     coordinate gets + 0.0 (which only turns -0.0 into 0.0).
     """
-    if eta <= 0:
+    if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
     lower = np.maximum(values - eta, 0.0)
     upper = np.minimum(values + eta, 1.0)
@@ -183,10 +181,10 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class TransformTrace:
-    """Intermediates of one transform run, for instrumentation and tests."""
+    """Intermediates of one transform run; coupled_counts is what the histogram released."""
 
     shard_weights: np.ndarray
-    coupled_indices: np.ndarray
+    coupled_counts: np.ndarray
     histogram: NoisyHistogram
     fallback_used: bool
     output: DiscreteDistribution
@@ -202,14 +200,10 @@ def _shard_weight_matrix(
     domain, and the matrix is validated once as k distributions.
     """
     if sample.size != config.m_priv:
-        raise SizeMismatch(
-            f"expected k*m = {config.m_priv} items, got {sample.size}"
-        )
+        raise SizeMismatch(f"expected k*m = {config.m_priv} items, got {sample.size}")
     domain = sample.domain
     if learner.train_shards is not None:
-        weights = learner.train_shards(
-            domain, sample.indices.reshape(config.k, config.m), train_seed
-        )
+        weights = learner.train_shards(domain, sample.indices.reshape(config.k, -1), train_seed)
     else:
         rows = []
         for i in range(config.k):
@@ -223,6 +217,23 @@ def _shard_weight_matrix(
     return weights
 
 
+def _release_chain(
+    domain: ContentDomain, weights: np.ndarray, tape_seeds, noise_seeds, config: TransformConfig
+):
+    """Race, release and project the shard models on (tape, noise) seed pairs.
+
+    Yields (counts, values, outputs, feasible) per chunk of pairs, in seed
+    order, from race_counts, _release_rows and _project_rows."""
+    # Release in chunks of at most _CHUNK_CELLS count cells (all 300 trials
+    # of criterion 6 at once); race_counts keeps only each tape's counts.
+    block = _tapes_per_block(domain.size)
+    for first in range(0, len(tape_seeds), block):
+        chunk = slice(first, first + block)
+        counts = race_counts(domain, tape_seeds[chunk], weights)
+        values = _release_rows(counts, config.epsilon, config.delta, noise_seeds[chunk])
+        yield (counts, values, *_project_rows(values, config.eta))
+
+
 def dp_transform_trace(
     learner: Learner,
     sample: Dataset,
@@ -231,19 +242,16 @@ def dp_transform_trace(
     noise_seed: int,
     train_seed: int = 0,
 ) -> TransformTrace:
-    """dp_transform plus all intermediates: the k coupled samples are released
-    by private_histogram and projected as one row of _project_rows."""
+    """dp_transform plus all intermediates: one (tape, noise) pair of _release_chain."""
     weights = _shard_weight_matrix(learner, sample, config, train_seed)
     domain = sample.domain
-    coupled = race_tapes(domain, [tape_seed], weights)[0]
-    histogram = private_histogram(
-        Dataset.from_indices(domain, coupled), config.epsilon, config.delta, noise_seed
+    [(counts, values, outputs, feasible)] = _release_chain(
+        domain, weights, [tape_seed], [noise_seed], config
     )
-    outputs, feasible = _project_rows(histogram.values[None, :], config.eta)
     return TransformTrace(
         shard_weights=weights,
-        coupled_indices=coupled,
-        histogram=histogram,
+        coupled_counts=counts[0],
+        histogram=NoisyHistogram(domain, values[0], config.epsilon, config.delta, config.k),
         fallback_used=not feasible[0],
         output=make_distribution(domain, outputs[0]),
     )
@@ -269,9 +277,7 @@ def dp_transform(
     callers average over fresh (tape, noise) pairs while holding the
     trained shards fixed.
     """
-    return dp_transform_trace(
-        learner, sample, config, tape_seed, noise_seed, train_seed
-    ).output
+    return dp_transform_trace(learner, sample, config, tape_seed, noise_seed, train_seed).output
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,20 +360,14 @@ def transform_bound_experiment(
         weights = _shard_weight_matrix(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
-        # Release the inner trials in chunks of at most _CHUNK_CELLS count
-        # cells (all 300 trials of criterion 6 at once); race_counts keeps
-        # only each tape's symbol counts. The outputs are added row by row
-        # in trial order: the rounding of the sum depends on its order.
         trials = range(t * inner_trials, (t + 1) * inner_trials)
-        release_block = _tapes_per_block(domain.size)
+        tapes = [derive_seed(seed, "tape", i) for i in trials]
+        noise_seeds = [derive_seed(seed, "noise", i) for i in trials]
+        # The outputs are added row by row in trial order: the rounding of
+        # the sum depends on its order.
         acc = np.zeros(domain.size)
-        for first in range(0, inner_trials, release_block):
-            chunk = trials[first : first + release_block]
-            tapes = [derive_seed(seed, "tape", i) for i in chunk]
-            counts = race_counts(domain, tapes, weights)
-            noise_seeds = [derive_seed(seed, "noise", i) for i in chunk]
-            values = _release_rows(counts, config.epsilon, config.delta, noise_seeds)
-            for row in _project_rows(values, config.eta)[0]:
+        for _, _, outputs, _ in _release_chain(domain, weights, tapes, noise_seeds, config):
+            for row in outputs:
                 acc += row
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)

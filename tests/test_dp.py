@@ -34,6 +34,7 @@ from stability_lab.dp import (
     _replacement_neighbors,
     _two_sided_geometric,
     coordinate_output_law,
+    dp_beta_over_laws,
 )
 from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset
 
@@ -96,6 +97,14 @@ class TestDpBeta:
         q = dist([0.5, 0.5])
         with pytest.raises(ValueError):
             dp_beta(q, q, -0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # +inf would compute inf * 0 on a zero weight; NaN would return NaN
+        p, q = dist([0.8, 0.2, 0.0]), dist([0.1, 0.0, 0.9])
+        for beta in (dp_beta, symmetric_dp_beta, dp_beta_event_form):
+            with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+                beta(p, q, alpha)
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
@@ -497,6 +506,19 @@ class TestExactAudit:
         b = coordinate_output_law(2, 3, 1.0, 1e-3)
         for (va, vb), mass in joint.items():
             assert mass == pytest.approx(a[va] * b[vb], rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon, delta", [(1.0, 1e-3), (-1.0, 5.0)])
+    def test_empty_joint_law_rejected(self, epsilon, delta):
+        # no counts is k = 0, refused by the k >= 1 rule before any law
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            histogram_output_law((), epsilon, delta)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_law_slack_alpha_rule(self, alpha):
+        # the same rule as dp_beta: before it, NaN gave NaN and -1 gave 0.99
+        law = histogram_output_law((2, 1), 1.0, 1e-3)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            dp_beta_over_laws(law, law, alpha)
 
     def test_joint_law_size_cap(self):
         # 111 atoms per coordinate: 111**4 ~ 1.5e8 joint atoms, over the cap

@@ -235,6 +235,16 @@ class TestIsNaf:
         with pytest.raises(ValueError):
             is_naf(p, safes([0.5, 0.5]), -0.1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # a model that copies the protected symbol fails at alpha = 0; at
+        # NaN every log-ratio comparison was False, so it passed
+        p, assignment = dist([0.8, 0.1, 0.1]), safes([0.1, 0.1, 0.8])
+        assert not is_naf(p, assignment, 0.0)[0]
+        for check in (is_naf, naf_report):
+            with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+                check(p, assignment, alpha)
+
 
 class TestFeasibilityAlpha:
     def test_single_model_zero(self):
@@ -402,6 +412,12 @@ class TestCensorship:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             censorship_report(safes([0.5, 0.5]), -1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # +inf would compute inf * 0 on the envelope's zero
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            censorship_report(safes([1.0, 0.0], [0.5, 0.5]), alpha)
 
     @pytest.mark.parametrize("name", ["allowed_mass", "deficit"])
     def test_totals_cannot_be_passed(self, name):

@@ -23,6 +23,7 @@ from stability_lab import (
     learner_empirical,
     make_distribution,
     private_histogram,
+    race_tapes,
     required_k,
     sample_dataset,
     simplex_project_linf,
@@ -135,6 +136,12 @@ class TestSimplexProjectLinf:
     def test_eta_validation(self):
         with pytest.raises(ValueError):
             simplex_project_linf(domain(2), np.array([0.5, 0.5]), eta=0.0)
+
+    def test_nan_eta_rejected(self):
+        # every comparison with NaN is False, so `eta <= 0` let it through
+        # and the input came back as its own projection
+        with pytest.raises(ValueError, match="eta must be positive"):
+            simplex_project_linf(domain(3), np.array([0.5, 0.3, 0.2]), eta=math.nan)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -272,8 +279,9 @@ class TestProjectRows:
             assert x.sum(axis=1).tobytes() == np.array([r.sum() for r in x]).tobytes()
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            transform_mod._project_rows(np.full((2, 2), 0.5), 0.0)
+        for eta in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                transform_mod._project_rows(np.full((2, 2), 0.5), eta)
 
 
 D8 =dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
@@ -299,29 +307,23 @@ class TestDpTransform:
             learner_constant(q), sample, TINY, tape_seed=11, noise_seed=21
         )
         # identical shard models share one tape, so every coupled sample agrees
-        assert np.unique(trace.coupled_indices).size == 1
-        winner = int(trace.coupled_indices[0])
+        assert np.count_nonzero(trace.coupled_counts) == 1
+        winner = int(np.argmax(trace.coupled_counts))
+        assert trace.coupled_counts[winner] == TINY.k
         assert trace.output.weights[winner] >= 1.0 - 2 * TINY.eta
 
-    def test_trace_histogram_is_private_histogram_of_coupled_samples(self, monkeypatch):
-        releases = []
-
-        def spy(dataset, *args):
-            releases.append(dataset)
-            return private_histogram(dataset, *args)
-
-        # the trace releases through private_histogram itself, once per run
-        monkeypatch.setattr(transform_mod, "private_histogram", spy)
+    def test_trace_histogram_is_private_histogram_of_coupled_samples(self):
         learner = learner_empirical(1.0)
         for seed in range(5):
             sample = sample_dataset(D8, TINY.m_priv, seed=30 + seed)
             trace = dp_transform_trace(learner, sample, TINY, tape_seed=seed, noise_seed=40 + seed)
-            coupled = Dataset.from_indices(D8.domain, trace.coupled_indices)
+            coupled = Dataset.from_indices(
+                D8.domain, np.repeat(np.arange(8), trace.coupled_counts)
+            )
             expected = private_histogram(coupled, TINY.epsilon, TINY.delta, 40 + seed)
             assert trace.histogram.values.tobytes() == expected.values.tobytes()
             assert trace.histogram.to_json_obj() == expected.to_json_obj()
             assert trace.histogram.k == TINY.k
-            assert releases.pop() == coupled and not releases
 
     def test_k_equals_one_edge(self):
         config = TransformConfig.from_params(epsilon=100.0, delta=0.5, eta=0.3, m=4)
@@ -342,7 +344,12 @@ class TestDpTransform:
             np.any(t1.shard_weights != t2.shard_weights, axis=1)
         )
         assert changed_rows.size == 1  # only the shard holding the record
-        assert np.count_nonzero(t1.coupled_indices != t2.coupled_indices) <= 1
+        # so at most one coupled sample moves, and the counts the histogram
+        # releases are equal or differ by one replacement c - e_i + e_j
+        c1, c2 = (race_tapes(D8.domain, [12], t.shard_weights)[0] for t in (t1, t2))
+        assert np.count_nonzero(c1 != c2) <= 1
+        diff = t1.coupled_counts - t2.coupled_counts
+        assert diff.sum() == 0 and np.abs(diff).sum() in (0, 2)
 
     def test_output_depends_on_data_only_through_histogram(self):
         # a data-oblivious learner erases all dataset influence before the
@@ -406,8 +413,7 @@ class TestDpTransform:
         def no_race(*args):
             raise AssertionError("raced a foreign-domain model")
 
-        # every name through which the transform and the experiment race
-        monkeypatch.setattr(transform_mod, "race_tapes", no_race)
+        # the one name through which the release chain races
         monkeypatch.setattr(transform_mod, "race_counts", no_race)
         constant = learner_constant(q)
         for learner in (constant, Learner(constant.name, train=constant.train)):
@@ -503,7 +509,11 @@ class TestBoundExperiment:
                     noise_seed=noise_seed,
                     train_seed=derive_seed(seed, "transform-train", t),
                 )
-                counts = np.bincount(trace.coupled_indices, minlength=8)
+                coupled = race_tapes(
+                    D8.domain, [derive_seed(seed, "tape", j)], trace.shard_weights
+                )[0]
+                counts = np.bincount(coupled, minlength=8)
+                assert trace.coupled_counts.tobytes() == counts.tobytes()
                 values = scalar_histogram_values(
                     counts, config.epsilon, config.delta, noise_seed
                 )
@@ -524,14 +534,15 @@ class TestBoundExperiment:
         self.check_inner_average(4)
 
     def test_inner_average_spans_race_blocks(self, monkeypatch):
-        # 16 cells: race_counts makes the 7 inner trials' tapes in blocks
-        # of 2, 2, 2 and 1, one block per release chunk
+        # 16 cells: _release_chain takes the 7 inner trials in chunks of 2,
+        # 2, 2 and 1 tapes, and race_counts makes each chunk's tapes as one
+        # block of |Z| = 8 variates per tape
         monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 2 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_spans_release_chunks(self, monkeypatch):
-        # 24 cells: the 7 inner trials are released in chunks of 3, 3 and 1
-        # rows of |Z| = 8 counts
+        # 24 cells: _release_chain releases the 7 inner trials as count
+        # matrices of 3, 3 and 1 rows of |Z| = 8 counts
         monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
         self.check_inner_average(7)
 
@@ -610,3 +621,64 @@ class TestDerivedReportTotals:
     def test_report_needs_a_trial(self, report):
         with pytest.raises(ValueError):
             dataclasses.replace(report, per_trial_tv=())
+
+
+class TestReleaseChain:
+    """dp_transform_trace and transform_bound_experiment release through one
+    chain, which races, releases and projects by its module's names."""
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        # one (tape seeds, noise seeds, rows per chunk) entry per chain call
+        chains = []
+        chain = transform_mod._release_chain
+
+        def spy(domain, weights, tape_seeds, noise_seeds, config):
+            chunks = list(chain(domain, weights, tape_seeds, noise_seeds, config))
+            chains.append((list(tape_seeds), list(noise_seeds), [c[0].shape[0] for c in chunks]))
+            yield from chunks
+
+        monkeypatch.setattr(transform_mod, "_release_chain", spy)
+        return chains
+
+    @staticmethod
+    def stage_rows(monkeypatch):
+        # rows per call of each stage the chain looks up by name: the seeds
+        # of race_counts, the first argument of the other two
+        rows = {}
+        for name, arg in (("race_counts", 1), ("_release_rows", 0), ("_project_rows", 0)):
+            def spy(*args, stage=getattr(transform_mod, name), seen=rows.setdefault(name, []),
+                    arg=arg):
+                seen.append(len(args[arg]))
+                return stage(*args)
+
+            monkeypatch.setattr(transform_mod, name, spy)
+        return rows
+
+    def test_trace_is_one_single_tape_call(self, chains, monkeypatch):
+        rows = self.stage_rows(monkeypatch)
+        sample = sample_dataset(D8, TINY.m_priv, seed=31)
+        for seed in range(3):
+            trace = dp_transform_trace(
+                learner_empirical(1.0), sample, TINY, tape_seed=seed, noise_seed=50 + seed
+            )
+            assert chains.pop() == ([seed], [50 + seed], [1]) and not chains
+            assert trace.coupled_counts.shape == (8,) and trace.coupled_counts.sum() == TINY.k
+        assert rows == {name: [1, 1, 1] for name in rows}
+
+    def test_experiment_releases_each_outer_trial_in_chunks(self, chains, monkeypatch):
+        # 24 cells: each outer trial's 7 inner trials are one chain call,
+        # in chunks of 3, 3 and 1 tapes, every stage once per chunk
+        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
+        rows = self.stage_rows(monkeypatch)
+        seed = 17
+        transform_bound_experiment(
+            learner_empirical(1.0), D8, TINY, outer_trials=2, inner_trials=7, seed=seed,
+            premise_trials=2,
+        )
+        assert [chunks for _, _, chunks in chains] == [[3, 3, 1]] * 2
+        for t, (tapes, noise, _) in enumerate(chains):
+            trials = range(7 * t, 7 * (t + 1))
+            assert tapes == [derive_seed(seed, "tape", i) for i in trials]
+            assert noise == [derive_seed(seed, "noise", i) for i in trials]
+        assert rows == {name: [3, 3, 1] * 2 for name in rows}
