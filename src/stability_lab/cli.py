@@ -30,6 +30,7 @@ from .core import (
     tv_distance,
     tv_event_form,
     EVENT_ENUM_MAX,
+    _require_alpha,
 )
 from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
 from .errors import ConfigError, StabilityLabError
@@ -68,10 +69,13 @@ def _field(cfg: dict, key: str, default=_REQUIRED):
 
 
 # Config field -> (type, test of the typed value, what the field must be):
-# each field's one rule. The entries of alpha_grid follow "alpha". A float
-# field also takes a JSON integer; no field takes a bool.
+# each field's one rule. A test may also raise ValueError, as the library's
+# alpha rule does. The entries of alpha_grid follow "alpha". A float field
+# also takes a JSON integer; no field takes a bool.
 _RULES = {
-    "alpha": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "alpha": (
+        float, lambda v: _require_alpha(v) is None, "a finite number >= 0 whose e^alpha is finite"
+    ),
     "margin": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "smoothing": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "epsilon": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
@@ -94,7 +98,7 @@ def _check(key: str, raw, rule: str):
     try:
         if typed and not isinstance(raw, bool) and test(kind(raw)):
             return kind(raw)
-    except OverflowError:  # a JSON integer too large for a float
+    except (OverflowError, ValueError):  # OverflowError: an int too large for a float
         pass
     raise ConfigError(f"{key}: expected {text}, got {raw!r}")
 
@@ -115,11 +119,12 @@ def _existing_path(cfg, key) -> Path:
 
 def _text_file(cfg, key, read):
     """`read(path)` for the field's text file; a file that cannot be read as
-    UTF-8 text (a directory, bad bytes) is a config error naming the field."""
+    UTF-8 text (a directory, bad bytes) or parsed by `read` is a config
+    error naming the field."""
     path = _existing_path(cfg, key)
     try:
         return read(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
 
 
@@ -127,12 +132,7 @@ def _json_object(cfg, key, build):
     """`build(obj)` for the field's JSON object, given inline or as a file path."""
     raw = _field(cfg, key)
     if isinstance(raw, str):
-        path = _existing_path(cfg, key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
+        raw = _text_file(cfg, key, lambda path: json.loads(path.read_text(encoding="utf-8")))
     if not isinstance(raw, dict):
         raise ConfigError(f"{key}: expected a JSON object, inline or as a file path")
     try:
@@ -297,12 +297,9 @@ def _run_naf_check(cfg: dict, seed: int):
     safes = _safe_models(cfg, "safe_models")
     alpha = _param(cfg, "alpha")
     report = naf_report(model, safes, alpha)
-    rows = [
-        {"content_id": c, "symbol": z, "log_ratio": r}
-        for c, z, r in report.violations
-    ]
+    payload = report.to_json_obj()
     code = EXIT_PASS if report.ok else EXIT_CHECK_FAILED
-    return report.to_json_obj(), rows, code
+    return payload, payload["violations"], code
 
 
 def _run_nfl_check(cfg: dict, seed: int):
@@ -482,15 +479,7 @@ def run(subcommand: str, config: dict, seed: int) -> tuple[dict, list[dict], int
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+        config = _json_object({"config": args.config}, "config", dict)
         seed = args.seed if args.seed is not None else _param(config, "seed", 0)
         if getattr(args, "tape_seed", None) is not None:
             config["tape_seed"] = args.tape_seed

@@ -8,6 +8,8 @@ global RNG state.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -270,10 +272,13 @@ def _require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def _require_alpha(alpha) -> None:
-    """The one DP/NAF level rule, the CLI's: a finite number >= 0 (NaN fails)."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+def _require_alpha(alpha, name: str = "alpha") -> None:
+    """The one DP/NAF level rule, the CLI's: a number in [0, ln(DBL_MAX)],
+    the largest level whose e^alpha is a finite float (NaN fails)."""
+    if not 0 <= alpha <= math.log(sys.float_info.max):
+        raise ValueError(
+            f"{name} must be a finite number >= 0 whose e^{name} is finite, got {alpha!r}"
+        )
 
 
 def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:

@@ -320,30 +320,25 @@ def histogram_output_law(
     return _joint_law([coordinate_output_law(c, k, epsilon, delta, tail) for c in counts])
 
 
-def dp_beta_over_laws(
-    law: dict, law_prime: dict, alpha: float
-) -> float:
+def dp_beta_over_laws(law: dict, law_prime: dict, alpha: float) -> float:
     """dp_beta for countable laws given as atom -> probability dicts.
 
-    Mass missing from `law` (the truncated tail) is charged to beta in
-    full, so the result is an upper bound on the exact slack.
+    One pass over `law` in dict order adds each atom's mass to the total
+    and its excess over e^alpha * law_prime to beta. Mass missing from
+    `law` (the truncated tail) is then charged to beta in full, so the
+    result is an upper bound on the exact slack. The explicit loop fixes
+    the order of every float addition, which the builtin sum() does not
+    on every interpreter.
     """
     _require_alpha(alpha)
-    return _beta_over_laws(law, _missing_mass(law), law_prime, math.exp(alpha))
-
-
-def _missing_mass(law: dict) -> float:
-    """Probability mass a truncated law lacks, max(0, 1 - total)."""
-    return max(0.0, 1.0 - sum(law.values()))
-
-
-def _beta_over_laws(law: dict, missing: float, law_prime: dict, scale: float) -> float:
-    """sum over atoms of max(law - scale * law_prime, 0), plus law's missing mass."""
-    beta = sum(
-        max(mass - scale * law_prime.get(atom, 0.0), 0.0)
-        for atom, mass in law.items()
-    )
-    return beta + missing
+    scale = math.exp(alpha)
+    total = excess = 0.0
+    for atom, mass in law.items():
+        total += mass
+        gap = mass - scale * law_prime.get(atom, 0.0)
+        if gap > 0:
+            excess += gap
+    return excess + max(0.0, 1.0 - total)
 
 
 def _replacement_neighbors(k: int, size: int):
@@ -401,35 +396,34 @@ def audit_histogram_dp(
 ) -> HistogramDpAudit:
     """Enumerate every replacement-neighbor pair and bound the privacy slack.
 
-    For each ordered neighbor pair of count vectors the full (truncated)
-    output laws are built and the exact additive slack at e^epsilon is
-    computed; the audit passes when the worst slack is at most delta.
+    Each count vector's full (truncated) output law is built once, and
+    each ordered neighbor pair's slack is dp_beta_over_laws at level
+    epsilon; the audit passes when the worst slack is at most delta.
     The cost is one joint law per count vector and
     |bins| x (non-zero counts) x (domain_size - 1) pair checks, where
     |bins| = C(k + domain_size - 1, domain_size - 1). Raises ValueError for
     a k or domain_size that is not an integer (a bool is not), k < 1,
-    domain_size < 1, tail outside (0, 1), epsilon <= 0 or delta outside
-    (0, 1), and DomainTooLarge when one joint law would pass
-    OUTPUT_LAW_MAX atoms.
+    domain_size < 1, epsilon outside (0, ln(DBL_MAX)] (the alpha rule,
+    so e^epsilon is finite), tail outside (0, 1) or delta outside (0, 1),
+    and DomainTooLarge when one joint law would pass OUTPUT_LAW_MAX atoms.
     """
     _require_count("k", k)
     _require_count("domain_size", domain_size)
+    _require_alpha(epsilon, "epsilon")
     # Every count vector sums to k, so only k + 1 coordinate laws exist.
     coordinate_laws = [
         coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)
     ]
-    scale = math.exp(epsilon)
+    # Count vector -> its joint law, each built once.
+    laws = {
+        c: _joint_law([coordinate_laws[x] for x in c])
+        for c in _compositions(k, domain_size)
+    }
     worst = -1.0
     worst_pair = None
     checked = 0
-    # Count vector -> (joint law, its missing mass), each built once.
-    laws: dict[tuple[int, ...], tuple[dict, float]] = {}
-    for c in _compositions(k, domain_size):
-        joint = _joint_law([coordinate_laws[x] for x in c])
-        laws[c] = (joint, _missing_mass(joint))
     for a, b in _replacement_neighbors(k, domain_size):
-        law, missing = laws[a]
-        beta = _beta_over_laws(law, missing, laws[b][0], scale)
+        beta = dp_beta_over_laws(laws[a], laws[b], epsilon)
         checked += 1
         if beta > worst:
             worst, worst_pair = beta, (a, b)

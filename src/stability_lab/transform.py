@@ -141,12 +141,16 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (projected rows, feasible mask); an infeasible row gets the
     uniform distribution, the neutral choice when its box misses the
-    simplex. Each row equals the sequential push loop bit for bit: while
-    every full slack s is taken, the residual before step i is
-    r_0 - s_0 - ... - s_{i-1}, subtracted in that order by
-    np.subtract.accumulate. The first step whose slack covers the residual
-    takes the residual itself, leaving exactly 0, and every later
-    coordinate gets + 0.0 (which only turns -0.0 into 0.0).
+    simplex. Each row equals the sequential push loop bit for bit. The
+    loop's step is the residual clipped to [min(s_i, 0), max(s_i, 0)] for
+    the coordinate's slack s_i: min(residual, s_i) on a surplus, max on a
+    deficit. While each step takes its full slack, the residual before
+    step i is r_0 - s_0 - ... - s_{i-1}, subtracted in that order by
+    np.subtract.accumulate. The first step whose slack covers it takes it
+    whole, leaving exactly 0; later sums have crossed 0 and clip to 0, as
+    the loop's zero residual does. np.clip, np.minimum and np.maximum each
+    return one of their operands, and no residual or slack is -0.0, so
+    adding a zero step turns -0.0 into 0.0 as the loop's + 0.0 does.
     """
     if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
@@ -168,12 +172,7 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
     before[:, 0] = residual
     before[:, 1:] = slack[:, :-1]
     np.subtract.accumulate(before, axis=1, out=before)
-    full = np.where(surplus, before > slack, before < slack)
-    np.logical_and.accumulate(full, axis=1, out=full)
-    stop = np.ones_like(full)  # the first step that is not a full slack
-    stop[:, 1:] = full[:, :-1]
-    stop &= ~full
-    x += np.where(full, slack, np.where(stop, before, 0.0))
+    x += np.clip(before, np.minimum(slack, 0.0), np.maximum(slack, 0.0))
     out[feasible] = x
     _check_probability_rows(out, values.shape)
     return out, feasible

@@ -529,6 +529,39 @@ class TestConfigErrorContract:
         cfg = {**base, field: str(path)}
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe", b"{not json", b"[1]", None, "."],
+        ids=["not-utf8", "not-json", "not-an-object", "missing", "directory"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content == ".":
+            path = "."
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["tv", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["naf-check", "censorship", "dp-beta"])
+    @pytest.mark.parametrize(
+        "alpha, code",
+        [(709.782712893384, 0), (math.nextafter(709.782712893384, math.inf), 1),
+         (1000, 1), (math.inf, 1)],
+    )
+    def test_alpha_range(self, tmp_path, capsys, subcommand, alpha, code):
+        # ln(DBL_MAX) is the largest alpha whose e^alpha is finite; above
+        # it the library's exp raised a bare OverflowError
+        model = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
+        cfg = {"model": model, "safe_models": [model], "p": model, "p_prime": model,
+               "alpha": alpha}
+        if code == 0:
+            assert run_cli(tmp_path, subcommand, cfg)[0] == 0
+        else:
+            self.assert_rejected(tmp_path, capsys, subcommand, cfg, "alpha")
+
     @pytest.mark.parametrize("symbols", ["ab", [1, 2]])
     def test_symbols_not_a_list_of_strings(self, tmp_path, capsys, symbols):
         cfg = self.hist_config(tmp_path, domain={"symbols": symbols})

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 
@@ -16,7 +17,9 @@ from stability_lab import (
     Dataset,
     DpParams,
     NoisyHistogram,
+    SafeAssignment,
     audit_histogram_dp,
+    censorship_report,
     dp_beta,
     dp_beta_event_form,
     freq,
@@ -37,6 +40,9 @@ from stability_lab.dp import (
     dp_beta_over_laws,
 )
 from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset
+
+# ln(DBL_MAX): the largest alpha whose e^alpha is a finite float.
+ALPHA_MAX = 709.782712893384
 
 
 class TestFreq:
@@ -109,6 +115,40 @@ class TestDpBeta:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             dp_beta(dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]), 0.0)
+
+
+def test_largest_finite_exp_alpha_accepted():
+    p, q = dist([0.8, 0.2, 0.0]), dist([0.1, 0.0, 0.9])
+    assert math.exp(ALPHA_MAX) < math.inf
+    assert dp_beta(p, q, ALPHA_MAX) == 0.2 and dp_beta(q, p, ALPHA_MAX) == 0.9
+    assert symmetric_dp_beta(p, q, ALPHA_MAX) == 0.9
+    assert dp_beta_event_form(p, q, ALPHA_MAX)[0] == 0.2
+    assert censorship_report(SafeAssignment((("c", q),)), ALPHA_MAX).bounds.tolist() == [
+        1.0, 0.0, 1.0
+    ]
+    law = histogram_output_law((2, 1), 1.0, 1e-3)
+    assert dp_beta_over_laws(law, law, ALPHA_MAX) == dp_beta_over_laws(law, law, 0.0)
+    assert audit_histogram_dp(3, 2, ALPHA_MAX, 1e-3).pairs_checked == 6
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(ALPHA_MAX, math.inf), 1000.0, math.inf])
+def test_alpha_with_overflowing_exp_rejected(alpha):
+    # e^alpha overflows: math.exp raised a bare OverflowError, and the audit
+    # at epsilon = inf got NaN slacks and said no neighbours exist
+    p, q = dist([0.8, 0.2, 0.0]), dist([0.1, 0.0, 0.9])
+    law = histogram_output_law((2, 1), 1.0, 1e-3)
+    calls = [
+        lambda: dp_beta(p, q, alpha),
+        lambda: symmetric_dp_beta(p, q, alpha),
+        lambda: dp_beta_event_form(p, q, alpha),
+        lambda: censorship_report(SafeAssignment((("c", q),)), alpha),
+        lambda: dp_beta_over_laws(law, law, alpha),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            call()
+    with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+        audit_histogram_dp(3, 2, alpha, 1e-3)
 
 
 class TestDpBetaEventForm:
@@ -547,24 +587,47 @@ class TestExactAudit:
         assert audit.worst_pair == ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3))
         assert audit.passed
 
-    @pytest.mark.parametrize(
-        "k, size, beta_hex, pair, pairs",
-        [
-            (10, 5, "0x1.b5e901b5315c2p-13", ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3)), 14300),
-            (4, 3, "0x1.b5e901789f991p-13", ((1, 1, 2), (0, 1, 3)), 60),
-            (6, 3, "0x1.b5e901789f990p-13", ((1, 1, 4), (0, 1, 5)), 126),
-            (5, 4, "0x1.b5e90196e3fa9p-13", ((1, 1, 2, 1), (0, 1, 2, 2)), 420),
-        ],
-    )
+    PINNED_AUDITS = [
+        (10, 5, "0x1.b5e901b5315c2p-13", ((1, 1, 5, 1, 2), (0, 1, 5, 1, 3)), 14300),
+        (4, 3, "0x1.b5e901789f991p-13", ((1, 1, 2), (0, 1, 3)), 60),
+        (6, 3, "0x1.b5e901789f990p-13", ((1, 1, 4), (0, 1, 5)), 126),
+        (5, 4, "0x1.b5e90196e3fa9p-13", ((1, 1, 2, 1), (0, 1, 2, 2)), 420),
+    ]
+
+    @pytest.mark.parametrize("k, size, beta_hex, pair, pairs", PINNED_AUDITS)
     def test_audit_pinned_bits(self, k, size, beta_hex, pair, pairs):
-        # Values of the audit that charged each law's missing mass per pair;
-        # computing it once per count vector must not move a bit.
+        # Values of the audit that summed with the builtin sum() on Python
+        # 3.11; its fixed-order loop must not move a bit.
         audit = audit_histogram_dp(k, size, epsilon=1.0, delta=1e-3)
         assert (audit.worst_beta.hex(), audit.worst_pair, audit.pairs_checked) == (
             beta_hex,
             pair,
             pairs,
         )
+
+    @pytest.mark.parametrize("k, size, beta_hex, pair, pairs", PINNED_AUDITS)
+    def test_audit_bits_do_not_depend_on_builtin_sum(
+        self, monkeypatch, k, size, beta_hex, pair, pairs
+    ):
+        # Since Python 3.12 sum() over floats is compensated (Neumaier). An
+        # audit whose totals went through sum() gave other bits there, and
+        # at (10, 5) another worst pair.
+        real_sum = builtins.sum
+
+        def compensated_sum(iterable, /, start=0):
+            items = list(iterable)
+            if type(start) is not int or not all(type(x) is float for x in items):
+                return real_sum(items, start)
+            total, c = float(start), 0.0
+            for x in items:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + c if c and math.isfinite(c) else total
+
+        assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # 0.0 uncompensated
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_audit_pinned_bits(k, size, beta_hex, pair, pairs)
 
     def test_beta_over_laws_charges_missing_mass(self):
         from stability_lab.dp import dp_beta_over_laws

@@ -239,10 +239,21 @@ class TestProjectRows:
     def test_rows_match_scalar_loop(self):
         rng = np.random.default_rng(71)
         seen = dict.fromkeys(["surplus", "deficit", "exact", "infeasible"], 0)
-        cases = [(np.array([[0.9107, -0.0569, 0.0387]]), 0.05)]  # empty box
+        cases = [
+            (np.array([[0.9107, -0.0569, 0.0387]]), 0.05),  # empty box
+            # the residual before step 1 (1/8) equals that slack exactly
+            (np.array([[0.25, 0.25, 0.25, 0.0]]), 0.125),
+        ]
         for size in range(1, 51):
             values = self.rows_for(size, rng)
             cases += [(values, eta) for eta in (0.5 / size, 2.0 / size, 0.3)]
+        wide = self.rows_for(1000, rng)
+        cases += [(wide, eta) for eta in (1e-9, 1.0 / 1000, 1.0, 2.0)]
+        cases += [(self.rows_for(5, rng), eta) for eta in (1e-9, 1.0, 2.0)]
+        # Sixteenths with eta = 1/8: slacks and residuals are exact multiples
+        # of 1/16, so a residual often equals a coordinate's slack.
+        for size in (4, 8, 16):
+            cases.append((rng.integers(-1, 6, (40, size)) / 16.0 * (8 / size), 0.125))
         for values, eta in cases:
             out, feasible = transform_mod._project_rows(values, eta)
             assert out.shape == values.shape and feasible.shape == (values.shape[0],)
