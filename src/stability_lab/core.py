@@ -164,14 +164,29 @@ class Dataset:
     """Multiset of domain symbols, kept in input order.
 
     Internally stored as an index array; `items` materializes the symbols.
+    The constructor takes any iterable of symbols except a bare str or
+    bytes (TypeError).
     """
 
     __slots__ = ("domain", "indices")
 
     def __init__(self, domain: ContentDomain, items: Iterable[str]):
-        idx = np.fromiter(
-            (domain.index_of(s) for s in items), dtype=np.int64
-        )
+        # A bare string is iterable, but as characters, not symbols.
+        if isinstance(items, (str, bytes)):
+            raise TypeError(
+                f"items must be an iterable of symbols, not a bare {type(items).__name__}"
+            )
+        # One C-level dict lookup per token: map and fromiter run no Python
+        # frame per item. A miss surfaces as a KeyError, which index_of
+        # turns into the DomainMismatch; a KeyError from the iterable
+        # itself (no key, or a key the domain holds) is not a miss.
+        index = domain._index
+        try:
+            idx = np.fromiter(map(index.__getitem__, items), dtype=np.int64)
+        except KeyError as exc:
+            if _is_miss(index, exc):
+                domain.index_of(exc.args[0])  # raises the DomainMismatch
+            raise
         idx.flags.writeable = False
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "indices", idx)
@@ -224,6 +239,16 @@ class Dataset:
 
     def slice(self, start: int, stop: int) -> "Dataset":
         return Dataset.from_indices(self.domain, self.indices[start:stop])
+
+
+def _is_miss(index: dict, exc: KeyError) -> bool:
+    """Whether `exc` is a lookup miss on `index`: one key, absent from it."""
+    if len(exc.args) != 1:
+        return False
+    try:
+        return exc.args[0] not in index
+    except TypeError:  # an unhashable key was never looked up
+        return False
 
 
 @dataclass(frozen=True)
@@ -384,14 +409,22 @@ def min_envelope(models: Sequence[DiscreteDistribution]) -> np.ndarray:
 def load_dataset(path: str | Path, domain: ContentDomain) -> Dataset:
     """Load a dataset from a plain-text file, one symbol per line.
 
-    Blank lines are ignored.
+    Blank lines are ignored, and so is a leading UTF-8 byte-order mark.
     """
-    return Dataset(domain, _line_tokens(Path(path).read_text(encoding="utf-8")))
+    return Dataset(domain, _line_tokens(_read_corpus(path)))
+
+
+def _read_corpus(path: str | Path) -> str:
+    """The text of a UTF-8 corpus or dataset file, a leading byte-order
+    mark dropped. Bytes that are not UTF-8 raise UnicodeDecodeError, a
+    ValueError."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _line_tokens(text: str) -> list[str]:
-    """One token per non-blank line, surrounding whitespace stripped."""
-    return [t for t in (line.strip() for line in text.splitlines()) if t]
+    """One token per non-blank line (str.splitlines boundaries), surrounding
+    whitespace stripped."""
+    return list(filter(None, map(str.strip, text.splitlines())))
 
 
 def read_distribution(

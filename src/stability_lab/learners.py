@@ -12,6 +12,7 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     _line_tokens,
+    _read_corpus,
     _require_domain,
     _row_counts,
     make_distribution,
@@ -70,12 +71,13 @@ def ingest_corpus(
     """Read a corpus file into (domain, dataset).
 
     "line" treats each non-blank line as one token; "whitespace" splits on
-    any whitespace. The domain is the sorted set of distinct tokens and
-    the dataset keeps the token sequence in file order.
+    any whitespace. A leading UTF-8 byte-order mark is dropped. The domain
+    is the sorted set of distinct tokens and the dataset keeps the token
+    sequence in file order.
     """
     if tokenization not in ("line", "whitespace"):
         raise ValueError(f"unknown tokenization {tokenization!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_corpus(path)
     tokens = _line_tokens(text) if tokenization == "line" else text.split()
     if not tokens:
         raise EmptyCorpus(f"no tokens found in {path}")

@@ -211,3 +211,20 @@ def direct_empirical_weights(dataset, smoothing: float) -> np.ndarray:
     """learner_empirical(smoothing).train(dataset, seed).weights, one vector."""
     counts = dataset.counts().astype(np.float64) + smoothing
     return counts / counts.sum()
+
+
+# --- generator oracles for string ingest -------------------------------------
+#
+# Verbatim copies of the generator bodies that the C-level map forms of
+# Dataset.__init__ and core._line_tokens replaced; the map forms must give
+# the same indices, tokens and errors.
+
+
+def generator_indices(domain: ContentDomain, items) -> np.ndarray:
+    """The index array of Dataset(domain, items) before the map form."""
+    return np.fromiter((domain.index_of(s) for s in items), dtype=np.int64)
+
+
+def generator_line_tokens(text: str) -> list[str]:
+    """core._line_tokens before the map form."""
+    return [t for t in (line.strip() for line in text.splitlines()) if t]

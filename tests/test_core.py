@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dist, domain, random_distribution, random_pair
+from conftest import (
+    dist,
+    domain,
+    generator_indices,
+    generator_line_tokens,
+    random_distribution,
+    random_pair,
+)
 from stability_lab import (
     ContentDomain,
     Dataset,
@@ -22,6 +29,7 @@ from stability_lab import (
     tv_event_form,
     write_distribution,
 )
+from stability_lab.core import _line_tokens
 from stability_lab.errors import (
     DomainMismatch,
     DomainTooLarge,
@@ -270,6 +278,87 @@ class TestDataset:
         s = Dataset(domain(2), ["z0", "z1", "z0", "z0"])
         assert s.slice(1, 3).items == ("z1", "z0")
 
+    def test_first_unknown_symbol_is_named(self):
+        with pytest.raises(DomainMismatch, match="symbol 'x' is not in the domain"):
+            Dataset(domain(2), ["z0", "x", "y"])
+
+    def test_generator_input(self):
+        s = Dataset(domain(3), (f"z{i % 3}" for i in range(5)))
+        assert s.items == ("z0", "z1", "z2", "z0", "z1")
+
+    @pytest.mark.parametrize(
+        "err",
+        [KeyError("z1"), KeyError(), KeyError("x", "y"), KeyError(["x"])],
+        ids=["key-in-domain", "no-key", "two-args", "unhashable-key"],
+    )
+    def test_key_error_from_the_iterable_propagates(self, err):
+        def items():
+            yield "z0"
+            raise err
+
+        for build in (Dataset, generator_indices):
+            with pytest.raises(KeyError) as got:
+                build(domain(2), items())
+            assert got.value is err
+
+    def test_unhashable_item(self):
+        for build in (Dataset, generator_indices):
+            with pytest.raises(TypeError):
+                build(domain(2), ["z0", ["z1"]])
+
+    def test_empty_input(self):
+        for items in ([], iter(())):
+            idx = Dataset(domain(2), items).indices
+            assert idx.dtype == np.int64 and idx.size == 0 and not idx.flags.writeable
+
+    @pytest.mark.parametrize("items", ["z0", "", b"z0"], ids=["str", "empty-str", "bytes"])
+    def test_rejects_a_bare_string(self, items):
+        with pytest.raises(TypeError, match="bare"):
+            Dataset(ContentDomain(("z", "0")), items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(["z0", "z1", "z2", "x", "", "z0 ", "Z0"]), max_size=12),
+    st.booleans(),
+)
+def test_dataset_matches_generator_oracle(symbols, as_generator):
+    """Same indices, or the same DomainMismatch, from a list or a generator."""
+    d = domain(3)
+
+    def items():
+        return (s for s in symbols) if as_generator else symbols
+
+    try:
+        expected = generator_indices(d, items())
+    except DomainMismatch as exc:
+        with pytest.raises(DomainMismatch) as got:
+            Dataset(d, items())
+        assert str(got.value) == str(exc)
+    else:
+        idx = Dataset(d, items()).indices
+        assert idx.dtype == np.int64 and idx.tobytes() == expected.tobytes()
+
+
+# Every str.splitlines boundary; \x1f, \xa0 and \t are whitespace that is not.
+LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+_LINE_PIECES = LINE_BOUNDARIES + [" ", "\t", "\x1f", "\xa0", "a", "b", "a b", "\u00e9"]
+
+
+class TestLineTokens:
+    @pytest.mark.parametrize("sep", LINE_BOUNDARIES, ids=repr)
+    def test_every_boundary(self, sep):
+        # blank and whitespace-only lines dropped, no final line end
+        text = f"a{sep} b {sep}{sep} \t{sep}c"
+        assert _line_tokens(text) == generator_line_tokens(text) == ["a", "b", "c"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_LINE_PIECES) | st.text(max_size=3), max_size=30))
+    def test_matches_generator_oracle(self, pieces):
+        text = "".join(pieces)
+        assert _line_tokens(text) == generator_line_tokens(text)
+
 
 class TestEvent:
     def test_from_symbols_round_trip(self):
@@ -325,3 +414,14 @@ class TestSerialization:
         path.write_text("a\nb\n\na\n")
         d = ContentDomain(("a", "b"))
         assert load_dataset(path, d).items == ("a", "b", "a")
+
+    def test_load_dataset_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\r\nb\r\n\r\na\r\n")
+        assert load_dataset(path, ContentDomain(("a", "b"))).items == ("a", "b", "a")
+
+    def test_load_dataset_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"\xff\xfea\n")
+        with pytest.raises(ValueError):
+            load_dataset(path, ContentDomain(("a",)))

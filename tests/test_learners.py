@@ -145,3 +145,11 @@ class TestIngestCorpus:
         path.write_text("a\n")
         with pytest.raises(ValueError):
             ingest_corpus(path, "bytes")
+
+    @pytest.mark.parametrize("mode", ["line", "whitespace"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, mode):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\na\n")
+        dom, data = ingest_corpus(path, mode)
+        assert dom.symbols == ("a", "b")
+        assert list(data.counts()) == [2, 1]
