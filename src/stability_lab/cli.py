@@ -129,10 +129,11 @@ def _text_file(cfg, key, read):
 
 
 def _json_object(cfg, key, build):
-    """`build(obj)` for the field's JSON object, given inline or as a file path."""
+    """`build(obj)` for the field's JSON object, given inline or as a file
+    path; a file's leading UTF-8 byte-order mark is dropped."""
     raw = _field(cfg, key)
     if isinstance(raw, str):
-        raw = _text_file(cfg, key, lambda path: json.loads(path.read_text(encoding="utf-8")))
+        raw = _text_file(cfg, key, lambda path: json.loads(path.read_text(encoding="utf-8-sig")))
     if not isinstance(raw, dict):
         raise ConfigError(f"{key}: expected a JSON object, inline or as a file path")
     try:
@@ -348,13 +349,13 @@ def _run_hist(cfg: dict, seed: int):
     counts = dataset.counts()
     freqs = counts / dataset.size
     payload = hist.to_json_obj()
-    payload["empirical"] = {
-        s: float(f) for s, f in zip(domain.symbols, freqs) if f > 0
-    }
+    # One .tolist() per array, not a numpy scalar per element.
+    freq_list = freqs.tolist()
+    payload["empirical"] = {s: f for s, f in zip(domain.symbols, freq_list) if f > 0}
     payload["linf_error"] = float(np.abs(hist.values - freqs).max())
     rows = [
-        {"symbol": s, "count": int(c), "freq": float(f), "value": float(v)}
-        for s, c, f, v in zip(domain.symbols, counts, freqs, hist.values)
+        {"symbol": s, "count": c, "freq": f, "value": v}
+        for s, c, f, v in zip(domain.symbols, counts.tolist(), freq_list, hist.values.tolist())
     ]
     return payload, rows, EXIT_PASS
 
@@ -411,16 +412,14 @@ def _run_prop1(cfg: dict, seed: int):
 def _run_ingest(cfg: dict, seed: int):
     tokenization = _param(cfg, "tokenization", "line")
     domain, dataset = _text_file(cfg, "corpus", lambda path: ingest_corpus(path, tokenization))
-    counts = dataset.counts()
+    counts = dataset.counts().tolist()
     payload = {
         "domain_size": domain.size,
         "dataset_size": dataset.size,
         "symbols": list(domain.symbols),
-        "counts": {s: int(c) for s, c in zip(domain.symbols, counts)},
+        "counts": dict(zip(domain.symbols, counts)),
     }
-    rows = [
-        {"symbol": s, "count": int(c)} for s, c in zip(domain.symbols, counts)
-    ]
+    rows = [{"symbol": s, "count": c} for s, c in zip(domain.symbols, counts)]
     return payload, rows, EXIT_PASS
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DomainMismatch,
     DomainTooLarge,
+    EmptyCorpus,
     EmptyList,
     LengthMismatch,
     NegativeWeight,
@@ -409,29 +410,84 @@ def min_envelope(models: Sequence[DiscreteDistribution]) -> np.ndarray:
 def load_dataset(path: str | Path, domain: ContentDomain) -> Dataset:
     """Load a dataset from a plain-text file, one symbol per line.
 
-    Blank lines are ignored, and so is a leading UTF-8 byte-order mark.
+    Blank lines are ignored, and so is a leading UTF-8 byte-order mark. The
+    first line outside `domain`, in file order, raises DomainMismatch.
     """
-    return Dataset(domain, _line_tokens(_read_corpus(path)))
+    return _index_corpus(path, "line", domain)
 
 
-def _read_corpus(path: str | Path) -> str:
-    """The text of a UTF-8 corpus or dataset file, a leading byte-order
-    mark dropped. Bytes that are not UTF-8 raise UnicodeDecodeError, a
-    ValueError."""
-    return Path(path).read_text(encoding="utf-8-sig")
+# Corpus text is indexed in chunks of at least this many characters, so the
+# strings of one chunk's tokens are all that is held at once.
+_CORPUS_CHUNK_CHARS = 2**18
+
+_SPLITS = {"line": str.splitlines, "whitespace": str.split}
 
 
-def _line_tokens(text: str) -> list[str]:
-    """One token per non-blank line (str.splitlines boundaries), surrounding
-    whitespace stripped."""
-    return list(filter(None, map(str.strip, text.splitlines())))
+def _corpus_chunks(text: str):
+    r"""`text` cut right after each "\n" that sits at least
+    _CORPUS_CHUNK_CHARS characters past the previous cut.
+
+    A "\n" always ends a str.splitlines line (a "\r\n" stays whole) and is
+    whitespace to str.split, so the pieces of the chunks, concatenated, are
+    the pieces of the whole text.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CORPUS_CHUNK_CHARS) + 1 or len(text)
+        yield text[start:cut]
+        start = cut
+
+
+def _index_corpus(
+    path: str | Path, tokenization: str, domain: ContentDomain | None = None
+) -> Dataset:
+    """The tokens of a UTF-8 text file, in file order, as a Dataset.
+
+    "line" makes each non-blank line (str.splitlines boundaries) one token,
+    surrounding whitespace stripped; "whitespace" splits on any whitespace.
+    A leading byte-order mark is dropped; bytes that are not UTF-8 raise
+    UnicodeDecodeError, a ValueError. The domain is `domain`, where the
+    first token outside it raises DomainMismatch, or else the sorted
+    distinct tokens, where a file without tokens raises EmptyCorpus.
+
+    Each distinct raw piece gets a compact id, so it is stripped and looked
+    up in the domain once however often it repeats.
+    """
+    split = _SPLITS.get(tokenization)
+    if split is None:
+        raise ValueError(f"unknown tokenization {tokenization!r}")
+    ids: dict[str, int] = {}
+    blocks = [np.zeros(0, dtype=np.int64)]
+    for chunk in _corpus_chunks(Path(path).read_text(encoding="utf-8-sig")):
+        pieces = split(chunk)
+        for piece in set(pieces).difference(ids):
+            ids[piece] = len(ids)
+        blocks.append(np.fromiter(map(ids.__getitem__, pieces), np.int64, len(pieces)))
+    order = np.concatenate(blocks)
+    tokens = [piece.strip() for piece in ids]
+    if domain is None:
+        symbols = sorted(set(filter(None, tokens)))
+        if not symbols:
+            raise EmptyCorpus(f"no tokens found in {path}")
+        domain = ContentDomain(tuple(symbols))
+    # id -> domain index; -1 marks a blank line, -2 a token outside the domain.
+    index = domain._index
+    table = np.array([index.get(t, -2) if t else -1 for t in tokens], dtype=np.int64)
+    indices = table[order]
+    if (table < 0).any():
+        unknown = np.flatnonzero(indices == -2)
+        if unknown.size:
+            domain.index_of(tokens[order[unknown[0]]])  # raises the DomainMismatch
+        indices = indices[indices >= 0]
+    return Dataset.from_indices(domain, indices)
 
 
 def read_distribution(
     path: str | Path, domain: ContentDomain | None = None
 ) -> DiscreteDistribution:
-    """Read a {"symbols": [...], "weights": [...]} JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a {"symbols": [...], "weights": [...]} JSON file; a leading UTF-8
+    byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         obj = json.load(fh)
     return DiscreteDistribution.from_json_obj(obj, domain)
 

@@ -179,9 +179,7 @@ class NoisyHistogram:
             "k": self.k,
             "tau": self.tau,
             "values": {
-                s: float(v)
-                for s, v in zip(self.domain.symbols, self.values)
-                if v > 0
+                s: v for s, v in zip(self.domain.symbols, self.values.tolist()) if v > 0
             },
         }
 

@@ -11,13 +11,12 @@ from .core import (
     ContentDomain,
     Dataset,
     DiscreteDistribution,
-    _line_tokens,
-    _read_corpus,
+    _index_corpus,
     _require_domain,
     _row_counts,
     make_distribution,
 )
-from .errors import EmptyCorpus, EmptyDataset
+from .errors import EmptyDataset
 from .transform import Learner
 
 
@@ -73,13 +72,7 @@ def ingest_corpus(
     "line" treats each non-blank line as one token; "whitespace" splits on
     any whitespace. A leading UTF-8 byte-order mark is dropped. The domain
     is the sorted set of distinct tokens and the dataset keeps the token
-    sequence in file order.
+    sequence in file order. A file without tokens raises EmptyCorpus.
     """
-    if tokenization not in ("line", "whitespace"):
-        raise ValueError(f"unknown tokenization {tokenization!r}")
-    text = _read_corpus(path)
-    tokens = _line_tokens(text) if tokenization == "line" else text.split()
-    if not tokens:
-        raise EmptyCorpus(f"no tokens found in {path}")
-    domain = ContentDomain(tuple(sorted(set(tokens))))
-    return domain, Dataset(domain, tokens)
+    dataset = _index_corpus(path, tokenization)
+    return dataset.domain, dataset

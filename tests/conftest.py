@@ -215,9 +215,9 @@ def direct_empirical_weights(dataset, smoothing: float) -> np.ndarray:
 
 # --- generator oracles for string ingest -------------------------------------
 #
-# Verbatim copies of the generator bodies that the C-level map forms of
-# Dataset.__init__ and core._line_tokens replaced; the map forms must give
-# the same indices, tokens and errors.
+# Verbatim copies of the generator bodies that the C-level map form of
+# Dataset.__init__ and the chunked corpus indexer core._index_corpus
+# replaced; they must give the same indices, domains and errors.
 
 
 def generator_indices(domain: ContentDomain, items) -> np.ndarray:
@@ -226,5 +226,6 @@ def generator_indices(domain: ContentDomain, items) -> np.ndarray:
 
 
 def generator_line_tokens(text: str) -> list[str]:
-    """core._line_tokens before the map form."""
+    """The line tokens of a corpus text before the map form and the
+    chunked indexer."""
     return [t for t in (line.strip() for line in text.splitlines()) if t]

@@ -194,6 +194,42 @@ class TestHist:
         assert "b" not in report["payload"]["values"]
 
 
+class TestByteOrderMark:
+    """A JSON file may start with a UTF-8 byte-order mark, as a corpus may."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def write(self, tmp_path, name, obj):
+        path = tmp_path / name
+        path.write_bytes(self.BOM + json.dumps(obj).encode())
+        return str(path)
+
+    def test_config_and_distribution_files(self, tmp_path):
+        q1 = self.write(tmp_path, "q1.json", {"symbols": ["a", "b"], "weights": [0.5, 0.5]})
+        q2 = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
+        cfg = self.write(tmp_path, "cfg.json", {"q1": q1, "q2": q2})
+        out = tmp_path / "report.json"
+        assert main(["tv", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["payload"]["tv"] == 0.25
+
+    def test_domain_file(self, tmp_path):
+        data = tmp_path / "sample.txt"
+        data.write_text("a\na\n")
+        domain = self.write(tmp_path, "domain.json", {"symbols": ["a", "b"]})
+        cfg = {"dataset": str(data), "domain": domain, "epsilon": 5.0, "delta": 1e-4}
+        code, report = run_cli(tmp_path, "hist", cfg)
+        assert code == 0 and report["payload"]["empirical"] == {"a": 1.0}
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"{not json"], ids=["not-utf8", "not-json"])
+    def test_bad_content_after_a_mark(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(self.BOM + content)
+        assert main(["tv", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot read"), err
+        assert "Traceback" not in err
+
+
 class TestTransform:
     def config(self, tmp_path, n_items):
         data = tmp_path / "private.txt"

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from stability_lab import (
     Dataset,
     DiscreteDistribution,
     Event,
+    core,
+    ingest_corpus,
     load_dataset,
     make_distribution,
     min_envelope,
@@ -29,10 +32,11 @@ from stability_lab import (
     tv_event_form,
     write_distribution,
 )
-from stability_lab.core import _line_tokens
+from stability_lab.core import _corpus_chunks
 from stability_lab.errors import (
     DomainMismatch,
     DomainTooLarge,
+    EmptyCorpus,
     EmptyList,
     LengthMismatch,
     NegativeWeight,
@@ -340,24 +344,116 @@ def test_dataset_matches_generator_oracle(symbols, as_generator):
         assert idx.dtype == np.int64 and idx.tobytes() == expected.tobytes()
 
 
+def oracle_dataset(text, tokenization, domain=None):
+    """The corpus path before the chunked indexer: the whole text's token
+    list through Dataset.__init__; None where ingest raises EmptyCorpus."""
+    tokens = generator_line_tokens(text) if tokenization == "line" else text.split()
+    if domain is None:
+        if not tokens:
+            return None
+        domain = ContentDomain(tuple(sorted(set(tokens))))
+    return Dataset(domain, tokens)
+
+
+def assert_indexes_like_oracle(path, tokenization, chunk_chars, domain=None):
+    """ingest_corpus (no domain) or load_dataset (a domain) on `path`, with
+    chunks of `chunk_chars`, gives the oracle's domain and index bytes, or
+    its error."""
+    text = path.read_text(encoding="utf-8-sig")
+
+    def run():
+        return ingest_corpus(path, tokenization)[1] if domain is None else load_dataset(path, domain)
+
+    with mock.patch.object(core, "_CORPUS_CHUNK_CHARS", chunk_chars):
+        try:
+            expected = oracle_dataset(text, tokenization, domain)
+        except DomainMismatch as exc:
+            with pytest.raises(DomainMismatch) as got:
+                run()
+            assert str(got.value) == str(exc)
+            return
+        if expected is None:
+            with pytest.raises(EmptyCorpus):
+                run()
+            return
+        got = run()
+    assert got.domain == expected.domain
+    assert got.indices.dtype == np.int64
+    assert got.indices.tobytes() == expected.indices.tobytes()
+
+
 # Every str.splitlines boundary; \x1f, \xa0 and \t are whitespace that is not.
 LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                    "\u2028", "\u2029"]
 _LINE_PIECES = LINE_BOUNDARIES + [" ", "\t", "\x1f", "\xa0", "a", "b", "a b", "\u00e9"]
+_CORPUS_TEXT = st.lists(st.sampled_from(_LINE_PIECES) | st.text(max_size=3), max_size=30)
 
 
 class TestLineTokens:
+    """The chunked corpus indexer against the whole-text token list, at
+    chunk sizes of 1 to 16 characters."""
+
     @pytest.mark.parametrize("sep", LINE_BOUNDARIES, ids=repr)
-    def test_every_boundary(self, sep):
+    def test_every_boundary(self, tmp_path, sep):
         # blank and whitespace-only lines dropped, no final line end
-        text = f"a{sep} b {sep}{sep} \t{sep}c"
-        assert _line_tokens(text) == generator_line_tokens(text) == ["a", "b", "c"]
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(f"a{sep} b {sep}{sep} \t{sep}c".encode())
+        for chunk_chars in range(1, 17):
+            for tokenization in ("line", "whitespace"):
+                assert_indexes_like_oracle(path, tokenization, chunk_chars)
+            with mock.patch.object(core, "_CORPUS_CHUNK_CHARS", chunk_chars):
+                assert ingest_corpus(path, "line")[1].items == ("a", "b", "c")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(_LINE_PIECES) | st.text(max_size=3), max_size=30))
-    def test_matches_generator_oracle(self, pieces):
+    @given(_CORPUS_TEXT, st.integers(1, 16), st.data())
+    def test_matches_generator_oracle(self, tmp_path_factory, pieces, chunk_chars, data):
+        path = tmp_path_factory.getbasetemp() / "oracle_corpus.txt"
+        path.write_bytes("".join(pieces).encode())
+        for tokenization in ("line", "whitespace"):
+            assert_indexes_like_oracle(path, tokenization, chunk_chars)
+        # load_dataset over a domain that may miss some of the lines
+        lines = sorted(set(generator_line_tokens(path.read_text(encoding="utf-8-sig"))))
+        kept = data.draw(st.lists(st.sampled_from(lines), unique=True)) if lines else []
+        domain = ContentDomain(tuple(kept) + ("\x00not a line",))
+        assert_indexes_like_oracle(path, "line", chunk_chars, domain)
+
+    @pytest.mark.parametrize("tokenization", ["line", "whitespace"])
+    def test_line_longer_than_a_chunk(self, tmp_path, tokenization):
+        path = tmp_path / "corpus.txt"
+        path.write_text("x\n" + " ".join(["long"] * 20) + "\nx\ny z" * 3, encoding="utf-8")
+        for chunk_chars in range(1, 17):
+            assert_indexes_like_oracle(path, tokenization, chunk_chars)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\n\r\n  ", "\ufeff", "\n\u2028\x85"])
+    def test_empty_or_blank_file(self, tmp_path, text):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode())
+        for chunk_chars in (1, 2, 16):
+            for tokenization in ("line", "whitespace"):
+                assert_indexes_like_oracle(path, tokenization, chunk_chars)
+            with mock.patch.object(core, "_CORPUS_CHUNK_CHARS", chunk_chars):
+                assert load_dataset(path, domain(2)).size == 0
+
+    def test_load_dataset_names_the_first_unknown_line(self, tmp_path):
+        # Ids follow set order within a chunk; the error follows file order.
+        path = tmp_path / "data.txt"
+        unknown = [f"u{i}" for i in range(50)]
+        path.write_text("z0\n" + "\n".join(unknown[::-1] + ["z1"]) + "\n", encoding="utf-8")
+        for chunk_chars in (1, 7, 16, 2**18):
+            with mock.patch.object(core, "_CORPUS_CHUNK_CHARS", chunk_chars):
+                with pytest.raises(DomainMismatch, match="'u49'"):
+                    load_dataset(path, domain(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CORPUS_TEXT, st.integers(1, 16))
+    def test_chunks_cut_after_a_newline(self, pieces, chunk_chars):
         text = "".join(pieces)
-        assert _line_tokens(text) == generator_line_tokens(text)
+        with mock.patch.object(core, "_CORPUS_CHUNK_CHARS", chunk_chars):
+            chunks = list(_corpus_chunks(text))
+        assert "".join(chunks) == text
+        assert all(c.endswith("\n") and len(c) > chunk_chars for c in chunks[:-1])
+        assert [line for c in chunks for line in c.splitlines()] == text.splitlines()
+        assert [word for c in chunks for word in c.split()] == text.split()
 
 
 class TestEvent:
@@ -391,6 +487,12 @@ class TestSerialization:
         write_distribution(path, q)
         with pytest.raises(DomainMismatch):
             read_distribution(path, domain(3))
+
+    def test_read_drops_a_byte_order_mark(self, tmp_path):
+        q = dist([0.25, 0.75])
+        path = tmp_path / "q.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(q.to_json_obj()).encode())
+        assert read_distribution(path) == q
 
     def test_domain_json_round_trip(self):
         d = domain(4)
