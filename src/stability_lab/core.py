@@ -7,6 +7,8 @@ global RNG state.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import math
 import sys
@@ -456,28 +458,33 @@ def _index_corpus(
     split = _SPLITS.get(tokenization)
     if split is None:
         raise ValueError(f"unknown tokenization {tokenization!r}")
-    ids: dict[str, int] = {}
+    # A piece seen for the first time gets the next id from a C-level
+    # counter, so no Python frame runs per piece.
+    ids = collections.defaultdict(itertools.count().__next__)
     blocks = [np.zeros(0, dtype=np.int64)]
     for chunk in _corpus_chunks(Path(path).read_text(encoding="utf-8-sig")):
         pieces = split(chunk)
-        for piece in set(pieces).difference(ids):
-            ids[piece] = len(ids)
         blocks.append(np.fromiter(map(ids.__getitem__, pieces), np.int64, len(pieces)))
     order = np.concatenate(blocks)
-    tokens = [piece.strip() for piece in ids]
+    tokens = list(map(str.strip, ids))
+    del ids  # frees the raw pieces before the domain is built
     if domain is None:
         symbols = sorted(set(filter(None, tokens)))
         if not symbols:
             raise EmptyCorpus(f"no tokens found in {path}")
         domain = ContentDomain(tuple(symbols))
     # id -> domain index; -1 marks a blank line, -2 a token outside the domain.
-    index = domain._index
-    table = np.array([index.get(t, -2) if t else -1 for t in tokens], dtype=np.int64)
+    table = np.fromiter(
+        map(domain._index.get, tokens, itertools.repeat(-2)), np.int64, len(tokens)
+    )
+    table[np.fromiter(map(len, tokens), np.int64, len(tokens)) == 0] = -1
     indices = table[order]
     if (table < 0).any():
-        unknown = np.flatnonzero(indices == -2)
+        # Ids count first occurrences, so the lowest unknown id is the first
+        # unknown token in file order.
+        unknown = np.flatnonzero(table == -2)
         if unknown.size:
-            domain.index_of(tokens[order[unknown[0]]])  # raises the DomainMismatch
+            domain.index_of(tokens[unknown[0]])  # raises the DomainMismatch
         indices = indices[indices >= 0]
     return Dataset.from_indices(domain, indices)
 

@@ -435,7 +435,8 @@ class TestLineTokens:
                 assert load_dataset(path, domain(2)).size == 0
 
     def test_load_dataset_names_the_first_unknown_line(self, tmp_path):
-        # Ids follow set order within a chunk; the error follows file order.
+        # Fifty unknown lines in reverse order: the error names the first in
+        # file order, not the smallest.
         path = tmp_path / "data.txt"
         unknown = [f"u{i}" for i in range(50)]
         path.write_text("z0\n" + "\n".join(unknown[::-1] + ["z1"]) + "\n", encoding="utf-8")
