@@ -119,13 +119,15 @@ def _existing_path(cfg, key) -> Path:
 
 def _text_file(cfg, key, read):
     """`read(path)` for the field's text file; a file that cannot be read as
-    UTF-8 text (a directory, bad bytes) or parsed by `read` is a config
-    error naming the field."""
+    UTF-8 text (a directory, bad bytes) or parsed by `read`, or whose content
+    `read` rejects, is a config error naming the field."""
     path = _existing_path(cfg, key)
     try:
         return read(path)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
+    except StabilityLabError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _json_object(cfg, key, build):

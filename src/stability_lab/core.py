@@ -34,6 +34,17 @@ NORMALIZATION_ATOL = 1e-9
 EVENT_ENUM_MAX = 20
 
 
+class _SymbolIndex(dict):
+    """symbol -> domain index, the one home of the rule that a symbol outside
+    the domain raises DomainMismatch. A hit takes dict's C path; `in` and
+    `.get` never call __missing__."""
+
+    __slots__ = ()
+
+    def __missing__(self, symbol):
+        raise DomainMismatch(f"symbol {symbol!r} is not in the domain")
+
+
 @dataclass(frozen=True)
 class ContentDomain:
     """Ordered set of distinct content identifiers (opaque strings)."""
@@ -44,7 +55,7 @@ class ContentDomain:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.symbols) == 0:
             raise ValueError("a content domain needs at least one symbol")
-        index = {s: i for i, s in enumerate(self.symbols)}
+        index = _SymbolIndex(zip(self.symbols, range(len(self.symbols))))
         if len(index) != len(self.symbols):
             raise ValueError("domain symbols must be distinct")
         object.__setattr__(self, "_index", index)
@@ -60,10 +71,7 @@ class ContentDomain:
         return symbol in self._index
 
     def index_of(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise DomainMismatch(f"symbol {symbol!r} is not in the domain") from None
+        return self._index[symbol]
 
     def to_json_obj(self) -> dict:
         return {"symbols": list(self.symbols)}
@@ -107,7 +115,8 @@ class DiscreteDistribution:
         )
 
     def __hash__(self):
-        return hash((self.domain, self.weights.tobytes()))
+        # + 0.0 maps -0.0 to 0.0, so equal weight vectors hash alike.
+        return hash((self.domain, (self.weights + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"DiscreteDistribution({np.round(self.weights, 6).tolist()})"
@@ -180,29 +189,20 @@ class Dataset:
                 f"items must be an iterable of symbols, not a bare {type(items).__name__}"
             )
         # One C-level dict lookup per token: map and fromiter run no Python
-        # frame per item. A miss surfaces as a KeyError, which index_of
-        # turns into the DomainMismatch; a KeyError from the iterable
-        # itself (no key, or a key the domain holds) is not a miss.
-        index = domain._index
-        try:
-            idx = np.fromiter(map(index.__getitem__, items), dtype=np.int64)
-        except KeyError as exc:
-            if _is_miss(index, exc):
-                domain.index_of(exc.args[0])  # raises the DomainMismatch
-            raise
+        # frame per item.
+        idx = np.fromiter(map(domain._index.__getitem__, items), np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "indices", idx)
 
     @classmethod
     def from_indices(cls, domain: ContentDomain, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.array(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be one-dimensional")
         if idx.size and (idx.min() < 0 or idx.max() >= domain.size):
             raise DomainMismatch("index out of domain range")
         ds = object.__new__(cls)
-        idx = idx.copy()
         idx.flags.writeable = False
         object.__setattr__(ds, "domain", domain)
         object.__setattr__(ds, "indices", idx)
@@ -242,16 +242,6 @@ class Dataset:
 
     def slice(self, start: int, stop: int) -> "Dataset":
         return Dataset.from_indices(self.domain, self.indices[start:stop])
-
-
-def _is_miss(index: dict, exc: KeyError) -> bool:
-    """Whether `exc` is a lookup miss on `index`: one key, absent from it."""
-    if len(exc.args) != 1:
-        return False
-    try:
-        return exc.args[0] not in index
-    except TypeError:  # an unhashable key was never looked up
-        return False
 
 
 @dataclass(frozen=True)
@@ -473,20 +463,16 @@ def _index_corpus(
         if not symbols:
             raise EmptyCorpus(f"no tokens found in {path}")
         domain = ContentDomain(tuple(symbols))
-    # id -> domain index; -1 marks a blank line, -2 a token outside the domain.
-    table = np.fromiter(
-        map(domain._index.get, tokens, itertools.repeat(-2)), np.int64, len(tokens)
+    # id -> domain index, -1 for a blank line. Ids count first occurrences,
+    # so the first lookup miss, which raises DomainMismatch, is the first
+    # token outside the domain in file order.
+    nonblank = np.fromiter(map(bool, tokens), bool, len(tokens))
+    table = np.full(len(tokens), -1, np.int64)
+    table[nonblank] = np.fromiter(
+        map(domain._index.__getitem__, itertools.compress(tokens, tokens)), np.int64
     )
-    table[np.fromiter(map(len, tokens), np.int64, len(tokens)) == 0] = -1
     indices = table[order]
-    if (table < 0).any():
-        # Ids count first occurrences, so the lowest unknown id is the first
-        # unknown token in file order.
-        unknown = np.flatnonzero(table == -2)
-        if unknown.size:
-            domain.index_of(tokens[unknown[0]])  # raises the DomainMismatch
-        indices = indices[indices >= 0]
-    return Dataset.from_indices(domain, indices)
+    return Dataset.from_indices(domain, indices if nonblank.all() else indices[indices >= 0])
 
 
 def read_distribution(

@@ -496,6 +496,7 @@ class TestConfigErrorContract:
         assert code == 1 and report is None
         assert err.startswith(f"error: {field}:"), err
         assert "Traceback" not in err
+        return err
 
     @staticmethod
     def hist_config(tmp_path, **fields):
@@ -564,6 +565,18 @@ class TestConfigErrorContract:
         }[subcommand]
         cfg = {**base, field: str(path)}
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
+
+    def test_dataset_line_outside_the_domain(self, tmp_path, capsys):
+        # A readable file whose content is rejected names its field, too.
+        cfg = self.hist_config(tmp_path, domain={"symbols": ["a"]})
+        err = self.assert_rejected(tmp_path, capsys, "hist", cfg, "dataset")
+        assert err == "error: dataset: symbol 'b' is not in the domain\n"
+
+    def test_blank_only_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "blank.txt"
+        corpus.write_text("\n  \n\t\n")
+        err = self.assert_rejected(tmp_path, capsys, "ingest", {"corpus": str(corpus)}, "corpus")
+        assert err == f"error: corpus: no tokens found in {corpus}\n"
 
     @pytest.mark.parametrize(
         "content",

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -64,6 +66,36 @@ class TestContentDomain:
         with pytest.raises(DomainMismatch):
             domain(2).index_of("nope")
 
+    def test_every_lookup_raises_the_same_miss(self, tmp_path):
+        d = domain(2)
+        path = tmp_path / "data.txt"
+        path.write_text("z0\nnope\n")
+        lookups = [
+            lambda: d.index_of("nope"),
+            lambda: Dataset(d, ["z0", "nope"]),
+            lambda: load_dataset(path, d),
+            lambda: Event.from_symbols(d, ["z1", "nope"]),
+        ]
+        for lookup in lookups:
+            with pytest.raises(DomainMismatch) as got:
+                lookup()
+            assert str(got.value) == "symbol 'nope' is not in the domain"
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_clone_keeps_the_index(self, clone):
+        d = clone(domain(3))
+        assert d == domain(3)
+        assert [d.index_of(s) for s in d.symbols] == [0, 1, 2] and "z1" in d
+        assert Dataset(d, ["z2", "z0"]).indices.tolist() == [2, 0]
+        with pytest.raises(DomainMismatch, match="symbol 'nope' is not in the domain"):
+            d.index_of("nope")
+        with pytest.raises(DomainMismatch, match="symbol 'nope' is not in the domain"):
+            Dataset(d, ["z0", "nope"])
+
 
 class TestMakeDistribution:
     def test_uniform(self):
@@ -89,6 +121,11 @@ class TestMakeDistribution:
     def test_non_finite(self):
         with pytest.raises(NegativeWeight):
             make_distribution(domain(2), [np.nan, 1.0])
+
+    def test_negative_zero_hashes_like_zero(self):
+        q = make_distribution(domain(3), [0.5, 0.5, 0.0])
+        r = make_distribution(domain(3), [0.5, 0.5, -0.0])
+        assert q == r and hash(q) == hash(r) and len({q, r}) == 1
 
     def test_tolerance(self):
         make_distribution(domain(2), [0.5, 0.5 + 5e-10])
@@ -292,8 +329,8 @@ class TestDataset:
 
     @pytest.mark.parametrize(
         "err",
-        [KeyError("z1"), KeyError(), KeyError("x", "y"), KeyError(["x"])],
-        ids=["key-in-domain", "no-key", "two-args", "unhashable-key"],
+        [KeyError("z1"), KeyError("x"), KeyError(), KeyError("x", "y"), KeyError(["x"])],
+        ids=["key-in-domain", "key-outside-domain", "no-key", "two-args", "unhashable-key"],
     )
     def test_key_error_from_the_iterable_propagates(self, err):
         def items():
