@@ -30,6 +30,7 @@ from .core import (
     tv_distance,
     tv_event_form,
     EVENT_ENUM_MAX,
+    _SPLITS,
     _require_alpha,
 )
 from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
@@ -87,7 +88,7 @@ _RULES = {
     "premise_trials": (int, lambda v: v >= 1, "an integer >= 1"),
     "seed": (int, lambda v: True, "an integer"),
     "tape_seed": (int, lambda v: True, "an integer"),
-    "tokenization": (str, lambda v: v in ("line", "whitespace"), "'line' or 'whitespace'"),
+    "tokenization": (str, lambda v: v in _SPLITS, "'line' or 'whitespace'"),
 }
 
 
@@ -107,21 +108,16 @@ def _param(cfg: dict, key: str, default=_REQUIRED):
     return _check(key, _field(cfg, key, default), key)
 
 
-def _existing_path(cfg, key) -> Path:
+def _text_file(cfg, key, read):
+    """`read(path)` for the field's text file. A non-string path, a missing
+    file, text that cannot be read as UTF-8 (a directory, bad bytes) or parsed
+    by `read`, and content that `read` rejects are config errors naming the field."""
     raw = _field(cfg, key)
     if not isinstance(raw, str):
         raise ConfigError(f"{key}: expected a file path string")
     path = Path(raw)
     if not path.exists():
         raise ConfigError(f"{key}: file not found: {raw}")
-    return path
-
-
-def _text_file(cfg, key, read):
-    """`read(path)` for the field's text file; a file that cannot be read as
-    UTF-8 text (a directory, bad bytes) or parsed by `read`, or whose content
-    `read` rejects, is a config error naming the field."""
-    path = _existing_path(cfg, key)
     try:
         return read(path)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
@@ -201,23 +197,23 @@ def _transform_config(cfg) -> TransformConfig:
 
 
 def _jsonable(value):
-    """Make a payload JSON-serializable and strictly valid: non-finite floats
-    become strings, numpy scalars become Python scalars."""
+    """Make a payload strictly valid JSON: a non-finite float becomes the
+    string "inf", "-inf" or "nan"."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
     return value
+
+
+def _event_form(form, first, second, *level):
+    """{"value", "event"} of form(first, second, *level); None above EVENT_ENUM_MAX symbols."""
+    if first.domain.size > EVENT_ENUM_MAX:
+        return None
+    value, event = form(first, second, *level)
+    return {"value": value, "event": list(event.symbols)}
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -245,13 +241,7 @@ def _write_csv(rows: list[dict], path: str) -> None:
 def _run_tv(cfg: dict, seed: int):
     q1 = _distribution(cfg, "q1")
     q2 = _distribution(cfg, "q2", q1.domain)
-    value = tv_distance(q1, q2)
-    payload = {"tv": value}
-    if q1.domain.size <= EVENT_ENUM_MAX:
-        sup, event = tv_event_form(q1, q2)
-        payload["event_form"] = {"value": sup, "event": list(event.symbols)}
-    else:
-        payload["event_form"] = None
+    payload = {"tv": tv_distance(q1, q2), "event_form": _event_form(tv_event_form, q1, q2)}
     rows = [
         {"symbol": s, "q1": float(a), "q2": float(b), "abs_diff": float(abs(a - b))}
         for s, a, b in zip(q1.domain.symbols, q1.weights, q2.weights)
@@ -269,7 +259,7 @@ def _run_dp_beta(cfg: dict, seed: int):
     if not isinstance(grid, list):
         raise ConfigError(f"alpha_grid: expected a list, got {grid!r}")
     grid = [_check("alpha_grid", a, "alpha") for a in grid]
-    small = p.domain.size <= EVENT_ENUM_MAX
+    event_form = _event_form(dp_beta_event_form, p, p_prime, alpha)
     curve = []
     for a in grid:
         point = {
@@ -278,7 +268,7 @@ def _run_dp_beta(cfg: dict, seed: int):
             "beta_reverse": dp_beta(p_prime, p, a),
             "symmetric_beta": symmetric_dp_beta(p, p_prime, a),
         }
-        if small:
+        if event_form is not None:
             point["beta_event_form"] = dp_beta_event_form(p, p_prime, a)[0]
         curve.append(point)
     payload = {
@@ -286,12 +276,8 @@ def _run_dp_beta(cfg: dict, seed: int):
         "beta": dp_beta(p, p_prime, alpha),
         "symmetric_beta": symmetric_dp_beta(p, p_prime, alpha),
         "curve": curve,
+        "event_form": event_form,
     }
-    if small:
-        value, event = dp_beta_event_form(p, p_prime, alpha)
-        payload["event_form"] = {"value": value, "event": list(event.symbols)}
-    else:
-        payload["event_form"] = None
     return payload, curve, EXIT_PASS
 
 
@@ -314,11 +300,7 @@ def _run_nfl_check(cfg: dict, seed: int):
     thresholds = nfl_thresholds(q1, q2)
     payload = {
         "tv": tv_distance(q1, q2),
-        "witness": {
-            "symbol": witness.symbol,
-            "p_value": witness.p_value,
-            "threshold": witness.threshold,
-        },
+        "witness": witness._asdict(),
         "satisfied": satisfied,
     }
     rows = [

@@ -197,7 +197,12 @@ class Dataset:
 
     @classmethod
     def from_indices(cls, domain: ContentDomain, indices) -> "Dataset":
-        idx = np.array(indices, dtype=np.int64)
+        """Dataset of integer indices into `domain`; a float, bool, string or
+        object array raises TypeError, as casting would change its values."""
+        idx = np.array(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.ndim != 1:
             raise ValueError("indices must be one-dimensional")
         if idx.size and (idx.min() < 0 or idx.max() >= domain.size):

@@ -15,6 +15,7 @@ through the tournament and never build a tape block. Argmin races one tape.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +84,11 @@ def _cell_variates(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return u
 
 
+def _tape_key(seed) -> int:
+    """The tape seed as its 64-bit key: any Python or numpy integer, mod 2**64."""
+    return operator.index(seed) & _U64_MASK
+
+
 def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
     """Tape-major variates: row i, column z is the cell (key of seeds[i], z)."""
     keys = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
@@ -113,7 +119,7 @@ class CouplingTape:
 
 def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
     """Fresh tape of |Z| unit-rate exponentials, deterministic in the seed."""
-    variates = _exp_variates(np.array([seed & _U64_MASK], dtype=np.uint64), domain.size)[0]
+    variates = _exp_variates(np.array([_tape_key(seed)], dtype=np.uint64), domain.size)[0]
     return CouplingTape(domain=domain, variates=variates, seed=seed)
 
 
@@ -198,7 +204,7 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
     size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
-    keys = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64)
+    keys = np.array([_tape_key(s) for s in seeds], dtype=np.uint64)
     block = _tapes_per_block(size)
     group = max(1, _RACE_LANES // k)
     with np.errstate(divide="ignore"):
@@ -259,7 +265,7 @@ def _streamed_winners(models, trials: int, seed: int):
     _require_count("trials", trials)
     columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
-    base = np.uint64(seed & _U64_MASK)
+    base = np.uint64(_tape_key(seed))
     with np.errstate(divide="ignore"):
         for start in range(0, trials, _STREAM_TAPES):
             stop = min(start + _STREAM_TAPES, trials)

@@ -57,9 +57,9 @@ class DpParams:
 
 
 def _check_privacy(epsilon: float, delta: float) -> None:
-    """The one (epsilon, delta) rule: epsilon > 0 and 0 < delta < 1; NaN fails."""
-    if not (epsilon > 0 and 0 < delta < 1):
-        raise ValueError(f"need epsilon > 0 and 0 < delta < 1, got {epsilon!r}, {delta!r}")
+    """The one (epsilon, delta) rule: a finite epsilon > 0 and 0 < delta < 1; NaN fails."""
+    if not (0 < epsilon < math.inf and 0 < delta < 1):
+        raise ValueError(f"need 0 < epsilon < inf and 0 < delta < 1, got {epsilon!r}, {delta!r}")
 
 
 def freq(dataset: Dataset, symbol: str) -> float:
@@ -117,8 +117,8 @@ def histogram_threshold(epsilon: float, delta: float, k):
 
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
-    absent from its neighbor. Raises ValueError unless epsilon > 0,
-    0 < delta < 1 and every k is at least 1.
+    absent from its neighbor. Raises ValueError unless epsilon is finite
+    and > 0, 0 < delta < 1 and every k is at least 1.
     """
     _check_privacy(epsilon, delta)
     if (np.asarray(k) < 1).any():

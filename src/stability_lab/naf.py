@@ -287,10 +287,7 @@ class NafReport:
             "alpha": self.alpha,
             "alpha_star": self.alpha_star,
             "ok": self.ok,
-            "violations": [
-                {"content_id": c, "symbol": z, "log_ratio": r}
-                for c, z, r in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
             "feasibility_alpha": self.feasibility_alpha,
             "censorship": self.censorship.to_json_obj(),
         }

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import dist
 from stability_lab import TransformConfig, write_distribution
 from stability_lab.cli import main
+from stability_lab.core import EVENT_ENUM_MAX
 
 
 def write_config(tmp_path, name, obj):
@@ -60,6 +62,31 @@ class TestTv:
         assert code == 1
 
 
+class TestEventFormCap:
+    """Above EVENT_ENUM_MAX symbols the 2^|Z| event enumeration is skipped."""
+
+    def pair(self, size):
+        symbols = [f"s{i}" for i in range(size)]
+        weights = [2.0 * (i + 1) / (size * (size + 1)) for i in range(size)]
+        return (
+            {"symbols": symbols, "weights": weights},
+            {"symbols": symbols, "weights": weights[::-1]},
+        )
+
+    @pytest.mark.parametrize("size", [EVENT_ENUM_MAX, EVENT_ENUM_MAX + 1, 25])
+    def test_event_form_up_to_the_cap_only(self, tmp_path, size):
+        q1, q2 = self.pair(size)
+        enumerated = size <= EVENT_ENUM_MAX
+        code, report = run_cli(tmp_path, "tv", {"q1": q1, "q2": q2})
+        assert code == 0 and (report["payload"]["event_form"] is not None) == enumerated
+        cfg = {"p": q1, "p_prime": q2, "alpha": 0.1, "alpha_grid": [0.0, 0.5]}
+        code, report = run_cli(tmp_path, "dp-beta", cfg)
+        assert code == 0 and (report["payload"]["event_form"] is not None) == enumerated
+        curve = report["payload"]["curve"]
+        assert len(curve) == 2
+        assert all(("beta_event_form" in point) == enumerated for point in curve)
+
+
 class TestNafCheck:
     def config(self, tmp_path, alpha):
         return {
@@ -84,6 +111,16 @@ class TestNafCheck:
         code, report = run_cli(tmp_path, "naf-check", self.config(tmp_path, 0.7))
         assert code == 0
         assert report["payload"]["ok"] is True
+
+    def test_csv_header(self, tmp_path):
+        cfg_path = write_config(tmp_path, "cfg.json", self.config(tmp_path, 0.5))
+        csv_path = tmp_path / "violations.csv"
+        code = main(["naf-check", "--config", cfg_path, "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)])
+        assert code == 2
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "content_id,symbol,log_ratio"
+        assert lines[1].startswith("doc1,a,")
 
     def test_infinite_alpha_star_serialized(self, tmp_path):
         cfg = {
@@ -351,6 +388,20 @@ class TestHarnessContract:
         for report in (first, second):
             report.pop("wall_clock_s")
         assert first == second
+
+    def test_non_finite_config_values_echoed_as_strings(self, tmp_path):
+        # json.load reads the literals Infinity, -Infinity and NaN; no rule
+        # checks the "note" field, so the report echoes what was read.
+        cfg = {**self.reusable_hist_cfg(tmp_path),
+               "note": {"up": math.inf, "down": [-math.inf, math.nan, 1.5]}}
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert "Infinity" in Path(cfg_path).read_text()
+        out = tmp_path / "r.json"
+        assert main(["hist", "--config", cfg_path, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        note = json.loads(text)["config"]["note"]
+        assert note == {"up": "inf", "down": ["-inf", "nan", 1.5]}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         data = tmp_path / "sample.txt"

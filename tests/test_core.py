@@ -315,6 +315,24 @@ class TestDataset:
         with pytest.raises(DomainMismatch):
             Dataset.from_indices(domain(2), [0, 2])
 
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([0.9, 2.99]), [0.0], ["2", "0"], [True, True], np.array([1], dtype=object)],
+    )
+    def test_from_indices_refuses_non_integers(self, indices):
+        # A cast would truncate 2.99 to 2, parse "2" and read True as 1.
+        with pytest.raises(TypeError):
+            Dataset.from_indices(domain(3), indices)
+
+    def test_from_indices_takes_any_integer_dtype(self):
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+            ds = Dataset.from_indices(domain(3), np.array([2, 0], dtype=dtype))
+            assert ds.indices.dtype == np.int64 and ds.indices.tolist() == [2, 0]
+        assert Dataset.from_indices(domain(3), []).size == 0
+        assert Dataset.from_indices(domain(3), np.array([])).size == 0
+        with pytest.raises(DomainMismatch):  # wraps to -1 as int64
+            Dataset.from_indices(domain(3), np.array([2**64 - 1], dtype=np.uint64))
+
     def test_slice(self):
         s = Dataset(domain(2), ["z0", "z1", "z0", "z0"])
         assert s.slice(1, 3).items == ("z1", "z0")

@@ -7,9 +7,13 @@ import stability_lab.coupling as coupling_mod
 from conftest import argmin_race, dist, domain, random_distribution, random_pair
 from stability_lab import (
     CouplingTape,
+    Dataset,
+    TransformConfig,
+    coupled_marginal_counts,
     coupled_sample,
     coupled_sample_index,
     disagreement_estimate,
+    dp_transform_trace,
     make_distribution,
     new_tape,
     tv_distance,
@@ -19,7 +23,6 @@ from stability_lab.coupling import (
     _MIX1,
     _MIX2,
     _exp_variates,
-    coupled_marginal_counts,
     race_counts,
     race_tapes,
 )
@@ -133,6 +136,41 @@ class TestTapeHashBits:
         assert np.array_equal(seeds, before)
         race_tapes(domain(7), seeds, np.full((3, 7), 1.0 / 7.0))
         assert np.array_equal(seeds, before)
+
+
+class TestNumpyIntegerSeeds:
+    """A numpy integer tape seed acts as the Python int of equal value, mod 2**64."""
+
+    @pytest.mark.parametrize(
+        "seed", [np.int64(3), np.int64(-5), np.uint64(2**64 - 1), np.uint8(200)]
+    )
+    def test_every_tape_path(self, seed):
+        d, plain = domain(6), int(seed)
+        q1, q2 = random_pair(np.random.default_rng(5), 6)
+        w = np.stack([q1.weights, q2.weights])
+        assert new_tape(d, seed).variates.tobytes() == new_tape(d, plain).variates.tobytes()
+        for seeds in ([seed, seed], np.array([seed, seed])):
+            assert np.array_equal(race_tapes(d, seeds, w), race_tapes(d, [plain] * 2, w))
+            assert np.array_equal(race_counts(d, seeds, w), race_counts(d, [plain] * 2, w))
+        assert disagreement_estimate(q1, q2, 50, seed) == disagreement_estimate(q1, q2, 50, plain)
+        counts = [coupled_marginal_counts(q1, 50, s) for s in (seed, plain)]
+        assert np.array_equal(*counts)
+        config = TransformConfig(2.0, 0.05, 0.3, 3)
+        sample = Dataset.from_indices(d, np.arange(config.m_priv) % d.size)
+        traces = [
+            dp_transform_trace(learner_empirical(1.0), sample, config, tape_seed=s, noise_seed=1)
+            for s in (seed, plain)
+        ]
+        assert np.array_equal(traces[0].coupled_counts, traces[1].coupled_counts)
+        assert np.array_equal(traces[0].output.weights, traces[1].output.weights)
+
+    def test_non_integer_seed_refused(self):
+        for seed in (3.0, np.float64(3.0), "3", None):
+            with pytest.raises(TypeError):
+                new_tape(domain(3), seed)
+            with pytest.raises(TypeError):
+                race_tapes(domain(3), [seed], np.full((1, 3), 1 / 3))
+        assert np.array_equal(new_tape(domain(3), True).variates, new_tape(domain(3), 1).variates)
 
 
 class TestCoupledSample:
@@ -304,7 +342,7 @@ class TestRaceTapes:
 
 def _argmin_tapes(d, seeds):
     """Tape-major variates of each seed's tape, as the races draw them."""
-    keys = np.array([s & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    keys = np.array([coupling_mod._tape_key(s) for s in seeds], dtype=np.uint64)
     return coupling_mod._exp_variates(keys, d.size)
 
 

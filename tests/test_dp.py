@@ -18,6 +18,7 @@ from stability_lab import (
     DpParams,
     NoisyHistogram,
     SafeAssignment,
+    TransformConfig,
     audit_histogram_dp,
     censorship_report,
     dp_beta,
@@ -233,7 +234,7 @@ class TestRequiredK:
 @pytest.mark.parametrize(
     "epsilon, delta",
     [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1), (-1.0, 0.1),
-     (float("nan"), 0.1), (1.0, float("nan"))],
+     (float("nan"), 0.1), (1.0, float("nan")), (math.inf, 0.1)],
 )
 def test_privacy_parameters_rejected_everywhere(epsilon, delta):
     sample = Dataset(domain(2), ["z0", "z0", "z1"])
@@ -247,6 +248,8 @@ def test_privacy_parameters_rejected_everywhere(epsilon, delta):
         lambda: coordinate_output_law(2, 3, epsilon, delta),
         lambda: audit_histogram_dp(3, 2, epsilon, delta),
         lambda: DpParams(epsilon=epsilon, delta=delta, eta=0.1, beta=0.1),
+        lambda: TransformConfig(epsilon, delta, 0.05, 50),
+        lambda: NoisyHistogram(domain(2), [0.5, 0.5], epsilon, delta, 3),
     ]
     for call in calls:
         with pytest.raises(ValueError):
