@@ -44,24 +44,30 @@ _CHUNK_CELLS = 2**17
 _STREAM_TAPES = 2**14
 
 # Weight columns times tapes raced per tournament step. A step costs a few
-# numpy calls whatever its width, so when k is small a block of tapes
-# races together; when k is in the thousands each tape races alone, over
-# only its own candidate symbols.
-_RACE_LANES = 2**12
+# numpy calls whatever its width, so tapes that share a candidate set race
+# together: about 10 at k = 3170. 2**12 left prop1's tapes racing alone;
+# 2**14 and 2**16 timed within noise of 2**15 on prop1.
+_RACE_LANES = 2**15
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping arithmetic).
+def _splitmix64(x: np.ndarray, offsets=np.uint64(0)) -> np.ndarray:
+    """splitmix64 finalizer of x + offsets over uint64 arrays (wrapping arithmetic).
 
-    `x + _GOLD` is the one allocation; every later step works in place on
-    it, so `x` itself is never written.
+    The golden-ratio increment joins the offsets first: uint64 addition
+    wraps, so it is associative, and `x + (offsets + _GOLD)` is the one
+    full-size allocation when the offsets are a scalar or a row. The three
+    xor-shifts go through one scratch buffer and every other step works in
+    place, so `x` itself is never written.
     """
-    z = x + _GOLD
-    z ^= z >> np.uint64(30)
+    z = x + (offsets + _GOLD)
+    tmp = z >> np.uint64(30)
+    z ^= tmp
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 
 
@@ -74,7 +80,7 @@ def _cell_variates(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     NumPy 2 promotes uint64 + int64 to float64. The float steps run in
     place on one buffer; neither operand is written.
     """
-    cells = _splitmix64(keys + symbols)
+    cells = _splitmix64(keys, symbols)
     cells >>= np.uint64(11)
     u = cells.astype(np.float64)
     u += 0.5
@@ -142,15 +148,19 @@ def _tournament(rows, columns: np.ndarray) -> np.ndarray:
     The first symbol's quotients seed the running best; each later symbol
     takes the entries where its quotient is strictly smaller, so an exact
     tie keeps the lower index (np.argmin's rule). A new winner is the
-    largest index so far, so the update is a maximum. Call it under
-    np.errstate(divide="ignore"): masked weights divide to +inf.
+    largest index so far, so the update is a maximum. Winners are held in
+    the narrowest unsigned type that indexes every symbol (uint8 up to 256
+    symbols), where the mask times z is several times cheaper than in
+    intp. Call it under np.errstate(divide="ignore"): masked weights
+    divide to +inf.
     """
+    index = np.min_scalar_type(columns.shape[0] - 1).type
     first, values = next(rows)
     best = values / columns[first]
-    winner = np.full(best.shape, first, dtype=np.intp)
+    winner = np.full(best.shape, first, dtype=index)
     for z, values in rows:
         q = values / columns[z]
-        np.maximum(winner, (q < best) * z, out=winner)
+        np.maximum(winner, (q < best) * index(z), out=winner)
         np.minimum(best, q, out=best)
     return winner
 
@@ -187,23 +197,35 @@ def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndar
     return np.ascontiguousarray(_masked(weight_matrix).T)
 
 
+def _symbol_keys(size: int) -> np.ndarray:
+    """One hashed uint64 per symbol; a candidate set's key XORs its members'."""
+    return _splitmix64(np.arange(size, dtype=np.uint64))
+
+
 def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray, keep):
     """Race every weight column on each seed's tape, a group of tapes at a time.
 
-    out[j : j + n] = keep(winners) for the (n, k) winners of the group
-    of tapes seeds[j : j + n]. The per-matrix work is done once: each
-    column's max and min. A group then races only its candidates, the
-    symbols z with E_z / max_z <= U = min_y E_y / min_y on at least one
-    of its tapes E. This is exact. IEEE division is monotone in the
-    divisor, so every row's minimum quotient on tape E is at most U, and
-    a symbol pruned on E has quotients of at least E_z / max_z > U: it
-    can be neither a minimum nor tied with one. The symbol reaching U is
-    always a candidate. When every column holds a zero weight, U is +inf
-    and every symbol stays in the race.
+    out[j] is the row of keep(winners) that belongs to seeds[j], where
+    winners is the (n, k) result of the group of n tapes that seeds[j]
+    raced in. The per-matrix work is done once: each column's max and min.
+    A tape's candidates are the symbols z with E_z / max_z <= U =
+    min_y E_y / min_y on its tape E. This is exact. IEEE division is
+    monotone in the divisor, so every row's minimum quotient on tape E is
+    at most U, and a symbol pruned on E has quotients of at least
+    E_z / max_z > U: it can be neither a minimum nor tied with one. The
+    symbol reaching U is always a candidate. When every column holds a
+    zero weight, U is +inf and every symbol stays in the race.
+
+    Tapes are bucketed by a hash of their candidate set, and each bucket
+    races in groups of up to _RACE_LANES // k tapes over the union of its
+    members' candidates. Tapes that share a set race no extra symbol; a
+    hash collision only adds symbols to the race, never changes a winner.
     """
     size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
+    weight_rows = columns[:, None, :]
+    symbol_keys = _symbol_keys(size)
     keys = np.array([_tape_key(s) for s in seeds], dtype=np.uint64)
     block = _tapes_per_block(size)
     group = max(1, _RACE_LANES // k)
@@ -211,15 +233,24 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
         for start in range(0, keys.size, block):
             variates = _exp_variates(keys[start : start + block], size)
             bound = (variates / low).min(axis=1, keepdims=True)
-            firsts = np.arange(0, variates.shape[0], group)
-            candidates = np.logical_or.reduceat(variates / high <= bound, firsts, axis=0)
-            tapes = variates.T[:, :, None]
-            for first, symbols in zip(firsts, candidates):
-                rows = tapes[:, first : first + group]
+            candidates = variates / high <= bound
+            set_keys = np.bitwise_xor.reduce(candidates * symbol_keys, axis=1)
+            # Sorted by key, equal sets are adjacent; a group starts at each
+            # run's first tape and every `group` tapes after it.
+            order = np.argsort(set_keys, kind="stable")
+            set_keys = set_keys[order]
+            position = np.arange(order.size)
+            run_starts = np.r_[True, set_keys[1:] != set_keys[:-1]]
+            run_first = np.maximum.accumulate(np.where(run_starts, position, 0))
+            firsts = np.flatnonzero((position - run_first) % group == 0).tolist()
+            unions = np.logical_or.reduceat(candidates[order], firsts, axis=0)
+            tapes = variates[order].T[:, :, None]
+            results = np.empty((order.size, out.shape[1]), dtype=out.dtype)
+            for first, last, symbols in zip(firsts, firsts[1:] + [order.size], unions):
+                rows = tapes[:, first:last]
                 raced = ((z, rows[z]) for z in symbols.nonzero()[0])
-                winners = _tournament(raced, columns[:, None, :])
-                j = start + first
-                out[j : j + len(winners)] = keep(winners)
+                results[first:last] = keep(_tournament(raced, weight_rows))
+            out[start : start + order.size][order] = results
     return out
 
 
@@ -232,7 +263,7 @@ def race_tapes(
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
     coupling. The tapes are made by the same counter-based hash, in blocks
-    of at most _CHUNK_CELLS variates, and raced in groups over their
+    of at most _CHUNK_CELLS variates, and raced in groups that share their
     candidate symbols.
     """
     columns = _weight_columns(domain, weight_matrix)
@@ -246,8 +277,9 @@ def race_counts(
     """(len(seeds), |Z|) symbol counts of each row of race_tapes.
 
     Row j counts how many weight rows won each symbol on seeds[j]'s tape.
-    Only one group of tapes' winners exists at a time (one tape's, or
-    about _RACE_LANES), never the whole (len(seeds), n_models) matrix.
+    Only one group of tapes' winners exists at a time (at most about
+    _RACE_LANES), never the whole (len(seeds), n_models) matrix, and each
+    group is counted in one call.
     """
     columns = _weight_columns(domain, weight_matrix)
     out = np.empty((len(seeds), domain.size), dtype=np.intp)

@@ -408,7 +408,8 @@ class TestTournamentMatchesArgmin:
         assert got[0, 0] == 0 and got[0, 2] == 1 and got[1, 1] == 1 and got[3, 1] == 0
         # rows 0 and 1 alone have no zero weight, so the bound is finite:
         # tape 1, raced alone, prunes symbol 0 and still ties symbols 1 and 2
-        # of row 1; raced with the other tapes, it races their candidates too
+        # of row 1; a group races only tapes whose candidate sets hash alike,
+        # so it races other tapes' candidates only under a key collision
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
         monkeypatch.setattr(coupling_mod, "_RACE_LANES", 1)
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
@@ -467,6 +468,88 @@ class TestTournamentMatchesArgmin:
         assert_races_match_argmin(d, seeds, w)
         q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
         assert_monte_carlo_matches_argmin(q1, q2, 3000, 19)
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    def test_winner_width_boundary(self, size):
+        # winners are held in uint8 up to 256 symbols and in uint16 above;
+        # the last symbol carries half of some rows, so it wins and must come
+        # back as itself, not wrapped
+        d = domain(size)
+        rng = np.random.default_rng(size)
+        w = rng.dirichlet(np.ones(size), size=12)
+        w[:4, -1] += 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        got = assert_races_match_argmin(d, range(40), w)
+        assert np.any(got == size - 1)
+        q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[5])
+        assert_monte_carlo_matches_argmin(q1, q2, 200, 23)
+        counts = coupled_marginal_counts(q1, 200, 23)
+        assert counts.dtype == np.int64 and counts[-1] > 0
+
+
+class TestCandidateBuckets:
+    """Tapes race in groups whose candidate sets share a key; every tape's
+    winners land in its own row, whatever group it raced in."""
+
+    SEEDS = range(300, 340)
+
+    @staticmethod
+    def weights():
+        # every weight > 0, so the pruning bound is finite and tapes differ
+        # in their candidate sets
+        return np.random.default_rng(12).dirichlet(np.ones(6), size=9)
+
+    @staticmethod
+    def candidate_sets(d, seeds, w):
+        """Each tape's candidate symbols under the pruning rule."""
+        v = _argmin_tapes(d, seeds)
+        masked = np.where(w > 0, w, 0.0)
+        bound = (v / masked.min(axis=0)).min(axis=1, keepdims=True)
+        return [tuple(np.flatnonzero(row)) for row in v / masked.max(axis=0) <= bound]
+
+    @staticmethod
+    def record_groups(monkeypatch):
+        """(raced symbols, tapes) of every tournament the races run."""
+        tournament = coupling_mod._tournament
+        groups = []
+
+        def recording(rows, columns):
+            rows = list(rows)
+            winners = tournament(iter(rows), columns)
+            groups.append((tuple(int(z) for z, _ in rows), winners.shape[0]))
+            return winners
+
+        monkeypatch.setattr(coupling_mod, "_tournament", recording)
+        return groups
+
+    def test_buckets_race_their_own_set(self, monkeypatch):
+        # one block of 40 tapes; groups of 2 leave a ragged group of 1 in
+        # every bucket of odd size, and no group races a symbol that is not
+        # a candidate of each of its tapes
+        d, w = domain(6), self.weights()
+        sets = self.candidate_sets(d, self.SEEDS, w)
+        sizes = {s: sets.count(s) for s in sets}
+        assert len(sizes) >= 3 and any(n >= 3 and n % 2 for n in sizes.values())
+        groups = self.record_groups(monkeypatch)
+        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 2 * w.shape[0])
+        assert_races_match_argmin(d, self.SEEDS, w)
+        expected = [(s, 2) for s, n in sizes.items() for _ in range(n // 2)]
+        expected += [(s, 1) for s, n in sizes.items() if n % 2]
+        assert sorted(groups) == sorted(2 * expected)
+
+    def test_key_collision_races_the_union(self, monkeypatch):
+        # a constant key table puts every tape in one bucket: groups of 3
+        # consecutive tapes (ragged at the end) race the union of their sets
+        d, w = domain(6), self.weights()
+        sets = self.candidate_sets(d, self.SEEDS, w)
+        monkeypatch.setattr(coupling_mod, "_symbol_keys", lambda size: np.zeros(size, np.uint64))
+        groups = self.record_groups(monkeypatch)
+        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 3 * w.shape[0])
+        assert_races_match_argmin(d, self.SEEDS, w)
+        members = [sets[j : j + 3] for j in range(0, len(sets), 3)]
+        assert any(len(set(group)) > 1 for group in members)
+        unions = [(tuple(sorted(set().union(*group))), len(group)) for group in members]
+        assert groups == 2 * unions
 
 
 def _argmin_monte_carlo(q1, q2, trials, seed, tapes_per_chunk=1024):
