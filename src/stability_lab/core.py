@@ -11,6 +11,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -286,13 +287,14 @@ class Event:
         return float(q.weights[self.indicator()].sum())
 
 
-def _require_count(name: str, value, minimum: int = 1) -> None:
+def _require_count(name: str, value, minimum: int = 1) -> int:
     """The one rule for a trial count or size: an int or np.integer, not a
-    bool (True would run one trial), and at least `minimum`."""
+    bool (True would run one trial), at least `minimum`; returned as an int."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r} (bools are not integers here)")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return operator.index(value)
 
 
 def _require_alpha(alpha, name: str = "alpha") -> None:

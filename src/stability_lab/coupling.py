@@ -35,19 +35,14 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
-# Largest block of tape variates or released counts (tapes x symbols)
-# materialized at once: 2**17 float64 cells keep each temporary near 1 MB.
-_CHUNK_CELLS = 2**17
-
-# Tapes per streamed symbol row of the Monte Carlo helpers: 2**12 was
-# 20-30% slower, 2**16 no faster.
-_STREAM_TAPES = 2**14
-
-# Weight columns times tapes raced per tournament step. A step costs a few
-# numpy calls whatever its width, so tapes that share a candidate set race
-# together: about 10 at k = 3170. 2**12 left prop1's tapes racing alone;
-# 2**14 and 2**16 timed within noise of 2**15 on prop1.
-_RACE_LANES = 2**15
+# The race's one cell budget. _tapes_per_block sizes every block by it: a
+# tape block (tapes x |Z| variates), a tournament group (tapes x k
+# quotients), a Monte Carlo step (models x tapes) and a release chunk
+# (rows x |Z| counts). 2**15 float64 cells are 256 KB. The Monte Carlo
+# step of two models x 2**14 tapes timed best: the oracle sweep's 55 calls
+# took 0.27-0.31 s there, 0.40-0.44 s at 2**15 tapes and 0.42-0.53 s at
+# 2**16 (2 vCPUs). At k = 3170 a tournament group races 10 tapes.
+_CELL_BUDGET = 2**15
 
 
 def _splitmix64(x: np.ndarray, offsets=np.uint64(0)) -> np.ndarray:
@@ -166,8 +161,8 @@ def _tournament(rows, columns: np.ndarray) -> np.ndarray:
 
 
 def _tapes_per_block(cells_per_tape: int) -> int:
-    """Tapes whose cells fit in one _CHUNK_CELLS block (at least one)."""
-    return max(1, _CHUNK_CELLS // max(1, cells_per_tape))
+    """Tapes whose cells fit in one _CELL_BUDGET block (at least one)."""
+    return max(1, _CELL_BUDGET // cells_per_tape)
 
 
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
@@ -217,7 +212,7 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
     zero weight, U is +inf and every symbol stays in the race.
 
     Tapes are bucketed by a hash of their candidate set, and each bucket
-    races in groups of up to _RACE_LANES // k tapes over the union of its
+    races in groups of up to _tapes_per_block(k) tapes over the union of its
     members' candidates. Tapes that share a set race no extra symbol; a
     hash collision only adds symbols to the race, never changes a winner.
     """
@@ -228,7 +223,7 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
     symbol_keys = _symbol_keys(size)
     keys = np.array([_tape_key(s) for s in seeds], dtype=np.uint64)
     block = _tapes_per_block(size)
-    group = max(1, _RACE_LANES // k)
+    group = _tapes_per_block(k)
     with np.errstate(divide="ignore"):
         for start in range(0, keys.size, block):
             variates = _exp_variates(keys[start : start + block], size)
@@ -263,7 +258,7 @@ def race_tapes(
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
     coupling. The tapes are made by the same counter-based hash, in blocks
-    of at most _CHUNK_CELLS variates, and raced in groups that share their
+    of at most _CELL_BUDGET variates, and raced in groups that share their
     candidate symbols.
     """
     columns = _weight_columns(domain, weight_matrix)
@@ -278,7 +273,7 @@ def race_counts(
 
     Row j counts how many weight rows won each symbol on seeds[j]'s tape.
     Only one group of tapes' winners exists at a time (at most about
-    _RACE_LANES), never the whole (len(seeds), n_models) matrix, and each
+    _CELL_BUDGET), never the whole (len(seeds), n_models) matrix, and each
     group is counted in one call.
     """
     columns = _weight_columns(domain, weight_matrix)
@@ -289,7 +284,7 @@ def race_counts(
 
 
 def _streamed_winners(models, trials: int, seed: int):
-    """(len(models), n) winners of each block of n <= _STREAM_TAPES tapes seed + i.
+    """(len(models), n) winners of each step of n <= _tapes_per_block(len(models)) tapes.
 
     Symbol z's row is column z of the tape-major block, bit for bit,
     because its offset is a uint64 scalar.
@@ -298,9 +293,10 @@ def _streamed_winners(models, trials: int, seed: int):
     columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
     base = np.uint64(_tape_key(seed))
+    step = _tapes_per_block(len(models))
     with np.errstate(divide="ignore"):
-        for start in range(0, trials, _STREAM_TAPES):
-            stop = min(start + _STREAM_TAPES, trials)
+        for start in range(0, trials, step):
+            stop = min(start + step, trials)
             keys = _splitmix64(base + np.arange(start, stop, dtype=np.uint64))
             rows = ((z, _cell_variates(keys, offset)) for z, offset in enumerate(offsets))
             yield _tournament(rows, columns[:, :, None])

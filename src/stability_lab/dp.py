@@ -166,7 +166,7 @@ class NoisyHistogram:
         _check_unit_interval(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        _require_count("k", self.k)
+        object.__setattr__(self, "k", _require_count("k", self.k))
         object.__setattr__(self, "tau", histogram_threshold(self.epsilon, self.delta, self.k))
 
     def value(self, symbol: str) -> float:

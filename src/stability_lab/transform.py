@@ -16,6 +16,7 @@ total variation alpha, the averaged output model stays within
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -77,7 +78,7 @@ class TransformConfig:
     m_priv: int = field(init=False)
 
     def __post_init__(self):
-        _require_count("m", self.m)
+        object.__setattr__(self, "m", _require_count("m", self.m))
         k = required_k(self.params)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m_priv", k * self.m)
@@ -221,16 +222,15 @@ def _release_chain(
 ):
     """Race, release and project the shard models on (tape, noise) seed pairs.
 
-    Yields (counts, values, outputs, feasible) per chunk of pairs, in seed
-    order, from race_counts, _release_rows and _project_rows."""
-    # Release in chunks of at most _CHUNK_CELLS count cells (all 300 trials
-    # of criterion 6 at once); race_counts keeps only each tape's counts.
+    One race_counts call races every tape, so the weight columns are built
+    once; _release_rows and _project_rows then yield (counts, values, outputs,
+    feasible) per chunk of _tapes_per_block(|Z|) pairs, in seed order."""
+    counts = race_counts(domain, tape_seeds, weights)
     block = _tapes_per_block(domain.size)
     for first in range(0, len(tape_seeds), block):
         chunk = slice(first, first + block)
-        counts = race_counts(domain, tape_seeds[chunk], weights)
-        values = _release_rows(counts, config.epsilon, config.delta, noise_seeds[chunk])
-        yield (counts, values, *_project_rows(values, config.eta))
+        values = _release_rows(counts[chunk], config.epsilon, config.delta, noise_seeds[chunk])
+        yield (counts[chunk], values, *_project_rows(values, config.eta))
 
 
 def dp_transform_trace(
@@ -343,8 +343,9 @@ def transform_bound_experiment(
     alpha_hat is estimated on the side and turned into the reported bound.
     """
     _require_count("outer_trials", outer_trials)
-    _require_count("inner_trials", inner_trials)
-    _require_count("premise_trials", premise_trials)
+    inner_trials = _require_count("inner_trials", inner_trials)
+    premise_trials = _require_count("premise_trials", premise_trials)
+    seed = operator.index(seed)
     alpha_hat = estimate_premise_alpha(
         learner, data_dist, config.m, premise_trials, derive_seed(seed, "premise")
     )
@@ -362,12 +363,11 @@ def transform_bound_experiment(
         trials = range(t * inner_trials, (t + 1) * inner_trials)
         tapes = [derive_seed(seed, "tape", i) for i in trials]
         noise_seeds = [derive_seed(seed, "noise", i) for i in trials]
-        # The outputs are added row by row in trial order: the rounding of
-        # the sum depends on its order.
+        # The rounding of the sum depends on its order: an axis-0 add.reduce
+        # adds acc and then the outputs row by row, in trial order.
         acc = np.zeros(domain.size)
         for _, _, outputs, _ in _release_chain(domain, weights, tapes, noise_seeds, config):
-            for row in outputs:
-                acc += row
+            acc = np.add.reduce(np.vstack((acc, outputs)))
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)
 

@@ -272,7 +272,7 @@ class TestDisagreementEstimate:
     def test_independent_of_chunking(self, monkeypatch):
         q1, q2 = dist([0.6, 0.4]), dist([0.2, 0.8])
         full = disagreement_estimate(q1, q2, 3000, seed=9)
-        monkeypatch.setattr(coupling_mod, "_STREAM_TAPES", 1)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 1)
         assert disagreement_estimate(q1, q2, 3000, seed=9) == full
 
     def test_trials_validation(self):
@@ -310,14 +310,18 @@ class TestRaceTapes:
         self.check_per_tape_races(monkeypatch, tapes_per_block, tapes_per_group)
 
     def check_per_tape_races(self, monkeypatch, tapes_per_block, tapes_per_group):
+        # Blocks of |Z| = 6 variates per tape and groups of k = 11 weight
+        # columns per tape share one budget: take the largest that gives each
+        # size asked for. Blocks of 1 hold one tape; blocks of 3 leave a
+        # ragged last block of the 7 seeds, and groups of 2 (budget 23) a
+        # ragged last group inside each block.
         d, w = domain(6), self.weights()
-        if tapes_per_block is not None:
-            # 1: every block holds one tape; 3: 7 seeds leave a ragged last block
-            monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", tapes_per_block * w.shape[1])
-        if tapes_per_group is not None:
-            # tapes raced in one tournament; groups of 2 in blocks of 3 leave a
-            # ragged last group inside each block
-            monkeypatch.setattr(coupling_mod, "_RACE_LANES", tapes_per_group * w.shape[0])
+        sizes = {w.shape[1]: tapes_per_block, w.shape[0]: tapes_per_group}
+        limits = [(n + 1) * cells - 1 for cells, n in sizes.items() if n is not None]
+        if limits:
+            monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", min(limits))
+        for cells, n in sizes.items():
+            assert n is None or coupling_mod._tapes_per_block(cells) == n
         got = race_tapes(d, self.SEEDS, w)
         assert got.shape == (len(self.SEEDS), w.shape[0])
         for row, seed in zip(got, self.SEEDS):
@@ -411,7 +415,7 @@ class TestTournamentMatchesArgmin:
         # of row 1; a group races only tapes whose candidate sets hash alike,
         # so it races other tapes' candidates only under a key collision
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
-        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 1)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 1)
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
         models = [make_distribution(d, row) for row in w]
         for q1, q2 in zip(models, models[1:]):
@@ -496,8 +500,10 @@ class TestCandidateBuckets:
     @staticmethod
     def weights():
         # every weight > 0, so the pruning bound is finite and tapes differ
-        # in their candidate sets
-        return np.random.default_rng(12).dirichlet(np.ones(6), size=9)
+        # in their candidate sets; 14 copies of 9 laws give k = 126 columns,
+        # so a budget of 2k or 3k cells races groups of 2 or 3 tapes in one
+        # block of all 40 tapes (2k / |Z| = 42)
+        return np.tile(np.random.default_rng(12).dirichlet(np.ones(6), size=9), (14, 1))
 
     @staticmethod
     def candidate_sets(d, seeds, w):
@@ -531,7 +537,7 @@ class TestCandidateBuckets:
         sizes = {s: sets.count(s) for s in sets}
         assert len(sizes) >= 3 and any(n >= 3 and n % 2 for n in sizes.values())
         groups = self.record_groups(monkeypatch)
-        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 2 * w.shape[0])
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 2 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
         expected = [(s, 2) for s, n in sizes.items() for _ in range(n // 2)]
         expected += [(s, 1) for s, n in sizes.items() if n % 2]
@@ -544,7 +550,7 @@ class TestCandidateBuckets:
         sets = self.candidate_sets(d, self.SEEDS, w)
         monkeypatch.setattr(coupling_mod, "_symbol_keys", lambda size: np.zeros(size, np.uint64))
         groups = self.record_groups(monkeypatch)
-        monkeypatch.setattr(coupling_mod, "_RACE_LANES", 3 * w.shape[0])
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
         members = [sets[j : j + 3] for j in range(0, len(sets), 3)]
         assert any(len(set(group)) > 1 for group in members)
@@ -608,16 +614,19 @@ class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("size", [1, 2, 8, 1000])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_block_edges_match_argmin(self, size, edge):
-        # one tape short of a block, a whole block and one tape over it; the
-        # root seed sits so close to 2**64 - 1 that seed + i wraps midway
-        trials = coupling_mod._STREAM_TAPES + edge
-        seed = 2**64 - 1 - trials // 2
+        # one tape short of a step, a whole step and one tape over it, for
+        # each helper's own step: 2**15 tapes of one model, 2**14 of a pair;
+        # the root seed sits so close to 2**64 - 1 that seed + i wraps midway
+        # through the pair's tapes
+        one, two = (coupling_mod._tapes_per_block(models) + edge for models in (1, 2))
+        seed = 2**64 - 1 - two // 2
         q1, q2 = self.models(size)
-        x1, x2 = _argmin_monte_carlo(q1, q2, trials, seed)
-        counts = coupled_marginal_counts(q1, trials, seed)
+        x1, x2 = _argmin_monte_carlo(q1, q2, one, seed)
+        counts = coupled_marginal_counts(q1, one, seed)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(x1, minlength=size))
-        assert disagreement_estimate(q1, q2, trials, seed) == np.count_nonzero(x1 != x2) / trials
+        disagreements = np.count_nonzero(x1[:two] != x2[:two])
+        assert disagreement_estimate(q1, q2, two, seed) == disagreements / two
         if size > 1:
             assert counts[0] == 0  # q1's -0.0 weight
         if size > 2:
@@ -637,7 +646,53 @@ class TestStreamedMonteCarlo:
         q1, q2 = self.models(8)
         x1, x2 = _argmin_monte_carlo(q1, q2, 30, 5)
         monkeypatch.setattr(coupling_mod, "_cell_variates", one_row)
-        monkeypatch.setattr(coupling_mod, "_STREAM_TAPES", 7)
+        # 14 cells: steps of 7 tapes for the pair, of 14 for one model
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 14)
         assert disagreement_estimate(q1, q2, 30, 5) == np.count_nonzero(x1 != x2) / 30
         assert np.array_equal(coupled_marginal_counts(q1, 30, 5), np.bincount(x1, minlength=8))
-        assert widths == 2 * ([7] * 8 * 4 + [2] * 8)
+        assert widths == [7] * 8 * 4 + [2] * 8 + [14] * 8 * 2 + [2] * 8
+
+
+class TestCellBudget:
+    """_tapes_per_block sizes every tape block and tournament step by the one
+    cell budget, or holds one tape when a tape alone is larger."""
+
+    @pytest.mark.parametrize("size, k", [(6, 11), (30, 25)])
+    def test_blocks_fit_the_budget(self, monkeypatch, size, k):
+        d = domain(size)
+        w = np.random.default_rng(size).dirichlet(np.ones(size), size=k)
+        seeds = range(50)
+        expected = np.stack([argmin_race(v, w) for v in _argmin_tapes(d, seeds)])
+        q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
+        x1, x2 = _argmin_monte_carlo(q1, q2, 50, 3)
+        # (cells, cells of one tape) of every tape block and tournament step
+        blocks, steps = [], []
+        exp_variates, tournament = coupling_mod._exp_variates, coupling_mod._tournament
+
+        def recording_variates(keys, width):
+            blocks.append((len(keys) * width, width))
+            return exp_variates(keys, width)
+
+        def recording_tournament(rows, columns):
+            def recorded():
+                for z, values in rows:
+                    shape = np.broadcast_shapes(values.shape, columns[z].shape)
+                    steps.append((int(np.prod(shape)), columns[z].size))
+                    yield z, values
+
+            return tournament(recorded(), columns)
+
+        budget = 20
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", budget)
+        monkeypatch.setattr(coupling_mod, "_exp_variates", recording_variates)
+        monkeypatch.setattr(coupling_mod, "_tournament", recording_tournament)
+        assert np.array_equal(race_tapes(d, seeds, w), expected)
+        counts = race_counts(d, seeds, w)
+        assert np.array_equal(counts, [np.bincount(row, minlength=size) for row in expected])
+        assert disagreement_estimate(q1, q2, 50, 3) == np.count_nonzero(x1 != x2) / 50
+        assert np.array_equal(coupled_marginal_counts(q1, 50, 3), np.bincount(x1, minlength=size))
+        assert blocks and steps
+        assert all(cells <= max(budget, tape) for cells, tape in blocks + steps)
+        # the narrow domain fills its blocks and steps with several tapes
+        assert (size < budget) == any(cells > tape for cells, tape in blocks)
+        assert any(cells > tape for cells, tape in steps)

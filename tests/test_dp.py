@@ -1,5 +1,6 @@
 import builtins
 import itertools
+import json
 import math
 
 import numpy as np
@@ -405,6 +406,12 @@ class TestDerivedThreshold:
         h = NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=2.0, delta=1e-3, k=7)
         assert h.tau == histogram_threshold(2.0, 1e-3, 7)
         assert h.to_json_obj()["tau"] == h.tau
+
+    def test_numpy_integer_k_serializes(self):
+        values = np.array([0.5, 0.0])
+        typed = NoisyHistogram(domain(2), values, epsilon=2.0, delta=1e-3, k=np.int64(7))
+        plain = NoisyHistogram(domain(2), values, epsilon=2.0, delta=1e-3, k=7)
+        assert json.dumps(typed.to_json_obj()) == json.dumps(plain.to_json_obj())
 
     def test_tau_cannot_be_passed(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -72,6 +73,7 @@ class TestTransformConfig:
     def test_numpy_integer_base_sample_size_accepted(self):
         config = TransformConfig(epsilon=2.0, delta=0.05, eta=0.3, m=np.int64(3))
         assert config.m_priv == TINY.m_priv
+        assert json.dumps(config.to_json_obj()) == json.dumps(TINY.to_json_obj())
 
     def test_payload_fields(self):
         obj = TINY.to_json_obj()
@@ -545,16 +547,16 @@ class TestBoundExperiment:
         self.check_inner_average(4)
 
     def test_inner_average_spans_race_blocks(self, monkeypatch):
-        # 16 cells: _release_chain takes the 7 inner trials in chunks of 2,
-        # 2, 2 and 1 tapes, and race_counts makes each chunk's tapes as one
-        # block of |Z| = 8 variates per tape
-        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 2 * 8)
+        # 16 cells: race_counts makes the 7 inner trials' tapes in blocks of
+        # 2, 2, 2 and 1 tapes of |Z| = 8 variates, and _release_chain
+        # releases them in chunks of as many rows
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 2 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_spans_release_chunks(self, monkeypatch):
         # 24 cells: _release_chain releases the 7 inner trials as count
         # matrices of 3, 3 and 1 rows of |Z| = 8 counts
-        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_adds_rows_in_trial_order(self):
@@ -589,15 +591,17 @@ class TestBoundExperiment:
             transform_bound_experiment(learner_empirical(1.0), D8, TINY, seed=0, **args)
 
     def test_numpy_integer_trial_counts_accepted(self):
-        args = dict(seed=4, premise_trials=3)
         plain = transform_bound_experiment(
-            learner_empirical(1.0), D8, TINY, outer_trials=2, inner_trials=3, **args
+            learner_empirical(1.0), D8, TINY, outer_trials=2, inner_trials=3, seed=4,
+            premise_trials=3,
         )
         typed = transform_bound_experiment(
             learner_empirical(1.0), D8, TINY, outer_trials=np.int64(2), inner_trials=np.int32(3),
-            **args,
+            seed=np.int64(4), premise_trials=np.int64(3),
         )
         assert typed.per_trial_tv == plain.per_trial_tv
+        # the payload holds Python ints, so it serializes as the plain one does
+        assert json.dumps(typed.to_json_obj()) == json.dumps(plain.to_json_obj())
 
 
 class TestDerivedReportTotals:
@@ -679,8 +683,9 @@ class TestReleaseChain:
 
     def test_experiment_releases_each_outer_trial_in_chunks(self, chains, monkeypatch):
         # 24 cells: each outer trial's 7 inner trials are one chain call,
-        # in chunks of 3, 3 and 1 tapes, every stage once per chunk
-        monkeypatch.setattr(coupling_mod, "_CHUNK_CELLS", 3 * 8)
+        # which races all 7 tapes at once and releases and projects them in
+        # chunks of 3, 3 and 1
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
         rows = self.stage_rows(monkeypatch)
         seed = 17
         transform_bound_experiment(
@@ -692,4 +697,24 @@ class TestReleaseChain:
             trials = range(7 * t, 7 * (t + 1))
             assert tapes == [derive_seed(seed, "tape", i) for i in trials]
             assert noise == [derive_seed(seed, "noise", i) for i in trials]
-        assert rows == {name: [3, 3, 1] * 2 for name in rows}
+        assert rows == {"race_counts": [7, 7], "_release_rows": [3, 3, 1] * 2,
+                        "_project_rows": [3, 3, 1] * 2}
+
+    def test_weight_columns_built_once_per_chain(self, chains, monkeypatch):
+        # a release of 7 inner trials spans chunks of 3, 3 and 1 rows, and
+        # its one race builds the masked, symbol-major weight columns once
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        weight_columns = coupling_mod._weight_columns
+        built = []
+
+        def spy(domain, weight_matrix):
+            built.append(np.shape(weight_matrix))
+            return weight_columns(domain, weight_matrix)
+
+        monkeypatch.setattr(coupling_mod, "_weight_columns", spy)
+        transform_bound_experiment(
+            learner_empirical(1.0), D8, TINY, outer_trials=2, inner_trials=7, seed=17,
+            premise_trials=2,
+        )
+        assert [chunks for _, _, chunks in chains] == [[3, 3, 1]] * 2
+        assert built == [(TINY.k, 8)] * 2
