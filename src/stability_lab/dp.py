@@ -29,7 +29,7 @@ from .core import (
     _require_count,
     _require_same_domain,
 )
-from .errors import DomainTooLarge, EmptyDataset
+from .errors import DomainTooLarge, EmptyDataset, SizeMismatch
 
 # Multiplier on the log term in the histogram size rule. The theory fixes
 # the size only up to a constant; 8 keeps the Monte Carlo accuracy target
@@ -38,6 +38,22 @@ HIST_SIZE_CONSTANT = 8.0
 
 # Largest joint output law (in atoms) that histogram_output_law will build.
 OUTPUT_LAW_MAX = 10**6
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """Read-only (calls + 1, 1) uint32 column init * mult^i mod 2^32."""
+    column = np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(calls + 1)],
+                      dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+# numpy's SeedSequence (O'Neill's seed_seq) steps its hash multiplier once per
+# call, whatever the data: 16 calls mix a pool of 4 words, then 8 give
+# generate_state(4, uint64). PCG64 seeds itself with its 128-bit LCG step.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -137,10 +153,50 @@ def _threshold_clamp(noisy_counts: np.ndarray, k, tau) -> np.ndarray:
 
 
 def _two_sided_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|."""
-    return (rng.geometric(1.0 - p, size=size) - rng.geometric(1.0 - p, size=size)).astype(
-        np.int64
-    )
+    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|. One
+    draw of 2 * size, filled one variate at a time, uses the stream as two draws."""
+    draws = rng.geometric(1.0 - p, size=2 * size)
+    return draws[:size] - draws[size:]
+
+
+def _seed_hash(values: np.ndarray, consts: np.ndarray, first: int, calls: int) -> np.ndarray:
+    """seed_seq's hashmix: hash call first + i on row i of values (uint32
+    arrays wrap silently)."""
+    values = (values ^ consts[first:first + calls]) * consts[first + 1:first + calls + 1]
+    return values ^ (values >> 16)
+
+
+def _noise_generators(seeds):
+    """One np.random.Generator per seed, in the state of default_rng(seed).
+
+    Two or more integer seeds in [0, 2^128) take one pass of SeedSequence's
+    pool mixing and generate_state(4, uint64) over a (4, n) uint32 array,
+    then PCG64's seeding step in Python ints. One Generator is pointed at
+    each row in turn, so use each before drawing the next. Other seeds (one
+    seed, a float, a negative or wider int) take default_rng, errors and all.
+    """
+    ints = [int(s) for s in seeds if isinstance(s, (int, np.integer))]
+    if len(ints) < 2 or len(ints) < len(seeds) or min(ints) < 0 or max(ints) >= 1 << 128:
+        yield from map(np.random.default_rng, seeds)
+        return
+    # A seed is its 32-bit words, low first; the words past its top one are
+    # zero, and hashing a zero word is what SeedSequence pads the pool with.
+    pool = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in ints), dtype="<u4")
+    pool = _seed_hash(pool.reshape(-1, 4).T, _POOL_HASH, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _seed_hash(pool[src], _POOL_HASH, 4 + 3 * src, 3)
+        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _seed_hash(np.tile(pool, (2, 1)), _STATE_HASH, 0, 8).astype(np.uint64)
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,20 +252,26 @@ def _release_rows(
     """Released values of every row of an (n, |Z|) count matrix.
 
     Row i is the release of that row alone, with k_i its sum: its present
-    symbols, in index order, get the noise of one default_rng(seeds[i]).
-    The threshold, clamp and range check then run once over the matrix.
-    Raises EmptyDataset for a row with no counts, then histogram_threshold's
-    ValueError for an (epsilon, delta) it refuses.
+    symbols, in index order, get the noise of default_rng(seeds[i]) as
+    _noise_generators seeds it: two or more integer seeds in [0, 2^128) in
+    one batch, so the bytes rest on numpy's SeedSequence hash and PCG64
+    seeding, and one seed or any other through default_rng itself. The
+    threshold, clamp and range check then run once over the matrix. Raises
+    SizeMismatch unless there is one seed per row, then EmptyDataset for a
+    row with no counts, then histogram_threshold's ValueError for an
+    (epsilon, delta) it refuses, all before any noise is drawn.
     """
+    if len(seeds) != counts.shape[0]:
+        raise SizeMismatch(f"{len(seeds)} noise seeds for {counts.shape[0]} histogram rows")
     k = counts.sum(axis=1)
     if (k < 1).any():
         raise EmptyDataset("every histogram row needs a non-empty sample")
     tau = histogram_threshold(epsilon, delta, k)
     rows, cols = np.nonzero(counts)
     p = math.exp(-epsilon / 2.0)
+    sizes = np.bincount(rows, minlength=k.size).tolist()
     noise = np.concatenate([
-        _two_sided_geometric(np.random.default_rng(seed), p, size)
-        for seed, size in zip(seeds, np.bincount(rows, minlength=k.size).tolist())
+        _two_sided_geometric(rng, p, size) for rng, size in zip(_noise_generators(seeds), sizes)
     ])
     values = np.zeros(counts.shape)
     values[rows, cols] = _threshold_clamp(counts[rows, cols] + noise, k[rows], tau[rows])
@@ -405,8 +467,8 @@ def audit_histogram_dp(
     so e^epsilon is finite), tail outside (0, 1) or delta outside (0, 1),
     and DomainTooLarge when one joint law would pass OUTPUT_LAW_MAX atoms.
     """
-    _require_count("k", k)
-    _require_count("domain_size", domain_size)
+    k = _require_count("k", k)
+    domain_size = _require_count("domain_size", domain_size)
     _require_alpha(epsilon, "epsilon")
     # Every count vector sums to k, so only k + 1 coordinate laws exist.
     coordinate_laws = [

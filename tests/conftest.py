@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from stability_lab import ContentDomain, Dataset, DiscreteDistribution, make_distribution
-from stability_lab.dp import _two_sided_geometric, histogram_threshold
+from stability_lab.dp import histogram_threshold
 
 _DOMAINS: dict[int, ContentDomain] = {}
 
@@ -48,7 +48,16 @@ def random_pair(rng: np.random.Generator, size: int, sparsify: float = 0.0):
 #
 # Verbatim copies of the scalar and one-vector bodies that the row forms
 # dp._release_rows, dp._threshold_clamp and transform._project_rows
-# replaced; the row forms must match them bit for bit.
+# replaced, and of the two-call noise draw with one default_rng per row
+# that the batch-seeded one-call draw replaced; the row forms must match
+# them bit for bit.
+
+
+def two_call_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|."""
+    return (rng.geometric(1.0 - p, size=size) - rng.geometric(1.0 - p, size=size)).astype(
+        np.int64
+    )
 
 
 def scalar_noisy_value(count: int, noise: int, k: int, tau: float) -> float:
@@ -65,7 +74,7 @@ def scalar_histogram_values(counts, epsilon, delta, seed):
     tau = histogram_threshold(epsilon, delta, k)
     present = np.flatnonzero(counts)
     rng = np.random.default_rng(seed)
-    noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+    noise = two_call_geometric(rng, math.exp(-epsilon / 2.0), present.size)
     noisy = (counts[present] + noise) / k
     released = np.minimum(np.maximum(noisy, 0.0), 1.0)
     released[noisy < tau] = 0.0

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from conftest import (
     random_pair,
     scalar_histogram_values,
     scalar_noisy_value,
+    two_call_geometric,
 )
 from stability_lab import (
     Dataset,
@@ -34,14 +36,16 @@ from stability_lab import (
     symmetric_dp_beta,
     tv_distance,
 )
+from stability_lab import dp
 from stability_lab.dp import (
+    _noise_generators,
     _release_rows,
     _replacement_neighbors,
     _two_sided_geometric,
     coordinate_output_law,
     dp_beta_over_laws,
 )
-from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset
+from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset, SizeMismatch
 
 # ln(DBL_MAX): the largest alpha whose e^alpha is a finite float.
 ALPHA_MAX = 709.782712893384
@@ -313,7 +317,7 @@ class TestPrivateHistogram:
         tau = histogram_threshold(epsilon, delta, k)
         present = np.flatnonzero(counts)
         rng = np.random.default_rng(seed)
-        noise = _two_sided_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+        noise = two_call_geometric(rng, math.exp(-epsilon / 2.0), present.size)
         values = np.zeros(counts.size)
         for z, g in zip(present, noise):
             values[z] = scalar_noisy_value(int(counts[z]), int(g), k, tau)
@@ -482,6 +486,88 @@ class TestReleaseRows:
         with pytest.raises(ValueError):
             _release_rows(np.array([[1, 2]]), 1.0, 1.0, [1])
 
+    @staticmethod
+    def check_rows_equal_scalar(counts, epsilon, delta, seeds):
+        values = _release_rows(counts, epsilon, delta, seeds)
+        assert values.shape == counts.shape
+        for row, got, seed in zip(counts, values, seeds):
+            assert got.tobytes() == scalar_histogram_values(row, epsilon, delta, seed).tobytes()
+        return values
+
+    def test_inversion_branch_rows_equal_scalar_release(self):
+        # numpy's geometric inverts its CDF when the success probability is
+        # below 1/3 and searches it otherwise; epsilon >= 1 only searches.
+        epsilon, delta = 0.5, 1e-3
+        assert 1.0 - math.exp(-epsilon / 2.0) < 1 / 3
+        rng = np.random.default_rng(29)
+        clipped = suppressed = released = 0
+        for size in (1, 3, 8, 40):
+            counts = rng.integers(0, 60, size=(25, size)) * (rng.random((25, size)) < 0.7)
+            counts[:, 0] += 1
+            counts[:3] = 0
+            counts[:3, -1] = [1, 30, 200]  # one present symbol, suppressed to clipped
+            seeds = [int(s) for s in rng.integers(0, 2**63, size=counts.shape[0])]
+            values = self.check_rows_equal_scalar(counts, epsilon, delta, seeds)
+            clipped += int(np.count_nonzero(values == 1.0))
+            suppressed += int(np.count_nonzero((counts > 0) & (values == 0.0)))
+            released += int(np.count_nonzero((values > 0.0) & (values < 1.0)))
+        assert clipped > 0 and suppressed > 0 and released > 0
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_edge_seeds_equal_scalar_release(self, epsilon):
+        # Seeds of one to four 32-bit words, the batch path's edges; 2^128
+        # needs a fifth word, so its batch takes default_rng row by row.
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128 - 1]
+        counts = np.random.default_rng(31).integers(1, 9, size=(len(edges) + 1, 6))
+        for seeds in (edges, [*edges, 2**128]):
+            self.check_rows_equal_scalar(counts[:len(seeds)], epsilon, 1e-3, seeds)
+        for cast in (np.uint64, np.int64):
+            seeds = [cast(s) for s in (0, 1, 2**32 - 1, 2**32, 2**62, 2**63 - 1)]
+            self.check_rows_equal_scalar(counts[:6], epsilon, 1e-3, seeds)
+        for seed in (0, 2**64 - 1, 2**128 - 1, 2**128, np.uint64(5)):
+            self.check_rows_equal_scalar(counts[:1], epsilon, 1e-3, [seed])
+
+    def test_noise_generators_in_default_rng_state(self):
+        rng = np.random.default_rng(37)
+        batches = [
+            [0, 1],
+            [int(s) for s in rng.integers(0, 2**63, size=50)],
+            [2**128 - 1, 2**96 + 7, 2**64, 2**32 + 1, 3],
+            [np.uint64(2**64 - 1), np.int64(2**63 - 1), True, 9],
+            [5, 2**128],
+            [11],
+        ]
+        for seeds in batches:
+            drawn = 0
+            for generator, seed in zip(_noise_generators(seeds), seeds):
+                assert generator.bit_generator.state == (
+                    np.random.default_rng(seed).bit_generator.state
+                )
+                drawn += 1
+            assert drawn == len(seeds)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_one_draw_equals_two(self, epsilon):
+        p = math.exp(-epsilon / 2.0)
+        for size in (0, 1, 7, 200):
+            one = _two_sided_geometric(np.random.default_rng(size), p, size)
+            two = two_call_geometric(np.random.default_rng(size), p, size)
+            assert one.dtype == np.int64 and one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("seeds, error", [([1, -1], ValueError), ([1, 2.5], TypeError)])
+    def test_bad_seeds_raise_numpy_errors(self, seeds, error):
+        with pytest.raises(error):
+            _release_rows(np.array([[1, 2], [3, 0]]), 1.0, 1e-3, seeds)
+
+    @pytest.mark.parametrize("seeds", [[1, 2, 3], [1]])
+    def test_one_seed_per_row(self, monkeypatch, seeds):
+        def no_noise(seeds):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(dp, "_noise_generators", no_noise)
+        with pytest.raises(SizeMismatch, match=rf"{len(seeds)} noise seeds for 2 histogram rows"):
+            _release_rows(np.array([[1, 2], [3, 0]]), 1.0, 1e-3, seeds)
+
 
 class TestExactAudit:
     def test_coordinate_law_mass(self):
@@ -544,6 +630,11 @@ class TestExactAudit:
         assert histogram_output_law(tuple(counts), 1.0, 1e-3) == (
             histogram_output_law((1, 2), 1.0, 1e-3)
         )
+
+    def test_numpy_integer_audit_serializes(self):
+        typed = audit_histogram_dp(np.int64(3), np.int64(2), 1.0, 1e-3)
+        plain = audit_histogram_dp(3, 2, 1.0, 1e-3)
+        assert json.dumps(dataclasses.asdict(typed)) == json.dumps(dataclasses.asdict(plain))
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_audit_without_neighbours_rejected(self, k):
