@@ -38,6 +38,7 @@ from .errors import ConfigError, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
 from .naf import (
     SafeAssignment,
+    Violation,
     censorship_report,
     naf_report,
     nfl_thresholds,
@@ -225,9 +226,7 @@ def _write_report(report: dict, out: str | None) -> None:
 
 
 def _write_csv(rows: list[dict], path: str) -> None:
-    if not rows:
-        rows = [{}]
-    fields = list(rows[0].keys())
+    fields = list(rows[0]) if rows else list(Violation._fields)  # naf-check may have none
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

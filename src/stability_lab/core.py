@@ -138,10 +138,14 @@ class DiscreteDistribution:
     def from_json_obj(
         cls, obj: dict, domain: ContentDomain | None = None
     ) -> "DiscreteDistribution":
+        """As ContentDomain's, and "weights" must be a JSON list of numbers (not bools)."""
         file_domain = ContentDomain.from_json_obj(obj)
+        weights = obj["weights"]
+        if not isinstance(weights, list) or not {type(w) for w in weights} <= {int, float}:
+            raise TypeError(f'"weights" must be a list of numbers, got {weights!r}')
         if domain is not None and domain != file_domain:
             raise DomainMismatch("distribution symbols do not match the domain")
-        return cls(domain or file_domain, obj["weights"])
+        return cls(domain or file_domain, weights)
 
 
 def _check_probability_rows(w: np.ndarray, shape: tuple[int, ...]) -> None:

@@ -36,10 +36,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
 # The race's one cell budget. _tapes_per_block sizes every block by it: a
-# tape block (tapes x |Z| variates), a tournament group (tapes x k
-# quotients), a Monte Carlo step (models x tapes) and a release chunk
-# (rows x |Z| counts). 2**15 float64 cells are 256 KB. The Monte Carlo
-# step of two models x 2**14 tapes timed best: the oracle sweep's 55 calls
+# tape block (tapes x |Z| variates, and the release chunk of its count
+# rows), a tournament group (tapes x k quotients) and a Monte Carlo step
+# (models x tapes). 2**15 float64 cells are 256 KB. The Monte Carlo step
+# of two models x 2**14 tapes timed best: the oracle sweep's 55 calls
 # took 0.27-0.31 s there, 0.40-0.44 s at 2**15 tapes and 0.42-0.53 s at
 # 2**16 (2 vCPUs). At k = 3170 a tournament group races 10 tapes.
 _CELL_BUDGET = 2**15
@@ -197,12 +197,12 @@ def _symbol_keys(size: int) -> np.ndarray:
     return _splitmix64(np.arange(size, dtype=np.uint64))
 
 
-def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray, keep):
-    """Race every weight column on each seed's tape, a group of tapes at a time.
+def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, count: bool):
+    """Race every weight row on each seed's tape, one tape block at a time.
 
-    out[j] is the row of keep(winners) that belongs to seeds[j], where
-    winners is the (n, k) result of the group of n tapes that seeds[j]
-    raced in. The per-matrix work is done once: each column's max and min.
+    Yields each block of _tapes_per_block(|Z|) seeds' rows in seed order: a
+    tape's (k,) winners, or with `count` its (|Z|,) symbol counts, counted
+    per group. The weight columns and each one's max and min are built once.
     A tape's candidates are the symbols z with E_z / max_z <= U =
     min_y E_y / min_y on its tape E. This is exact. IEEE division is
     monotone in the divisor, so every row's minimum quotient on tape E is
@@ -216,6 +216,7 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
     members' candidates. Tapes that share a set race no extra symbol; a
     hash collision only adds symbols to the race, never changes a winner.
     """
+    columns = _weight_columns(domain, weight_matrix)
     size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
@@ -240,13 +241,13 @@ def _race_tape_blocks(seeds: Sequence[int], columns: np.ndarray, out: np.ndarray
             firsts = np.flatnonzero((position - run_first) % group == 0).tolist()
             unions = np.logical_or.reduceat(candidates[order], firsts, axis=0)
             tapes = variates[order].T[:, :, None]
-            results = np.empty((order.size, out.shape[1]), dtype=out.dtype)
+            groups = []
             for first, last, symbols in zip(firsts, firsts[1:] + [order.size], unions):
                 rows = tapes[:, first:last]
-                raced = ((z, rows[z]) for z in symbols.nonzero()[0])
-                results[first:last] = keep(_tournament(raced, weight_rows))
-            out[start : start + order.size][order] = results
-    return out
+                winners = _tournament(((z, rows[z]) for z in symbols.nonzero()[0]), weight_rows)
+                groups.append(_row_counts(winners, size) if count else winners)
+            # the inverse of `order` puts each tape's row back at its seed
+            yield np.concatenate(groups)[np.argsort(order)]
 
 
 def race_tapes(
@@ -261,9 +262,9 @@ def race_tapes(
     of at most _CELL_BUDGET variates, and raced in groups that share their
     candidate symbols.
     """
-    columns = _weight_columns(domain, weight_matrix)
-    out = np.empty((len(seeds), columns.shape[1]), dtype=np.intp)
-    return _race_tape_blocks(seeds, columns, out, lambda winners: winners)
+    blocks = _race_tape_blocks(domain, seeds, weight_matrix, count=False)
+    # the empty intp tail fixes the dtype, and the shape when there are no seeds
+    return np.concatenate([*blocks, np.empty((0, len(weight_matrix)), dtype=np.intp)])
 
 
 def race_counts(
@@ -276,11 +277,8 @@ def race_counts(
     _CELL_BUDGET), never the whole (len(seeds), n_models) matrix, and each
     group is counted in one call.
     """
-    columns = _weight_columns(domain, weight_matrix)
-    out = np.empty((len(seeds), domain.size), dtype=np.intp)
-    return _race_tape_blocks(
-        seeds, columns, out, lambda winners: _row_counts(winners, domain.size)
-    )
+    blocks = _race_tape_blocks(domain, seeds, weight_matrix, count=True)
+    return np.concatenate([*blocks, np.empty((0, domain.size), dtype=np.intp)])
 
 
 def _streamed_winners(models, trials: int, seed: int):

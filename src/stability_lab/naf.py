@@ -189,13 +189,13 @@ def is_naf(
 def feasibility_alpha(safes: SafeAssignment) -> float:
     """Smallest alpha any NAF model could possibly achieve for these safes.
 
-    p <= e^alpha * min_c q_c pointwise and sum(p) = 1 force
-    alpha >= -ln(sum_z min_c q_c(z)); +inf when the envelope has no mass.
+    p <= e^alpha * min_c q_c pointwise and sum(p) = 1 force alpha >=
+    -ln(sum_z min_c q_c(z)), clamped at 0 as naf_alpha is; +inf for no mass.
     """
     mass = float(safes.envelope().sum())
     if mass == 0.0:
         return math.inf
-    return 0.0 if mass == 1.0 else -math.log(mass)
+    return max(0.0, -math.log(mass))
 
 
 def nfl_thresholds(q1: DiscreteDistribution, q2: DiscreteDistribution) -> np.ndarray:

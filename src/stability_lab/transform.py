@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import (
     sample_dataset,
     tv_distance,
 )
-from .coupling import _tapes_per_block, race_counts
+from .coupling import _race_tape_blocks
 from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import derive_seed
@@ -222,15 +223,13 @@ def _release_chain(
 ):
     """Race, release and project the shard models on (tape, noise) seed pairs.
 
-    One race_counts call races every tape, so the weight columns are built
-    once; _release_rows and _project_rows then yield (counts, values, outputs,
-    feasible) per chunk of _tapes_per_block(|Z|) pairs, in seed order."""
-    counts = race_counts(domain, tape_seeds, weights)
-    block = _tapes_per_block(domain.size)
-    for first in range(0, len(tape_seeds), block):
-        chunk = slice(first, first + block)
-        values = _release_rows(counts[chunk], config.epsilon, config.delta, noise_seeds[chunk])
-        yield (counts[chunk], values, *_project_rows(values, config.eta))
+    Yields (counts, values, outputs, feasible) per tape block of its one
+    race, in seed order: each block of counts is released and projected as
+    it is raced, so the chain holds one block, never the whole chain."""
+    noise = iter(noise_seeds)
+    for counts in _race_tape_blocks(domain, tape_seeds, weights, count=True):
+        values = _release_rows(counts, config.epsilon, config.delta, [*islice(noise, len(counts))])
+        yield (counts, values, *_project_rows(values, config.eta))
 
 
 def dp_transform_trace(

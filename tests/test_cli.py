@@ -122,6 +122,14 @@ class TestNafCheck:
         assert lines[0] == "content_id,symbol,log_ratio"
         assert lines[1].startswith("doc1,a,")
 
+    def test_csv_header_without_violations(self, tmp_path):
+        cfg_path = write_config(tmp_path, "cfg.json", self.config(tmp_path, 0.7))
+        csv_path = tmp_path / "violations.csv"
+        code = main(["naf-check", "--config", cfg_path, "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)])
+        assert code == 0
+        assert csv_path.read_bytes() == b"content_id,symbol,log_ratio\r\n"
+
     def test_infinite_alpha_star_serialized(self, tmp_path):
         cfg = {
             "model": {"symbols": ["a", "b"], "weights": [0.0, 1.0]},
@@ -669,6 +677,12 @@ class TestConfigErrorContract:
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
         self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1")
+
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False]])
+    def test_weights_not_a_list_of_numbers(self, tmp_path, capsys, weights):
+        q = {"symbols": ["a", "b"], "weights": weights}
+        good = {"symbols": ["a", "b"], "weights": [0.5, 0.5]}
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": q, "q2": good}, "q1")
 
     @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
     @pytest.mark.parametrize(

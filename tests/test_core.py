@@ -567,6 +567,24 @@ class TestSerialization:
             with pytest.raises(TypeError):
                 read_distribution(path)
 
+    @pytest.mark.parametrize(
+        "weights", [["0.5", "0.5"], [True, False], "0.5", {"a": 1}, [0.5, None], (0.5, 0.5)]
+    )
+    def test_weights_must_be_a_list_of_numbers(self, tmp_path, weights):
+        # strings and bools used to be cast to floats
+        obj = {"symbols": ["a", "b"], "weights": weights}
+        with pytest.raises(TypeError):
+            DiscreteDistribution.from_json_obj(obj)
+        if not isinstance(weights, tuple):
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps(obj))
+            with pytest.raises(TypeError):
+                read_distribution(path)
+
+    def test_integer_weights_allowed(self):
+        q = DiscreteDistribution.from_json_obj({"symbols": ["a", "b"], "weights": [1, 0]})
+        assert q.weights.tolist() == [1.0, 0.0]
+
     def test_load_dataset(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("a\nb\n\na\n")

@@ -333,6 +333,17 @@ class TestRaceTapes:
         counts = [np.bincount(row, minlength=6) for row in got]
         assert np.array_equal(race_counts(d, self.SEEDS, w), counts)
 
+    def test_intp_rows_even_without_seeds(self):
+        # both races stack their tape blocks; no seeds still checks the
+        # weights and gives an empty intp matrix of the right width
+        d, w = domain(6), self.weights()
+        for race, width in ((race_tapes, w.shape[0]), (race_counts, 6)):
+            assert race(d, self.SEEDS, w).dtype == np.intp
+            got = race(d, [], w)
+            assert got.shape == (0, width) and got.dtype == np.intp
+            with pytest.raises(DomainMismatch):
+                race(domain(5), [], w)
+
     def test_width_mismatch(self):
         for race in (race_tapes, race_counts):
             with pytest.raises(DomainMismatch):

@@ -253,6 +253,15 @@ class TestFeasibilityAlpha:
     def test_disjoint_infinite(self):
         assert feasibility_alpha(safes([1.0, 0.0], [0.0, 1.0])) == math.inf
 
+    def test_never_negative(self):
+        # one safe model whose weights sum to 1 + 4e-10, within
+        # NORMALIZATION_ATOL: -ln of its envelope mass is -4e-10
+        assignment = safes([0.5, 0.5 + 4e-10])
+        got = feasibility_alpha(assignment)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        report = naf_report(dist([0.5, 0.5]), assignment, 1.0).to_json_obj()
+        assert report["feasibility_alpha"] == 0.0
+
     def test_hand_value(self):
         got = feasibility_alpha(safes([0.8, 0.2], [0.2, 0.8]))
         assert got == pytest.approx(-math.log(0.4), abs=1e-12)

@@ -423,11 +423,11 @@ class TestDpTransform:
         q = make_distribution(ContentDomain(("x", "y")), [0.3, 0.7])
         sample = sample_dataset(data, TINY.m_priv, seed=14)
 
-        def no_race(*args):
+        def no_race(*args, **kwargs):
             raise AssertionError("raced a foreign-domain model")
 
         # the one name through which the release chain races
-        monkeypatch.setattr(transform_mod, "race_counts", no_race)
+        monkeypatch.setattr(transform_mod, "_race_tape_blocks", no_race)
         constant = learner_constant(q)
         for learner in (constant, Learner(constant.name, train=constant.train)):
             with pytest.raises(DomainMismatch):
@@ -547,9 +547,9 @@ class TestBoundExperiment:
         self.check_inner_average(4)
 
     def test_inner_average_spans_race_blocks(self, monkeypatch):
-        # 16 cells: race_counts makes the 7 inner trials' tapes in blocks of
-        # 2, 2, 2 and 1 tapes of |Z| = 8 variates, and _release_chain
-        # releases them in chunks of as many rows
+        # 16 cells: the chain's race makes the 7 inner trials' tapes in
+        # blocks of 2, 2, 2 and 1 tapes of |Z| = 8 variates, and
+        # _release_chain releases each block as it is raced
         monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 2 * 8)
         self.check_inner_average(7)
 
@@ -659,13 +659,13 @@ class TestReleaseChain:
     @staticmethod
     def stage_rows(monkeypatch):
         # rows per call of each stage the chain looks up by name: the seeds
-        # of race_counts, the first argument of the other two
+        # of _race_tape_blocks, the first argument of the other two
         rows = {}
-        for name, arg in (("race_counts", 1), ("_release_rows", 0), ("_project_rows", 0)):
+        for name, arg in (("_race_tape_blocks", 1), ("_release_rows", 0), ("_project_rows", 0)):
             def spy(*args, stage=getattr(transform_mod, name), seen=rows.setdefault(name, []),
-                    arg=arg):
+                    arg=arg, **kwargs):
                 seen.append(len(args[arg]))
-                return stage(*args)
+                return stage(*args, **kwargs)
 
             monkeypatch.setattr(transform_mod, name, spy)
         return rows
@@ -683,8 +683,8 @@ class TestReleaseChain:
 
     def test_experiment_releases_each_outer_trial_in_chunks(self, chains, monkeypatch):
         # 24 cells: each outer trial's 7 inner trials are one chain call,
-        # which races all 7 tapes at once and releases and projects them in
-        # chunks of 3, 3 and 1
+        # which races all 7 tapes in one call and releases and projects them
+        # in its tape blocks of 3, 3 and 1
         monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
         rows = self.stage_rows(monkeypatch)
         seed = 17
@@ -697,7 +697,7 @@ class TestReleaseChain:
             trials = range(7 * t, 7 * (t + 1))
             assert tapes == [derive_seed(seed, "tape", i) for i in trials]
             assert noise == [derive_seed(seed, "noise", i) for i in trials]
-        assert rows == {"race_counts": [7, 7], "_release_rows": [3, 3, 1] * 2,
+        assert rows == {"_race_tape_blocks": [7, 7], "_release_rows": [3, 3, 1] * 2,
                         "_project_rows": [3, 3, 1] * 2}
 
     def test_weight_columns_built_once_per_chain(self, chains, monkeypatch):
@@ -718,3 +718,21 @@ class TestReleaseChain:
         )
         assert [chunks for _, _, chunks in chains] == [[3, 3, 1]] * 2
         assert built == [(TINY.k, 8)] * 2
+
+    def test_chain_races_a_block_only_when_it_is_taken(self, monkeypatch):
+        # 24 cells: the first chunk of a chain of 7 seeds races the first
+        # tape block of 3 tapes, not all 7, and each later chunk its own
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        exp_variates = coupling_mod._exp_variates
+        raced = []
+
+        def spy(seeds, size):
+            raced.append(len(seeds))
+            return exp_variates(seeds, size)
+
+        monkeypatch.setattr(coupling_mod, "_exp_variates", spy)
+        weights = np.full((TINY.k, 8), 1 / 8)
+        chain = transform_mod._release_chain(D8.domain, weights, range(7), range(100, 107), TINY)
+        counts, *_ = next(chain)
+        assert counts.shape == (3, 8) and raced == [3]
+        assert [counts.shape[0] for counts, *_ in chain] == [3, 1] and raced == [3, 3, 1]
