@@ -29,12 +29,11 @@ from .core import (
     load_dataset,
     tv_distance,
     tv_event_form,
-    EVENT_ENUM_MAX,
     _SPLITS,
     _require_alpha,
 )
 from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
-from .errors import ConfigError, StabilityLabError
+from .errors import ConfigError, DomainTooLarge, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
 from .naf import (
     SafeAssignment,
@@ -210,10 +209,11 @@ def _jsonable(value):
 
 
 def _event_form(form, first, second, *level):
-    """{"value", "event"} of form(first, second, *level); None above EVENT_ENUM_MAX symbols."""
-    if first.domain.size > EVENT_ENUM_MAX:
+    """{"value", "event"} of form(first, second, *level); None if it raises DomainTooLarge."""
+    try:
+        value, event = form(first, second, *level)
+    except DomainTooLarge:
         return None
-    value, event = form(first, second, *level)
     return {"value": value, "event": list(event.symbols)}
 
 

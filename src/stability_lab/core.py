@@ -301,6 +301,12 @@ def _require_count(name: str, value, minimum: int = 1) -> int:
     return operator.index(value)
 
 
+def _require_size(what: str, size: int, cap: int) -> None:
+    """The one size rule: DomainTooLarge, before anything is built, above the cap."""
+    if size > cap:
+        raise DomainTooLarge(f"{what}: {size} is above the cap {cap}")
+
+
 def _require_alpha(alpha, name: str = "alpha") -> None:
     """The one DP/NAF level rule, the CLI's: a number in [0, ln(DBL_MAX)],
     the largest level whose e^alpha is a finite float (NaN fails)."""
@@ -353,10 +359,7 @@ def _max_event(domain: ContentDomain, diff: np.ndarray) -> tuple[float, Event]:
     Enumerates every one of the 2^|Z| events, so it is an oracle for small
     domains only (|Z| <= EVENT_ENUM_MAX).
     """
-    if domain.size > EVENT_ENUM_MAX:
-        raise DomainTooLarge(
-            f"event enumeration is capped at |Z| <= {EVENT_ENUM_MAX}"
-        )
+    _require_size("symbols in the event enumeration", domain.size, EVENT_ENUM_MAX)
     gaps = _all_event_gaps(diff)
     best = int(np.argmax(gaps))
     return float(gaps[best]), Event(domain, best)

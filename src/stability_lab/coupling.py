@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -202,7 +203,8 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
 
     Yields each block of _tapes_per_block(|Z|) seeds' rows in seed order: a
     tape's (k,) winners, or with `count` its (|Z|,) symbol counts, counted
-    per group. The weight columns and each one's max and min are built once.
+    per group; a block's seeds are read as it is taken. The weight columns
+    and each one's max and min are built once.
     A tape's candidates are the symbols z with E_z / max_z <= U =
     min_y E_y / min_y on its tape E. This is exact. IEEE division is
     monotone in the divisor, so every row's minimum quotient on tape E is
@@ -222,12 +224,12 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     low = columns.min(axis=1)
     weight_rows = columns[:, None, :]
     symbol_keys = _symbol_keys(size)
-    keys = np.array([_tape_key(s) for s in seeds], dtype=np.uint64)
+    seeds = iter(seeds)
     block = _tapes_per_block(size)
     group = _tapes_per_block(k)
     with np.errstate(divide="ignore"):
-        for start in range(0, keys.size, block):
-            variates = _exp_variates(keys[start : start + block], size)
+        while keys := [_tape_key(s) for s in islice(seeds, block)]:
+            variates = _exp_variates(np.array(keys, dtype=np.uint64), size)
             bound = (variates / low).min(axis=1, keepdims=True)
             candidates = variates / high <= bound
             set_keys = np.bitwise_xor.reduce(candidates * symbol_keys, axis=1)
@@ -251,11 +253,11 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
 
 
 def race_tapes(
-    domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
+    domain: ContentDomain, seeds: Iterable[int], weight_matrix: np.ndarray
 ) -> np.ndarray:
     """Coupled sample index of every weight row on each seed's tape.
 
-    Returns a (len(seeds), n_models) array whose entry (j, i) equals
+    Returns a (number of seeds, n_models) array whose entry (j, i) equals
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
     coupling. The tapes are made by the same counter-based hash, in blocks
@@ -268,9 +270,9 @@ def race_tapes(
 
 
 def race_counts(
-    domain: ContentDomain, seeds: Sequence[int], weight_matrix: np.ndarray
+    domain: ContentDomain, seeds: Iterable[int], weight_matrix: np.ndarray
 ) -> np.ndarray:
-    """(len(seeds), |Z|) symbol counts of each row of race_tapes.
+    """(number of seeds, |Z|) symbol counts of each row of race_tapes.
 
     Row j counts how many weight rows won each symbol on seeds[j]'s tape.
     Only one group of tapes' winners exists at a time (at most about

@@ -14,6 +14,7 @@ being trusted from the analysis alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,15 +29,17 @@ from .core import (
     _require_alpha,
     _require_count,
     _require_same_domain,
+    _require_size,
 )
-from .errors import DomainTooLarge, EmptyDataset, SizeMismatch
+from .errors import EmptyDataset, SizeMismatch
 
 # Multiplier on the log term in the histogram size rule. The theory fixes
 # the size only up to a constant; 8 keeps the Monte Carlo accuracy target
 # comfortably satisfied without inflating sample demands.
 HIST_SIZE_CONSTANT = 8.0
 
-# Largest joint output law (in atoms) that histogram_output_law will build.
+# The most atoms in one joint output law or noise values in one coordinate
+# law, and the most cells (atoms x |Z|) in all the laws of one audit.
 OUTPUT_LAW_MAX = 10**6
 
 
@@ -331,11 +334,7 @@ def coordinate_output_law(
     span = 1
     while 2.0 * p ** (span + 1) / (1.0 + p) > tail:
         span += 1
-        if 2 * span + 1 > OUTPUT_LAW_MAX:
-            raise DomainTooLarge(
-                f"noise enumeration needs more than {OUTPUT_LAW_MAX} values "
-                f"at epsilon={epsilon}, tail={tail}"
-            )
+        _require_size("noise values", 2 * span + 1, OUTPUT_LAW_MAX)
     norm = (1.0 - p) / (1.0 + p)
     # (count + g) / k in int64 -> float64 is Python's int division below 2**53.
     atoms = _threshold_clamp(count + np.arange(-span, span + 1), k, tau).tolist()
@@ -351,11 +350,7 @@ def _joint_law(marginals: list[dict[float, float]]) -> dict[tuple[float, ...], f
     Raises DomainTooLarge before building anything when the product of the
     marginal sizes exceeds OUTPUT_LAW_MAX.
     """
-    atoms = math.prod(len(marginal) for marginal in marginals)
-    if atoms > OUTPUT_LAW_MAX:
-        raise DomainTooLarge(
-            f"joint output law has {atoms} atoms, above the cap {OUTPUT_LAW_MAX}"
-        )
+    _require_size("joint output law atoms", math.prod(map(len, marginals)), OUTPUT_LAW_MAX)
     joint: dict[tuple[float, ...], float] = {(): 1.0}
     for marginal in marginals:
         joint = {
@@ -425,13 +420,12 @@ def _replacement_neighbors(k: int, size: int):
 
 
 def _compositions(total: int, parts: int):
-    """Tuples of `parts` non-negative ints summing to `total`, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Tuples of `parts` non-negative ints summing to `total`, in lexicographic
+    order: the gaps between `parts - 1` bars in `total + parts - 1` slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1, *bars, slots)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -465,7 +459,7 @@ def audit_histogram_dp(
     a k or domain_size that is not an integer (a bool is not), k < 1,
     domain_size < 1, epsilon outside (0, ln(DBL_MAX)] (the alpha rule,
     so e^epsilon is finite), tail outside (0, 1) or delta outside (0, 1),
-    and DomainTooLarge when one joint law would pass OUTPUT_LAW_MAX atoms.
+    and DomainTooLarge, before any law is built, above OUTPUT_LAW_MAX cells.
     """
     k = _require_count("k", k)
     domain_size = _require_count("domain_size", domain_size)
@@ -474,6 +468,10 @@ def audit_histogram_dp(
     coordinate_laws = [
         coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)
     ]
+    cells = 0
+    for c in _compositions(k, domain_size):
+        cells += math.prod(len(coordinate_laws[x]) for x in c) * domain_size
+        _require_size("audit output law cells", cells, OUTPUT_LAW_MAX)
     # Count vector -> its joint law, each built once.
     laws = {
         c: _joint_law([coordinate_laws[x] for x in c])

@@ -196,19 +196,20 @@ def _shard_weight_matrix(
 ) -> np.ndarray:
     """Train the k shard models; rows are their weight vectors.
 
-    Uses the learner's batched `train_shards` when it has one, else trains
-    shard by shard. Either way every model must live on the sample's
-    domain, and the matrix is validated once as k distributions.
+    Shard i is row i of the (k, m) sample matrix; a batched `train_shards`
+    takes it whole. Every model must live on the sample's domain, and the
+    matrix is validated once as k distributions.
     """
     if sample.size != config.m_priv:
         raise SizeMismatch(f"expected k*m = {config.m_priv} items, got {sample.size}")
     domain = sample.domain
+    shards = sample.indices.reshape(config.k, config.m)
     if learner.train_shards is not None:
-        weights = learner.train_shards(domain, sample.indices.reshape(config.k, -1), train_seed)
+        weights = learner.train_shards(domain, shards, train_seed)
     else:
         rows = []
-        for i in range(config.k):
-            shard = sample.slice(i * config.m, (i + 1) * config.m)
+        for i, row in enumerate(shards):
+            shard = Dataset.from_indices(domain, row)
             q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
             _require_same_domain(q, sample)
             rows.append(q.weights)
@@ -304,17 +305,12 @@ class BoundExperimentReport:
         return self.grand_mean_tv <= self.bound + margin
 
     def to_json_obj(self) -> dict:
+        fields = asdict(self)
         return {
-            **self.config.to_json_obj(),
-            "outer_trials": self.outer_trials,
-            "inner_trials": self.inner_trials,
-            "premise_trials": self.premise_trials,
-            "seed": self.seed,
-            "alpha_hat": self.alpha_hat,
-            "grand_mean_tv": self.grand_mean_tv,
-            "bound": self.bound,
-            "eta_coefficient": ETA_COEFFICIENT,
+            **fields.pop("config"),
+            **fields,
             "per_trial_tv": list(self.per_trial_tv),
+            "eta_coefficient": ETA_COEFFICIENT,
         }
 
 
@@ -360,8 +356,8 @@ def transform_bound_experiment(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
         trials = range(t * inner_trials, (t + 1) * inner_trials)
-        tapes = [derive_seed(seed, "tape", i) for i in trials]
-        noise_seeds = [derive_seed(seed, "noise", i) for i in trials]
+        tapes = (derive_seed(seed, "tape", i) for i in trials)
+        noise_seeds = (derive_seed(seed, "noise", i) for i in trials)
         # The rounding of the sum depends on its order: an axis-0 add.reduce
         # adds acc and then the outputs row by row, in trial order.
         acc = np.zeros(domain.size)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import dist
-from stability_lab import TransformConfig, write_distribution
+from stability_lab import TransformConfig, core, write_distribution
 from stability_lab.cli import main
 from stability_lab.core import EVENT_ENUM_MAX
 
@@ -85,6 +85,15 @@ class TestEventFormCap:
         curve = report["payload"]["curve"]
         assert len(curve) == 2
         assert all(("beta_event_form" in point) == enumerated for point in curve)
+
+    def test_cap_is_the_library_one(self, tmp_path, monkeypatch):
+        # the CLI skips the event form where the library refuses it
+        monkeypatch.setattr(core, "EVENT_ENUM_MAX", 3)
+        q1, q2 = self.pair(4)
+        code, report = run_cli(tmp_path, "tv", {"q1": q1, "q2": q2})
+        assert code == 0 and report["payload"]["event_form"] is None
+        code, report = run_cli(tmp_path, "dp-beta", {"p": q1, "p_prime": q2, "alpha": 0.1})
+        assert code == 0 and report["payload"]["event_form"] is None
 
 
 class TestNafCheck:

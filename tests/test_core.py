@@ -235,6 +235,22 @@ class TestTvEventForm:
         with pytest.raises(DomainTooLarge):
             tv_event_form(q, q)
 
+    def test_cap_is_read_at_call_time_and_checked_before_enumerating(self, monkeypatch):
+        # at the cap the 2^|Z| events are enumerated; one symbol past it
+        # raises before the gap table is built
+        monkeypatch.setattr(core, "EVENT_ENUM_MAX", 3)
+        q1, q2 = dist([0.5, 0.25, 0.25]), dist([0.25, 0.25, 0.5])
+        value, event = tv_event_form(q1, q2)
+        assert value == tv_distance(q1, q2) and event.symbols == ("z0",)
+
+        def unreachable(diff):
+            raise AssertionError("events enumerated above the cap")
+
+        monkeypatch.setattr(core, "_all_event_gaps", unreachable)
+        q = dist([0.25] * 4)
+        with pytest.raises(DomainTooLarge, match="4 is above the cap 3"):
+            tv_event_form(q, q)
+
 
 class TestSample:
     def test_point_mass(self):

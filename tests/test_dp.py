@@ -38,6 +38,8 @@ from stability_lab import (
 )
 from stability_lab import dp
 from stability_lab.dp import (
+    _compositions,
+    _joint_law,
     _noise_generators,
     _release_rows,
     _replacement_neighbors,
@@ -784,3 +786,74 @@ class TestExactAudit:
             coordinate_output_law(2, 3, epsilon, 1e-3)
         with pytest.raises(DomainTooLarge):
             audit_histogram_dp(3, 2, epsilon, 1e-3)
+
+
+def unreachable(*args):
+    raise AssertionError("built above the cap")
+
+
+class TestSizeCaps:
+    """Each exact enumeration runs at its cap and raises DomainTooLarge one
+    past it, before anything is built."""
+
+    def test_noise_values_cap(self, monkeypatch):
+        # the release rule runs once, on the enumerated noise values
+        clamp = dp._threshold_clamp
+        values = []
+
+        def spy(noisy_counts, k, tau):
+            values.append(len(noisy_counts))
+            return clamp(noisy_counts, k, tau)
+
+        monkeypatch.setattr(dp, "_threshold_clamp", spy)
+        law = coordinate_output_law(2, 3, 1.0, 1e-3)
+        [n] = values
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", n)
+        assert coordinate_output_law(2, 3, 1.0, 1e-3) == law
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", n - 1)
+        monkeypatch.setattr(dp, "_threshold_clamp", unreachable)
+        with pytest.raises(DomainTooLarge, match=f"noise values: {n} is above the cap {n - 1}"):
+            coordinate_output_law(2, 3, 1.0, 1e-3)
+
+    def test_joint_law_atoms_cap(self, monkeypatch):
+        class Unread(dict):
+            items = unreachable
+
+        marginals = [{0.0: 0.5, 1.0: 0.5}, {0.0: 0.25, 0.5: 0.25, 1.0: 0.5}]
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", 6)
+        assert len(_joint_law(marginals)) == 6
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", 5)
+        with pytest.raises(DomainTooLarge, match="6 is above the cap 5"):
+            _joint_law([Unread(m) for m in marginals])
+
+    def test_audit_cells_cap(self, monkeypatch):
+        # the laws of the (10, 5) audit hold 70,010 cells (atoms x |Z|) in all
+        expected = audit_histogram_dp(10, 5, 1.0, 1e-3)
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", 70_010)
+        assert audit_histogram_dp(10, 5, 1.0, 1e-3) == expected
+        monkeypatch.setattr(dp, "OUTPUT_LAW_MAX", 70_009)
+        monkeypatch.setattr(dp, "_joint_law", unreachable)
+        with pytest.raises(DomainTooLarge, match="audit output law cells"):
+            audit_histogram_dp(10, 5, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("k, size", [(60, 4), (1, 1100)])
+    def test_audit_refuses_wide_inputs_before_any_law(self, monkeypatch, k, size):
+        # (60, 4) would build 1,952 laws holding ~1.6e8 atoms before one
+        # passed the per-law cap; (1, 1100) recursed past Python's limit
+        monkeypatch.setattr(dp, "_joint_law", unreachable)
+        with pytest.raises(DomainTooLarge):
+            audit_histogram_dp(k, size, 1.0, 1e-3)
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_lexicographic_like_brute_force(self, parts):
+        for total in range(9):
+            expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                        if sum(c) == total]
+            assert list(_compositions(total, parts)) == expected
+
+    def test_many_parts_do_not_recurse(self):
+        wide = _compositions(1, 5000)
+        assert next(wide) == (0,) * 4999 + (1,)
+        assert sum(1 for _ in wide) == 4999

@@ -633,6 +633,16 @@ class TestDerivedReportTotals:
         assert (payload["outer_trials"], payload["grand_mean_tv"]) == (2, 0.5)
         assert payload["bound"] == changed.bound
 
+    def test_payload_fields(self, report):
+        payload = report.to_json_obj()
+        assert set(payload) == {
+            "epsilon", "delta", "eta", "m", "k", "m_priv", "outer_trials", "inner_trials",
+            "premise_trials", "seed", "alpha_hat", "per_trial_tv", "grand_mean_tv", "bound",
+            "eta_coefficient",
+        }
+        assert type(payload["per_trial_tv"]) is list
+        assert payload["per_trial_tv"] == list(report.per_trial_tv)
+
     def test_report_needs_a_trial(self, report):
         with pytest.raises(ValueError):
             dataclasses.replace(report, per_trial_tv=())
@@ -649,8 +659,10 @@ class TestReleaseChain:
         chain = transform_mod._release_chain
 
         def spy(domain, weights, tape_seeds, noise_seeds, config):
+            # the chain consumes its seeds, so they are read before it runs
+            tape_seeds, noise_seeds = list(tape_seeds), list(noise_seeds)
             chunks = list(chain(domain, weights, tape_seeds, noise_seeds, config))
-            chains.append((list(tape_seeds), list(noise_seeds), [c[0].shape[0] for c in chunks]))
+            chains.append((tape_seeds, noise_seeds, [c[0].shape[0] for c in chunks]))
             yield from chunks
 
         monkeypatch.setattr(transform_mod, "_release_chain", spy)
@@ -658,16 +670,25 @@ class TestReleaseChain:
 
     @staticmethod
     def stage_rows(monkeypatch):
-        # rows per call of each stage the chain looks up by name: the seeds
-        # of _race_tape_blocks, the first argument of the other two
+        # rows per call of each stage the chain looks up by name: the rows
+        # that _race_tape_blocks yields, the first argument of the other two
         rows = {}
-        for name, arg in (("_race_tape_blocks", 1), ("_release_rows", 0), ("_project_rows", 0)):
+        for name in ("_release_rows", "_project_rows"):
             def spy(*args, stage=getattr(transform_mod, name), seen=rows.setdefault(name, []),
-                    arg=arg, **kwargs):
-                seen.append(len(args[arg]))
+                    **kwargs):
+                seen.append(len(args[0]))
                 return stage(*args, **kwargs)
 
             monkeypatch.setattr(transform_mod, name, spy)
+
+        def race_spy(*args, race=transform_mod._race_tape_blocks,
+                     seen=rows.setdefault("_race_tape_blocks", []), **kwargs):
+            seen.append(0)
+            for block in race(*args, **kwargs):
+                seen[-1] += len(block)
+                yield block
+
+        monkeypatch.setattr(transform_mod, "_race_tape_blocks", race_spy)
         return rows
 
     def test_trace_is_one_single_tape_call(self, chains, monkeypatch):
@@ -736,3 +757,23 @@ class TestReleaseChain:
         counts, *_ = next(chain)
         assert counts.shape == (3, 8) and raced == [3]
         assert [counts.shape[0] for counts, *_ in chain] == [3, 1] and raced == [3, 3, 1]
+
+    def test_chain_draws_seeds_a_block_at_a_time(self, monkeypatch):
+        # 24 cells: the first chunk of a chain fed 7 seeds from generators
+        # draws the 3 tape seeds and 3 noise seeds of its block, not all 7
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        drawn = {"tape": 0, "noise": 0}
+
+        def seeds(name, start):
+            for seed in range(start, start + 7):
+                drawn[name] += 1
+                yield seed
+
+        weights = np.full((TINY.k, 8), 1 / 8)
+        chain = transform_mod._release_chain(
+            D8.domain, weights, seeds("tape", 0), seeds("noise", 100), TINY
+        )
+        counts, *_ = next(chain)
+        assert counts.shape == (3, 8) and drawn == {"tape": 3, "noise": 3}
+        assert [counts.shape[0] for counts, *_ in chain] == [3, 1]
+        assert drawn == {"tape": 7, "noise": 7}
