@@ -203,8 +203,14 @@ class Dataset:
     @classmethod
     def from_indices(cls, domain: ContentDomain, indices) -> "Dataset":
         """Dataset of integer indices into `domain`; a float, bool, string or
-        object array raises TypeError, as casting would change its values."""
-        idx = np.array(indices)
+        object array raises TypeError, as casting would change its values.
+        The dataset keeps its own copy, so the caller's array stays free."""
+        return cls._from_owned(domain, np.array(indices))
+
+    @classmethod
+    def _from_owned(cls, domain: ContentDomain, idx: np.ndarray) -> "Dataset":
+        """from_indices without the copy, for an array that no one else
+        holds: an int64 `idx` becomes the dataset's read-only indices."""
         if idx.size and idx.dtype.kind not in "iu":
             raise TypeError(f"indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.int64, copy=False)
@@ -373,18 +379,57 @@ def tv_event_form(
     return _max_event(q1.domain, q1.weights - q2.weights)
 
 
+def _bucket_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """Guide table of a non-decreasing `cdf` over `buckets` buckets, a power
+    of two: entry b is #{cdf <= b/B}, or -1 where a cdf value lies strictly
+    inside [b/B, (b+1)/B).
+
+    For u in bucket b, #{cdf <= b/B} <= #{cdf <= u} <= #{cdf < (b+1)/B}, so
+    where the two counts agree every draw of the bucket has that index.
+    """
+    edges = np.arange(buckets + 1) / buckets
+    table = np.searchsorted(cdf, edges[:-1], side="right")
+    table[table != np.searchsorted(cdf, edges[1:], side="left")] = -1
+    return table
+
+
+def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") as int64, for a non-decreasing
+    `cdf` and draws `u` in [0, 1).
+
+    With more draws than buckets (B, the smallest power of two >= 16|cdf|)
+    each draw is resolved in a bucket table (Chen & Asau 1974): u * B only
+    shifts u's exponent, so the truncating cast gives its bucket exactly,
+    and only draws whose bucket holds a cdf value, at most |cdf| - 1 of the
+    B buckets, are searched.
+    """
+    buckets = 1 << (16 * cdf.size - 1).bit_length()
+    if u.size <= buckets:  # the table would cost more than it saves
+        return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    table = _bucket_table(cdf, buckets)
+    # Buckets go straight into the int64 result, then map through the table
+    # in place (take reads each index before it writes that slot).
+    out = np.multiply(u, buckets, out=np.empty(u.size, np.int64), casting="unsafe")
+    np.take(table, out, out=out, mode="clip")
+    miss = np.flatnonzero(out < 0)
+    out[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return out
+
+
 def sample_indices(q: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """Draw n index samples from q, deterministic given the seed.
 
     Inverse-CDF sampling with the CDF renormalized by its final value, so
     the 1e-9 construction slack cannot leak probability onto any symbol and
-    zero-width bins (zero-probability symbols) are never selected.
+    zero-width bins (zero-probability symbols) are never selected. Draw i
+    is #{cdf <= u_i} for the i-th rng.random(n) of default_rng(seed); a
+    bucket table finds it for large n, with the same result as a binary
+    search.
     """
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
-    u = rng.random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return _search_cdf(cdf, rng.random(n))
 
 
 def sample(q: DiscreteDistribution, seed: int) -> str:
@@ -393,8 +438,9 @@ def sample(q: DiscreteDistribution, seed: int) -> str:
 
 
 def sample_dataset(q: DiscreteDistribution, size: int, seed: int) -> Dataset:
-    """Dataset of `size` i.i.d. draws from q."""
-    return Dataset.from_indices(q.domain, sample_indices(q, size, seed))
+    """Dataset of `size` i.i.d. draws from q: the indices of
+    sample_indices(q, size, seed), taken over without a copy."""
+    return Dataset._from_owned(q.domain, sample_indices(q, size, seed))
 
 
 def min_envelope(models: Sequence[DiscreteDistribution]) -> np.ndarray:
@@ -486,7 +532,7 @@ def _index_corpus(
         map(domain._index.__getitem__, itertools.compress(tokens, tokens)), np.int64
     )
     indices = table[order]
-    return Dataset.from_indices(domain, indices if nonblank.all() else indices[indices >= 0])
+    return Dataset._from_owned(domain, indices if nonblank.all() else indices[indices >= 0])
 
 
 def read_distribution(

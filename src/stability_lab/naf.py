@@ -112,9 +112,7 @@ def safe_leave_one_out(learner, dataset: Dataset, seed: int) -> SafeAssignment:
         raise DatasetTooSmall("leave-one-out needs at least two items")
     entries = []
     for pos in _first_occurrences(dataset.indices):
-        reduced = Dataset.from_indices(
-            dataset.domain, np.delete(dataset.indices, pos)
-        )
+        reduced = Dataset._from_owned(dataset.domain, np.delete(dataset.indices, pos))
         symbol = dataset.domain.symbols[int(dataset.indices[pos])]
         entries.append((symbol, learner.train(reduced, seed)))
     return SafeAssignment(tuple(entries))
@@ -132,8 +130,8 @@ def safe_sharded(learner, dataset: Dataset, seed: int) -> SafeAssignment:
     perm = np.random.default_rng(seed).permutation(dataset.size)
     half = dataset.size // 2
     shards = [
-        Dataset.from_indices(dataset.domain, dataset.indices[np.sort(perm[:half])]),
-        Dataset.from_indices(dataset.domain, dataset.indices[np.sort(perm[half:])]),
+        Dataset._from_owned(dataset.domain, dataset.indices[np.sort(perm[:half])]),
+        Dataset._from_owned(dataset.domain, dataset.indices[np.sort(perm[half:])]),
     ]
     models = [learner.train(shard, seed) for shard in shards]
     # Every item is in some shard, so shard 1's model goes exactly to the

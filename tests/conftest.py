@@ -44,6 +44,21 @@ def random_pair(rng: np.random.Generator, size: int, sparsify: float = 0.0):
     )
 
 
+# --- binary-search sampler oracle --------------------------------------------
+#
+# Verbatim copy of the body of core.sample_indices before the bucket table:
+# one binary search per draw. The table must give the same indices, byte
+# for byte, from the same random stream.
+
+
+def searchsorted_sample_indices(q: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(q.weights)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
 # --- scalar oracles ---------------------------------------------------------
 #
 # Verbatim copies of the scalar and one-vector bodies that the row forms

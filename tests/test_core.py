@@ -16,6 +16,7 @@ from conftest import (
     generator_line_tokens,
     random_distribution,
     random_pair,
+    searchsorted_sample_indices,
 )
 from stability_lab import (
     ContentDomain,
@@ -29,6 +30,7 @@ from stability_lab import (
     min_envelope,
     read_distribution,
     sample,
+    sample_dataset,
     sample_indices,
     tv_distance,
     tv_event_form,
@@ -286,6 +288,134 @@ class TestSample:
         assert chisquare(counts, q.weights * n).pvalue > 0.001
 
 
+def _buckets(size: int) -> int:
+    """The sampler's bucket count B: the smallest power of two >= 16 |Z|."""
+    return 1 << (16 * size - 1).bit_length()
+
+
+def _zipf(size: int, exponent: float = 1.1) -> DiscreteDistribution:
+    w = np.arange(1, size + 1, dtype=np.float64) ** -exponent
+    return dist(w / w.sum())
+
+
+def _cdf(weights) -> np.ndarray:
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _around(values: np.ndarray) -> np.ndarray:
+    """`values` and the doubles next to them on either side, kept in [0, 1)."""
+    u = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestSampleExact:
+    """The bucket table gives the binary search's indices, byte for byte,
+    from the same random stream."""
+
+    @staticmethod
+    def _check(q, seed, ns=None):
+        b = _buckets(q.domain.size)
+        for n in ns or (0, 1, 2, 50, b - 1, b, b + 1, 10**5):
+            got = sample_indices(q, n, seed)
+            want = searchsorted_sample_indices(q, n, seed)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), (q, n)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 100, 1000, 1025, 5000])
+    def test_dirichlet_and_zipf_laws(self, size):
+        rng = np.random.default_rng(size)
+        self._check(random_distribution(rng, size), seed=size)
+        self._check(_zipf(size), seed=size + 1)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+            [0.0, 0.0, 0.2, 0.5, 0.3],
+            [0.2, 0.5, 0.3, 0.0, 0.0],
+            [0.1] * 10,
+            [1 / 3] * 3,
+        ],
+    )
+    def test_zero_weights_and_point_masses(self, weights):
+        self._check(dist(weights), seed=len(weights))
+
+    @pytest.mark.parametrize("size", [8, 1000])
+    def test_point_mass_in_a_wide_domain(self, size):
+        for at in (0, size // 2, size - 1):
+            self._check(dist(np.eye(size)[at]), seed=at, ns=(_buckets(size) + 1,))
+
+    @pytest.mark.parametrize("size", [4, 60, 1000])
+    def test_sparse_dirichlet_laws(self, size):
+        rng = np.random.default_rng(size)
+        for seed in range(3):
+            w = rng.dirichlet(np.full(size, 0.02))
+            self._check(make_distribution(domain(size), w), seed=seed)
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 50])
+    def test_dyadic_laws_on_bucket_edges(self, size):
+        # Weights that are multiples of 1/B (and of 1/(2B), bucket midpoints)
+        # sum exactly, so every cdf value lies on an edge or a midpoint.
+        rng = np.random.default_rng(size)
+        b = _buckets(size)
+        for scale in (b, 2 * b, 16):
+            w = rng.multinomial(scale, np.full(size, 1.0 / size)) / scale
+            assert _cdf(w)[-1] == 1.0 and np.all(_cdf(w) * scale % 1 == 0)
+            self._check(dist(w), seed=scale)
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            _cdf([0.5, 0.5]),
+            _cdf([0.25, 0.0, 0.25, 0.5]),
+            _cdf([1 / 3] * 3),
+            _cdf([0.1] * 10),
+            _cdf(np.random.default_rng(4).dirichlet(np.ones(30))),
+            _cdf(_zipf(1000).weights),
+        ]
+        + [np.arange(1, m + 1) / m for m in (3, 5, 7, 10, 48, 100, 1000)],
+    )
+    def test_search_at_edges_and_cdf_values(self, cdf):
+        # Every bucket edge b/B and every cdf value, with the doubles on
+        # either side: more draws than buckets, so the table resolves them.
+        b = _buckets(cdf.size)
+        u = np.concatenate([_around(np.arange(b) / b), _around(cdf)])
+        assert u.size > b
+        got = core._search_cdf(cdf, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [0.5, 0.5], [0.25, 0.0, 0.25, 0.5], [1 / 3] * 3, [0.0, 0.1, 0.0, 0.9]]
+    )
+    def test_bucket_table_definition(self, weights):
+        # Entry b is #{cdf <= b/B}, or -1 exactly where a cdf value lies
+        # strictly inside the bucket [b/B, (b+1)/B).
+        cdf = _cdf(weights)
+        for b in (_buckets(cdf.size), 1024):
+            edges = np.arange(b + 1) / b
+            low = (cdf[None, :] <= edges[:-1, None]).sum(axis=1)
+            inside = ((cdf[None, :] > edges[:-1, None]) & (cdf[None, :] < edges[1:, None])).any(axis=1)
+            assert np.array_equal(core._bucket_table(cdf, b), np.where(inside, -1, low))
+
+    def test_sample_dataset_indices(self):
+        q = _zipf(8)
+        n = _buckets(8) * 10
+        ds = sample_dataset(q, n, seed=9)
+        assert ds.indices.dtype == np.int64 and not ds.indices.flags.writeable
+        assert ds.indices.tobytes() == searchsorted_sample_indices(q, n, 9).tobytes()
+
+    def test_sample_dataset_takes_the_draws_without_a_copy(self, monkeypatch):
+        drawn = np.array([2, 0, 1], dtype=np.int64)
+        monkeypatch.setattr(core, "sample_indices", lambda q, n, seed: drawn)
+        ds = sample_dataset(dist([0.2, 0.3, 0.5]), 3, seed=0)
+        assert ds.indices is drawn and not drawn.flags.writeable
+
+
 class TestMinEnvelope:
     def test_single_model(self):
         q = dist([0.3, 0.7])
@@ -348,6 +478,12 @@ class TestDataset:
         assert Dataset.from_indices(domain(3), np.array([])).size == 0
         with pytest.raises(DomainMismatch):  # wraps to -1 as int64
             Dataset.from_indices(domain(3), np.array([2**64 - 1], dtype=np.uint64))
+
+    def test_from_indices_keeps_its_own_copy(self):
+        idx = np.array([0, 1, 2], dtype=np.int64)
+        ds = Dataset.from_indices(domain(3), idx)
+        idx[0] = 2
+        assert ds.indices.tolist() == [0, 1, 2] and idx.flags.writeable
 
     def test_slice(self):
         s = Dataset(domain(2), ["z0", "z1", "z0", "z0"])

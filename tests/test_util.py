@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import domain
 from stability_lab import derive_seed, new_tape
@@ -20,6 +21,19 @@ class TestDeriveSeed:
 
     def test_index_defaults_to_zero(self):
         assert derive_seed(9, "lab") == derive_seed(9, "lab", 0)
+
+    def test_root_and_index_read_as_integers(self):
+        assert derive_seed(True, "x", True) == derive_seed(1, "x", 1)
+        assert derive_seed(False, "x") == derive_seed(0, "x")
+        assert derive_seed(np.int64(12345), "tape", np.uint8(7)) == 2523506291143471698
+        assert derive_seed(np.uint64(2**64 - 1), "x", np.int32(-3)) == derive_seed(
+            2**64 - 1, "x", -3
+        )
+
+    @pytest.mark.parametrize("root, index", [(1.0, 0), (1, 2.0), (np.float64(3.0), 0), (1, 0.5)])
+    def test_float_root_or_index_raises(self, root, index):
+        with pytest.raises(TypeError):
+            derive_seed(root, "x", index)
 
 
 class TestTapeDeterminism:
