@@ -386,10 +386,17 @@ def _bucket_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
 
     For u in bucket b, #{cdf <= b/B} <= #{cdf <= u} <= #{cdf < (b+1)/B}, so
     where the two counts agree every draw of the bucket has that index.
+    They differ exactly where a cdf value c < 1 lies strictly inside the
+    bucket: c * B is exact, as B is a power of two, so that bucket is
+    floor(c * B), marked where c * B is not an integer.
     """
-    edges = np.arange(buckets + 1) / buckets
-    table = np.searchsorted(cdf, edges[:-1], side="right")
-    table[table != np.searchsorted(cdf, edges[1:], side="left")] = -1
+    edges = np.arange(buckets, dtype=np.float64)
+    edges /= buckets
+    table = np.searchsorted(cdf, edges, side="right")
+    del edges
+    scaled = cdf * buckets
+    bucket = np.floor(scaled)
+    table[bucket[(bucket != scaled) & (scaled < buckets)].astype(np.intp)] = -1
     return table
 
 

@@ -11,14 +11,19 @@ so the tape for any (seed, symbol) cell is addressable directly. The
 Monte Carlo helpers (tape seed = root seed + trial index, so batching
 cannot change a result) stream each symbol's row over a block of tapes
 through the tournament and never build a tape block. Argmin races one tape.
+race_tapes and race_counts race blocks of tapes, each block on one of two
+kernels chosen by _ranks_pay from its candidate sets: the tournament, or
+the rank race, which ranks each tape's (symbol, distinct weight) pairs
+once and gives every weight row the least rank of its cells.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -198,6 +203,108 @@ def _symbol_keys(size: int) -> np.ndarray:
     return _splitmix64(np.arange(size, dtype=np.uint64))
 
 
+class _WeightPairs(NamedTuple):
+    """The distinct masked weights of each column, as (symbol, weight) pairs.
+
+    The E pairs are symbol-major and ascending in weight within a symbol:
+    `values` holds their weights and `owners` their symbols, and
+    codes[z, i] is the pair of weight row i's weight at symbol z.
+    """
+
+    values: np.ndarray
+    owners: np.ndarray
+    codes: np.ndarray
+
+
+def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
+    """The pairs of the (|Z|, k) masked columns, or None when E * group,
+    the cells of a group's rank table, would pass _CELL_BUDGET.
+
+    E >= |Z|, so |Z| * group is checked before the columns are sorted. The
+    mask leaves no -0.0 (sort and != would take it for +0.0 anyway), and
+    +inf quotients of the +0.0 pairs rank last.
+    """
+    size = columns.shape[0]
+    if size * group > _CELL_BUDGET:
+        return None
+    ordered = np.sort(columns, axis=1)
+    new = np.empty(ordered.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    distinct = new.sum(axis=1)
+    if distinct.sum() * group > _CELL_BUDGET:
+        return None
+    values = ordered[new]
+    del ordered, new
+    starts = np.cumsum(distinct) - distinct
+    codes = np.empty(columns.shape, dtype=np.uint16)
+    for z, (start, stop) in enumerate(zip(starts, starts + distinct)):
+        codes[z] = np.searchsorted(values[start:stop], columns[z]) + start
+    return _WeightPairs(values, np.repeat(np.arange(size), distinct), codes)
+
+
+def _ranks_pay(k: int, raced: int, passes: int, gathered: int) -> bool:
+    """The kernel rule: whether a tape block races in rank space.
+
+    The tournament would race `raced` (tape, symbol) pairs of k cells in
+    `passes` symbol passes (one per raced symbol of each group); the rank
+    path would gather `gathered` such pairs, the symbols of its groups'
+    unions. A gathered uint16 cell costs about half a raced float64 cell,
+    and a symbol pass has a fixed cost of about 5,000 cells (its five
+    ufunc calls). Fitted to race_counts of 300 to 1,344 tapes on 2 vCPUs,
+    at k in {73, 275, 1000, 3170} and |Z| in {2, 8, 16, 32, 64, 200} under
+    learner_constant and learner_empirical(0) and (1): on 69 such shapes
+    drawn again, the rule was never more than 2% slower than the
+    tournament alone, and within 8% of the faster path in all but one
+    (k = 1000, |Z| = 32, constant rows keep the tournament: 2.8 ms where
+    ranks take 2.2 ms). The crossover it draws: constant rows at k = 3170
+    race in rank space up to |Z| = 64 and keep the tournament at 200
+    (11.3 ms, against 15.0 ms in rank space); smoothed shards at |Z| = 200
+    keep it too (14.3 ms, against 22.2 ms).
+    """
+    return gathered * k <= 2 * (raced * k + 5000 * passes)
+
+
+def _symbol_tapes(firsts: list, unions: np.ndarray, tapes: int) -> int:
+    """(tape, symbol) pairs raced by groups starting at `firsts` over `unions`."""
+    return int(unions.sum(axis=1) @ np.diff(firsts + [tapes]))
+
+
+def _rank_race(variates: np.ndarray, raced: np.ndarray, pairs: _WeightPairs, count: bool):
+    """The race of a group of tapes over the `raced` symbols, in rank space.
+
+    `variates` is the group's (g, |Z|) tape-major block. Each tape's
+    variates are divided by the raced symbols' E_S distinct weights only,
+    the very quotients E_z / w_iz of the tournament, and one stable
+    argsort per tape ranks its (quotient, symbol) pairs. They are
+    symbol-major, so an exact tie ranks the lower symbol first, np.argmin's
+    rule; a masked weight's +inf ranks after every finite quotient. Tape
+    t's ranks are offset by t * E_S, so a uint16 (E, g) table holds the
+    whole group: a weight row's winners are the least ranks of its raced
+    cells, one row gather per raced symbol, and one bincount counts them.
+    Returns the (g, |Z|) counts, or with count=False the (g, k) winners.
+    """
+    g, size = variates.shape
+    chosen = np.flatnonzero(raced[pairs.owners])
+    quotients = variates[:, pairs.owners[chosen]] / pairs.values[chosen]
+    order = np.argsort(quotients, axis=1, kind="stable")
+    table = np.empty((pairs.values.size, g), dtype=np.uint16)
+    table[chosen[order], np.arange(g)[:, None]] = np.arange(order.size).reshape(order.shape)
+    symbols = raced.nonzero()[0]
+    best = np.take(table, pairs.codes[symbols[0]], axis=0)
+    cells = np.empty_like(best)
+    for z in symbols[1:]:
+        np.minimum(best, np.take(table, pairs.codes[z], axis=0, out=cells), out=best)
+    # the symbol of each slot-offset rank
+    owners = pairs.owners[chosen[order]].ravel()
+    if not count:
+        return owners[best.T]
+    counts = np.zeros((g, size), dtype=np.intp)
+    tapes = np.repeat(np.arange(g), order.shape[1])
+    np.add.at(counts, (tapes, owners), np.bincount(best.ravel(), minlength=order.size))
+    return counts
+
+
 def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, count: bool):
     """Race every weight row on each seed's tape, one tape block at a time.
 
@@ -213,10 +320,16 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     symbol reaching U is always a candidate. When every column holds a
     zero weight, U is +inf and every symbol stays in the race.
 
-    Tapes are bucketed by a hash of their candidate set, and each bucket
-    races in groups of up to _tapes_per_block(k) tapes over the union of its
-    members' candidates. Tapes that share a set race no extra symbol; a
-    hash collision only adds symbols to the race, never changes a winner.
+    Tapes are sorted by a hash of their candidate set. The tournament races
+    each run of equal keys in groups of up to _tapes_per_block(k) tapes
+    over the union of its members' candidates: tapes that share a set race
+    no extra symbol, and a hash collision only adds symbols to the race,
+    never changes a winner. The rank path races consecutive groups of the
+    largest power of two of tapes up to that size, over their union (numpy
+    takes rows of 2 to 32 bytes by typed copies, wider rows by memmove).
+    _ranks_pay chooses the kernel of each block; the weight pairs are
+    built, once, for the first block that takes the rank path, and when
+    there are too many of them every block keeps the tournament.
     """
     columns = _weight_columns(domain, weight_matrix)
     size, k = columns.shape
@@ -227,6 +340,8 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     seeds = iter(seeds)
     block = _tapes_per_block(size)
     group = _tapes_per_block(k)
+    rank_group = 1 << (group.bit_length() - 1)
+    weight_pairs = functools.cache(lambda: _weight_pairs(columns, rank_group))
     with np.errstate(divide="ignore"):
         while keys := [_tape_key(s) for s in islice(seeds, block)]:
             variates = _exp_variates(np.array(keys, dtype=np.uint64), size)
@@ -240,11 +355,26 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
             position = np.arange(order.size)
             run_starts = np.r_[True, set_keys[1:] != set_keys[:-1]]
             run_first = np.maximum.accumulate(np.where(run_starts, position, 0))
+            candidates = candidates[order]
             firsts = np.flatnonzero((position - run_first) % group == 0).tolist()
-            unions = np.logical_or.reduceat(candidates[order], firsts, axis=0)
-            tapes = variates[order].T[:, :, None]
+            unions = np.logical_or.reduceat(candidates, firsts, axis=0)
+            rank_firsts = list(range(0, order.size, rank_group))
+            rank_unions = np.logical_or.reduceat(candidates, rank_firsts, axis=0)
+            ranked = _ranks_pay(
+                k,
+                _symbol_tapes(firsts, unions, order.size),
+                int(np.count_nonzero(unions)),
+                _symbol_tapes(rank_firsts, rank_unions, order.size),
+            ) and weight_pairs() is not None
+            if ranked:
+                firsts, unions = rank_firsts, rank_unions
+            variates = variates[order]
+            tapes = variates.T[:, :, None]
             groups = []
             for first, last, symbols in zip(firsts, firsts[1:] + [order.size], unions):
+                if ranked:
+                    groups.append(_rank_race(variates[first:last], symbols, weight_pairs(), count))
+                    continue
                 rows = tapes[:, first:last]
                 winners = _tournament(((z, rows[z]) for z in symbols.nonzero()[0]), weight_rows)
                 groups.append(_row_counts(winners, size) if count else winners)

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -401,6 +402,19 @@ class TestSampleExact:
             low = (cdf[None, :] <= edges[:-1, None]).sum(axis=1)
             inside = ((cdf[None, :] > edges[:-1, None]) & (cdf[None, :] < edges[1:, None])).any(axis=1)
             assert np.array_equal(core._bucket_table(cdf, b), np.where(inside, -1, low))
+
+    def test_bucket_table_holds_two_bucket_arrays(self):
+        # the B edges and the table; the -1 marks come from the |Z| cdf
+        # values, not from a second B-long count (3.1 B-long arrays before)
+        cdf = _cdf(np.random.default_rng(3).dirichlet(np.ones(5000)))
+        b = _buckets(cdf.size)
+        tracemalloc.start()
+        try:
+            core._bucket_table(cdf, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * b * 8
 
     def test_sample_dataset_indices(self):
         q = _zipf(8)

@@ -513,8 +513,12 @@ class TestCandidateBuckets:
         # every weight > 0, so the pruning bound is finite and tapes differ
         # in their candidate sets; 14 copies of 9 laws give k = 126 columns,
         # so a budget of 2k or 3k cells races groups of 2 or 3 tapes in one
-        # block of all 40 tapes (2k / |Z| = 42)
-        return np.tile(np.random.default_rng(12).dirichlet(np.ones(6), size=9), (14, 1))
+        # block of all 40 tapes (2k / |Z| = 42). Each cell is scaled by its
+        # own 1 + j * 1e-12, so every column holds 126 distinct weights and
+        # a rank table (756 pairs by 2 tapes) would pass either budget: the
+        # blocks keep the tournament.
+        tiled = np.tile(np.random.default_rng(12).dirichlet(np.ones(6), size=9), (14, 1))
+        return tiled * (1 + 1e-12 * np.arange(tiled.size).reshape(tiled.shape))
 
     @staticmethod
     def candidate_sets(d, seeds, w):
@@ -567,6 +571,193 @@ class TestCandidateBuckets:
         assert any(len(set(group)) > 1 for group in members)
         unions = [(tuple(sorted(set().union(*group))), len(group)) for group in members]
         assert groups == 2 * unions
+
+
+def kernel_calls(monkeypatch, rule=None):
+    """Calls of each race kernel, by name; `rule` replaces _ranks_pay."""
+    calls = {"_rank_race": 0, "_tournament": 0}
+    for name in calls:
+        kernel = getattr(coupling_mod, name)
+
+        def spy(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(coupling_mod, name, spy)
+    if rule is not None:
+        monkeypatch.setattr(coupling_mod, "_ranks_pay", rule)
+    return calls
+
+
+def rank_path(monkeypatch):
+    """Every block whose weight pairs fit the budget races in rank space."""
+    return kernel_calls(monkeypatch, rule=lambda *args: True)
+
+
+class TestRankRace:
+    """The rank path races each block where _ranks_pay says so and the
+    weight pairs fit the cell budget; it is the argmin race, bit for bit."""
+
+    @staticmethod
+    def empirical(size, k, smoothing, seed=0):
+        d = domain(size)
+        rng = np.random.default_rng(seed + size)
+        shards = rng.choice(size, size=(k, 20), p=rng.dirichlet(np.ones(size)))
+        return d, learner_empirical(smoothing).train_shards(d, shards, 0)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("size", [1, 2, 8, 32])
+    def test_learner_empirical(self, monkeypatch, size, smoothing):
+        # k = 1000: rank groups of 32 tapes, so 100 tapes end in a ragged
+        # group of 4; at most 21 weights per column fit 1024 pairs
+        d, w = self.empirical(size, 1000, smoothing)
+        calls = rank_path(monkeypatch)
+        assert_races_match_argmin(d, [2**64 - 1, *range(99)], w)
+        assert calls["_rank_race"] == 2 * 4 and calls["_tournament"] == 0
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_tiled_and_constant_rows(self, monkeypatch, size):
+        rng = np.random.default_rng(size)
+        laws = rng.dirichlet(np.ones(size), size=3)
+        calls = rank_path(monkeypatch)
+        for w in (np.tile(laws, (90, 1)), np.tile(laws[0], (270, 1))):
+            got = assert_races_match_argmin(domain(size), range(300), w)
+            assert np.all(got[:, :3] == got[:, 3:6])
+        assert calls["_tournament"] == 0 and calls["_rank_race"] > 0
+
+    def test_constant_rows_win_one_symbol(self, monkeypatch):
+        # every shard holds the same row, so each tape gives all k to one
+        # symbol, and it is the symbol argmin picks for that row
+        law = dist([0.1, 0.0, 0.4, 0.2, 0.3])
+        calls = rank_path(monkeypatch)
+        counts = race_counts(domain(5), range(200), np.tile(law.weights, (64, 1)))
+        tapes = [new_tape(domain(5), seed) for seed in range(200)]
+        winners = [coupled_sample_index(tape, law) for tape in tapes]
+        assert np.array_equal(counts, 64 * np.eye(5, dtype=np.intp)[winners])
+        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+
+    def test_exact_ties_go_to_the_lowest_symbol(self, monkeypatch):
+        # dyadic tapes and weights: many (quotient, symbol) pairs of a tape
+        # tie exactly across symbols, and the stable rank puts the lower
+        # symbol first, as np.argmin does
+        tapes = TestTournamentMatchesArgmin.TIED_TAPES
+        stream_keys = coupling_mod._splitmix64(np.arange(8, dtype=np.uint64))
+
+        def tied_cells(keys, symbols):
+            seed = (keys[..., None] == stream_keys).argmax(axis=-1)
+            return tapes[seed % len(tapes), np.asarray(symbols, dtype=np.intp)]
+
+        monkeypatch.setattr(coupling_mod, "_cell_variates", tied_cells)
+        calls = rank_path(monkeypatch)
+        w = np.tile(TestTournamentMatchesArgmin.TIED_WEIGHTS, (3, 1))
+        got = assert_races_match_argmin(domain(4), range(8), w)
+        assert got[0, 0] == 0 and got[0, 2] == 1 and got[1, 1] == 1 and got[3, 1] == 0
+        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+
+    def test_many_exact_ties(self, monkeypatch):
+        # powers of two only: every quotient is a power of two, so a tape's
+        # 30 or more pairs fall on a few values and tie across symbols
+        rng = np.random.default_rng(11)
+        tapes = 2.0 ** rng.integers(-2, 3, size=(6, 8))
+        stream_keys = coupling_mod._splitmix64(np.arange(6, dtype=np.uint64))
+
+        def dyadic_cells(keys, symbols):
+            seed = (keys[..., None] == stream_keys).argmax(axis=-1)
+            return tapes[seed, np.asarray(symbols, dtype=np.intp)]
+
+        monkeypatch.setattr(coupling_mod, "_cell_variates", dyadic_cells)
+        w = 2.0 ** -rng.integers(1, 7, size=(64, 8))
+        calls = rank_path(monkeypatch)
+        got = assert_races_match_argmin(domain(8), range(6), w)
+        quotients = tapes[:, None, :] / w
+        ties = (quotients == quotients.min(axis=-1, keepdims=True)).sum(axis=-1)
+        assert (ties > 1).mean() > 0.25
+        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+
+    def test_signed_zeros_and_a_zero_column(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        w = np.tile(rng.dirichlet(np.ones(6), size=4), (10, 1))
+        w[:, 3] = 0.0
+        w[::3, 3] = -0.0
+        w[1::4, 1] = -0.0
+        w[5] = [-0.0, 0.0, 0.0, -0.0, 0.0, 1.0]
+        calls = rank_path(monkeypatch)
+        got = assert_races_match_argmin(domain(6), TestRaceTapes.SEEDS + list(range(60)), w)
+        assert not np.any(got[:, 3] == 3) and np.all(got[:, 5] == 5)
+        assert not np.any(got[:, 1::4] == 1)
+        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_one_weight_row(self, monkeypatch, size):
+        # k = 1 makes a group of _CELL_BUDGET tapes, so only a single
+        # weight fits the rank table: |Z| = 1 races in rank space, wider
+        # domains keep the tournament
+        calls = rank_path(monkeypatch)
+        w = np.random.default_rng(1).dirichlet(np.ones(size))[None, :]
+        assert_races_match_argmin(domain(size), range(50), w)
+        assert (calls["_rank_race"] > 0) == (size == 1)
+        assert (calls["_tournament"] > 0) == (size > 1)
+
+    @pytest.mark.parametrize("tapes_per_group", [1, 2, 3, 5])
+    def test_ragged_groups(self, monkeypatch, tapes_per_group):
+        # a budget of n * k + k - 1 cells makes groups of n tapes, and rank
+        # groups of the largest power of two up to n (1, 2, 2 and 4); 23
+        # tapes end in a ragged group
+        d, w = self.empirical(5, 40, 1.0)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", tapes_per_group * 40 + 39)
+        calls = rank_path(monkeypatch)
+        pairs = coupling_mod._weight_pairs(np.ascontiguousarray(w.T), 1)
+        assert len(pairs.values) <= 40
+        assert_races_match_argmin(d, range(23), w)
+        group = 1 << (tapes_per_group.bit_length() - 1)
+        assert calls["_rank_race"] == 2 * -(-23 // group) and calls["_tournament"] == 0
+
+    def test_rule_takes_the_rank_path(self, monkeypatch):
+        # prop1's kind of shard matrix: smoothed models of 20 items over 8
+        # symbols, where each raced union holds most of the symbols
+        d, w = self.empirical(8, 300, 1.0)
+        calls = kernel_calls(monkeypatch)
+        assert_races_match_argmin(d, range(60), w)
+        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+
+    def test_rule_keeps_the_tournament(self, monkeypatch):
+        # constant rows over 64 symbols: one candidate per tape, so the
+        # tournament races one symbol a group, where a rank group of 8
+        # tapes would gather several
+        law = np.random.default_rng(64).dirichlet(np.ones(64))
+        calls = kernel_calls(monkeypatch)
+        assert_races_match_argmin(domain(64), range(60), np.tile(law, (300, 1)))
+        assert calls["_tournament"] > 0 and calls["_rank_race"] == 0
+
+    def test_rule_boundary(self):
+        # a gathered cell costs half a raced one, a symbol pass 5,000 cells
+        k, raced, passes = 3170, 1200, 150
+        limit = 2 * (raced * k + 5000 * passes)
+        assert coupling_mod._ranks_pay(k, raced, passes, limit // k)
+        assert not coupling_mod._ranks_pay(k, raced, passes, limit // k + 1)
+
+    def test_too_many_pairs_keep_the_tournament(self, monkeypatch):
+        # 1000 distinct rows over 32 symbols: 32,000 pairs by 32 tapes pass
+        # the budget, and |Z| x 4096 tapes passes it before any sort
+        rng = np.random.default_rng(3)
+        w = rng.dirichlet(np.ones(32), size=1000)
+        assert coupling_mod._weight_pairs(np.ascontiguousarray(w.T), 32) is None
+        assert coupling_mod._weight_pairs(np.ascontiguousarray(w[:, :9].T), 4096) is None
+        calls = rank_path(monkeypatch)
+        assert_races_match_argmin(domain(32), range(20), w)
+        assert calls["_tournament"] > 0 and calls["_rank_race"] == 0
+
+    def test_weight_pairs(self):
+        # symbol-major pairs, ascending within a symbol; -0.0 is masked to
+        # +0.0, and each cell's code is its weight's pair
+        w = np.array([[0.5, -0.0, 0.5], [0.25, 0.0, 0.75], [0.5, 0.5, 0.0]])
+        columns = coupling_mod._weight_columns(domain(3), w)
+        pairs = coupling_mod._weight_pairs(columns, 1)
+        assert pairs.values.tolist() == [0.25, 0.5, 0.0, 0.5, 0.0, 0.5, 0.75]
+        assert pairs.owners.tolist() == [0, 0, 1, 1, 2, 2, 2]
+        assert pairs.codes.dtype == np.uint16
+        assert np.array_equal(pairs.values[pairs.codes], columns)
+        assert np.array_equal(pairs.owners[pairs.codes], np.repeat([[0], [1], [2]], 3, axis=1))
 
 
 def _argmin_monte_carlo(q1, q2, trials, seed, tapes_per_chunk=1024):
@@ -668,17 +859,30 @@ class TestCellBudget:
     """_tapes_per_block sizes every tape block and tournament step by the one
     cell budget, or holds one tape when a tape alone is larger."""
 
-    @pytest.mark.parametrize("size, k", [(6, 11), (30, 25)])
-    def test_blocks_fit_the_budget(self, monkeypatch, size, k):
+    @pytest.mark.parametrize(
+        "size, k, laws",
+        [
+            pytest.param(6, 11, None, id="6-11"),
+            pytest.param(30, 25, None, id="30-25"),
+            pytest.param(6, 8, 1, id="6-8-one-law"),
+        ],
+    )
+    def test_blocks_fit_the_budget(self, monkeypatch, size, k, laws):
+        # distinct rows keep the tournament; 8 copies of one law hold 6
+        # weight pairs, so groups of 2 tapes race in rank space
         d = domain(size)
-        w = np.random.default_rng(size).dirichlet(np.ones(size), size=k)
+        w = np.random.default_rng(size).dirichlet(np.ones(size), size=laws or k)
+        if laws:
+            w = np.tile(w, (k // laws, 1))
         seeds = range(50)
         expected = np.stack([argmin_race(v, w) for v in _argmin_tapes(d, seeds)])
         q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
         x1, x2 = _argmin_monte_carlo(q1, q2, 50, 3)
-        # (cells, cells of one tape) of every tape block and tournament step
-        blocks, steps = [], []
+        # (cells, cells of one tape) of every tape block and tournament step,
+        # and of each rank group's table, gathered ranks and quotients
+        blocks, steps, ranks = [], [], []
         exp_variates, tournament = coupling_mod._exp_variates, coupling_mod._tournament
+        rank_race = coupling_mod._rank_race
 
         def recording_variates(keys, width):
             blocks.append((len(keys) * width, width))
@@ -693,17 +897,26 @@ class TestCellBudget:
 
             return tournament(recorded(), columns)
 
+        def recording_rank_race(variates, raced, pairs, count):
+            tapes, pair_count = len(variates), len(pairs.values)
+            raced_pairs = int(np.count_nonzero(raced[pairs.owners]))
+            for per_tape in (pair_count, pairs.codes.shape[1], raced_pairs):
+                ranks.append((tapes * per_tape, per_tape))
+            return rank_race(variates, raced, pairs, count)
+
         budget = 20
         monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", budget)
         monkeypatch.setattr(coupling_mod, "_exp_variates", recording_variates)
         monkeypatch.setattr(coupling_mod, "_tournament", recording_tournament)
+        monkeypatch.setattr(coupling_mod, "_rank_race", recording_rank_race)
         assert np.array_equal(race_tapes(d, seeds, w), expected)
         counts = race_counts(d, seeds, w)
         assert np.array_equal(counts, [np.bincount(row, minlength=size) for row in expected])
         assert disagreement_estimate(q1, q2, 50, 3) == np.count_nonzero(x1 != x2) / 50
         assert np.array_equal(coupled_marginal_counts(q1, 50, 3), np.bincount(x1, minlength=size))
-        assert blocks and steps
-        assert all(cells <= max(budget, tape) for cells, tape in blocks + steps)
+        assert blocks and steps and bool(ranks) == bool(laws)
+        assert all(cells <= max(budget, tape) for cells, tape in blocks + steps + ranks)
         # the narrow domain fills its blocks and steps with several tapes
         assert (size < budget) == any(cells > tape for cells, tape in blocks)
         assert any(cells > tape for cells, tape in steps)
+        assert bool(laws) == any(cells > tape for cells, tape in ranks)
