@@ -11,10 +11,11 @@ so the tape for any (seed, symbol) cell is addressable directly. The
 Monte Carlo helpers (tape seed = root seed + trial index, so batching
 cannot change a result) stream each symbol's row over a block of tapes
 through the tournament and never build a tape block. Argmin races one tape.
-race_tapes and race_counts race blocks of tapes, each block on one of two
-kernels chosen by _ranks_pay from its candidate sets: the tournament, or
-the rank race, which ranks each tape's (symbol, distinct weight) pairs
-once and gives every weight row the least rank of its cells.
+race_tapes and race_counts race blocks of tapes, in the order of their
+candidate masks, each block on one of two kernels chosen by _ranks_pay from
+its candidate sets: the tournament, or the rank race, which ranks each
+tape's (symbol, distinct weight) pairs once per chunk of tape groups and
+gives every weight row the least rank of its cells.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ _U64_MASK = (1 << 64) - 1
 
 # The race's one cell budget. _tapes_per_block sizes every block by it: a
 # tape block (tapes x |Z| variates, and the release chunk of its count
-# rows), a tournament group (tapes x k quotients) and a Monte Carlo step
-# (models x tapes). 2**15 float64 cells are 256 KB. The Monte Carlo step
-# of two models x 2**14 tapes timed best: the oracle sweep's 55 calls
-# took 0.27-0.31 s there, 0.40-0.44 s at 2**15 tapes and 0.42-0.53 s at
-# 2**16 (2 vCPUs). At k = 3170 a tournament group races 10 tapes.
+# rows), a tournament group (tapes x k quotients), a rank group (tapes x k
+# gathered ranks), a rank chunk (tapes x E: its rank table, quotients and
+# their order) and a Monte Carlo step (models x tapes). 2**15 float64
+# cells are 256 KB. The Monte Carlo step of two models x 2**14 tapes timed
+# best: the oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at
+# 2**15 tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament
+# group races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
 _CELL_BUDGET = 2**15
 
 
@@ -198,16 +201,12 @@ def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndar
     return np.ascontiguousarray(_masked(weight_matrix).T)
 
 
-def _symbol_keys(size: int) -> np.ndarray:
-    """One hashed uint64 per symbol; a candidate set's key XORs its members'."""
-    return _splitmix64(np.arange(size, dtype=np.uint64))
-
-
 class _WeightPairs(NamedTuple):
     """The distinct masked weights of each column, as (symbol, weight) pairs.
 
     The E pairs are symbol-major and ascending in weight within a symbol:
-    `values` holds their weights and `owners` their symbols, and
+    `values` holds their weights and `owners` their symbols (in the
+    narrowest unsigned type, as the tournament holds its winners), and
     codes[z, i] is the pair of weight row i's weight at symbol z.
     """
 
@@ -218,14 +217,17 @@ class _WeightPairs(NamedTuple):
 
 def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     """The pairs of the (|Z|, k) masked columns, or None when E * group,
-    the cells of a group's rank table, would pass _CELL_BUDGET.
+    the cells of a group's rank table, would pass _CELL_BUDGET, or when a
+    weight row is all zero.
 
     E >= |Z|, so |Z| * group is checked before the columns are sorted. The
-    mask leaves no -0.0 (sort and != would take it for +0.0 anyway), and
-    +inf quotients of the +0.0 pairs rank last.
+    mask leaves no -0.0 (sort and != would take it for +0.0 anyway). A +0.0
+    pair's quotient is +inf and never wins a row that has a weight > 0, so
+    the rank path leaves it out; a row of zeros alone (np.argmin gives it
+    the lowest symbol) keeps the tournament.
     """
     size = columns.shape[0]
-    if size * group > _CELL_BUDGET:
+    if size * group > _CELL_BUDGET or not columns.any(axis=0).all():
         return None
     ordered = np.sort(columns, axis=1)
     new = np.empty(ordered.shape, dtype=bool)
@@ -240,7 +242,8 @@ def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     codes = np.empty(columns.shape, dtype=np.uint16)
     for z, (start, stop) in enumerate(zip(starts, starts + distinct)):
         codes[z] = np.searchsorted(values[start:stop], columns[z]) + start
-    return _WeightPairs(values, np.repeat(np.arange(size), distinct), codes)
+    owners = np.repeat(np.arange(size, dtype=np.min_scalar_type(size - 1)), distinct)
+    return _WeightPairs(values, owners, codes)
 
 
 def _ranks_pay(k: int, raced: int, passes: int, gathered: int) -> bool:
@@ -270,39 +273,101 @@ def _symbol_tapes(firsts: list, unions: np.ndarray, tapes: int) -> int:
     return int(unions.sum(axis=1) @ np.diff(firsts + [tapes]))
 
 
-def _rank_race(variates: np.ndarray, raced: np.ndarray, pairs: _WeightPairs, count: bool):
-    """The race of a group of tapes over the `raced` symbols, in rank space.
+def _mask_order(candidates: np.ndarray):
+    """Tapes sorted by their candidate masks, and where each run of equal masks starts.
 
-    `variates` is the group's (g, |Z|) tape-major block. Each tape's
-    variates are divided by the raced symbols' E_S distinct weights only,
-    the very quotients E_z / w_iz of the tournament, and one stable
-    argsort per tape ranks its (quotient, symbol) pairs. They are
-    symbol-major, so an exact tie ranks the lower symbol first, np.argmin's
-    rule; a masked weight's +inf ranks after every finite quotient. Tape
-    t's ranks are offset by t * E_S, so a uint16 (E, g) table holds the
-    whole group: a weight row's winners are the least ranks of its raced
-    cells, one row gather per raced symbol, and one bincount counts them.
-    Returns the (g, |Z|) counts, or with count=False the (g, k) winners.
+    The order is np.lexsort(candidates.T), the highest symbol most
+    significant, taken over the masks packed into little-endian uint64
+    words (symbol z is bit z % 64 of word z // 64): |Z| / 64 sort keys, not
+    |Z|. Equal masks are adjacent, so a run holds exactly one candidate set.
     """
-    g, size = variates.shape
-    chosen = np.flatnonzero(raced[pairs.owners])
-    quotients = variates[:, pairs.owners[chosen]] / pairs.values[chosen]
-    order = np.argsort(quotients, axis=1, kind="stable")
-    table = np.empty((pairs.values.size, g), dtype=np.uint16)
-    table[chosen[order], np.arange(g)[:, None]] = np.arange(order.size).reshape(order.shape)
-    symbols = raced.nonzero()[0]
-    best = np.take(table, pairs.codes[symbols[0]], axis=0)
-    cells = np.empty_like(best)
-    for z in symbols[1:]:
-        np.minimum(best, np.take(table, pairs.codes[z], axis=0, out=cells), out=best)
-    # the symbol of each slot-offset rank
-    owners = pairs.owners[chosen[order]].ravel()
+    tapes, size = candidates.shape
+    packed = np.zeros((tapes, -(-size // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-size // 8)] = np.packbits(candidates, axis=1, bitorder="little")
+    words = packed.view("<u8")
+    order = np.lexsort(words.T)
+    words = words[order]
+    return order, np.r_[True, (words[1:] != words[:-1]).any(axis=1)]
+
+
+def _tied_rows(ranked: np.ndarray) -> np.ndarray:
+    """Rows of a row-sorted matrix that hold two equal values side by side."""
+    return np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+
+
+def _rank_chunk(
+    variates: np.ndarray, unions: np.ndarray, pairs: _WeightPairs, group: int, count: bool
+):
+    """The race of a chunk of consecutive groups of tapes, in rank space.
+
+    `variates` is the chunk's (n, |Z|) tape-major block; group j is its
+    tapes j * group to (j + 1) * group (the last may be short) and races
+    the symbols of unions[j]. Each tape's variates are divided by the
+    distinct weights > 0 of the chunk's raced symbols, E_C pairs, the very
+    quotients E_z / w_iz of the tournament, and each tape's row of them is
+    ranked once. The pairs are symbol-major, so a stable order ranks an
+    exact tie's lower symbol first, np.argmin's rule. The default argsort
+    gives the same order to a row with no two equal quotients, so only
+    rows that hold a tie are sorted again, stably. A +0.0 pair is left out
+    and ranks 0xFFFF: its +inf quotient never wins, as every weight row has
+    a weight > 0 (_weight_pairs) and so a finite least quotient in a
+    candidate symbol. Tape t of a group ranks from t * E_C on, so a uint16
+    (E, group) table holds a group: a weight row's winners are the least
+    ranks of its raced cells (one row gather per raced symbol; the codes
+    are in range, so take's clip mode never clips), and one bincount per
+    group counts them. One weighted bincount maps the chunk's rank counts
+    to symbols, exact below 2**53. Returns the (n, |Z|) counts, or with
+    count=False the (n, k) winners.
+    """
+    tapes, size = variates.shape
+    raced = np.logical_or.reduce(unions)[pairs.owners]
+    chosen = np.flatnonzero(raced & (pairs.values > 0))
+    width = chosen.size
+    symbols, weights = pairs.owners[chosen], pairs.values[chosen]
+    # each (n, E_C) array is dropped once used, so few are alive at a time
+    quotients = variates[:, symbols] / weights
+    order = np.argsort(quotients, axis=1)
+    quotients.sort(axis=1)
+    tied = _tied_rows(quotients)
+    del quotients
+    if tied.size:
+        # the tied rows' quotients, made again and ranked stably
+        order[tied] = np.argsort(variates[tied][:, symbols] / weights, axis=1, kind="stable")
+    # table[j, p, t]: tape t of group j's rank of pair p, offset by t * E_C
+    table = np.empty((len(unions), pairs.values.size, group), dtype=np.uint16)
+    table[:, np.flatnonzero(raced & (pairs.values == 0))] = 0xFFFF
+    index = chosen[order]
+    del order
+    # the symbol of each tape's ranks
+    owners = pairs.owners[index]
+    index *= group
+    slots = np.arange(tapes)
+    index += (slots // group * table[0].size + slots % group)[:, None]
+    slot_ranks = np.arange(group * width, dtype=np.uint16)
+    table.reshape(-1)[index.ravel()] = np.resize(slot_ranks, index.size)
+    del index
+    ranks = np.empty((tapes, width))
+    winners = []
+    for j, union in enumerate(unions):
+        first, last = j * group, min((j + 1) * group, tapes)
+        raced_symbols = union.nonzero()[0]
+        best = np.take(table[j], pairs.codes[raced_symbols[0]], axis=0, mode="clip")
+        cells = np.empty_like(best)
+        for z in raced_symbols[1:]:
+            np.take(table[j], pairs.codes[z], axis=0, out=cells, mode="clip")
+            np.minimum(best, cells, out=best)
+        best = best[:, : last - first]
+        if count:
+            found = np.bincount(best.ravel(), minlength=best.shape[1] * width)
+            ranks[first:last] = found.reshape(-1, width)
+        else:
+            winners.append(owners[first:last].ravel()[best.T])
     if not count:
-        return owners[best.T]
-    counts = np.zeros((g, size), dtype=np.intp)
-    tapes = np.repeat(np.arange(g), order.shape[1])
-    np.add.at(counts, (tapes, owners), np.bincount(best.ravel(), minlength=order.size))
-    return counts
+        return np.concatenate(winners)
+    del table
+    index = owners + np.arange(0, tapes * size, size)[:, None]
+    counts = np.bincount(index.ravel(), weights=ranks.ravel(), minlength=tapes * size)
+    return counts.astype(np.intp).reshape(tapes, size)
 
 
 def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, count: bool):
@@ -320,23 +385,24 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     symbol reaching U is always a candidate. When every column holds a
     zero weight, U is +inf and every symbol stays in the race.
 
-    Tapes are sorted by a hash of their candidate set. The tournament races
-    each run of equal keys in groups of up to _tapes_per_block(k) tapes
-    over the union of its members' candidates: tapes that share a set race
-    no extra symbol, and a hash collision only adds symbols to the race,
-    never changes a winner. The rank path races consecutive groups of the
-    largest power of two of tapes up to that size, over their union (numpy
-    takes rows of 2 to 32 bytes by typed copies, wider rows by memmove).
-    _ranks_pay chooses the kernel of each block; the weight pairs are
-    built, once, for the first block that takes the rank path, and when
-    there are too many of them every block keeps the tournament.
+    Tapes are sorted by their candidate masks (_mask_order), so tapes that
+    share a set are adjacent. The tournament races each run of equal masks
+    in groups of up to _tapes_per_block(k) tapes over the run's own set.
+    The rank path races consecutive groups of the largest power of two of
+    tapes up to that size, over their union (numpy takes rows of 2 to 32
+    bytes by typed copies, wider rows by memmove); in the mask order
+    neighbouring sets share most symbols. It ranks a chunk of groups at
+    once: the most consecutive groups whose tapes by E pairs fit
+    _CELL_BUDGET, and always at least one. _ranks_pay chooses the kernel
+    of each block; the weight pairs are built, once, for the first block
+    that takes the rank path, and when there are too many of them every
+    block keeps the tournament.
     """
     columns = _weight_columns(domain, weight_matrix)
     size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
     weight_rows = columns[:, None, :]
-    symbol_keys = _symbol_keys(size)
     seeds = iter(seeds)
     block = _tapes_per_block(size)
     group = _tapes_per_block(k)
@@ -347,13 +413,9 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
             variates = _exp_variates(np.array(keys, dtype=np.uint64), size)
             bound = (variates / low).min(axis=1, keepdims=True)
             candidates = variates / high <= bound
-            set_keys = np.bitwise_xor.reduce(candidates * symbol_keys, axis=1)
-            # Sorted by key, equal sets are adjacent; a group starts at each
-            # run's first tape and every `group` tapes after it.
-            order = np.argsort(set_keys, kind="stable")
-            set_keys = set_keys[order]
+            # a group starts at each run's first tape and every `group` tapes after it
+            order, run_starts = _mask_order(candidates)
             position = np.arange(order.size)
-            run_starts = np.r_[True, set_keys[1:] != set_keys[:-1]]
             run_first = np.maximum.accumulate(np.where(run_starts, position, 0))
             candidates = candidates[order]
             firsts = np.flatnonzero((position - run_first) % group == 0).tolist()
@@ -366,18 +428,22 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
                 int(np.count_nonzero(unions)),
                 _symbol_tapes(rank_firsts, rank_unions, order.size),
             ) and weight_pairs() is not None
-            if ranked:
-                firsts, unions = rank_firsts, rank_unions
             variates = variates[order]
-            tapes = variates.T[:, :, None]
             groups = []
-            for first, last, symbols in zip(firsts, firsts[1:] + [order.size], unions):
-                if ranked:
-                    groups.append(_rank_race(variates[first:last], symbols, weight_pairs(), count))
-                    continue
-                rows = tapes[:, first:last]
-                winners = _tournament(((z, rows[z]) for z in symbols.nonzero()[0]), weight_rows)
-                groups.append(_row_counts(winners, size) if count else winners)
+            if ranked:
+                pairs = weight_pairs()
+                chunk = max(1, _tapes_per_block(pairs.values.size) // rank_group)
+                for j in range(0, len(rank_firsts), chunk):
+                    tapes = variates[j * rank_group : (j + chunk) * rank_group]
+                    chunk_unions = rank_unions[j : j + chunk]
+                    groups.append(_rank_chunk(tapes, chunk_unions, pairs, rank_group, count))
+            else:
+                tapes = variates.T[:, :, None]
+                for first, last, symbols in zip(firsts, firsts[1:] + [order.size], unions):
+                    rows = tapes[:, first:last]
+                    raced = ((z, rows[z]) for z in symbols.nonzero()[0])
+                    winners = _tournament(raced, weight_rows)
+                    groups.append(_row_counts(winners, size) if count else winners)
             # the inverse of `order` puts each tape's row back at its seed
             yield np.concatenate(groups)[np.argsort(order)]
 

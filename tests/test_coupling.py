@@ -503,8 +503,9 @@ class TestTournamentMatchesArgmin:
 
 
 class TestCandidateBuckets:
-    """Tapes race in groups whose candidate sets share a key; every tape's
-    winners land in its own row, whatever group it raced in."""
+    """Tapes race in groups of one candidate set each, in the order of their
+    candidate masks; every tape's winners land in its own row, whatever
+    group it raced in."""
 
     SEEDS = range(300, 340)
 
@@ -558,24 +559,69 @@ class TestCandidateBuckets:
         expected += [(s, 1) for s, n in sizes.items() if n % 2]
         assert sorted(groups) == sorted(2 * expected)
 
-    def test_key_collision_races_the_union(self, monkeypatch):
-        # a constant key table puts every tape in one bucket: groups of 3
-        # consecutive tapes (ragged at the end) race the union of their sets
+    def test_equal_sets_race_in_one_group(self, monkeypatch):
+        # groups of up to 40 tapes in one block of all 40: equal candidate
+        # sets are adjacent in the mask order, so each set races once, as
+        # one group of all its tapes, over exactly its own symbols
         d, w = domain(6), self.weights()
         sets = self.candidate_sets(d, self.SEEDS, w)
-        monkeypatch.setattr(coupling_mod, "_symbol_keys", lambda size: np.zeros(size, np.uint64))
         groups = self.record_groups(monkeypatch)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 40 * w.shape[0])
+        assert_races_match_argmin(d, self.SEEDS, w)
+        expected = [(s, sets.count(s)) for s in set(sets)]
+        assert len(expected) >= 3 and any(n > 1 for _, n in expected)
+        assert sorted(groups) == sorted(2 * expected)
+
+    def test_rank_groups_race_their_members_union(self, monkeypatch):
+        # the rank path races consecutive groups of 2 tapes in the mask
+        # order: each group's raced symbols are exactly the union of its
+        # members' sets, and equal sets are adjacent, the highest symbol
+        # most significant
+        d = domain(6)
+        w = np.tile(np.random.default_rng(12).dirichlet(np.ones(6), size=9), (14, 1))
+        masked = np.where(w > 0, w, 0.0)
+        chunk, seen = coupling_mod._rank_chunk, []
+
+        def recording(variates, unions, pairs, group, count):
+            bound = (variates / masked.min(axis=0)).min(axis=1, keepdims=True)
+            members = variates / masked.max(axis=0) <= bound
+            for j, union in enumerate(unions):
+                assert np.array_equal(union, members[j * group : (j + 1) * group].any(axis=0))
+            assert group == 2 and len(unions) == -(-len(variates) // group)
+            seen.extend(map(tuple, members))
+            return chunk(variates, unions, pairs, group, count)
+
+        monkeypatch.setattr(coupling_mod, "_rank_chunk", recording)
+        monkeypatch.setattr(coupling_mod, "_ranks_pay", lambda *args: True)
         monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
-        members = [sets[j : j + 3] for j in range(0, len(sets), 3)]
-        assert any(len(set(group)) > 1 for group in members)
-        unions = [(tuple(sorted(set().union(*group))), len(group)) for group in members]
-        assert groups == 2 * unions
+        tapes = len(self.SEEDS)
+        for race in (seen[:tapes], seen[tapes:]):
+            assert sorted(race, key=lambda mask: mask[::-1]) == race
+            assert len(set(race)) >= 3 and len(race) == tapes
+
+
+class TestMaskOrder:
+    """_mask_order is np.lexsort over the candidate masks, the highest
+    symbol most significant, with a run starting at each new mask."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 130, 1000])
+    def test_packed_words_sort_as_lexsort(self, size):
+        rng = np.random.default_rng(size)
+        masks = rng.random((5, size)) < 0.5
+        # 60 tapes drawn from 5 masks, and masks that differ in one symbol
+        candidates = masks[rng.integers(0, 5, size=60)]
+        candidates[:3] = False
+        candidates[:3, [0, size // 2, size - 1]] = np.eye(3, dtype=bool)
+        order, starts = coupling_mod._mask_order(candidates)
+        assert np.array_equal(order, np.lexsort(candidates.T))
+        ordered = candidates[order]
+        assert np.array_equal(starts, np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
 
 
 def kernel_calls(monkeypatch, rule=None):
     """Calls of each race kernel, by name; `rule` replaces _ranks_pay."""
-    calls = {"_rank_race": 0, "_tournament": 0}
+    calls = {"_rank_chunk": 0, "_tournament": 0}
     for name in calls:
         kernel = getattr(coupling_mod, name)
 
@@ -594,6 +640,19 @@ def rank_path(monkeypatch):
     return kernel_calls(monkeypatch, rule=lambda *args: True)
 
 
+def tied_rows(monkeypatch):
+    """How many rows each rank chunk sorts again, stably, for exact ties."""
+    found, tied = [], coupling_mod._tied_rows
+
+    def spy(ranked):
+        rows = tied(ranked)
+        found.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(coupling_mod, "_tied_rows", spy)
+    return found
+
+
 class TestRankRace:
     """The rank path races each block where _ranks_pay says so and the
     weight pairs fit the cell budget; it is the argmin race, bit for bit."""
@@ -605,15 +664,25 @@ class TestRankRace:
         shards = rng.choice(size, size=(k, 20), p=rng.dirichlet(np.ones(size)))
         return d, learner_empirical(smoothing).train_shards(d, shards, 0)
 
+    @staticmethod
+    def chunks(d, w, groups, group):
+        """_rank_chunk calls of one race of `groups` rank groups of `group`
+        tapes: a chunk holds the most groups whose tapes by E pairs fit the
+        cell budget, and at least one."""
+        pairs = coupling_mod._weight_pairs(coupling_mod._weight_columns(d, w), group)
+        return -(-groups // max(1, coupling_mod._CELL_BUDGET // len(pairs.values) // group))
+
     @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("size", [1, 2, 8, 32])
     def test_learner_empirical(self, monkeypatch, size, smoothing):
-        # k = 1000: rank groups of 32 tapes, so 100 tapes end in a ragged
-        # group of 4; at most 21 weights per column fit 1024 pairs
+        # k = 1000: rank groups of 32 tapes, so 100 tapes make 4 groups and
+        # end in a ragged one of 4; at most 21 weights per column fit 1024
+        # pairs, and E <= 153 makes the 4 groups one chunk
         d, w = self.empirical(size, 1000, smoothing)
         calls = rank_path(monkeypatch)
         assert_races_match_argmin(d, [2**64 - 1, *range(99)], w)
-        assert calls["_rank_race"] == 2 * 4 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] == 2 * self.chunks(d, w, 4, 32) == 2
+        assert calls["_tournament"] == 0
 
     @pytest.mark.parametrize("size", [1, 3, 8])
     def test_tiled_and_constant_rows(self, monkeypatch, size):
@@ -623,7 +692,7 @@ class TestRankRace:
         for w in (np.tile(laws, (90, 1)), np.tile(laws[0], (270, 1))):
             got = assert_races_match_argmin(domain(size), range(300), w)
             assert np.all(got[:, :3] == got[:, 3:6])
-        assert calls["_tournament"] == 0 and calls["_rank_race"] > 0
+        assert calls["_tournament"] == 0 and calls["_rank_chunk"] > 0
 
     def test_constant_rows_win_one_symbol(self, monkeypatch):
         # every shard holds the same row, so each tape gives all k to one
@@ -634,12 +703,12 @@ class TestRankRace:
         tapes = [new_tape(domain(5), seed) for seed in range(200)]
         winners = [coupled_sample_index(tape, law) for tape in tapes]
         assert np.array_equal(counts, 64 * np.eye(5, dtype=np.intp)[winners])
-        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] > 0 and calls["_tournament"] == 0
 
     def test_exact_ties_go_to_the_lowest_symbol(self, monkeypatch):
         # dyadic tapes and weights: many (quotient, symbol) pairs of a tape
-        # tie exactly across symbols, and the stable rank puts the lower
-        # symbol first, as np.argmin does
+        # tie exactly across symbols, so those rows are sorted again, stably,
+        # and the rank puts the lower symbol first, as np.argmin does
         tapes = TestTournamentMatchesArgmin.TIED_TAPES
         stream_keys = coupling_mod._splitmix64(np.arange(8, dtype=np.uint64))
 
@@ -648,11 +717,12 @@ class TestRankRace:
             return tapes[seed % len(tapes), np.asarray(symbols, dtype=np.intp)]
 
         monkeypatch.setattr(coupling_mod, "_cell_variates", tied_cells)
-        calls = rank_path(monkeypatch)
+        calls, resorted = rank_path(monkeypatch), tied_rows(monkeypatch)
         w = np.tile(TestTournamentMatchesArgmin.TIED_WEIGHTS, (3, 1))
         got = assert_races_match_argmin(domain(4), range(8), w)
         assert got[0, 0] == 0 and got[0, 2] == 1 and got[1, 1] == 1 and got[3, 1] == 0
-        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] > 0 and calls["_tournament"] == 0
+        assert sum(resorted) > 0
 
     def test_many_exact_ties(self, monkeypatch):
         # powers of two only: every quotient is a power of two, so a tape's
@@ -667,12 +737,35 @@ class TestRankRace:
 
         monkeypatch.setattr(coupling_mod, "_cell_variates", dyadic_cells)
         w = 2.0 ** -rng.integers(1, 7, size=(64, 8))
-        calls = rank_path(monkeypatch)
+        calls, resorted = rank_path(monkeypatch), tied_rows(monkeypatch)
         got = assert_races_match_argmin(domain(8), range(6), w)
         quotients = tapes[:, None, :] / w
         ties = (quotients == quotients.min(axis=-1, keepdims=True)).sum(axis=-1)
         assert (ties > 1).mean() > 0.25
-        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] > 0 and calls["_tournament"] == 0
+        assert sum(resorted) > 0
+
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_masked_zeros_take_no_fallback(self, monkeypatch, size):
+        # unsmoothed shards hold many zero weights, whose +inf quotients
+        # would tie; a +0.0 pair is left out of the ranks (it never wins),
+        # so no row is sorted again
+        d, w = self.empirical(size, 1000, 0.0)
+        assert (w == 0).mean() > 0.1
+        calls, resorted = rank_path(monkeypatch), tied_rows(monkeypatch)
+        assert_races_match_argmin(d, range(100), w)
+        assert calls["_rank_chunk"] > 0 and resorted and not any(resorted)
+
+    def test_a_row_of_zeros_keeps_the_tournament(self, monkeypatch):
+        # np.argmin gives a row of zeros its lowest symbol: every quotient is
+        # +inf, no rank could decide it, so the blocks keep the tournament
+        d, w = self.empirical(8, 300, 1.0)
+        w[7], w[11] = 0.0, -0.0
+        assert coupling_mod._weight_pairs(coupling_mod._weight_columns(d, w), 1) is None
+        calls = rank_path(monkeypatch)
+        got = assert_races_match_argmin(d, range(60), w)
+        assert not got[:, [7, 11]].any()
+        assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
 
     def test_signed_zeros_and_a_zero_column(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -685,7 +778,7 @@ class TestRankRace:
         got = assert_races_match_argmin(domain(6), TestRaceTapes.SEEDS + list(range(60)), w)
         assert not np.any(got[:, 3] == 3) and np.all(got[:, 5] == 5)
         assert not np.any(got[:, 1::4] == 1)
-        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] > 0 and calls["_tournament"] == 0
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_one_weight_row(self, monkeypatch, size):
@@ -695,7 +788,7 @@ class TestRankRace:
         calls = rank_path(monkeypatch)
         w = np.random.default_rng(1).dirichlet(np.ones(size))[None, :]
         assert_races_match_argmin(domain(size), range(50), w)
-        assert (calls["_rank_race"] > 0) == (size == 1)
+        assert (calls["_rank_chunk"] > 0) == (size == 1)
         assert (calls["_tournament"] > 0) == (size > 1)
 
     @pytest.mark.parametrize("tapes_per_group", [1, 2, 3, 5])
@@ -710,7 +803,8 @@ class TestRankRace:
         assert len(pairs.values) <= 40
         assert_races_match_argmin(d, range(23), w)
         group = 1 << (tapes_per_group.bit_length() - 1)
-        assert calls["_rank_race"] == 2 * -(-23 // group) and calls["_tournament"] == 0
+        chunks = self.chunks(d, w, -(-23 // group), group)
+        assert calls["_rank_chunk"] == 2 * chunks and calls["_tournament"] == 0
 
     def test_rule_takes_the_rank_path(self, monkeypatch):
         # prop1's kind of shard matrix: smoothed models of 20 items over 8
@@ -718,7 +812,7 @@ class TestRankRace:
         d, w = self.empirical(8, 300, 1.0)
         calls = kernel_calls(monkeypatch)
         assert_races_match_argmin(d, range(60), w)
-        assert calls["_rank_race"] > 0 and calls["_tournament"] == 0
+        assert calls["_rank_chunk"] > 0 and calls["_tournament"] == 0
 
     def test_rule_keeps_the_tournament(self, monkeypatch):
         # constant rows over 64 symbols: one candidate per tape, so the
@@ -727,7 +821,7 @@ class TestRankRace:
         law = np.random.default_rng(64).dirichlet(np.ones(64))
         calls = kernel_calls(monkeypatch)
         assert_races_match_argmin(domain(64), range(60), np.tile(law, (300, 1)))
-        assert calls["_tournament"] > 0 and calls["_rank_race"] == 0
+        assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
 
     def test_rule_boundary(self):
         # a gathered cell costs half a raced one, a symbol pass 5,000 cells
@@ -745,7 +839,7 @@ class TestRankRace:
         assert coupling_mod._weight_pairs(np.ascontiguousarray(w[:, :9].T), 4096) is None
         calls = rank_path(monkeypatch)
         assert_races_match_argmin(domain(32), range(20), w)
-        assert calls["_tournament"] > 0 and calls["_rank_race"] == 0
+        assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
 
     def test_weight_pairs(self):
         # symbol-major pairs, ascending within a symbol; -0.0 is masked to
@@ -865,11 +959,13 @@ class TestCellBudget:
             pytest.param(6, 11, None, id="6-11"),
             pytest.param(30, 25, None, id="30-25"),
             pytest.param(6, 8, 1, id="6-8-one-law"),
+            pytest.param(2, 8, 1, id="2-8-one-law"),
         ],
     )
     def test_blocks_fit_the_budget(self, monkeypatch, size, k, laws):
-        # distinct rows keep the tournament; 8 copies of one law hold 6
-        # weight pairs, so groups of 2 tapes race in rank space
+        # distinct rows keep the tournament; 8 copies of one law hold |Z|
+        # weight pairs, so groups of 2 tapes race in rank space, in chunks
+        # of one group (6 pairs) or of five (2 pairs)
         d = domain(size)
         w = np.random.default_rng(size).dirichlet(np.ones(size), size=laws or k)
         if laws:
@@ -878,11 +974,13 @@ class TestCellBudget:
         expected = np.stack([argmin_race(v, w) for v in _argmin_tapes(d, seeds)])
         q1, q2 = make_distribution(d, w[0]), make_distribution(d, w[1])
         x1, x2 = _argmin_monte_carlo(q1, q2, 50, 3)
-        # (cells, cells of one tape) of every tape block and tournament step,
-        # and of each rank group's table, gathered ranks and quotients
-        blocks, steps, ranks = [], [], []
+        # (cells, cells of one tape) of every tape block and tournament step;
+        # of each rank chunk's quotients and their order (tapes x E_C, the
+        # chunk's raced pairs), its table (groups x E x group tapes) and each
+        # group's gathered ranks (group x k); and the groups of each chunk
+        blocks, steps, ranks, chunks = [], [], [], []
         exp_variates, tournament = coupling_mod._exp_variates, coupling_mod._tournament
-        rank_race = coupling_mod._rank_race
+        rank_chunk = coupling_mod._rank_chunk
 
         def recording_variates(keys, width):
             blocks.append((len(keys) * width, width))
@@ -897,18 +995,21 @@ class TestCellBudget:
 
             return tournament(recorded(), columns)
 
-        def recording_rank_race(variates, raced, pairs, count):
-            tapes, pair_count = len(variates), len(pairs.values)
-            raced_pairs = int(np.count_nonzero(raced[pairs.owners]))
-            for per_tape in (pair_count, pairs.codes.shape[1], raced_pairs):
-                ranks.append((tapes * per_tape, per_tape))
-            return rank_race(variates, raced, pairs, count)
+        def recording_rank_chunk(variates, unions, pairs, group, count):
+            tapes, pair_count, k = len(variates), len(pairs.values), pairs.codes.shape[1]
+            raced = np.logical_or.reduce(unions)[pairs.owners] & (pairs.values > 0)
+            width = int(np.count_nonzero(raced))
+            ranks.extend([(tapes * width, width)] * 2)
+            ranks.append((len(unions) * pair_count * group, pair_count))
+            ranks.extend([(group * k, k)] * len(unions))
+            chunks.append(max(1, budget // pair_count // group) - len(unions))
+            return rank_chunk(variates, unions, pairs, group, count)
 
         budget = 20
         monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", budget)
         monkeypatch.setattr(coupling_mod, "_exp_variates", recording_variates)
         monkeypatch.setattr(coupling_mod, "_tournament", recording_tournament)
-        monkeypatch.setattr(coupling_mod, "_rank_race", recording_rank_race)
+        monkeypatch.setattr(coupling_mod, "_rank_chunk", recording_rank_chunk)
         assert np.array_equal(race_tapes(d, seeds, w), expected)
         counts = race_counts(d, seeds, w)
         assert np.array_equal(counts, [np.bincount(row, minlength=size) for row in expected])
@@ -920,3 +1021,5 @@ class TestCellBudget:
         assert (size < budget) == any(cells > tape for cells, tape in blocks)
         assert any(cells > tape for cells, tape in steps)
         assert bool(laws) == any(cells > tape for cells, tape in ranks)
+        # a chunk holds the most groups that fit, short only at a block's end
+        assert all(spare >= 0 for spare in chunks) and bool(laws) == (0 in chunks)
