@@ -43,20 +43,44 @@ HIST_SIZE_CONSTANT = 8.0
 OUTPUT_LAW_MAX = 10**6
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     """Read-only (calls + 1, 1) uint32 column init * mult^i mod 2^32."""
-    column = np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(calls + 1)],
-                      dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
+    return _read_only(np.array(
+        [init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(calls + 1)], dtype=np.uint32
+    )[:, None])
 
 
 # numpy's SeedSequence (O'Neill's seed_seq) steps its hash multiplier once per
 # call, whatever the data: 16 calls mix a pool of 4 words, then 8 give
-# generate_state(4, uint64). PCG64 seeds itself with its 128-bit LCG step.
+# generate_state(4, uint64).
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# PCG64 seeds itself with its 128-bit LCG step, state = ((s + inc) * M + inc)
+# mod 2^128, which is s * M + inc * (M + 1). The factors M and M + 1 are
+# held as 32-bit limbs, low first, shaped to multiply the (2, 4, 1, n) limbs
+# of s and inc into (2, 4, 4, n) limb products.
+_LIMB = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_FACTORS = _read_only(np.array(
+    [[m >> shift & _LIMB for shift in (0, 32, 64, 96)] for m in (_PCG_MULT, _PCG_MULT + 1)],
+    dtype=np.uint64,
+).reshape(2, 1, 4, 1))
+# The products' 32-bit halves, as rows h * 32 + f * 16 + i * 4 + j (half h,
+# low 0 or high 1, of factor f's limb j times limb i), grouped by the limb
+# k = i + j + h of the state that each half adds to; k > 3 is dropped (mod
+# 2^128). One np.add.reduceat of the gathered rows sums each limb's group.
+_PRODUCT_GROUPS = [
+    [h * 32 + f * 16 + i * 4 + j
+     for h in (0, 1) for f in (0, 1) for i in range(4) for j in range(4) if i + j + h == k]
+    for k in range(4)
+]
+_PRODUCT_ROWS = _read_only(np.concatenate(_PRODUCT_GROUPS))
+_PRODUCT_STARTS = _read_only(np.cumsum([0] + [len(g) for g in _PRODUCT_GROUPS[:-1]]))
 
 
 @dataclass(frozen=True)
@@ -155,13 +179,6 @@ def _threshold_clamp(noisy_counts: np.ndarray, k, tau) -> np.ndarray:
     return released
 
 
-def _two_sided_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|. One
-    draw of 2 * size, filled one variate at a time, uses the stream as two draws."""
-    draws = rng.geometric(1.0 - p, size=2 * size)
-    return draws[:size] - draws[size:]
-
-
 def _seed_hash(values: np.ndarray, consts: np.ndarray, first: int, calls: int) -> np.ndarray:
     """seed_seq's hashmix: hash call first + i on row i of values (uint32
     arrays wrap silently)."""
@@ -174,9 +191,10 @@ def _noise_generators(seeds):
 
     Two or more integer seeds in [0, 2^128) take one pass of SeedSequence's
     pool mixing and generate_state(4, uint64) over a (4, n) uint32 array,
-    then PCG64's seeding step in Python ints. One Generator is pointed at
-    each row in turn, so use each before drawing the next. Other seeds (one
-    seed, a float, a negative or wider int) take default_rng, errors and all.
+    then PCG64's seeding step over (4, n) arrays of 32-bit limbs. One
+    Generator is pointed at each row in turn through one reused state dict,
+    so use each before drawing the next. Other seeds (one seed, a float, a
+    negative or wider int) take default_rng, errors and all.
     """
     ints = [int(s) for s in seeds if isinstance(s, (int, np.integer))]
     if len(ints) < 2 or len(ints) < len(seeds) or min(ints) < 0 or max(ints) >= 1 << 128:
@@ -192,13 +210,40 @@ def _noise_generators(seeds):
         mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
         pool[dst] = mixed ^ (mixed >> 16)
     words = _seed_hash(np.tile(pool, (2, 1)), _STATE_HASH, 0, 8).astype(np.uint64)
+    # generate_state(4, uint64) packs the words as w0 | w1 << 32, w2 | w3 << 32,
+    # ...; PCG64 reads the first two as its seed s and the last two as its
+    # stream i, high word first, so s's limbs, low first, are words 2, 3, 0,
+    # 1 and i's are 6, 7, 4, 5. The stream becomes inc = 2i + 1 mod 2^128,
+    # each limb taking the top bit of the one below it.
+    limbs = words[[2, 3, 0, 1, 6, 7, 4, 5]]
+    inc = limbs[4:]
+    top = inc >> 31
+    inc <<= 1
+    inc &= _LIMB
+    inc[1:] |= top[:-1]
+    inc[0] |= 1
+    # Each 32 x 32-bit limb product fits a uint64; halves is indexed (half,
+    # factor, limb i, limb j) as _PRODUCT_ROWS numbers it. Each state limb
+    # sums at most 14 halves, so it stays below 2^36 until the carries move
+    # its bits above 32 into the next limb, low first; the top limb's are
+    # dropped.
+    halves = np.empty((2, 2, 4, 4, len(ints)), dtype=np.uint64)
+    np.multiply(limbs.reshape(2, 4, 1, -1), _PCG_FACTORS, out=halves[1])
+    np.bitwise_and(halves[1], _LIMB, out=halves[0])
+    halves[1] >>= 32
+    state = limbs[:4]
+    state[:] = np.add.reduceat(halves.reshape(64, -1)[_PRODUCT_ROWS], _PRODUCT_STARTS)
+    for k in range(3):
+        state[k + 1] += state[k] >> 32
+    state &= _LIMB
     bits = np.random.PCG64(0)
     generator = np.random.Generator(bits)
-    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+    fields = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": fields, "has_uint32": 0, "uinteger": 0}
+    for s_lo, s_hi, i_lo, i_hi in zip(*(limbs[0::2] | limbs[1::2] << 32).tolist()):
+        fields["state"] = s_hi << 64 | s_lo
+        fields["inc"] = i_hi << 64 | i_lo
+        bits.state = full
         yield generator
 
 
@@ -271,11 +316,17 @@ def _release_rows(
         raise EmptyDataset("every histogram row needs a non-empty sample")
     tau = histogram_threshold(epsilon, delta, k)
     rows, cols = np.nonzero(counts)
-    p = math.exp(-epsilon / 2.0)
+    q = 1.0 - math.exp(-epsilon / 2.0)
     sizes = np.bincount(rows, minlength=k.size).tolist()
-    noise = np.concatenate([
-        _two_sided_geometric(rng, p, size) for rng, size in zip(_noise_generators(seeds), sizes)
-    ])
+    # Row i draws a (2, sizes[i]) block of geometrics in one call, filled one
+    # variate at a time in C order, so the rows' blocks side by side hold
+    # every first half above every second half. Their difference is the
+    # two-sided geometric noise, P(G = g) proportional to exp(-epsilon / 2)^|g|.
+    draws = np.concatenate(
+        [rng.geometric(q, (2, size)) for rng, size in zip(_noise_generators(seeds), sizes)],
+        axis=1,
+    )
+    noise = draws[0] - draws[1]
     values = np.zeros(counts.shape)
     values[rows, cols] = _threshold_clamp(counts[rows, cols] + noise, k[rows], tau[rows])
     _check_unit_interval(values)

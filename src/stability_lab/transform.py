@@ -37,7 +37,7 @@ from .core import (
 from .coupling import _race_tape_blocks
 from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
-from .util import derive_seed
+from .util import _derive_seeds, derive_seed
 
 # Coefficient on eta in the reported deviation bound: the accuracy chain
 # contributes 3*eta, the histogram failure event at most eta more, and the
@@ -112,13 +112,12 @@ def estimate_premise_alpha(
     against; constant learners score exactly zero.
     """
     _require_count("trials", trials)
+    labels = ("premise-sample-a", "premise-sample-b", "premise-train-a", "premise-train-b")
     total = 0.0
-    for t in range(trials):
-        s1 = sample_dataset(data_dist, m, derive_seed(seed, "premise-sample-a", t))
-        s2 = sample_dataset(data_dist, m, derive_seed(seed, "premise-sample-b", t))
-        q1 = learner.train(s1, derive_seed(seed, "premise-train-a", t))
-        q2 = learner.train(s2, derive_seed(seed, "premise-train-b", t))
-        total += tv_distance(q1, q2)
+    for a, b, train_a, train_b in zip(*(_derive_seeds(seed, x, range(trials)) for x in labels)):
+        s1 = sample_dataset(data_dist, m, a)
+        s2 = sample_dataset(data_dist, m, b)
+        total += tv_distance(learner.train(s1, train_a), learner.train(s2, train_b))
     return total / trials
 
 
@@ -356,8 +355,8 @@ def transform_bound_experiment(
             learner, priv_sample, config, derive_seed(seed, "transform-train", t)
         )
         trials = range(t * inner_trials, (t + 1) * inner_trials)
-        tapes = (derive_seed(seed, "tape", i) for i in trials)
-        noise_seeds = (derive_seed(seed, "noise", i) for i in trials)
+        tapes = _derive_seeds(seed, "tape", trials)
+        noise_seeds = _derive_seeds(seed, "noise", trials)
         # The rounding of the sum depends on its order: an axis-0 add.reduce
         # adds acc and then the outputs row by row, in trial order.
         acc = np.zeros(domain.size)

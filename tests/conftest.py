@@ -63,9 +63,11 @@ def searchsorted_sample_indices(q: DiscreteDistribution, n: int, seed: int) -> n
 #
 # Verbatim copies of the scalar and one-vector bodies that the row forms
 # dp._release_rows, dp._threshold_clamp and transform._project_rows
-# replaced, and of the two-call noise draw with one default_rng per row
-# that the batch-seeded one-call draw replaced; the row forms must match
-# them bit for bit.
+# replaced, of the two-call noise draw with one default_rng per row that
+# the batch-seeded one-call draw replaced, and of the per-row release loop
+# (one default_rng and one sliced two-sided draw per row) that the array
+# passes of dp._release_rows replaced; the row forms must match them bit
+# for bit.
 
 
 def two_call_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
@@ -73,6 +75,32 @@ def two_call_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndar
     return (rng.geometric(1.0 - p, size=size) - rng.geometric(1.0 - p, size=size)).astype(
         np.int64
     )
+
+
+def two_sided_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|. One
+    draw of 2 * size, filled one variate at a time, uses the stream as two draws."""
+    draws = rng.geometric(1.0 - p, size=2 * size)
+    return draws[:size] - draws[size:]
+
+
+def per_row_release(counts: np.ndarray, epsilon: float, delta: float, seeds) -> np.ndarray:
+    """The released values of dp._release_rows before its array passes."""
+    k = counts.sum(axis=1)
+    tau = histogram_threshold(epsilon, delta, k)
+    rows, cols = np.nonzero(counts)
+    p = math.exp(-epsilon / 2.0)
+    sizes = np.bincount(rows, minlength=k.size).tolist()
+    noise = np.concatenate([
+        two_sided_geometric(rng, p, size)
+        for rng, size in zip(map(np.random.default_rng, seeds), sizes)
+    ])
+    noisy = (counts[rows, cols] + noise) / k[rows]
+    released = np.minimum(np.maximum(noisy, 0.0), 1.0)
+    released[noisy < tau[rows]] = 0.0
+    values = np.zeros(counts.shape)
+    values[rows, cols] = released
+    return values
 
 
 def scalar_noisy_value(count: int, noise: int, k: int, tau: float) -> float:

@@ -10,11 +10,13 @@ import pytest
 from conftest import (
     dist,
     domain,
+    per_row_release,
     random_distribution,
     random_pair,
     scalar_histogram_values,
     scalar_noisy_value,
     two_call_geometric,
+    two_sided_geometric,
 )
 from stability_lab import (
     Dataset,
@@ -43,7 +45,6 @@ from stability_lab.dp import (
     _noise_generators,
     _release_rows,
     _replacement_neighbors,
-    _two_sided_geometric,
     coordinate_output_law,
     dp_beta_over_laws,
 )
@@ -529,6 +530,16 @@ class TestReleaseRows:
         for seed in (0, 2**64 - 1, 2**128 - 1, 2**128, np.uint64(5)):
             self.check_rows_equal_scalar(counts[:1], epsilon, 1e-3, [seed])
 
+    @staticmethod
+    def check_default_rng_states(seeds):
+        drawn = 0
+        for generator, seed in zip(_noise_generators(seeds), seeds):
+            assert generator.bit_generator.state == (
+                np.random.default_rng(seed).bit_generator.state
+            )
+            drawn += 1
+        assert drawn == len(seeds)
+
     def test_noise_generators_in_default_rng_state(self):
         rng = np.random.default_rng(37)
         batches = [
@@ -540,19 +551,43 @@ class TestReleaseRows:
             [11],
         ]
         for seeds in batches:
-            drawn = 0
-            for generator, seed in zip(_noise_generators(seeds), seeds):
-                assert generator.bit_generator.state == (
-                    np.random.default_rng(seed).bit_generator.state
-                )
-                drawn += 1
-            assert drawn == len(seeds)
+            self.check_default_rng_states(seeds)
+
+    @pytest.mark.parametrize("batch", [2, 3, 300])
+    def test_limb_seeding_equals_default_rng(self, batch):
+        # 10,000 seeds of 1 to 128 bits, and seeds whose words are all ones
+        # or a lone top bit, so the limb sums and products carry.
+        rng = np.random.default_rng(41)
+        words = rng.integers(0, 2**64, size=(10_000, 2), dtype=np.uint64).tolist()
+        widths = rng.integers(1, 129, size=10_000).tolist()
+        seeds = [(hi << 64 | lo) >> (128 - w) for (hi, lo), w in zip(words, widths)]
+        seeds += [2**64 - 1, 2**127, 2**128 - 1, 2**64, 2**96 - 1, 2**32 - 1]
+        for start in range(0, len(seeds), batch):
+            chunk = seeds[start:start + batch]
+            if len(chunk) == 1:
+                chunk.append(seeds[0])
+            self.check_default_rng_states(chunk)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_rows_equal_per_row_loop(self, epsilon):
+        # epsilon = 0.5 inverts numpy's geometric CDF; 1 and 2 search it.
+        rng = np.random.default_rng(43)
+        for size in (1, 8, 1000):
+            counts = rng.integers(0, 40, size=(30, size)) * (rng.random((30, size)) < 0.3)
+            counts[:, 0] += 1
+            counts[:4] = 0
+            counts[:4, rng.integers(size)] = [1, 2, 25, 300]  # one present symbol
+            seeds = [int(s) for s in rng.integers(0, 2**64, size=30, dtype=np.uint64)]
+            values = _release_rows(counts, epsilon, 1e-3, seeds)
+            assert values.tobytes() == per_row_release(counts, epsilon, 1e-3, seeds).tobytes()
+            lone = _release_rows(counts[:1], epsilon, 1e-3, seeds[:1])
+            assert lone.tobytes() == per_row_release(counts[:1], epsilon, 1e-3, seeds[:1]).tobytes()
 
     @pytest.mark.parametrize("epsilon", [0.5, 2.0])
     def test_one_draw_equals_two(self, epsilon):
         p = math.exp(-epsilon / 2.0)
         for size in (0, 1, 7, 200):
-            one = _two_sided_geometric(np.random.default_rng(size), p, size)
+            one = two_sided_geometric(np.random.default_rng(size), p, size)
             two = two_call_geometric(np.random.default_rng(size), p, size)
             assert one.dtype == np.int64 and one.tobytes() == two.tobytes()
 

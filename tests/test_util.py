@@ -1,8 +1,12 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
 from conftest import domain
 from stability_lab import derive_seed, new_tape
+from stability_lab.util import _derive_seeds
 
 
 class TestDeriveSeed:
@@ -34,6 +38,37 @@ class TestDeriveSeed:
     def test_float_root_or_index_raises(self, root, index):
         with pytest.raises(TypeError):
             derive_seed(root, "x", index)
+
+
+class TestDeriveSeeds:
+    ROOTS = [0, 1, -3, 2**64 - 1, True, np.int64(-7), np.uint64(2**64 - 1), 10**40]
+    INDICES = [0, 1, -3, 2**64 - 1, True, False, np.int64(-3), np.uint64(2**64 - 1), 5, 2]
+
+    @pytest.mark.parametrize("label", ["tape", "noise", "", "bruit/é—ß", "草"])
+    def test_stream_equals_derive_seed(self, label):
+        for root in self.ROOTS:
+            stream = list(_derive_seeds(root, label, self.INDICES))
+            assert stream == [derive_seed(root, label, i) for i in self.INDICES]
+            # the payload: the decimal root and index around the UTF-8 label
+            payloads = (f"{int(root)}/{label}/{int(i)}".encode() for i in self.INDICES)
+            assert stream == [
+                int.from_bytes(hashlib.blake2b(b, digest_size=8).digest(), "little")
+                for b in payloads
+            ]
+
+    def test_float_index_raises_when_reached(self):
+        seeds = _derive_seeds(3, "x", [0, 1.0])
+        assert next(seeds) == derive_seed(3, "x", 0)
+        with pytest.raises(TypeError):
+            next(seeds)
+        with pytest.raises(TypeError):
+            next(_derive_seeds(3.0, "x", [0]))
+
+    def test_lazy(self):
+        start = time.perf_counter()
+        first = next(_derive_seeds(12345, "tape", range(10**12)))
+        assert time.perf_counter() - start < 1.0
+        assert first == derive_seed(12345, "tape", 0)
 
 
 class TestTapeDeterminism:
