@@ -434,9 +434,14 @@ def sample_indices(q: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     search.
     """
     rng = np.random.default_rng(seed)
+    return _search_cdf(_sampling_cdf(q), rng.random(n))
+
+
+def _sampling_cdf(q: DiscreteDistribution) -> np.ndarray:
+    """The CDF of q renormalized by its final value, as sample_indices searches it."""
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
-    return _search_cdf(cdf, rng.random(n))
+    return cdf
 
 
 def sample(q: DiscreteDistribution, seed: int) -> str:

@@ -29,13 +29,15 @@ from .core import (
     DiscreteDistribution,
     _check_probability_rows,
     _require_count,
-    _require_same_domain,
+    _require_domain,
+    _sampling_cdf,
+    _search_cdf,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
-from .coupling import _race_tape_blocks
-from .dp import DpParams, NoisyHistogram, _release_rows, required_k
+from .coupling import _race_tape_blocks, _tapes_per_block
+from .dp import DpParams, NoisyHistogram, _noise_generators, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import _derive_seeds, derive_seed
 
@@ -109,15 +111,39 @@ def estimate_premise_alpha(
     """Mean TV between models trained on two independent m-samples.
 
     This is the output-stability level the transform's bound is stated
-    against; constant learners score exactly zero.
+    against; constant learners score exactly zero. Trial t's samples a and
+    b are sample_dataset(data_dist, m, s) for its seeds s from the
+    "premise-sample-a" and "-b" streams. The trials run in blocks of
+    _tapes_per_block(max(m, |Z|)) rows, so a block's uniforms and models
+    fit the race's cell budget: each block draws its rows' uniforms through
+    _noise_generators, maps them in one _search_cdf call, and trains each
+    side once through _train_rows, side s of block b with train seed
+    derive_seed(seed, "premise-train-s", b). The row TVs are tv_distance's
+    sum, row by row, and are added in trial order. Raises ValueError for
+    trials < 1 or m < 0 (a bool or float is not a count) before any seed
+    is drawn.
     """
-    _require_count("trials", trials)
-    labels = ("premise-sample-a", "premise-sample-b", "premise-train-a", "premise-train-b")
+    trials = _require_count("trials", trials)
+    m = _require_count("m", m, minimum=0)
+    domain = data_dist.domain
+    cdf = _sampling_cdf(data_dist)
+    block = _tapes_per_block(max(m, domain.size))
+    streams = [_derive_seeds(seed, f"premise-sample-{side}", range(trials)) for side in "ab"]
     total = 0.0
-    for a, b, train_a, train_b in zip(*(_derive_seeds(seed, x, range(trials)) for x in labels)):
-        s1 = sample_dataset(data_dist, m, a)
-        s2 = sample_dataset(data_dist, m, b)
-        total += tv_distance(learner.train(s1, train_a), learner.train(s2, train_b))
+    for b, start in enumerate(range(0, trials, block)):
+        rows = min(block, trials - start)
+        models = []
+        for side, stream in zip("ab", streams):
+            uniforms = np.empty((rows, m))
+            for row, generator in zip(uniforms, _noise_generators([*islice(stream, rows)])):
+                generator.random(out=row)
+            samples = _search_cdf(cdf, uniforms.ravel()).reshape(rows, m)
+            models.append(
+                _train_rows(learner, domain, samples, derive_seed(seed, f"premise-train-{side}", b))
+            )
+        # np.add.reduce sums each row as tv_distance sums its one vector.
+        for tv in (0.5 * np.add.reduce(np.abs(models[0] - models[1]), axis=1)).tolist():
+            total += tv
     return total / trials
 
 
@@ -190,32 +216,43 @@ class TransformTrace:
     output: DiscreteDistribution
 
 
+def _train_rows(
+    learner: Learner, domain: ContentDomain, samples: np.ndarray, train_seed: int
+) -> np.ndarray:
+    """(n, |Z|) weights of the models trained on each row of an (n, m) index
+    matrix, validated once as n distributions on `domain`.
+
+    A batched `train_shards` takes the matrix whole; otherwise row i trains
+    through `train` with seed derive_seed(train_seed, "shard-train", i).
+    """
+    n = samples.shape[0]
+    if learner.train_shards is not None:
+        weights = learner.train_shards(domain, samples, train_seed)
+    else:
+        rows = []
+        for i, row in enumerate(samples):
+            shard = Dataset.from_indices(domain, row)
+            q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
+            _require_domain(domain, q)
+            rows.append(q.weights)
+        weights = np.stack(rows)
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_probability_rows(weights, (n, domain.size))
+    return weights
+
+
 def _shard_weight_matrix(
     learner: Learner, sample: Dataset, config: TransformConfig, train_seed: int
 ) -> np.ndarray:
     """Train the k shard models; rows are their weight vectors.
 
-    Shard i is row i of the (k, m) sample matrix; a batched `train_shards`
-    takes it whole. Every model must live on the sample's domain, and the
-    matrix is validated once as k distributions.
+    Shard i is row i of the (k, m) sample matrix, trained by _train_rows.
     """
     if sample.size != config.m_priv:
         raise SizeMismatch(f"expected k*m = {config.m_priv} items, got {sample.size}")
-    domain = sample.domain
-    shards = sample.indices.reshape(config.k, config.m)
-    if learner.train_shards is not None:
-        weights = learner.train_shards(domain, shards, train_seed)
-    else:
-        rows = []
-        for i, row in enumerate(shards):
-            shard = Dataset.from_indices(domain, row)
-            q = learner.train(shard, derive_seed(train_seed, "shard-train", i))
-            _require_same_domain(q, sample)
-            rows.append(q.weights)
-        weights = np.stack(rows)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_probability_rows(weights, (config.k, domain.size))
-    return weights
+    return _train_rows(
+        learner, sample.domain, sample.indices.reshape(config.k, config.m), train_seed
+    )
 
 
 def _release_chain(

@@ -6,8 +6,16 @@ import math
 
 import numpy as np
 
-from stability_lab import ContentDomain, Dataset, DiscreteDistribution, make_distribution
+from stability_lab import (
+    ContentDomain,
+    Dataset,
+    DiscreteDistribution,
+    make_distribution,
+    sample_dataset,
+    tv_distance,
+)
 from stability_lab.dp import histogram_threshold
+from stability_lab.util import _derive_seeds
 
 _DOMAINS: dict[int, ContentDomain] = {}
 
@@ -57,6 +65,28 @@ def searchsorted_sample_indices(q: DiscreteDistribution, n: int, seed: int) -> n
     cdf /= cdf[-1]
     u = rng.random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+# --- per-trial premise oracle ------------------------------------------------
+#
+# The body of transform.estimate_premise_alpha before its block passes: two
+# seeded samples, two trainings and one tv_distance per trial, added in
+# trial order. Trial t trains with its seeds from the "premise-train-a" and
+# "-b" streams, or with train_seeds[0][t] and train_seeds[1][t] when given.
+
+
+def per_trial_premise_alpha(learner, data_dist, m, trials, seed, train_seeds=None) -> float:
+    labels = ("premise-sample-a", "premise-sample-b")
+    if train_seeds is None:
+        train_seeds = [_derive_seeds(seed, f"premise-train-{x}", range(trials)) for x in "ab"]
+    total = 0.0
+    for a, b, train_a, train_b in zip(
+        *(_derive_seeds(seed, x, range(trials)) for x in labels), *train_seeds
+    ):
+        s1 = sample_dataset(data_dist, m, a)
+        s2 = sample_dataset(data_dist, m, b)
+        total += tv_distance(learner.train(s1, train_a), learner.train(s2, train_b))
+    return total / trials
 
 
 # --- scalar oracles ---------------------------------------------------------

@@ -445,6 +445,25 @@ class TestDerivedThreshold:
             NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=1.0, delta=1e-3, k=k)
 
 
+def _search_edge() -> float:
+    """The least epsilon whose geometric probability 1 - exp(-epsilon / 2)
+    reaches numpy's search literal 0.333333333333333333333333.
+
+    Near 1/3 that probability is a multiple of 2^-53, and the literal's
+    double an odd multiple of 2^-54, so no epsilon gives it exactly: this
+    one gives the next double up, and the float below it the next one down.
+    """
+    epsilon = -2.0 * math.log(2.0 / 3.0)
+    while 1.0 - math.exp(-epsilon / 2.0) >= dp._GEOMETRIC_SEARCH:
+        epsilon = math.nextafter(epsilon, 0)
+    while 1.0 - math.exp(-epsilon / 2.0) < dp._GEOMETRIC_SEARCH:
+        epsilon = math.nextafter(epsilon, math.inf)
+    return epsilon
+
+
+SEARCH_EDGE = _search_edge()
+
+
 class TestReleaseRows:
     def test_rows_equal_scalar_release(self):
         # tau * k = 17 at this (epsilon, delta) whatever k is, so rows of
@@ -568,9 +587,14 @@ class TestReleaseRows:
                 chunk.append(seeds[0])
             self.check_default_rng_states(chunk)
 
-    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "epsilon", [0.5, 1.0, 2.0, SEARCH_EDGE, math.nextafter(SEARCH_EDGE, 0)]
+    )
     def test_rows_equal_per_row_loop(self, epsilon):
-        # epsilon = 0.5 inverts numpy's geometric CDF; 1 and 2 search it.
+        # epsilon = 0.5 and the float below SEARCH_EDGE invert numpy's
+        # geometric CDF; 1, 2 and SEARCH_EDGE search it.
+        p = 1.0 - math.exp(-epsilon / 2.0)
+        assert (p >= dp._GEOMETRIC_SEARCH) == (epsilon >= SEARCH_EDGE)
         rng = np.random.default_rng(43)
         for size in (1, 8, 1000):
             counts = rng.integers(0, 40, size=(30, size)) * (rng.random((30, size)) < 0.3)
@@ -582,6 +606,98 @@ class TestReleaseRows:
             assert values.tobytes() == per_row_release(counts, epsilon, 1e-3, seeds).tobytes()
             lone = _release_rows(counts[:1], epsilon, 1e-3, seeds[:1])
             assert lone.tobytes() == per_row_release(counts[:1], epsilon, 1e-3, seeds[:1]).tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 32])
+    def test_pcg64_doubles_equal_default_rng(self, steps):
+        rng = np.random.default_rng(47)
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=200, dtype=np.uint64)]
+        seeds += [0, 1, 2**32 - 1, 2**63, 2**64 - 1, 2**127, 2**128 - 1]
+        got = dp._pcg64_doubles(dp._pcg64_words(seeds), steps)
+        expected = np.stack([np.random.default_rng(s).random(steps) for s in seeds], axis=1)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [dp._GEOMETRIC_SEARCH, 0.34, 1.0 - math.exp(-0.5), 0.5, 0.9, 1.0])
+    def test_geometric_search_equals_numpy(self, p):
+        for seed in range(20):
+            got = dp._geometric_search(np.random.default_rng(seed).random(500), p)
+            expected = np.random.default_rng(seed).geometric(p, 500)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def forged_words(outputs, inc=1):
+        """_pcg64_words rows of streams whose state after one step is each
+        of `outputs`, all below 2^64: with a zero high half, XSL-RR rotates by
+        0 and outputs the state as is."""
+        inverse = pow(dp._PCG_MULT, -1, 2**128)
+        states = [(x - inc) * inverse % 2**128 for x in outputs]
+        return np.array(
+            [[s & (2**64 - 1) for s in states], [s >> 64 for s in states],
+             [inc] * len(states), [0] * len(states)],
+            dtype=np.uint64,
+        )
+
+    def test_uniform_on_a_running_sum(self):
+        # At p = 0.5 the running sums 0.5, 0.75, ... are multiples of 2^-53,
+        # so a uniform can equal one. numpy's loop stops there (U > sum is
+        # false): a searchsorted with side="left".
+        uniforms = [0.0, 0.5, 0.75, 0.875, 0.5 - 2.0**-53, 0.5 + 2.0**-53]
+        words = self.forged_words([int(u * 2**53) << 11 for u in uniforms])
+        assert dp._pcg64_doubles(words, 1).tolist() == [uniforms]
+        got = dp._geometric_search(dp._pcg64_doubles(words, 1)[0], 0.5)
+        expected = []
+        for s_lo, s_hi, i_lo, i_hi in zip(*words.tolist()):
+            bits = np.random.PCG64(0)
+            bits.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            }
+            expected.append(int(np.random.Generator(bits).geometric(0.5)))
+        assert got.tolist() == expected == [1, 1, 2, 3, 1, 2]
+
+    def test_uniform_above_the_last_sum_raises(self, monkeypatch):
+        # numpy's search loop never returns for a uniform above its last
+        # running sum. A stream whose state after one step is 2^64 - 1
+        # outputs 2^64 - 1, the uniform 1 - 2^-53.
+        p = 1.0 - math.exp(-0.5)
+        words = self.forged_words([2**64 - 1] * 2)
+        uniforms = dp._pcg64_doubles(words, 1)
+        assert uniforms.tolist() == [[1.0 - 2.0**-53] * 2]
+        with pytest.raises(RuntimeError, match="running sum"):
+            dp._geometric_search(uniforms, p)
+        monkeypatch.setattr(dp, "_pcg64_words", lambda seeds: words)
+        with pytest.raises(RuntimeError, match="running sum"):
+            _release_rows(np.array([[3, 0], [1, 1]]), 1.0, 1e-3, [1, 2])
+
+    @pytest.mark.parametrize(
+        "rows, present, epsilon, arrays",
+        [
+            (2, 8, 1.0, True),  # the array draw: two or more seeds, p >= 1/3
+            (1, 8, 1.0, False),  # one row
+            (2, 8, 0.5, False),  # p < 1/3: numpy inverts its CDF
+            (2, dp._ARRAY_STEPS // 2, 1.0, True),
+            (2, dp._ARRAY_STEPS // 2 + 1, 1.0, False),  # too many variates a row
+        ],
+    )
+    def test_where_generators_are_pointed(self, monkeypatch, rows, present, epsilon, arrays):
+        calls = {"generators": 0, "arrays": 0}
+        generators, doubles = dp._noise_generators, dp._pcg64_doubles
+
+        def generator_spy(seeds):
+            calls["generators"] += 1
+            return generators(seeds)
+
+        def doubles_spy(words, steps):
+            calls["arrays"] += 1
+            return doubles(words, steps)
+
+        monkeypatch.setattr(dp, "_noise_generators", generator_spy)
+        monkeypatch.setattr(dp, "_pcg64_doubles", doubles_spy)
+        counts = np.ones((rows, present + 3), dtype=np.int64)
+        counts[:, :3] = 0
+        seeds = list(range(5, 5 + rows))
+        values = _release_rows(counts, epsilon, 1e-3, seeds)
+        assert calls == {"generators": int(not arrays), "arrays": int(arrays)}
+        assert values.tobytes() == per_row_release(counts, epsilon, 1e-3, seeds).tobytes()
 
     @pytest.mark.parametrize("epsilon", [0.5, 2.0])
     def test_one_draw_equals_two(self, epsilon):

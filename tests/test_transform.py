@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dist, domain, random_distribution, scalar_histogram_values, scalar_project
+from conftest import (
+    dist,
+    domain,
+    per_trial_premise_alpha,
+    random_distribution,
+    scalar_histogram_values,
+    scalar_project,
+)
+import stability_lab.core as core_mod
 import stability_lab.coupling as coupling_mod
 import stability_lab.transform as transform_mod
 from stability_lab import (
@@ -33,6 +41,7 @@ from stability_lab import (
 )
 from stability_lab.errors import (
     DomainMismatch,
+    EmptyDataset,
     LengthMismatch,
     NegativeWeight,
     NotNormalized,
@@ -129,6 +138,132 @@ class TestEstimatePremiseAlpha:
             learner_empirical(1.0), data, m=3, trials=40, seed=3
         )
         assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize("m", [True, False, 2.0, np.float64(3.0), -1])
+    def test_bad_m_rejected_before_any_seed(self, m):
+        # A float root seed raises TypeError when the first seed is drawn.
+        q = dist([0.25, 0.75])
+        with pytest.raises(ValueError, match="^m must"):
+            estimate_premise_alpha(learner_empirical(1.0), q, m=m, trials=3, seed=1.0)
+
+    def test_no_items(self):
+        # Smoothed models of empty samples are all uniform; the unsmoothed
+        # learner refuses an empty sample.
+        q = dist([0.25, 0.75])
+        assert estimate_premise_alpha(learner_empirical(1.0), q, 0, 5, 1) == 0.0
+        assert estimate_premise_alpha(learner_constant(q), q, 0, 5, 1) == 0.0
+        with pytest.raises(EmptyDataset):
+            estimate_premise_alpha(learner_empirical(0.0), q, 0, 5, 1)
+
+    PREMISE_LEARNERS = ["empirical-0", "empirical-0.5", "empirical-1", "constant", "train-only"]
+
+    @staticmethod
+    def premise_learner(kind, data):
+        if kind == "constant":
+            return learner_constant(data)
+        if kind == "train-only":
+            # No train_shards: the blocks train row by row through train.
+            return Learner("train-only", learner_empirical(0.5).train)
+        return learner_empirical(float(kind.split("-")[1]))
+
+    @pytest.mark.parametrize("kind", PREMISE_LEARNERS)
+    @pytest.mark.parametrize("size", [1, 2, 8, 9, 200, 1000])
+    @pytest.mark.parametrize("m", [1, 5, 50, 3000])
+    def test_equals_per_trial_loop(self, monkeypatch, kind, size, m):
+        # The trials straddle a block edge wherever a block holds fewer than
+        # 37 rows: every m = 3000 case and every |Z| = 1000 case.
+        data = random_distribution(np.random.default_rng(size * 10_000 + m), size)
+        learner = self.premise_learner(kind, data)
+        trials = min(transform_mod._tapes_per_block(max(m, size)) + 3, 40)
+        tables = []
+        bucket_table = core_mod._bucket_table
+
+        def table_spy(*args):
+            tables.append(args)
+            return bucket_table(*args)
+
+        monkeypatch.setattr(core_mod, "_bucket_table", table_spy)
+        got = estimate_premise_alpha(learner, data, m, trials, seed=size + m)
+        assert got.hex() == per_trial_premise_alpha(learner, data, m, trials, size + m).hex()
+        if m == 3000 and size <= 200:
+            assert tables  # the blocks' uniforms go through the bucket table
+        if kind == "constant":
+            assert got == 0.0
+
+    @pytest.mark.parametrize("kind", PREMISE_LEARNERS)
+    def test_blocks_straddle_trials(self, monkeypatch, kind):
+        # A 64-cell budget makes blocks of 8 rows at |Z| = 8 and m = 5.
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 64)
+        data = random_distribution(np.random.default_rng(71), 8)
+        learner = self.premise_learner(kind, data)
+        for trials in (1, 7, 8, 9, 16, 25):
+            got = estimate_premise_alpha(learner, data, 5, trials, seed=trials)
+            assert got.hex() == per_trial_premise_alpha(learner, data, 5, trials, trials).hex()
+
+    def test_seeded_learner_takes_block_train_seeds(self, monkeypatch):
+        # Side s of block b trains with derive_seed(seed, "premise-train-s",
+        # b), so row i of that block trains as shard i of _train_rows.
+        def train(dataset, seed):
+            return learner_empirical(seed % 5 / 2).train(dataset, seed)
+
+        learner = Learner("seeded", train)
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 64)
+        data = random_distribution(np.random.default_rng(72), 8)
+        m, trials, seed = 5, 19, 17
+        block = transform_mod._tapes_per_block(max(m, 8))
+        assert block == 8
+        block_seeds = [
+            [derive_seed(seed, f"premise-train-{side}", t // block) for t in range(trials)]
+            for side in "ab"
+        ]
+        train_seeds = [
+            [derive_seed(s, "shard-train", t % block) for t, s in enumerate(side)]
+            for side in block_seeds
+        ]
+        got = estimate_premise_alpha(learner, data, m, trials, seed)
+        expected = per_trial_premise_alpha(learner, data, m, trials, seed, train_seeds)
+        assert got.hex() == expected.hex()
+        # The per-trial seeds of the loop give another estimate.
+        assert got != per_trial_premise_alpha(learner, data, m, trials, seed)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 200, 1000])
+    def test_row_tvs_equal_tv_distance(self, size):
+        # numpy sums each row of an axis-1 add.reduce as it sums one vector:
+        # pairwise, unrolled by 8, in blocks of 128.
+        rng = np.random.default_rng(size)
+        a = rng.dirichlet(np.ones(size), size=30)
+        b = rng.dirichlet(np.ones(size), size=30)
+        rows = 0.5 * np.add.reduce(np.abs(a - b), axis=1)
+        for x, y, got in zip(a, b, rows.tolist()):
+            q1, q2 = make_distribution(domain(size), x), make_distribution(domain(size), y)
+            assert got == tv_distance(q1, q2)
+
+    @pytest.mark.parametrize(
+        "size, m, trials", [(8, 500, 200), (1000, 1, 70), (4, 0, 3), (2, 40_000, 3)]
+    )
+    def test_blocks_fit_the_budget(self, monkeypatch, size, m, trials):
+        searched, trained = [], []
+        search_cdf, train_rows = transform_mod._search_cdf, transform_mod._train_rows
+
+        def search_spy(cdf, u):
+            searched.append(u.size)
+            return search_cdf(cdf, u)
+
+        monkeypatch.setattr(transform_mod, "_search_cdf", search_spy)
+
+        def spy(learner, domain, samples, train_seed):
+            weights = train_rows(learner, domain, samples, train_seed)
+            trained.append(weights.shape[0])
+            return weights
+
+        monkeypatch.setattr(transform_mod, "_train_rows", spy)
+        data = random_distribution(np.random.default_rng(size), size)
+        estimate_premise_alpha(learner_empirical(1.0), data, m, trials, seed=3)
+        budget = coupling_mod._CELL_BUDGET
+        assert sum(trained) == 2 * trials and len(searched) == len(trained)
+        for cells, rows in zip(searched, trained):
+            assert cells == rows * m
+            assert rows == 1 or rows * max(m, size) <= budget
 
 
 class TestSimplexProjectLinf:
