@@ -33,7 +33,7 @@ from .core import (
     _require_alpha,
 )
 from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
-from .errors import ConfigError, DomainTooLarge, StabilityLabError
+from .errors import ConfigError, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
 from .naf import (
     SafeAssignment,
@@ -208,12 +208,8 @@ def _jsonable(value):
     return value
 
 
-def _event_form(form, first, second, *level):
-    """{"value", "event"} of form(first, second, *level); None if it raises DomainTooLarge."""
-    try:
-        value, event = form(first, second, *level)
-    except DomainTooLarge:
-        return None
+def _event_form(value: float, event) -> dict:
+    """The report's {"value", "event"} of an event form's (value, event)."""
     return {"value": value, "event": list(event.symbols)}
 
 
@@ -240,7 +236,7 @@ def _write_csv(rows: list[dict], path: str) -> None:
 def _run_tv(cfg: dict, seed: int):
     q1 = _distribution(cfg, "q1")
     q2 = _distribution(cfg, "q2", q1.domain)
-    payload = {"tv": tv_distance(q1, q2), "event_form": _event_form(tv_event_form, q1, q2)}
+    payload = {"tv": tv_distance(q1, q2), "event_form": _event_form(*tv_event_form(q1, q2))}
     rows = [
         {"symbol": s, "q1": float(a), "q2": float(b), "abs_diff": float(abs(a - b))}
         for s, a, b in zip(q1.domain.symbols, q1.weights, q2.weights)
@@ -258,24 +254,22 @@ def _run_dp_beta(cfg: dict, seed: int):
     if not isinstance(grid, list):
         raise ConfigError(f"alpha_grid: expected a list, got {grid!r}")
     grid = [_check("alpha_grid", a, "alpha") for a in grid]
-    event_form = _event_form(dp_beta_event_form, p, p_prime, alpha)
-    curve = []
-    for a in grid:
-        point = {
+    curve = [
+        {
             "alpha": a,
             "beta": dp_beta(p, p_prime, a),
             "beta_reverse": dp_beta(p_prime, p, a),
             "symmetric_beta": symmetric_dp_beta(p, p_prime, a),
+            "beta_event_form": dp_beta_event_form(p, p_prime, a)[0],
         }
-        if event_form is not None:
-            point["beta_event_form"] = dp_beta_event_form(p, p_prime, a)[0]
-        curve.append(point)
+        for a in grid
+    ]
     payload = {
         "alpha": alpha,
         "beta": dp_beta(p, p_prime, alpha),
         "symmetric_beta": symmetric_dp_beta(p, p_prime, alpha),
         "curve": curve,
-        "event_form": event_form,
+        "event_form": _event_form(*dp_beta_event_form(p, p_prime, alpha)),
     }
     return payload, curve, EXIT_PASS
 

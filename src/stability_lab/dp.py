@@ -140,7 +140,9 @@ def dp_beta(
 def dp_beta_event_form(
     p: DiscreteDistribution, p_prime: DiscreteDistribution, alpha: float
 ) -> tuple[float, Event]:
-    """Brute-force max over all 2^|Z| events of p(E) - e^alpha * p_prime(E)."""
+    """Max over all events of p(E) - e^alpha * p_prime(E), with a maximizer:
+    E+ = {z : p(z) > e^alpha * p_prime(z)}, the value summed over it in
+    index order (core._max_event)."""
     _require_same_domain(p, p_prime)
     _require_alpha(alpha)
     return _max_event(p.domain, p.weights - math.exp(alpha) * p_prime.weights)

@@ -10,6 +10,7 @@ from stability_lab import (
     ContentDomain,
     Dataset,
     DiscreteDistribution,
+    Event,
     make_distribution,
     sample_dataset,
     tv_distance,
@@ -50,6 +51,55 @@ def random_pair(rng: np.random.Generator, size: int, sparsify: float = 0.0):
         random_distribution(rng, size, sparsify),
         random_distribution(rng, size, sparsify),
     )
+
+
+def event_form_pair(rng: np.random.Generator, size: int, kind: str):
+    """A random pair of laws over `size` symbols for the event-form oracle.
+
+    "dirichlet" is Dirichlet(1,..,1), "sparse" Dirichlet(0.1,..,0.1), whose
+    tiny weights give gaps below an ulp of a running sum, and "near-integer"
+    integer counts over one total, the second law with a few units moved
+    and scaled by the reciprocal of the total, so most gaps are 0 or an ulp.
+    """
+    if kind == "near-integer":
+        counts = rng.integers(1, 2 ** int(rng.integers(1, 12)), size).astype(np.float64)
+        total = counts.sum()
+        moved = counts.copy()
+        src, dst = rng.integers(size, size=2)
+        units = min(moved[src], float(rng.integers(1, 8)))
+        moved[src] -= units
+        moved[dst] += units
+        return dist(counts / total), dist(moved * (1.0 / total))
+    concentration = {"dirichlet": 1.0, "sparse": 0.1}[kind]
+    return tuple(dist(rng.dirichlet(np.full(size, concentration))) for _ in range(2))
+
+
+# --- event enumeration oracle --------------------------------------------------
+#
+# Verbatim copies of core._all_event_gaps and of the body of core._max_event
+# before the closed form (its 20-symbol size check left out): every one of
+# the 2^|Z| events summed in index order, and the first maximum, the lowest
+# bitmask. The closed form's value must equal its maximum bit for bit, and
+# its event, E+, must contain the enumerated one. Keep to about 20 symbols.
+
+
+def all_event_gaps(diff: np.ndarray) -> np.ndarray:
+    """Sum of `diff` over every subset; entry m is the subset with bitmask m.
+
+    Doubling construction: after processing symbol j, the array holds all
+    2^(j+1) subset sums of the first j+1 coordinates.
+    """
+    sums = np.zeros(1)
+    for d in diff:
+        sums = np.concatenate([sums, sums + d])
+    return sums
+
+
+def enumerated_max_event(domain: ContentDomain, diff: np.ndarray) -> tuple[float, Event]:
+    """Max over all events E of sum_{z in E} diff(z), with a maximizer."""
+    gaps = all_event_gaps(diff)
+    best = int(np.argmax(gaps))
+    return float(gaps[best]), Event(domain, best)
 
 
 # --- binary-search sampler oracle --------------------------------------------

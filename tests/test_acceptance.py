@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import dist, domain, random_distribution, random_pair
+from conftest import dist, domain, enumerated_max_event, random_distribution, random_pair
 from stability_lab import (
     Dataset,
     DpParams,
@@ -64,14 +64,21 @@ def test_criterion_1_tv_event_form_equivalence():
     watch = Stopwatch(10.0)
     rng = np.random.default_rng(1001)
     worst = 0.0
+    off_oracle = 0
     for i in range(200):
         size = int(rng.integers(2, 13))
         q1, q2 = random_pair(rng, size, sparsify=0.25 if i % 4 == 0 else 0.0)
         value, event = tv_event_form(q1, q2)
         gap = abs(value - tv_distance(q1, q2))
         worst = max(worst, gap)
-    ok = worst <= 1e-12
-    report("1 tv-event-form-equivalence", ok, f"max gap {worst:.2e}", watch)
+        off_oracle += value != enumerated_max_event(q1.domain, q1.weights - q2.weights)[0]
+    ok = worst <= 1e-12 and off_oracle == 0
+    report(
+        "1 tv-event-form-equivalence",
+        ok,
+        f"max gap {worst:.2e}, {off_oracle} values off the enumerated maximum",
+        watch,
+    )
     assert ok
     assert watch.elapsed < 10.0
 
@@ -247,6 +254,7 @@ def test_criterion_8_dp_beta_identities():
     rng = np.random.default_rng(1008)
     worst_tv = 0.0
     worst_event = 0.0
+    off_oracle = 0
     for i in range(200):
         size = int(rng.integers(2, 13))
         q1, q2 = random_pair(rng, size, sparsify=0.25 if i % 4 == 0 else 0.0)
@@ -255,13 +263,17 @@ def test_criterion_8_dp_beta_identities():
         closed = dp_beta(q1, q2, alpha)
         event_value, _ = dp_beta_event_form(q1, q2, alpha)
         worst_event = max(worst_event, abs(closed - event_value))
-    ok = worst_tv <= 1e-12 and worst_event <= 1e-12
+        diff = q1.weights - math.exp(alpha) * q2.weights
+        off_oracle += event_value != enumerated_max_event(q1.domain, diff)[0]
+    ok = worst_tv <= 1e-12 and worst_event <= 1e-12 and off_oracle == 0
     report(
         "8 dp-beta-identities",
         ok,
-        f"max |beta(0)-TV| {worst_tv:.2e}, max closed-vs-event gap {worst_event:.2e}",
+        f"max |beta(0)-TV| {worst_tv:.2e}, max closed-vs-event gap {worst_event:.2e}, "
+        f"{off_oracle} event values off the enumerated maximum",
         watch,
     )
     assert worst_tv <= 1e-12
     assert worst_event <= 1e-12
+    assert off_oracle == 0
     assert watch.elapsed < 10.0

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import dist
-from stability_lab import TransformConfig, core, write_distribution
+from stability_lab import TransformConfig, write_distribution
 from stability_lab.cli import main
-from stability_lab.core import EVENT_ENUM_MAX
 
 
 def write_config(tmp_path, name, obj):
@@ -62,8 +61,8 @@ class TestTv:
         assert code == 1
 
 
-class TestEventFormCap:
-    """Above EVENT_ENUM_MAX symbols the 2^|Z| event enumeration is skipped."""
+class TestEventForm:
+    """tv and dp-beta report the maximizing event at every domain size."""
 
     def pair(self, size):
         symbols = [f"s{i}" for i in range(size)]
@@ -73,27 +72,23 @@ class TestEventFormCap:
             {"symbols": symbols, "weights": weights[::-1]},
         )
 
-    @pytest.mark.parametrize("size", [EVENT_ENUM_MAX, EVENT_ENUM_MAX + 1, 25])
-    def test_event_form_up_to_the_cap_only(self, tmp_path, size):
+    @pytest.mark.parametrize("size", [20, 21, 25, 5000])
+    def test_event_form_at_every_size(self, tmp_path, size):
+        # the event is the symbols with p > e^alpha * p': those past the
+        # middle at alpha = 0, s14..s24 of 25 at alpha = 0.2
         q1, q2 = self.pair(size)
-        enumerated = size <= EVENT_ENUM_MAX
         code, report = run_cli(tmp_path, "tv", {"q1": q1, "q2": q2})
-        assert code == 0 and (report["payload"]["event_form"] is not None) == enumerated
-        cfg = {"p": q1, "p_prime": q2, "alpha": 0.1, "alpha_grid": [0.0, 0.5]}
+        form = report["payload"]["event_form"]
+        assert code == 0 and form["event"] == q1["symbols"][(size + 1) // 2 :]
+        assert abs(form["value"] - report["payload"]["tv"]) <= 1e-12
+        cfg = {"p": q1, "p_prime": q2, "alpha": 0.2, "alpha_grid": [0.0, 0.5]}
         code, report = run_cli(tmp_path, "dp-beta", cfg)
-        assert code == 0 and (report["payload"]["event_form"] is not None) == enumerated
+        assert code == 0 and report["payload"]["event_form"] is not None
+        if size == 25:
+            assert report["payload"]["event_form"]["event"] == q1["symbols"][14:]
         curve = report["payload"]["curve"]
         assert len(curve) == 2
-        assert all(("beta_event_form" in point) == enumerated for point in curve)
-
-    def test_cap_is_the_library_one(self, tmp_path, monkeypatch):
-        # the CLI skips the event form where the library refuses it
-        monkeypatch.setattr(core, "EVENT_ENUM_MAX", 3)
-        q1, q2 = self.pair(4)
-        code, report = run_cli(tmp_path, "tv", {"q1": q1, "q2": q2})
-        assert code == 0 and report["payload"]["event_form"] is None
-        code, report = run_cli(tmp_path, "dp-beta", {"p": q1, "p_prime": q2, "alpha": 0.1})
-        assert code == 0 and report["payload"]["event_form"] is None
+        assert all(abs(point["beta_event_form"] - point["beta"]) <= 1e-12 for point in curve)
 
 
 class TestNafCheck:

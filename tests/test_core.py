@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import (
     dist,
     domain,
+    enumerated_max_event,
+    event_form_pair,
     generator_indices,
     generator_line_tokens,
     random_distribution,
@@ -40,7 +42,6 @@ from stability_lab import (
 from stability_lab.core import _corpus_chunks
 from stability_lab.errors import (
     DomainMismatch,
-    DomainTooLarge,
     EmptyCorpus,
     EmptyList,
     LengthMismatch,
@@ -226,33 +227,57 @@ class TestTvEventForm:
             )
 
     def test_domain_cap_boundary(self):
-        at_cap = ContentDomain(tuple(f"s{i}" for i in range(20)))
-        q1 = make_distribution(at_cap, np.linspace(1, 20, 20) / np.linspace(1, 20, 20).sum())
-        q2 = make_distribution(at_cap, np.ones(20) / 20)
-        value, _ = tv_event_form(q1, q2)  # 2^20 events still enumerable
-        assert abs(value - tv_distance(q1, q2)) <= 1e-12
+        # 20 and 21 symbols, either side of the former enumeration cap: the
+        # event is E+, and the value is the enumeration's maximum exactly
+        for size, first in ((20, 10), (21, 11)):
+            d = ContentDomain(tuple(f"s{i}" for i in range(size)))
+            ramp = np.linspace(1, size, size)
+            q1 = make_distribution(d, ramp / ramp.sum())
+            q2 = make_distribution(d, np.ones(size) / size)
+            value, event = tv_event_form(q1, q2)
+            assert value == enumerated_max_event(d, q1.weights - q2.weights)[0]
+            assert abs(value - tv_distance(q1, q2)) <= 1e-12
+            assert event.symbols == d.symbols[first:]
 
     def test_domain_cap(self):
-        big = ContentDomain(tuple(f"s{i}" for i in range(21)))
-        q = make_distribution(big, np.ones(21) / 21)
-        with pytest.raises(DomainTooLarge):
-            tv_event_form(q, q)
-
-    def test_cap_is_read_at_call_time_and_checked_before_enumerating(self, monkeypatch):
-        # at the cap the 2^|Z| events are enumerated; one symbol past it
-        # raises before the gap table is built
-        monkeypatch.setattr(core, "EVENT_ENUM_MAX", 3)
-        q1, q2 = dist([0.5, 0.25, 0.25]), dist([0.25, 0.25, 0.5])
+        # no domain cap: 100,000 symbols give E+ and its in-order sum
+        rng = np.random.default_rng(11)
+        q1, q2 = random_pair(rng, 100_000)
         value, event = tv_event_form(q1, q2)
-        assert value == tv_distance(q1, q2) and event.symbols == ("z0",)
+        diff = q1.weights - q2.weights
+        assert np.array_equal(event.indicator(), diff > 0)
+        total = 0.0
+        for gap in diff[diff > 0].tolist():
+            total += gap
+        assert value == total
+        assert abs(value - tv_distance(q1, q2)) <= 1e-12
 
-        def unreachable(diff):
-            raise AssertionError("events enumerated above the cap")
+    def test_matches_the_enumeration(self):
+        # the value is the enumerated maximum bit for bit; the event is E+
+        # and contains the enumerated (lowest-bitmask) maximizer, which
+        # leaves out a positive gap too small to move the running sum
+        rng = np.random.default_rng(29)
+        differing = 0
+        for i in range(2000):
+            size = int(rng.integers(1, 21))
+            q1, q2 = event_form_pair(rng, size, ("dirichlet", "sparse", "near-integer")[i % 3])
+            diff = q1.weights - q2.weights
+            value, event = tv_event_form(q1, q2)
+            best, enumerated = enumerated_max_event(q1.domain, diff)
+            assert value == best
+            assert np.array_equal(event.indicator(), diff > 0)
+            assert enumerated.mask & ~event.mask == 0
+            differing += enumerated != event
+        assert differing > 0
 
-        monkeypatch.setattr(core, "_all_event_gaps", unreachable)
-        q = dist([0.25] * 4)
-        with pytest.raises(DomainTooLarge, match="4 is above the cap 3"):
-            tv_event_form(q, q)
+    def test_gap_below_an_ulp(self):
+        # 0.5 + 2^-54 rounds to 0.5, so {z0} ties with E+ = {z0, z1}
+        q1 = dist([0.5, 0.25 + 2**-54, 0.25 - 2**-54])
+        q2 = dist([0.0, 0.25, 0.75])
+        value, event = tv_event_form(q1, q2)
+        assert value == 0.5 and event.symbols == ("z0", "z1")
+        best, enumerated = enumerated_max_event(q1.domain, q1.weights - q2.weights)
+        assert best == 0.5 and enumerated.symbols == ("z0",)
 
 
 class TestSample:
@@ -692,6 +717,30 @@ class TestEvent:
     def test_mask_range(self):
         with pytest.raises(ValueError):
             Event(domain(2), 4)
+
+    @pytest.mark.parametrize("mask", [1.5, 1.0, "1", None])
+    def test_mask_must_be_an_integer(self, mask):
+        with pytest.raises(TypeError):
+            Event(domain(2), mask)
+
+    def test_numpy_integer_mask_becomes_an_int(self):
+        e = Event(domain(3), np.int64(5))
+        assert type(e.mask) is int and e.mask == 5 and e.symbols == ("z0", "z2")
+
+    @pytest.mark.parametrize("size", [1, 64, 65, 130])
+    def test_bits_round_trip(self, size):
+        # symbols and indicator decode the mask as the per-bit forms do, and
+        # from_symbols gives the mask back
+        d = domain(size)
+        rng = np.random.default_rng(size)
+        full = (1 << size) - 1
+        randoms = [int.from_bytes(rng.bytes(17), "little") & full for _ in range(20)]
+        for mask in [0, full, 1, 1 << (size - 1), *randoms]:
+            e = Event(d, mask)
+            bits = [bool(mask >> i & 1) for i in range(size)]
+            assert e.indicator().tolist() == bits
+            assert e.symbols == tuple(s for s, bit in zip(d.symbols, bits) if bit)
+            assert Event.from_symbols(d, e.symbols).mask == mask
 
 
 class TestSerialization:

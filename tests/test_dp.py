@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     dist,
     domain,
+    enumerated_max_event,
+    event_form_pair,
     per_row_release,
     random_distribution,
     random_pair,
@@ -31,7 +33,6 @@ from stability_lab import (
     freq,
     histogram_output_law,
     histogram_threshold,
-    make_distribution,
     private_histogram,
     required_k,
     sample_dataset,
@@ -193,9 +194,32 @@ class TestDpBetaEventForm:
             assert attained == pytest.approx(value, abs=1e-12)
 
     def test_domain_cap(self):
-        big = make_distribution(domain(21), np.ones(21) / 21)
-        with pytest.raises(DomainTooLarge):
-            dp_beta_event_form(big, big, 0.0)
+        # no domain cap: at 21 and 25 symbols the event is E+, the symbols
+        # with p > e^alpha * p', and the value is dp_beta's
+        for size, alpha, first in ((21, 0.0, 11), (25, 0.2, 14)):
+            ramp = np.arange(1, size + 1) / (size * (size + 1) / 2)
+            p, p_prime = dist(ramp), dist(ramp[::-1])
+            value, event = dp_beta_event_form(p, p_prime, alpha)
+            assert event.symbols == domain(size).symbols[first:]
+            assert abs(value - dp_beta(p, p_prime, alpha)) <= 1e-12
+
+    def test_matches_the_enumeration(self):
+        # the value is the enumerated maximum bit for bit; the event is E+
+        # and contains the enumerated (lowest-bitmask) maximizer
+        rng = np.random.default_rng(31)
+        differing = 0
+        for i in range(2000):
+            size = int(rng.integers(1, 21))
+            p, p_prime = event_form_pair(rng, size, ("dirichlet", "sparse", "near-integer")[i % 3])
+            alpha = (0.0, 0.5, 1.0, float(rng.uniform(0.0, 3.0)))[i % 4]
+            diff = p.weights - math.exp(alpha) * p_prime.weights
+            value, event = dp_beta_event_form(p, p_prime, alpha)
+            best, enumerated = enumerated_max_event(p.domain, diff)
+            assert value == best
+            assert np.array_equal(event.indicator(), diff > 0)
+            assert enumerated.mask & ~event.mask == 0
+            differing += enumerated != event
+        assert differing > 0
 
 
 class TestSymmetricDpBeta:
