@@ -32,7 +32,13 @@ from .core import (
     _SPLITS,
     _require_alpha,
 )
-from .dp import dp_beta, dp_beta_event_form, private_histogram, symmetric_dp_beta
+from .dp import (
+    dp_beta,
+    dp_beta_event_form,
+    private_histogram,
+    symmetric_dp_beta,
+    _geometric_p,
+)
 from .errors import ConfigError, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
 from .naf import (
@@ -71,15 +77,19 @@ def _field(cfg: dict, key: str, default=_REQUIRED):
 
 # Config field -> (type, test of the typed value, what the field must be):
 # each field's one rule. A test may also raise ValueError, as the library's
-# alpha rule does. The entries of alpha_grid follow "alpha". A float field
-# also takes a JSON integer; no field takes a bool.
+# alpha and epsilon rules do. The entries of alpha_grid follow "alpha". A
+# float field also takes a JSON integer; no field takes a bool.
 _RULES = {
     "alpha": (
         float, lambda v: _require_alpha(v) is None, "a finite number >= 0 whose e^alpha is finite"
     ),
     "margin": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "smoothing": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "epsilon": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "epsilon": (
+        float,
+        lambda v: v < math.inf and _geometric_p(v) > 0,
+        "a finite number > 0 whose 1 - e^(-epsilon/2) is > 0",
+    ),
     "delta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "eta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "m": (int, lambda v: v >= 1, "an integer >= 1"),
@@ -138,7 +148,7 @@ def _json_object(cfg, key, build):
         return build(raw)
     except StabilityLabError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: invalid spec ({exc!r})") from exc
 
 

@@ -43,16 +43,13 @@ HIST_SIZE_CONSTANT = 8.0
 OUTPUT_LAW_MAX = 10**6
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     """Read-only (calls + 1, 1) uint32 column init * mult^i mod 2^32."""
-    return _read_only(np.array(
+    column = np.array(
         [init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(calls + 1)], dtype=np.uint32
-    )[:, None])
+    )[:, None]
+    column.flags.writeable = False
+    return column
 
 
 # numpy's SeedSequence (O'Neill's seed_seq) steps its hash multiplier once per
@@ -60,27 +57,9 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
 # generate_state(4, uint64).
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# PCG64 seeds itself with its 128-bit LCG step, state = ((s + inc) * M + inc)
-# mod 2^128, which is s * M + inc * (M + 1). The factors M and M + 1 are
-# held as 32-bit limbs, low first, shaped to multiply the (2, 4, 1, n) limbs
-# of s and inc into (2, 4, 4, n) limb products.
-_LIMB = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier M: each step is state = state * M + inc mod 2^128.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_FACTORS = _read_only(np.array(
-    [[m >> shift & _LIMB for shift in (0, 32, 64, 96)] for m in (_PCG_MULT, _PCG_MULT + 1)],
-    dtype=np.uint64,
-).reshape(2, 1, 4, 1))
-# The products' 32-bit halves, as rows h * 32 + f * 16 + i * 4 + j (half h,
-# low 0 or high 1, of factor f's limb j times limb i), grouped by the limb
-# k = i + j + h of the state that each half adds to; k > 3 is dropped (mod
-# 2^128). One np.add.reduceat of the gathered rows sums each limb's group.
-_PRODUCT_GROUPS = [
-    [h * 32 + f * 16 + i * 4 + j
-     for h in (0, 1) for f in (0, 1) for i in range(4) for j in range(4) if i + j + h == k]
-    for k in range(4)
-]
-_PRODUCT_ROWS = _read_only(np.concatenate(_PRODUCT_GROUPS))
-_PRODUCT_STARTS = _read_only(np.cumsum([0] + [len(g) for g in _PRODUCT_GROUPS[:-1]]))
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # numpy's geometric(p) searches its CDF from p = this literal of its C source
@@ -114,6 +93,17 @@ def _check_privacy(epsilon: float, delta: float) -> None:
     """The one (epsilon, delta) rule: a finite epsilon > 0 and 0 < delta < 1; NaN fails."""
     if not (0 < epsilon < math.inf and 0 < delta < 1):
         raise ValueError(f"need 0 < epsilon < inf and 0 < delta < 1, got {epsilon!r}, {delta!r}")
+
+
+def _geometric_p(epsilon: float) -> float:
+    """The one noise rule: the histogram's geometric parameter p = 1 -
+    e^(-epsilon/2), which numpy's geometric needs > 0. Raises ValueError
+    where it is not: epsilon <= 0, NaN, or so small (<= 1.1e-16) that p
+    rounds to 0."""
+    p = 1.0 - math.exp(-epsilon / 2.0)
+    if not p > 0:
+        raise ValueError(f"need 1 - e^(-epsilon/2) > 0, got epsilon = {epsilon!r}")
+    return p
 
 
 def freq(dataset: Dataset, symbol: str) -> float:
@@ -200,13 +190,17 @@ def _seed_hash(values: np.ndarray, consts: np.ndarray, first: int, calls: int) -
 
 
 def _pcg64_words(seeds) -> np.ndarray | None:
-    """(4, n) uint64 rows state_lo, state_hi, inc_lo, inc_hi of the PCG64 of
-    default_rng(seed) for each seed, or None where the batch does not apply.
+    """(4, n) uint64 rows s_lo, s_hi, inc_lo, inc_hi of the PCG64 of
+    default_rng(seed) before its seeding step, for each seed, or None where
+    the batch does not apply.
 
     Two or more integer seeds in [0, 2^128) take one pass of SeedSequence's
-    pool mixing and generate_state(4, uint64) over a (4, n) uint32 array,
-    then PCG64's seeding step over (4, n) arrays of 32-bit limbs. Other seeds
-    (one seed, a float, a negative or wider int) give None.
+    pool mixing and generate_state(4, uint64) over a (4, n) uint32 array.
+    PCG64 takes the first two of those words as its seed s and the last two
+    as its stream i, high word first, and steps its LCG once from s + inc
+    with inc = 2i + 1: the seeded state is s * M + inc * (M + 1) mod 2^128,
+    which _noise_generators and _pcg64_doubles compute. Other seeds (one
+    seed, a float, a negative or wider int) give None.
     """
     ints = [int(s) for s in seeds if isinstance(s, (int, np.integer))]
     if len(ints) < 2 or len(ints) < len(seeds) or min(ints) < 0 or max(ints) >= 1 << 128:
@@ -221,41 +215,18 @@ def _pcg64_words(seeds) -> np.ndarray | None:
         mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
         pool[dst] = mixed ^ (mixed >> 16)
     words = _seed_hash(np.tile(pool, (2, 1)), _STATE_HASH, 0, 8).astype(np.uint64)
-    # generate_state(4, uint64) packs the words as w0 | w1 << 32, w2 | w3 << 32,
-    # ...; PCG64 reads the first two as its seed s and the last two as its
-    # stream i, high word first, so s's limbs, low first, are words 2, 3, 0,
-    # 1 and i's are 6, 7, 4, 5. The stream becomes inc = 2i + 1 mod 2^128,
-    # each limb taking the top bit of the one below it.
-    limbs = words[[2, 3, 0, 1, 6, 7, 4, 5]]
-    inc = limbs[4:]
-    top = inc >> 31
-    inc <<= 1
-    inc &= _LIMB
-    inc[1:] |= top[:-1]
-    inc[0] |= 1
-    # Each 32 x 32-bit limb product fits a uint64; halves is indexed (half,
-    # factor, limb i, limb j) as _PRODUCT_ROWS numbers it. Each state limb
-    # sums at most 14 halves, so it stays below 2^36 until the carries move
-    # its bits above 32 into the next limb, low first; the top limb's are
-    # dropped.
-    halves = np.empty((2, 2, 4, 4, len(ints)), dtype=np.uint64)
-    np.multiply(limbs.reshape(2, 4, 1, -1), _PCG_FACTORS, out=halves[1])
-    np.bitwise_and(halves[1], _LIMB, out=halves[0])
-    halves[1] >>= 32
-    state = limbs[:4]
-    state[:] = np.add.reduceat(halves.reshape(64, -1)[_PRODUCT_ROWS], _PRODUCT_STARTS)
-    for k in range(3):
-        state[k + 1] += state[k] >> 32
-    state &= _LIMB
-    return limbs[0::2] | limbs[1::2] << 32
+    # generate_state(4, uint64) packs the words as w0 | w1 << 32, w2 | w3 << 32, ...
+    hi_s, lo_s, hi_i, lo_i = words[0::2] | words[1::2] << 32
+    return np.stack((lo_s, hi_s, lo_i << 1 | 1, hi_i << 1 | lo_i >> 63))
 
 
 def _noise_generators(seeds):
     """One np.random.Generator per seed, in the state of default_rng(seed).
 
-    Where _pcg64_words seeds the batch, one Generator is pointed at each
-    row's state in turn through one reused state dict, so use each before
-    drawing the next. Other seeds take default_rng, errors and all.
+    Where _pcg64_words seeds the batch, each row's seeded state is made as
+    a Python int, and one Generator is pointed at it in turn through one
+    reused state dict, so use each before drawing the next. Other seeds
+    take default_rng, errors and all.
     """
     words = _pcg64_words(seeds)
     if words is None:
@@ -266,8 +237,9 @@ def _noise_generators(seeds):
     fields = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": fields, "has_uint32": 0, "uinteger": 0}
     for s_lo, s_hi, i_lo, i_hi in zip(*words.tolist()):
-        fields["state"] = s_hi << 64 | s_lo
-        fields["inc"] = i_hi << 64 | i_lo
+        inc = i_hi << 64 | i_lo
+        fields["state"] = ((s_hi << 64 | s_lo) * _PCG_MULT + inc * (_PCG_MULT + 1)) & _MASK128
+        fields["inc"] = inc
         bits.state = full
         yield generator
 
@@ -276,13 +248,13 @@ def _mul128(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) uint64 halves of a * b mod 2^128, for a and b given as uint64
     halves that broadcast. The high half of a_lo * b_lo is summed from the
     32-bit halves' products: no partial sum passes 2^64."""
-    a0, a1 = a_lo & _LIMB, a_lo >> 32
-    b0, b1 = b_lo & _LIMB, b_lo >> 32
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
     low = a0 * b0
     low >>= 32
     mid = a1 * b0
     mid += low
-    cross = mid & _LIMB
+    cross = mid & _MASK32
     cross += a0 * b1
     hi = a1 * b1
     mid >>= 32
@@ -296,17 +268,18 @@ def _mul128(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:
 
 def _pcg64_doubles(words: np.ndarray, steps: int) -> np.ndarray:
     """(steps, n) float64: row j holds draw j of Generator.random() from each
-    of the n PCG64 states in _pcg64_words' layout.
+    of the n PCG64 streams in _pcg64_words' layout, before seeding.
 
     PCG64 (O'Neill 2014) steps its 128-bit LCG, state = state * M + inc mod
     2^128, then outputs the XSL-RR of the new state: its two 64-bit halves
     xored, rotated right by the state's top 6 bits. numpy's next_double is
-    (x >> 11) * 2^-53. Draw j reads the state after j + 1 steps, A_j * s +
-    C_j * inc with A_j = M^(j + 1) and C_j = 1 + M + ... + M^j, so every
-    row's states are made at once from the steps x 1 columns of A and C.
+    (x >> 11) * 2^-53. Seeding is the LCG's first step from s + inc, so the
+    state t steps on is A * s + C * inc with A = M^t and C = 1 + M + ... +
+    M^t: t = 1 is the seeded state, and draw j reads t = j + 2. Every row's
+    states are made at once from the steps x 1 columns of A and C.
     """
     jumps: list[int] = []
-    a, c = 1, 0
+    a, c = _PCG_MULT, 1 + _PCG_MULT
     for _ in range(steps):
         a = a * _PCG_MULT & _MASK128
         c = (c * _PCG_MULT + 1) & _MASK128
@@ -412,13 +385,15 @@ def _release_rows(
     numpy's geometric searches (p >= _GEOMETRIC_SEARCH) and no row draws
     more than _ARRAY_STEPS variates, every row's variates come from one
     _pcg64_doubles and one _geometric_search call, with no Python loop per
-    row. Otherwise _noise_generators points a Generator at each row, or
-    builds default_rng for one seed or any other. Either way the bytes
-    rest on numpy's SeedSequence hash, PCG64 and geometric. The
-    threshold, clamp and range check then run once over the matrix. Raises
-    SizeMismatch unless there is one seed per row, then EmptyDataset for a
-    row with no counts, then histogram_threshold's ValueError for an
-    (epsilon, delta) it refuses, all before any noise is drawn.
+    row: the seeding step is the first of the LCG jumps it makes from each
+    row's unseeded (s, inc). Otherwise _noise_generators points a Generator
+    at each row, or builds default_rng for one seed or any other. Either
+    way the bytes rest on numpy's SeedSequence hash, PCG64 and geometric.
+    The threshold, clamp and range check then run once over the matrix.
+    Raises SizeMismatch unless there is one seed per row, then EmptyDataset
+    for a row with no counts, then histogram_threshold's ValueError for an
+    (epsilon, delta) it refuses and _geometric_p's for an epsilon whose p
+    rounds to 0, all before any noise is drawn.
     """
     if len(seeds) != counts.shape[0]:
         raise SizeMismatch(f"{len(seeds)} noise seeds for {counts.shape[0]} histogram rows")
@@ -427,7 +402,7 @@ def _release_rows(
         raise EmptyDataset("every histogram row needs a non-empty sample")
     tau = histogram_threshold(epsilon, delta, k)
     rows, cols = np.nonzero(counts)
-    q = 1.0 - math.exp(-epsilon / 2.0)
+    q = _geometric_p(epsilon)
     sizes = np.bincount(rows, minlength=k.size)
     # Row i draws a (2, sizes[i]) block of geometrics, filled one variate at
     # a time in C order: its first sizes[i] variates are the first halves of

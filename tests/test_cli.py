@@ -608,6 +608,35 @@ class TestConfigErrorContract:
         }[subcommand]
         self.assert_rejected(tmp_path, capsys, subcommand, {**base, field: value}, field)
 
+    @pytest.mark.parametrize("subcommand", ["hist", "prop1"])
+    def test_epsilon_whose_geometric_p_rounds_to_zero(self, tmp_path, capsys, subcommand):
+        # 1 - e^(-epsilon/2) rounds to 0 at epsilon = 1e-16, where numpy's
+        # geometric raised a bare ValueError with a traceback.
+        base = {"hist": self.hist_config(tmp_path, seed=7), "prop1": TestProp1().config()}
+        cfg = {**base[subcommand], "epsilon": 1e-16}
+        err = self.assert_rejected(tmp_path, capsys, subcommand, cfg, "epsilon")
+        assert "1 - e^(-epsilon/2)" in err
+        if subcommand == "hist":
+            code, report = run_cli(tmp_path, "hist", {**cfg, "epsilon": 1.2e-16})
+            assert code == 0 and report["payload"]["epsilon"] == 1.2e-16
+
+    @pytest.mark.parametrize(
+        "subcommand, field",
+        [("tv", "q1"), ("naf-check", "safe_models: entry 0"), ("prop1", "data_distribution")],
+    )
+    def test_weight_too_large_for_a_float(self, tmp_path, capsys, subcommand, field):
+        # A JSON integer weight above DBL_MAX raised OverflowError out of
+        # the distribution's float conversion.
+        huge = {"symbols": ["a", "b"], "weights": [10**400, 0]}
+        good = {"symbols": ["a", "b"], "weights": [0.5, 0.5]}
+        cfg = {
+            "tv": {"q1": huge, "q2": good},
+            "naf-check": {"model": good, "safe_models": [huge], "alpha": 0.5},
+            "prop1": {**TestProp1().config(), "data_distribution": huge},
+        }[subcommand]
+        err = self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
+        assert "OverflowError" in err
+
     @pytest.mark.parametrize("subcommand, field", [
         ("hist", "dataset"), ("transform", "dataset"), ("ingest", "corpus"),
     ])

@@ -293,6 +293,26 @@ class TestPrivateHistogram:
         with pytest.raises(EmptyDataset):
             private_histogram(Dataset(domain(2), []), 1.0, 1e-3, seed=0)
 
+    def test_epsilon_whose_geometric_p_rounds_to_zero(self, monkeypatch):
+        # 1 - e^(-epsilon/2) is 0 in floats up to epsilon = 1.1e-16, where
+        # numpy's geometric raised a bare ValueError mid-release.
+        sample = Dataset(domain(2), ["z0", "z0", "z1"])
+        released = private_histogram(sample, 1.2e-16, 0.05, 7)
+        assert released.values.tolist() == [0.0, 0.0]  # tau is huge at this epsilon
+        counts = np.array([[2, 1], [0, 3]])
+        assert _release_rows(counts, 1.2e-16, 0.05, [1, 2]).shape == (2, 2)
+
+        def no_noise(seeds):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(dp, "_noise_generators", no_noise)
+        monkeypatch.setattr(dp, "_pcg64_words", no_noise)
+        for epsilon in (1e-16, 1.1e-16):
+            with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
+                private_histogram(sample, epsilon, 0.05, 7)
+            with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
+                _release_rows(counts, epsilon, 0.05, [1, 2])
+
     def test_absent_symbols_exact_zero(self):
         s = Dataset(domain(4), ["z1"] * 30)
         for seed in range(50):
@@ -596,15 +616,35 @@ class TestReleaseRows:
         for seeds in batches:
             self.check_default_rng_states(seeds)
 
-    @pytest.mark.parametrize("batch", [2, 3, 300])
-    def test_limb_seeding_equals_default_rng(self, batch):
-        # 10,000 seeds of 1 to 128 bits, and seeds whose words are all ones
-        # or a lone top bit, so the limb sums and products carry.
+    @staticmethod
+    def wide_seeds():
+        """10,000 seeds of 1 to 128 bits, and seeds whose words are all ones
+        or a lone top bit."""
         rng = np.random.default_rng(41)
         words = rng.integers(0, 2**64, size=(10_000, 2), dtype=np.uint64).tolist()
         widths = rng.integers(1, 129, size=10_000).tolist()
         seeds = [(hi << 64 | lo) >> (128 - w) for (hi, lo), w in zip(words, widths)]
-        seeds += [2**64 - 1, 2**127, 2**128 - 1, 2**64, 2**96 - 1, 2**32 - 1]
+        return seeds + [2**64 - 1, 2**127, 2**128 - 1, 2**64, 2**96 - 1, 2**32 - 1]
+
+    def test_words_are_seed_sequence_state(self):
+        # PCG64 reads generate_state(4, uint64) as s_hi, s_lo, i_hi, i_lo and
+        # streams with inc = 2i + 1 mod 2^128; i_lo is hash output, so about
+        # half the rows carry its top bit into inc_hi.
+        seeds = self.wide_seeds()
+        expected, carried = [], 0
+        for seed in seeds:
+            state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            s_hi, s_lo, i_hi, i_lo = map(int, state)
+            inc = (2 * (i_hi << 64 | i_lo) + 1) % 2**128
+            expected.append([s_lo, s_hi, inc % 2**64, inc >> 64])
+            carried += i_lo >= 2**63
+        words = dp._pcg64_words(seeds)
+        assert words.dtype == np.uint64 and words.T.tolist() == expected
+        assert 0 < carried < len(seeds)
+
+    @pytest.mark.parametrize("batch", [2, 3, 300])
+    def test_batch_seeding_equals_default_rng(self, batch):
+        seeds = self.wide_seeds()
         for start in range(0, len(seeds), batch):
             chunk = seeds[start:start + batch]
             if len(chunk) == 1:
@@ -649,14 +689,16 @@ class TestReleaseRows:
 
     @staticmethod
     def forged_words(outputs, inc=1):
-        """_pcg64_words rows of streams whose state after one step is each
-        of `outputs`, all below 2^64: with a zero high half, XSL-RR rotates by
-        0 and outputs the state as is."""
-        inverse = pow(dp._PCG_MULT, -1, 2**128)
-        states = [(x - inc) * inverse % 2**128 for x in outputs]
+        """_pcg64_words rows of streams whose first draw reads each of
+        `outputs`, all below 2^64: with a zero high half, XSL-RR rotates by
+        0 and outputs the state as is. That draw reads the state two LCG
+        steps on from s + inc, M^2 * s + (1 + M + M^2) * inc."""
+        m = dp._PCG_MULT
+        inverse = pow(m * m, -1, 2**128)
+        starts = [(x - (1 + m + m * m) * inc) * inverse % 2**128 for x in outputs]
         return np.array(
-            [[s & (2**64 - 1) for s in states], [s >> 64 for s in states],
-             [inc] * len(states), [0] * len(states)],
+            [[s & (2**64 - 1) for s in starts], [s >> 64 for s in starts],
+             [inc] * len(starts), [0] * len(starts)],
             dtype=np.uint64,
         )
 
@@ -669,11 +711,14 @@ class TestReleaseRows:
         assert dp._pcg64_doubles(words, 1).tolist() == [uniforms]
         got = dp._geometric_search(dp._pcg64_doubles(words, 1)[0], 0.5)
         expected = []
+        m = dp._PCG_MULT
         for s_lo, s_hi, i_lo, i_hi in zip(*words.tolist()):
+            inc = i_hi << 64 | i_lo
             bits = np.random.PCG64(0)
             bits.state = {
                 "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "state": {"state": ((s_hi << 64 | s_lo) * m + inc * (m + 1)) % 2**128,
+                          "inc": inc},
             }
             expected.append(int(np.random.Generator(bits).geometric(0.5)))
         assert got.tolist() == expected == [1, 1, 2, 3, 1, 2]
