@@ -346,11 +346,16 @@ def _require_same_domain(a, b) -> None:
     _require_domain(a.domain, b)
 
 
+def _tv_rows(a: np.ndarray, b: np.ndarray):
+    """Total variation distance of each last-axis row of a and b."""
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper.
+    return 0.5 * np.add.reduce(np.abs(a - b), axis=-1)
+
+
 def tv_distance(q1: DiscreteDistribution, q2: DiscreteDistribution) -> float:
     """Total variation distance, (1/2) * sum_z |q1(z) - q2(z)|."""
     _require_same_domain(q1, q2)
-    # np.add.reduce is what ndarray.sum calls, without its Python wrapper.
-    return 0.5 * float(np.add.reduce(np.abs(q1.weights - q2.weights)))
+    return float(_tv_rows(q1.weights, q2.weights))
 
 
 def _max_event(domain: ContentDomain, diff: np.ndarray) -> tuple[float, Event]:

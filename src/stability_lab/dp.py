@@ -31,6 +31,7 @@ from .core import (
     _require_same_domain,
     _require_size,
 )
+from .coupling import _cell_variates, _splitmix64, _tape_key
 from .errors import EmptyDataset, SizeMismatch
 
 # Multiplier on the log term in the histogram size rule. The theory fixes
@@ -42,35 +43,10 @@ HIST_SIZE_CONSTANT = 8.0
 # law, and the most cells (atoms x |Z|) in all the laws of one audit.
 OUTPUT_LAW_MAX = 10**6
 
-
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """Read-only (calls + 1, 1) uint32 column init * mult^i mod 2^32."""
-    column = np.array(
-        [init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(calls + 1)], dtype=np.uint32
-    )[:, None]
-    column.flags.writeable = False
-    return column
-
-
-# numpy's SeedSequence (O'Neill's seed_seq) steps its hash multiplier once per
-# call, whatever the data: 16 calls mix a pool of 4 words, then 8 give
-# generate_state(4, uint64).
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# PCG64's 128-bit LCG multiplier M: each step is state = state * M + inc mod 2^128.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# numpy's geometric(p) searches its CDF from p = this literal of its C source
-# up, and inverts it below.
-_GEOMETRIC_SEARCH = 0.333333333333333333333333
-# The most variates per row that _release_rows draws as arrays. A row's
-# Generator costs a few microseconds whatever it draws, and each variate
-# about 15 ns more, while each variate of the array draw costs about 45 ns:
-# on a 2-vCPU Xeon with numpy 2.4, 128-row releases took 0.78 of the
-# Generators' time at 32 variates a row and broke even at 64.
-_ARRAY_STEPS = 32
+# Noise cells sit at symbol offsets from 2^63 up: a tape reads its cells from
+# offset 0, so no noise variate is a tape variate, even where a noise seed
+# equals a tape seed.
+_NOISE_OFFSET = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -97,9 +73,10 @@ def _check_privacy(epsilon: float, delta: float) -> None:
 
 def _geometric_p(epsilon: float) -> float:
     """The one noise rule: the histogram's geometric parameter p = 1 -
-    e^(-epsilon/2), which numpy's geometric needs > 0. Raises ValueError
-    where it is not: epsilon <= 0, NaN, or so small (<= 1.1e-16) that p
-    rounds to 0."""
+    e^(-epsilon/2) must be > 0. Raises ValueError where it is not: epsilon
+    <= 0, NaN, or so small (<= 1.1e-16) that p rounds to 0. An epsilon it
+    passes keeps every draw ceil(2 E / epsilon) of _release_rows, with E
+    at most 37.5, below 2^63, so the draws' int64 cast is exact."""
     p = 1.0 - math.exp(-epsilon / 2.0)
     if not p > 0:
         raise ValueError(f"need 1 - e^(-epsilon/2) > 0, got epsilon = {epsilon!r}")
@@ -182,151 +159,6 @@ def _threshold_clamp(noisy_counts: np.ndarray, k, tau) -> np.ndarray:
     return released
 
 
-def _seed_hash(values: np.ndarray, consts: np.ndarray, first: int, calls: int) -> np.ndarray:
-    """seed_seq's hashmix: hash call first + i on row i of values (uint32
-    arrays wrap silently)."""
-    values = (values ^ consts[first:first + calls]) * consts[first + 1:first + calls + 1]
-    return values ^ (values >> 16)
-
-
-def _pcg64_words(seeds) -> np.ndarray | None:
-    """(4, n) uint64 rows s_lo, s_hi, inc_lo, inc_hi of the PCG64 of
-    default_rng(seed) before its seeding step, for each seed, or None where
-    the batch does not apply.
-
-    Two or more integer seeds in [0, 2^128) take one pass of SeedSequence's
-    pool mixing and generate_state(4, uint64) over a (4, n) uint32 array.
-    PCG64 takes the first two of those words as its seed s and the last two
-    as its stream i, high word first, and steps its LCG once from s + inc
-    with inc = 2i + 1: the seeded state is s * M + inc * (M + 1) mod 2^128,
-    which _noise_generators and _pcg64_doubles compute. Other seeds (one
-    seed, a float, a negative or wider int) give None.
-    """
-    ints = [int(s) for s in seeds if isinstance(s, (int, np.integer))]
-    if len(ints) < 2 or len(ints) < len(seeds) or min(ints) < 0 or max(ints) >= 1 << 128:
-        return None
-    # A seed is its 32-bit words, low first; the words past its top one are
-    # zero, and hashing a zero word is what SeedSequence pads the pool with.
-    pool = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in ints), dtype="<u4")
-    pool = _seed_hash(pool.reshape(-1, 4).T, _POOL_HASH, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        hashed = _seed_hash(pool[src], _POOL_HASH, 4 + 3 * src, 3)
-        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _seed_hash(np.tile(pool, (2, 1)), _STATE_HASH, 0, 8).astype(np.uint64)
-    # generate_state(4, uint64) packs the words as w0 | w1 << 32, w2 | w3 << 32, ...
-    hi_s, lo_s, hi_i, lo_i = words[0::2] | words[1::2] << 32
-    return np.stack((lo_s, hi_s, lo_i << 1 | 1, hi_i << 1 | lo_i >> 63))
-
-
-def _noise_generators(seeds):
-    """One np.random.Generator per seed, in the state of default_rng(seed).
-
-    Where _pcg64_words seeds the batch, each row's seeded state is made as
-    a Python int, and one Generator is pointed at it in turn through one
-    reused state dict, so use each before drawing the next. Other seeds
-    take default_rng, errors and all.
-    """
-    words = _pcg64_words(seeds)
-    if words is None:
-        yield from map(np.random.default_rng, seeds)
-        return
-    bits = np.random.PCG64(0)
-    generator = np.random.Generator(bits)
-    fields = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": fields, "has_uint32": 0, "uinteger": 0}
-    for s_lo, s_hi, i_lo, i_hi in zip(*words.tolist()):
-        inc = i_hi << 64 | i_lo
-        fields["state"] = ((s_hi << 64 | s_lo) * _PCG_MULT + inc * (_PCG_MULT + 1)) & _MASK128
-        fields["inc"] = inc
-        bits.state = full
-        yield generator
-
-
-def _mul128(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) uint64 halves of a * b mod 2^128, for a and b given as uint64
-    halves that broadcast. The high half of a_lo * b_lo is summed from the
-    32-bit halves' products: no partial sum passes 2^64."""
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
-    low = a0 * b0
-    low >>= 32
-    mid = a1 * b0
-    mid += low
-    cross = mid & _MASK32
-    cross += a0 * b1
-    hi = a1 * b1
-    mid >>= 32
-    hi += mid
-    cross >>= 32
-    hi += cross
-    hi += a_hi * b_lo
-    hi += a_lo * b_hi
-    return a_lo * b_lo, hi
-
-
-def _pcg64_doubles(words: np.ndarray, steps: int) -> np.ndarray:
-    """(steps, n) float64: row j holds draw j of Generator.random() from each
-    of the n PCG64 streams in _pcg64_words' layout, before seeding.
-
-    PCG64 (O'Neill 2014) steps its 128-bit LCG, state = state * M + inc mod
-    2^128, then outputs the XSL-RR of the new state: its two 64-bit halves
-    xored, rotated right by the state's top 6 bits. numpy's next_double is
-    (x >> 11) * 2^-53. Seeding is the LCG's first step from s + inc, so the
-    state t steps on is A * s + C * inc with A = M^t and C = 1 + M + ... +
-    M^t: t = 1 is the seeded state, and draw j reads t = j + 2. Every row's
-    states are made at once from the steps x 1 columns of A and C.
-    """
-    jumps: list[int] = []
-    a, c = _PCG_MULT, 1 + _PCG_MULT
-    for _ in range(steps):
-        a = a * _PCG_MULT & _MASK128
-        c = (c * _PCG_MULT + 1) & _MASK128
-        jumps += (a, c)
-    table = np.array([[x & _MASK64, x >> 64] for x in jumps], dtype=np.uint64)
-    a_lo, a_hi, c_lo, c_hi = table.reshape(steps, 4, 1).transpose(1, 0, 2)
-    s_lo, s_hi, i_lo, i_hi = words
-    lo, hi = _mul128(a_lo, a_hi, s_lo, s_hi)
-    inc_lo, inc_hi = _mul128(c_lo, c_hi, i_lo, i_hi)
-    lo += inc_lo
-    hi += inc_hi
-    hi += lo < inc_lo
-    rot = hi >> 58
-    hi ^= lo
-    out = hi >> rot
-    np.subtract(64, rot, out=rot)
-    rot &= 63
-    hi <<= rot
-    out |= hi
-    out >>= 11
-    return out * (1.0 / (1 << 53))
-
-
-def _geometric_search(uniforms: np.ndarray, p: float) -> np.ndarray:
-    """numpy's geometric(p) variate of each uniform, for p >= _GEOMETRIC_SEARCH.
-
-    numpy's search returns 1 + the number of its running sums, sum = prod =
-    p, then prod *= 1 - p; sum += prod, that lie below the uniform: one
-    searchsorted into those sums, made with the same float steps until the
-    sum stops changing. Raises RuntimeError for a uniform above the last
-    sum, where numpy's loop would never return.
-    """
-    sums = [p]
-    prod, q = p, 1.0 - p
-    while True:
-        prod *= q
-        total = sums[-1] + prod
-        if total == sums[-1]:
-            break
-        sums.append(total)
-    draws = np.searchsorted(np.array(sums), uniforms)
-    if draws.size and draws.max() == len(sums):
-        raise RuntimeError(f"a uniform lies above every running sum of geometric({p!r})")
-    draws += 1
-    return draws
-
-
 @dataclass(frozen=True, eq=False)
 class NoisyHistogram:
     """Released mapping a: Z -> [0, 1] plus the parameters that produced it.
@@ -379,55 +211,41 @@ def _release_rows(
 ) -> np.ndarray:
     """Released values of every row of an (n, |Z|) count matrix.
 
-    Row i is the release of that row alone, with k_i its sum: its present
-    symbols, in index order, get the noise of default_rng(seeds[i]). Where
-    _pcg64_words seeds the batch (two or more integer seeds in [0, 2^128)),
-    numpy's geometric searches (p >= _GEOMETRIC_SEARCH) and no row draws
-    more than _ARRAY_STEPS variates, every row's variates come from one
-    _pcg64_doubles and one _geometric_search call, with no Python loop per
-    row: the seeding step is the first of the LCG jumps it makes from each
-    row's unseeded (s, inc). Otherwise _noise_generators points a Generator
-    at each row, or builds default_rng for one seed or any other. Either
-    way the bytes rest on numpy's SeedSequence hash, PCG64 and geometric.
-    The threshold, clamp and range check then run once over the matrix.
-    Raises SizeMismatch unless there is one seed per row, then EmptyDataset
-    for a row with no counts, then histogram_threshold's ValueError for an
-    (epsilon, delta) it refuses and _geometric_p's for an epsilon whose p
-    rounds to 0, all before any noise is drawn.
+    Row i is the release of that row alone, with k_i its sum. Its present
+    symbol j, in index order, gets the noise ceil(2 E_2j / epsilon) -
+    ceil(2 E_2j+1 / epsilon), where E_v is coupling._cell_variates' unit
+    exponential of the cell (splitmix64(_tape_key(seeds[i])), 2^63 + v):
+    the seed is read as a tape seed is, and _NOISE_OFFSET keeps its cells
+    apart from the tape's. P(ceil(2 E / epsilon) > g) = e^(-g epsilon / 2),
+    so each draw is geometric with p = 1 - e^(-epsilon/2), and the noise is
+    two-sided geometric, P(G = g) proportional to e^(-epsilon |g| / 2).
+    Every row's cells are hashed in one array pass, and the threshold,
+    clamp and range check run once over the matrix. Raises SizeMismatch
+    unless there is one seed per row, then EmptyDataset for a row with no
+    counts, then _geometric_p's ValueError for an epsilon whose p is not >
+    0, histogram_threshold's for an (epsilon, delta) it refuses and
+    TypeError for a seed that is not an integer, all before any noise is
+    drawn.
     """
     if len(seeds) != counts.shape[0]:
         raise SizeMismatch(f"{len(seeds)} noise seeds for {counts.shape[0]} histogram rows")
     k = counts.sum(axis=1)
     if (k < 1).any():
         raise EmptyDataset("every histogram row needs a non-empty sample")
+    _geometric_p(epsilon)
     tau = histogram_threshold(epsilon, delta, k)
+    keys = _splitmix64(np.array([_tape_key(s) for s in seeds], dtype=np.uint64))
     rows, cols = np.nonzero(counts)
-    q = _geometric_p(epsilon)
+    # np.nonzero lists each row's present symbols together and in index
+    # order, so symbol j of its row is j places after the row's first.
     sizes = np.bincount(rows, minlength=k.size)
-    # Row i draws a (2, sizes[i]) block of geometrics, filled one variate at
-    # a time in C order: its first sizes[i] variates are the first halves of
-    # its present symbols' noise, the next sizes[i] the second halves. Their
-    # difference is the two-sided geometric noise, P(G = g) proportional to
-    # exp(-epsilon / 2)^|g|.
-    steps = 2 * int(sizes.max(initial=0))
-    words = _pcg64_words(seeds) if q >= _GEOMETRIC_SEARCH and steps <= _ARRAY_STEPS else None
-    if words is None:
-        generators = _noise_generators(seeds)
-        draws = np.concatenate(
-            [rng.geometric(q, (2, size)) for rng, size in zip(generators, sizes.tolist())], axis=1
-        )
-        noise = draws[0] - draws[1]
-    else:
-        # Variate j of row i is entry j * n + i of the (steps, n) uniforms;
-        # the present symbols' first halves are each row's variates 0, 1,
-        # ..., and their second halves lie sizes[i] variates further on.
-        first = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows]
-        first *= k.size
-        first += rows
-        uniforms = _pcg64_doubles(words, steps).ravel()
-        picked = uniforms[np.concatenate((first, first + sizes[rows] * k.size))]
-        draws = _geometric_search(picked, q)
-        noise = draws[:rows.size] - draws[rows.size:]
+    j = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows]
+    cells = (2 * j)[:, None] + np.arange(2)
+    draws = _cell_variates(keys[rows, None], cells.astype(np.uint64) + _NOISE_OFFSET)
+    draws *= 2.0
+    draws /= epsilon
+    draws = np.ceil(draws, out=draws).astype(np.int64)
+    noise = draws[:, 0] - draws[:, 1]
     values = np.zeros(counts.shape)
     values[rows, cols] = _threshold_clamp(counts[rows, cols] + noise, k[rows], tau[rows])
     _check_unit_interval(values)
@@ -445,7 +263,8 @@ def private_histogram(
     to [0, 1], otherwise zero. Absent symbols are untouched (exactly
     zero), so the mechanism never reports a false positive. Privacy is
     with respect to replacing one element of the input sample. The values
-    are one row of _release_rows.
+    are one row of _release_rows, whose noise stream the seed keys as a
+    tape seed (any integer, read mod 2^64).
     """
     values = _release_rows(dataset.counts()[None, :], epsilon, delta, [seed])[0]
     return NoisyHistogram(dataset.domain, values, epsilon, delta, dataset.size)

@@ -32,12 +32,13 @@ from .core import (
     _require_domain,
     _sampling_cdf,
     _search_cdf,
+    _tv_rows,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
 from .coupling import _race_tape_blocks, _tapes_per_block
-from .dp import DpParams, NoisyHistogram, _noise_generators, _release_rows, required_k
+from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import _derive_seeds, derive_seed
 
@@ -115,13 +116,13 @@ def estimate_premise_alpha(
     b are sample_dataset(data_dist, m, s) for its seeds s from the
     "premise-sample-a" and "-b" streams. The trials run in blocks of
     _tapes_per_block(max(m, |Z|)) rows, so a block's uniforms and models
-    fit the race's cell budget: each block draws its rows' uniforms through
-    _noise_generators, maps them in one _search_cdf call, and trains each
-    side once through _train_rows, side s of block b with train seed
-    derive_seed(seed, "premise-train-s", b). The row TVs are tv_distance's
-    sum, row by row, and are added in trial order. Raises ValueError for
-    trials < 1 or m < 0 (a bool or float is not a count) before any seed
-    is drawn.
+    fit the race's cell budget: each block fills each row with
+    default_rng(s).random, sample_dataset's own draw, maps the rows in one
+    _search_cdf call, and trains each side once through _train_rows, side s
+    of block b with train seed derive_seed(seed, "premise-train-s", b). The
+    row TVs are core._tv_rows, tv_distance's own sum, and are added in
+    trial order. Raises ValueError for trials < 1 or m < 0 (a bool or
+    float is not a count) before any seed is drawn.
     """
     trials = _require_count("trials", trials)
     m = _require_count("m", m, minimum=0)
@@ -135,14 +136,13 @@ def estimate_premise_alpha(
         models = []
         for side, stream in zip("ab", streams):
             uniforms = np.empty((rows, m))
-            for row, generator in zip(uniforms, _noise_generators([*islice(stream, rows)])):
-                generator.random(out=row)
+            for row, s in zip(uniforms, islice(stream, rows)):
+                np.random.default_rng(s).random(out=row)
             samples = _search_cdf(cdf, uniforms.ravel()).reshape(rows, m)
             models.append(
                 _train_rows(learner, domain, samples, derive_seed(seed, f"premise-train-{side}", b))
             )
-        # np.add.reduce sums each row as tv_distance sums its one vector.
-        for tv in (0.5 * np.add.reduce(np.abs(models[0] - models[1]), axis=1)).tolist():
+        for tv in _tv_rows(*models).tolist():
             total += tv
     return total / trials
 

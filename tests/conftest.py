@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -143,37 +144,58 @@ def per_trial_premise_alpha(learner, data_dist, m, trials, seed, train_seeds=Non
 #
 # Verbatim copies of the scalar and one-vector bodies that the row forms
 # dp._release_rows, dp._threshold_clamp and transform._project_rows
-# replaced, of the two-call noise draw with one default_rng per row that
-# the batch-seeded one-call draw replaced, and of the per-row release loop
-# (one default_rng and one sliced two-sided draw per row) that the array
-# passes of dp._release_rows replaced; the row forms must match them bit
-# for bit.
+# replaced, and a scalar form of the histogram's noise draw: pure-Python
+# splitmix64 and math.log, one variate at a time. The row forms must match
+# them bit for bit.
+
+_M64 = (1 << 64) - 1
 
 
-def two_call_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|."""
-    return (rng.geometric(1.0 - p, size=size) - rng.geometric(1.0 - p, size=size)).astype(
-        np.int64
-    )
+def scalar_splitmix64(x: int) -> int:
+    """splitmix64 of one 64-bit integer: the golden-ratio step, then the finalizer."""
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
-def two_sided_geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Difference of two i.i.d. geometrics: P(G = g) proportional to p^|g|. One
-    draw of 2 * size, filled one variate at a time, uses the stream as two draws."""
-    draws = rng.geometric(1.0 - p, size=2 * size)
-    return draws[:size] - draws[size:]
+def noise_variate(seed, v: int) -> float:
+    """Unit exponential of cell v of a noise seed's stream: the hash of the
+    seed's key (seed mod 2^64) plus 2^63 + v, its top 53 bits a uniform
+    in (0, 1) mapped through -log."""
+    key = scalar_splitmix64(operator.index(seed) & _M64)
+    bits = scalar_splitmix64((key + (1 << 63) + v) & _M64) >> 11
+    return -math.log((bits + 0.5) * 2.0**-53)
+
+
+def noise_geometric(seed, v: int, epsilon: float) -> int:
+    """ceil(2 E_v / epsilon): geometric with P(G > g) = e^(-g epsilon / 2)."""
+    return math.ceil(2.0 * noise_variate(seed, v) / epsilon)
+
+
+def two_call_geometric(seed, epsilon: float, size: int) -> np.ndarray:
+    """Noise of a row's `size` present symbols, P(G = g) proportional to
+    e^(-epsilon |g| / 2): symbol j's first geometric reads cell 2j and its
+    second cell 2j + 1, drawn as two lists."""
+    first = [noise_geometric(seed, 2 * j, epsilon) for j in range(size)]
+    second = [noise_geometric(seed, 2 * j + 1, epsilon) for j in range(size)]
+    return np.array(first, dtype=np.int64) - np.array(second, dtype=np.int64)
+
+
+def two_sided_geometric(seed, epsilon: float, size: int) -> np.ndarray:
+    """two_call_geometric's noise from one walk over cells 0, ..., 2 size - 1."""
+    draws = [noise_geometric(seed, v, epsilon) for v in range(2 * size)]
+    return np.array(draws[0::2], dtype=np.int64) - np.array(draws[1::2], dtype=np.int64)
 
 
 def per_row_release(counts: np.ndarray, epsilon: float, delta: float, seeds) -> np.ndarray:
-    """The released values of dp._release_rows before its array passes."""
+    """The released values of dp._release_rows, drawn row by row."""
     k = counts.sum(axis=1)
     tau = histogram_threshold(epsilon, delta, k)
     rows, cols = np.nonzero(counts)
-    p = math.exp(-epsilon / 2.0)
     sizes = np.bincount(rows, minlength=k.size).tolist()
     noise = np.concatenate([
-        two_sided_geometric(rng, p, size)
-        for rng, size in zip(map(np.random.default_rng, seeds), sizes)
+        two_sided_geometric(seed, epsilon, size) for seed, size in zip(seeds, sizes)
     ])
     noisy = (counts[rows, cols] + noise) / k[rows]
     released = np.minimum(np.maximum(noisy, 0.0), 1.0)
@@ -196,8 +218,7 @@ def scalar_histogram_values(counts, epsilon, delta, seed):
     k = int(counts.sum())
     tau = histogram_threshold(epsilon, delta, k)
     present = np.flatnonzero(counts)
-    rng = np.random.default_rng(seed)
-    noise = two_call_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+    noise = two_call_geometric(seed, epsilon, present.size)
     noisy = (counts[present] + noise) / k
     released = np.minimum(np.maximum(noisy, 0.0), 1.0)
     released[noisy < tau] = 0.0

@@ -2,16 +2,20 @@ import builtins
 import dataclasses
 import itertools
 import json
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from conftest import (
     dist,
     domain,
     enumerated_max_event,
     event_form_pair,
+    noise_variate,
     per_row_release,
     random_distribution,
     random_pair,
@@ -33,6 +37,7 @@ from stability_lab import (
     freq,
     histogram_output_law,
     histogram_threshold,
+    new_tape,
     private_histogram,
     required_k,
     sample_dataset,
@@ -43,7 +48,6 @@ from stability_lab import dp
 from stability_lab.dp import (
     _compositions,
     _joint_law,
-    _noise_generators,
     _release_rows,
     _replacement_neighbors,
     coordinate_output_law,
@@ -294,24 +298,50 @@ class TestPrivateHistogram:
             private_histogram(Dataset(domain(2), []), 1.0, 1e-3, seed=0)
 
     def test_epsilon_whose_geometric_p_rounds_to_zero(self, monkeypatch):
-        # 1 - e^(-epsilon/2) is 0 in floats up to epsilon = 1.1e-16, where
-        # numpy's geometric raised a bare ValueError mid-release.
+        # 1 - e^(-epsilon/2) is 0 in floats up to epsilon = 1.1e-16, and
+        # _geometric_p refuses such an epsilon before any noise is drawn.
         sample = Dataset(domain(2), ["z0", "z0", "z1"])
         released = private_histogram(sample, 1.2e-16, 0.05, 7)
         assert released.values.tolist() == [0.0, 0.0]  # tau is huge at this epsilon
         counts = np.array([[2, 1], [0, 3]])
         assert _release_rows(counts, 1.2e-16, 0.05, [1, 2]).shape == (2, 2)
 
-        def no_noise(seeds):
+        def no_noise(keys, cells):
             raise AssertionError("noise drawn")
 
-        monkeypatch.setattr(dp, "_noise_generators", no_noise)
-        monkeypatch.setattr(dp, "_pcg64_words", no_noise)
-        for epsilon in (1e-16, 1.1e-16):
+        monkeypatch.setattr(dp, "_cell_variates", no_noise)
+        for epsilon in (1e-16, 1.1e-16, 5e-324):
             with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
                 private_histogram(sample, epsilon, 0.05, 7)
             with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
                 _release_rows(counts, epsilon, 0.05, [1, 2])
+
+    def test_subnormal_epsilon_refused_before_any_warning(self, monkeypatch):
+        # At epsilon = 5e-324 the threshold's division by epsilon * k would
+        # overflow; _geometric_p refuses the epsilon first.
+        def no_noise(keys, cells):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(dp, "_cell_variates", no_noise)
+        sample = Dataset(domain(3), ["z0", "z1", "z1", "z2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
+                private_histogram(sample, 5e-324, 0.05, 7)
+            with pytest.raises(ValueError, match=r"1 - e\^\(-epsilon/2\) > 0"):
+                _release_rows(np.array([[2, 1], [0, 3]]), 5e-324, 0.05, [1, 2])
+
+    def test_tiny_epsilon_releases_finite_values(self):
+        # ceil(2 E / epsilon) reaches about 6.2e17 here, still exact in int64;
+        # a noise of that size clamps or is suppressed, never overflows.
+        rng = np.random.default_rng(61)
+        counts = rng.integers(0, 50, size=(40, 20)) * (rng.random((40, 20)) < 0.5)
+        counts[:, 0] += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = _release_rows(counts, 1.2e-16, 0.05, list(range(40)))
+        assert np.isfinite(values).all() and values.shape == counts.shape
+        assert values.tobytes() == per_row_release(counts, 1.2e-16, 0.05, range(40)).tobytes()
 
     def test_absent_symbols_exact_zero(self):
         s = Dataset(domain(4), ["z1"] * 30)
@@ -363,8 +393,7 @@ class TestPrivateHistogram:
         k = int(counts.sum())
         tau = histogram_threshold(epsilon, delta, k)
         present = np.flatnonzero(counts)
-        rng = np.random.default_rng(seed)
-        noise = two_call_geometric(rng, math.exp(-epsilon / 2.0), present.size)
+        noise = two_call_geometric(seed, epsilon, present.size)
         values = np.zeros(counts.size)
         for z, g in zip(present, noise):
             values[z] = scalar_noisy_value(int(counts[z]), int(g), k, tau)
@@ -489,25 +518,6 @@ class TestDerivedThreshold:
             NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=1.0, delta=1e-3, k=k)
 
 
-def _search_edge() -> float:
-    """The least epsilon whose geometric probability 1 - exp(-epsilon / 2)
-    reaches numpy's search literal 0.333333333333333333333333.
-
-    Near 1/3 that probability is a multiple of 2^-53, and the literal's
-    double an odd multiple of 2^-54, so no epsilon gives it exactly: this
-    one gives the next double up, and the float below it the next one down.
-    """
-    epsilon = -2.0 * math.log(2.0 / 3.0)
-    while 1.0 - math.exp(-epsilon / 2.0) >= dp._GEOMETRIC_SEARCH:
-        epsilon = math.nextafter(epsilon, 0)
-    while 1.0 - math.exp(-epsilon / 2.0) < dp._GEOMETRIC_SEARCH:
-        epsilon = math.nextafter(epsilon, math.inf)
-    return epsilon
-
-
-SEARCH_EDGE = _search_edge()
-
-
 class TestReleaseRows:
     def test_rows_equal_scalar_release(self):
         # tau * k = 17 at this (epsilon, delta) whatever k is, so rows of
@@ -561,10 +571,9 @@ class TestReleaseRows:
         return values
 
     def test_inversion_branch_rows_equal_scalar_release(self):
-        # numpy's geometric inverts its CDF when the success probability is
-        # below 1/3 and searches it otherwise; epsilon >= 1 only searches.
+        # epsilon = 0.5, where numpy's geometric inverted its CDF (success
+        # probability below 1/3): noise wide enough to suppress and clip.
         epsilon, delta = 0.5, 1e-3
-        assert 1.0 - math.exp(-epsilon / 2.0) < 1 / 3
         rng = np.random.default_rng(29)
         clipped = suppressed = released = 0
         for size in (1, 3, 8, 40):
@@ -581,84 +590,19 @@ class TestReleaseRows:
 
     @pytest.mark.parametrize("epsilon", [0.5, 2.0])
     def test_edge_seeds_equal_scalar_release(self, epsilon):
-        # Seeds of one to four 32-bit words, the batch path's edges; 2^128
-        # needs a fifth word, so its batch takes default_rng row by row.
-        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128 - 1]
-        counts = np.random.default_rng(31).integers(1, 9, size=(len(edges) + 1, 6))
-        for seeds in (edges, [*edges, 2**128]):
-            self.check_rows_equal_scalar(counts[:len(seeds)], epsilon, 1e-3, seeds)
+        # Seeds at the edges of their 64-bit key; wider and negative seeds
+        # are read mod 2^64, as tape seeds are.
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128 - 1, 2**128, -1]
+        counts = np.random.default_rng(31).integers(1, 9, size=(len(edges), 6))
+        self.check_rows_equal_scalar(counts, epsilon, 1e-3, edges)
         for cast in (np.uint64, np.int64):
             seeds = [cast(s) for s in (0, 1, 2**32 - 1, 2**32, 2**62, 2**63 - 1)]
             self.check_rows_equal_scalar(counts[:6], epsilon, 1e-3, seeds)
-        for seed in (0, 2**64 - 1, 2**128 - 1, 2**128, np.uint64(5)):
+        for seed in (0, 2**64 - 1, 2**128 - 1, 2**128, np.uint64(5), True):
             self.check_rows_equal_scalar(counts[:1], epsilon, 1e-3, [seed])
 
-    @staticmethod
-    def check_default_rng_states(seeds):
-        drawn = 0
-        for generator, seed in zip(_noise_generators(seeds), seeds):
-            assert generator.bit_generator.state == (
-                np.random.default_rng(seed).bit_generator.state
-            )
-            drawn += 1
-        assert drawn == len(seeds)
-
-    def test_noise_generators_in_default_rng_state(self):
-        rng = np.random.default_rng(37)
-        batches = [
-            [0, 1],
-            [int(s) for s in rng.integers(0, 2**63, size=50)],
-            [2**128 - 1, 2**96 + 7, 2**64, 2**32 + 1, 3],
-            [np.uint64(2**64 - 1), np.int64(2**63 - 1), True, 9],
-            [5, 2**128],
-            [11],
-        ]
-        for seeds in batches:
-            self.check_default_rng_states(seeds)
-
-    @staticmethod
-    def wide_seeds():
-        """10,000 seeds of 1 to 128 bits, and seeds whose words are all ones
-        or a lone top bit."""
-        rng = np.random.default_rng(41)
-        words = rng.integers(0, 2**64, size=(10_000, 2), dtype=np.uint64).tolist()
-        widths = rng.integers(1, 129, size=10_000).tolist()
-        seeds = [(hi << 64 | lo) >> (128 - w) for (hi, lo), w in zip(words, widths)]
-        return seeds + [2**64 - 1, 2**127, 2**128 - 1, 2**64, 2**96 - 1, 2**32 - 1]
-
-    def test_words_are_seed_sequence_state(self):
-        # PCG64 reads generate_state(4, uint64) as s_hi, s_lo, i_hi, i_lo and
-        # streams with inc = 2i + 1 mod 2^128; i_lo is hash output, so about
-        # half the rows carry its top bit into inc_hi.
-        seeds = self.wide_seeds()
-        expected, carried = [], 0
-        for seed in seeds:
-            state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            s_hi, s_lo, i_hi, i_lo = map(int, state)
-            inc = (2 * (i_hi << 64 | i_lo) + 1) % 2**128
-            expected.append([s_lo, s_hi, inc % 2**64, inc >> 64])
-            carried += i_lo >= 2**63
-        words = dp._pcg64_words(seeds)
-        assert words.dtype == np.uint64 and words.T.tolist() == expected
-        assert 0 < carried < len(seeds)
-
-    @pytest.mark.parametrize("batch", [2, 3, 300])
-    def test_batch_seeding_equals_default_rng(self, batch):
-        seeds = self.wide_seeds()
-        for start in range(0, len(seeds), batch):
-            chunk = seeds[start:start + batch]
-            if len(chunk) == 1:
-                chunk.append(seeds[0])
-            self.check_default_rng_states(chunk)
-
-    @pytest.mark.parametrize(
-        "epsilon", [0.5, 1.0, 2.0, SEARCH_EDGE, math.nextafter(SEARCH_EDGE, 0)]
-    )
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0, 0.8109302162163288, 0.8109302162163287])
     def test_rows_equal_per_row_loop(self, epsilon):
-        # epsilon = 0.5 and the float below SEARCH_EDGE invert numpy's
-        # geometric CDF; 1, 2 and SEARCH_EDGE search it.
-        p = 1.0 - math.exp(-epsilon / 2.0)
-        assert (p >= dp._GEOMETRIC_SEARCH) == (epsilon >= SEARCH_EDGE)
         rng = np.random.default_rng(43)
         for size in (1, 8, 1000):
             counts = rng.integers(0, 40, size=(30, size)) * (rng.random((30, size)) < 0.3)
@@ -672,123 +616,145 @@ class TestReleaseRows:
             assert lone.tobytes() == per_row_release(counts[:1], epsilon, 1e-3, seeds[:1]).tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 5, 32])
-    def test_pcg64_doubles_equal_default_rng(self, steps):
+    def test_noise_variates_equal_scalar_hash(self, steps):
+        # np.log and math.log may differ in the last bit; the draws may not.
         rng = np.random.default_rng(47)
         seeds = [int(s) for s in rng.integers(0, 2**64, size=200, dtype=np.uint64)]
-        seeds += [0, 1, 2**32 - 1, 2**63, 2**64 - 1, 2**127, 2**128 - 1]
-        got = dp._pcg64_doubles(dp._pcg64_words(seeds), steps)
-        expected = np.stack([np.random.default_rng(s).random(steps) for s in seeds], axis=1)
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("p", [dp._GEOMETRIC_SEARCH, 0.34, 1.0 - math.exp(-0.5), 0.5, 0.9, 1.0])
-    def test_geometric_search_equals_numpy(self, p):
-        for seed in range(20):
-            got = dp._geometric_search(np.random.default_rng(seed).random(500), p)
-            expected = np.random.default_rng(seed).geometric(p, 500)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-    @staticmethod
-    def forged_words(outputs, inc=1):
-        """_pcg64_words rows of streams whose first draw reads each of
-        `outputs`, all below 2^64: with a zero high half, XSL-RR rotates by
-        0 and outputs the state as is. That draw reads the state two LCG
-        steps on from s + inc, M^2 * s + (1 + M + M^2) * inc."""
-        m = dp._PCG_MULT
-        inverse = pow(m * m, -1, 2**128)
-        starts = [(x - (1 + m + m * m) * inc) * inverse % 2**128 for x in outputs]
-        return np.array(
-            [[s & (2**64 - 1) for s in starts], [s >> 64 for s in starts],
-             [inc] * len(starts), [0] * len(starts)],
-            dtype=np.uint64,
-        )
-
-    def test_uniform_on_a_running_sum(self):
-        # At p = 0.5 the running sums 0.5, 0.75, ... are multiples of 2^-53,
-        # so a uniform can equal one. numpy's loop stops there (U > sum is
-        # false): a searchsorted with side="left".
-        uniforms = [0.0, 0.5, 0.75, 0.875, 0.5 - 2.0**-53, 0.5 + 2.0**-53]
-        words = self.forged_words([int(u * 2**53) << 11 for u in uniforms])
-        assert dp._pcg64_doubles(words, 1).tolist() == [uniforms]
-        got = dp._geometric_search(dp._pcg64_doubles(words, 1)[0], 0.5)
-        expected = []
-        m = dp._PCG_MULT
-        for s_lo, s_hi, i_lo, i_hi in zip(*words.tolist()):
-            inc = i_hi << 64 | i_lo
-            bits = np.random.PCG64(0)
-            bits.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": ((s_hi << 64 | s_lo) * m + inc * (m + 1)) % 2**128,
-                          "inc": inc},
-            }
-            expected.append(int(np.random.Generator(bits).geometric(0.5)))
-        assert got.tolist() == expected == [1, 1, 2, 3, 1, 2]
-
-    def test_uniform_above_the_last_sum_raises(self, monkeypatch):
-        # numpy's search loop never returns for a uniform above its last
-        # running sum. A stream whose state after one step is 2^64 - 1
-        # outputs 2^64 - 1, the uniform 1 - 2^-53.
-        p = 1.0 - math.exp(-0.5)
-        words = self.forged_words([2**64 - 1] * 2)
-        uniforms = dp._pcg64_doubles(words, 1)
-        assert uniforms.tolist() == [[1.0 - 2.0**-53] * 2]
-        with pytest.raises(RuntimeError, match="running sum"):
-            dp._geometric_search(uniforms, p)
-        monkeypatch.setattr(dp, "_pcg64_words", lambda seeds: words)
-        with pytest.raises(RuntimeError, match="running sum"):
-            _release_rows(np.array([[3, 0], [1, 1]]), 1.0, 1e-3, [1, 2])
+        seeds += [0, 1, 2**32 - 1, 2**63, 2**64 - 1, 2**127, 2**128 - 1, -1]
+        keys = dp._splitmix64(np.array([dp._tape_key(s) for s in seeds], dtype=np.uint64))
+        cells = np.arange(steps, dtype=np.uint64) + dp._NOISE_OFFSET
+        got = dp._cell_variates(keys[:, None], cells)
+        expected = np.array([[noise_variate(s, v) for v in range(steps)] for s in seeds])
+        np.testing.assert_array_max_ulp(got, expected, maxulp=1)
+        for epsilon in (0.05, 1.0, 5.0):
+            assert (np.ceil(2.0 * got / epsilon) == np.ceil(2.0 * expected / epsilon)).all()
 
     @pytest.mark.parametrize(
-        "rows, present, epsilon, arrays",
-        [
-            (2, 8, 1.0, True),  # the array draw: two or more seeds, p >= 1/3
-            (1, 8, 1.0, False),  # one row
-            (2, 8, 0.5, False),  # p < 1/3: numpy inverts its CDF
-            (2, dp._ARRAY_STEPS // 2, 1.0, True),
-            (2, dp._ARRAY_STEPS // 2 + 1, 1.0, False),  # too many variates a row
-        ],
+        "rows, present, epsilon",
+        [(2, 8, 1.0), (1, 8, 1.0), (2, 8, 0.5), (2, 16, 1.0), (2, 17, 1.0)],
     )
-    def test_where_generators_are_pointed(self, monkeypatch, rows, present, epsilon, arrays):
-        calls = {"generators": 0, "arrays": 0}
-        generators, doubles = dp._noise_generators, dp._pcg64_doubles
+    def test_one_noise_path(self, monkeypatch, rows, present, epsilon):
+        calls = []
+        variates = dp._cell_variates
 
-        def generator_spy(seeds):
-            calls["generators"] += 1
-            return generators(seeds)
+        def spy(keys, cells):
+            calls.append(cells.shape)
+            return variates(keys, cells)
 
-        def doubles_spy(words, steps):
-            calls["arrays"] += 1
-            return doubles(words, steps)
-
-        monkeypatch.setattr(dp, "_noise_generators", generator_spy)
-        monkeypatch.setattr(dp, "_pcg64_doubles", doubles_spy)
+        monkeypatch.setattr(dp, "_cell_variates", spy)
         counts = np.ones((rows, present + 3), dtype=np.int64)
         counts[:, :3] = 0
         seeds = list(range(5, 5 + rows))
         values = _release_rows(counts, epsilon, 1e-3, seeds)
-        assert calls == {"generators": int(not arrays), "arrays": int(arrays)}
+        assert calls == [(rows * present, 2)]
         assert values.tobytes() == per_row_release(counts, epsilon, 1e-3, seeds).tobytes()
+
+    def test_noise_never_reads_tape_cells(self, monkeypatch):
+        # A noise seed equal to a tape seed keys the same stream, and the
+        # 2^63 offset keeps the two sets of cells apart.
+        drawn = []
+        variates = dp._cell_variates
+
+        def keep(keys, cells):
+            out = variates(keys, cells)
+            drawn.append(out.copy())
+            return out
+
+        monkeypatch.setattr(dp, "_cell_variates", keep)
+        counts = np.ones((1, 64), dtype=np.int64)
+        for seed in (0, 1, 7, 2**63, 2**64 - 1):
+            _release_rows(counts, 1.0, 1e-3, [seed])
+            tape = new_tape(domain(128), seed).variates
+            assert drawn[-1].size == 128
+            assert np.intersect1d(tape, drawn[-1]).size == 0
 
     @pytest.mark.parametrize("epsilon", [0.5, 2.0])
     def test_one_draw_equals_two(self, epsilon):
-        p = math.exp(-epsilon / 2.0)
         for size in (0, 1, 7, 200):
-            one = two_sided_geometric(np.random.default_rng(size), p, size)
-            two = two_call_geometric(np.random.default_rng(size), p, size)
+            one = two_sided_geometric(size, epsilon, size)
+            two = two_call_geometric(size, epsilon, size)
             assert one.dtype == np.int64 and one.tobytes() == two.tobytes()
 
-    @pytest.mark.parametrize("seeds, error", [([1, -1], ValueError), ([1, 2.5], TypeError)])
-    def test_bad_seeds_raise_numpy_errors(self, seeds, error):
-        with pytest.raises(error):
+    def test_negative_and_wide_seeds_wrap(self):
+        counts = np.array([[1, 2, 0, 4], [3, 0, 5, 1], [2, 2, 2, 2]])
+        wrapped = _release_rows(counts, 1.0, 1e-3, [-1, 2**64, 2**128 + 3])
+        assert wrapped.tobytes() == _release_rows(counts, 1.0, 1e-3, [2**64 - 1, 0, 3]).tobytes()
+        typed = _release_rows(counts, 1.0, 1e-3, [np.uint64(2**64 - 1), np.int64(0), True])
+        assert typed.tobytes() == _release_rows(counts, 1.0, 1e-3, [2**64 - 1, 0, 1]).tobytes()
+
+    @pytest.mark.parametrize("seeds", [[1, 2.5], [1.0, 2], [1, "2"]])
+    def test_non_integer_seeds_raise_type_error(self, monkeypatch, seeds):
+        def no_noise(keys, cells):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(dp, "_cell_variates", no_noise)
+        with pytest.raises(TypeError):
             _release_rows(np.array([[1, 2], [3, 0]]), 1.0, 1e-3, seeds)
 
     @pytest.mark.parametrize("seeds", [[1, 2, 3], [1]])
     def test_one_seed_per_row(self, monkeypatch, seeds):
-        def no_noise(seeds):
+        def no_noise(keys, cells):
             raise AssertionError("noise drawn")
 
-        monkeypatch.setattr(dp, "_noise_generators", no_noise)
+        monkeypatch.setattr(dp, "_cell_variates", no_noise)
         with pytest.raises(SizeMismatch, match=rf"{len(seeds)} noise seeds for 2 histogram rows"):
             _release_rows(np.array([[1, 2], [3, 0]]), 1.0, 1e-3, seeds)
+
+
+def _binned(values: np.ndarray, law: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Observed and expected counts of released values over their law's
+    atoms, in value order, merged into bins that each expect at least 20
+    draws (the remainder joins the last bin); the truncated law is
+    renormalized. Every value must be one of the law's atoms."""
+    atoms = np.array(sorted(law))
+    masses = np.array([law[a] for a in atoms.tolist()])
+    index = np.searchsorted(atoms, values)
+    assert (atoms[np.minimum(index, atoms.size - 1)] == values).all()
+    expected = values.size * masses / masses.sum()
+    edges = [0]
+    total = 0.0
+    for i, e in enumerate(expected.tolist()):
+        total += e
+        if total >= 20:
+            edges.append(i + 1)
+            total = 0.0
+    starts = edges[:-1]
+    observed = np.bincount(index, minlength=atoms.size)
+    return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
+
+
+class TestNoiseLaw:
+    """The released values follow coordinate_output_law, the audited law."""
+
+    DELTA = 0.5
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.5, 0.8109302162163287, 1.0, 5.0])
+    def test_released_values_follow_the_law(self, epsilon):
+        # Each present count c sits at ceil(tau * k), so about half the
+        # draws are suppressed; a row's lone symbol clamps at 1 above it.
+        c = math.ceil(2.0 * math.log(2.0 / self.DELTA) / epsilon + 1.0)
+        law = functools.partial(coordinate_output_law, epsilon=epsilon, delta=self.DELTA)
+        rng = np.random.default_rng(83)
+        # 100,000 rows: every tenth has 20 present symbols of 24, the rest one.
+        rows = 100_000
+        wide = np.arange(rows) % 10 == 0
+        counts = np.zeros((rows, 24), dtype=np.int64)
+        counts[~wide, rng.integers(24, size=rows - wide.sum())] = c
+        keep = np.argsort(rng.random((wide.sum(), 24)), axis=1)[:, :20]
+        counts[np.flatnonzero(wide)[:, None], keep] = c
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=rows, dtype=np.uint64)]
+        values = _release_rows(counts, epsilon, self.DELTA, seeds)
+        present = counts > 0
+        # one row of 100,000 present symbols
+        lone = _release_rows(np.full((1, 100_000), c), epsilon, self.DELTA, [seeds[0]])
+        observed, expected = zip(
+            _binned(values[~wide][present[~wide]], law(c, c)),
+            _binned(values[wide][present[wide]], law(c, 20 * c)),
+            _binned(lone[0], law(c, 100_000 * c)),
+        )
+        # one degree of freedom less for each of the three laws' totals
+        fit = chisquare(np.concatenate(observed), np.concatenate(expected), ddof=2)
+        assert fit.pvalue > 1e-4
 
 
 class TestExactAudit:
