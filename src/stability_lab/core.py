@@ -47,11 +47,19 @@ class _SymbolIndex(dict):
 
 @dataclass(frozen=True)
 class ContentDomain:
-    """Ordered set of distinct content identifiers (opaque strings)."""
+    """Ordered set of distinct content identifiers (opaque strings).
+
+    The symbols are any iterable of them except a bare str or bytes
+    (TypeError), as for Dataset."""
 
     symbols: tuple[str, ...]
 
     def __post_init__(self):
+        # A bare string is iterable, but as characters, not symbols.
+        if isinstance(self.symbols, (str, bytes)):
+            raise TypeError(
+                f"symbols must be an iterable of symbols, not a bare {type(self.symbols).__name__}"
+            )
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.symbols) == 0:
             raise ValueError("a content domain needs at least one symbol")
@@ -181,7 +189,9 @@ class Dataset:
 
     Internally stored as an index array; `items` materializes the symbols.
     The constructor takes any iterable of symbols except a bare str or
-    bytes (TypeError).
+    bytes (TypeError). The first symbol outside the domain raises
+    DomainMismatch, an unhashable item TypeError, and a KeyError that the
+    iterable raises itself passes through unchanged.
     """
 
     __slots__ = ("domain", "indices")
@@ -564,6 +574,8 @@ def read_distribution(
 
 
 def write_distribution(path: str | Path, q: DiscreteDistribution) -> None:
+    """Write q as the {"symbols": [...], "weights": [...]} JSON file that
+    read_distribution reads back: UTF-8, indented, ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(q.to_json_obj(), fh, indent=2)
         fh.write("\n")

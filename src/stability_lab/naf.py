@@ -160,7 +160,8 @@ def naf_alpha(p: DiscreteDistribution, safes: SafeAssignment) -> float:
 
     Equals the largest log-ratio ln(p(z)/q_c(z)) over symbols in p's
     support; +inf when some safe model puts zero mass where p does not.
-    Symbols with p(z) = 0 impose no constraint.
+    Symbols with p(z) = 0 impose no constraint. An assignment with no
+    entries raises EmptySafeAssignment, here and in is_naf.
     """
     return max(0.0, float(_log_ratios(p, safes)[1].max()))
 

@@ -121,8 +121,10 @@ def estimate_premise_alpha(
     _search_cdf call, and trains each side once through _train_rows, side s
     of block b with train seed derive_seed(seed, "premise-train-s", b). The
     row TVs are core._tv_rows, tv_distance's own sum, and are added in
-    trial order. Raises ValueError for trials < 1 or m < 0 (a bool or
-    float is not a count) before any seed is drawn.
+    trial order. A learner that ignores its seed, as both built-in ones do,
+    so gets the per-trial loop's estimate bit for bit; a seeded learner
+    sees the block train seeds. Raises ValueError for trials < 1 or m < 0
+    (a bool or float is not a count) before any seed is drawn.
     """
     trials = _require_count("trials", trials)
     m = _require_count("m", m, minimum=0)
@@ -178,6 +180,7 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
     the loop's zero residual does. np.clip, np.minimum and np.maximum each
     return one of their operands, and no residual or slack is -0.0, so
     adding a zero step turns -0.0 into 0.0 as the loop's + 0.0 does.
+    Raises ValueError unless eta > 0 (NaN fails).
     """
     if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
@@ -207,7 +210,10 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class TransformTrace:
-    """Intermediates of one transform run; coupled_counts is what the histogram released."""
+    """Intermediates of one transform run; coupled_counts is what the histogram released.
+
+    The run never holds the coupled indices; race_tapes on shard_weights
+    gives them."""
 
     shard_weights: np.ndarray
     coupled_counts: np.ndarray
@@ -262,7 +268,17 @@ def _release_chain(
 
     Yields (counts, values, outputs, feasible) per tape block of its one
     race, in seed order: each block of counts is released and projected as
-    it is raced, so the chain holds one block, never the whole chain."""
+    it is raced, so the chain holds one block, never the whole chain. The
+    seeds may be any iterables, and each block draws its own tape and noise
+    seeds when it is taken, so no seed list grows with the chain. Everything
+    after the histogram is data-independent post-processing, so releasing
+    the rows together leaves the (epsilon, delta) argument as it is.
+
+    The stages are called by their names in this module (_race_tape_blocks,
+    _release_rows, _project_rows), so a tracer can wrap them here. The race
+    is a generator, and its work per block is in functions that coupling
+    calls by name: _exp_variates per tape block, and _tournament per group
+    or _rank_chunk per chunk."""
     noise = iter(noise_seeds)
     for counts in _race_tape_blocks(domain, tape_seeds, weights, count=True):
         values = _release_rows(counts, config.epsilon, config.delta, [*islice(noise, len(counts))])
@@ -277,7 +293,11 @@ def dp_transform_trace(
     noise_seed: int,
     train_seed: int = 0,
 ) -> TransformTrace:
-    """dp_transform plus all intermediates: one (tape, noise) pair of _release_chain."""
+    """dp_transform plus all intermediates: one (tape, noise) pair of _release_chain.
+
+    The histogram is the NoisyHistogram of the released count row with
+    k = config.k, bit for bit what private_histogram releases, on the same
+    noise seed, from a dataset with those counts."""
     weights = _shard_weight_matrix(learner, sample, config, train_seed)
     domain = sample.domain
     [(counts, values, outputs, feasible)] = _release_chain(
@@ -372,6 +392,10 @@ def transform_bound_experiment(
     a deterministic function of the private sample, so this matches
     re-running dp_transform with the same train seed). The premise level
     alpha_hat is estimated on the side and turned into the reported bound.
+    Trial i of the inner trials, numbered across the outer trials, races on
+    derive_seed(seed, "tape", i) and releases on derive_seed(seed, "noise",
+    i), both read from lazy _derive_seeds streams; the outputs are added to
+    the running sum in trial order.
     """
     _require_count("outer_trials", outer_trials)
     inner_trials = _require_count("inner_trials", inner_trials)

@@ -66,6 +66,13 @@ class TestContentDomain:
         with pytest.raises(ValueError):
             ContentDomain(())
 
+    @pytest.mark.parametrize("symbols", ["abc", b"abc"], ids=["str", "bytes"])
+    def test_rejects_a_bare_string(self, symbols):
+        # As Dataset does: "abc" would otherwise be the symbols a, b and c.
+        with pytest.raises(TypeError, match="not a bare"):
+            ContentDomain(symbols)
+        assert ContentDomain(["abc"]).symbols == ("abc",)
+
     def test_unknown_symbol(self):
         with pytest.raises(DomainMismatch):
             domain(2).index_of("nope")
