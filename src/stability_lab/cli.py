@@ -37,7 +37,7 @@ from .dp import (
     dp_beta_event_form,
     private_histogram,
     symmetric_dp_beta,
-    _geometric_p,
+    _require_epsilon,
 )
 from .errors import ConfigError, StabilityLabError
 from .learners import ingest_corpus, learner_constant, learner_empirical
@@ -87,7 +87,7 @@ _RULES = {
     "smoothing": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "epsilon": (
         float,
-        lambda v: v < math.inf and _geometric_p(v) > 0,
+        lambda v: _require_epsilon(v) is None,
         "a finite number > 0 whose 1 - e^(-epsilon/2) is > 0",
     ),
     "delta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),

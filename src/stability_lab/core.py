@@ -45,22 +45,32 @@ class _SymbolIndex(dict):
         raise DomainMismatch(f"symbol {symbol!r} is not in the domain")
 
 
+def _not_bare(items, name: str):
+    """`items`, unless it is a bare str or bytes (TypeError): one is
+    iterable, but as characters, not symbols. The one bare-string rule of
+    ContentDomain and Dataset."""
+    if isinstance(items, (str, bytes)):
+        raise TypeError(
+            f"{name} must be an iterable of symbols, not a bare {type(items).__name__}"
+        )
+    return items
+
+
 @dataclass(frozen=True)
 class ContentDomain:
     """Ordered set of distinct content identifiers (opaque strings).
 
-    The symbols are any iterable of them except a bare str or bytes
-    (TypeError), as for Dataset."""
+    The symbols are any iterable of strings except a bare str or bytes.
+    Either, or a symbol that is not a str, raises TypeError, so every
+    domain can be written by write_distribution and read back."""
 
     symbols: tuple[str, ...]
 
     def __post_init__(self):
-        # A bare string is iterable, but as characters, not symbols.
-        if isinstance(self.symbols, (str, bytes)):
-            raise TypeError(
-                f"symbols must be an iterable of symbols, not a bare {type(self.symbols).__name__}"
-            )
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        symbols = tuple(_not_bare(self.symbols, "symbols"))
+        if others := [s for s in symbols if not isinstance(s, str)]:
+            raise TypeError(f"domain symbols must be strings, got {others[0]!r}")
+        object.__setattr__(self, "symbols", symbols)
         if len(self.symbols) == 0:
             raise ValueError("a content domain needs at least one symbol")
         index = _SymbolIndex(zip(self.symbols, range(len(self.symbols))))
@@ -87,9 +97,9 @@ class ContentDomain:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ContentDomain":
         """The domain of a {"symbols": [...]} object; the symbols must be a
-        JSON list of strings (TypeError otherwise)."""
+        JSON list (TypeError otherwise) of strings, as the constructor checks."""
         symbols = obj["symbols"]
-        if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        if not isinstance(symbols, list):
             raise TypeError(f'"symbols" must be a list of strings, got {symbols!r}')
         return cls(tuple(symbols))
 
@@ -197,14 +207,9 @@ class Dataset:
     __slots__ = ("domain", "indices")
 
     def __init__(self, domain: ContentDomain, items: Iterable[str]):
-        # A bare string is iterable, but as characters, not symbols.
-        if isinstance(items, (str, bytes)):
-            raise TypeError(
-                f"items must be an iterable of symbols, not a bare {type(items).__name__}"
-            )
         # One C-level dict lookup per token: map and fromiter run no Python
         # frame per item.
-        idx = np.fromiter(map(domain._index.__getitem__, items), np.int64)
+        idx = np.fromiter(map(domain._index.__getitem__, _not_bare(items, "items")), np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "indices", idx)
@@ -440,24 +445,29 @@ def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_indices(q: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw n index samples from q, deterministic given the seed.
+    """Draw n index samples from q, deterministic given the seed: the one
+    row of _sample_rows(q, n, [seed])."""
+    return _sample_rows(q, n, [seed])[0]
+
+
+def _sample_rows(q: DiscreteDistribution, size: int, seeds: Sequence[int]) -> np.ndarray:
+    """(len(seeds), size) index samples from q, row i from seeds[i]: the
+    one seeded sampler.
 
     Inverse-CDF sampling with the CDF renormalized by its final value, so
     the 1e-9 construction slack cannot leak probability onto any symbol and
-    zero-width bins (zero-probability symbols) are never selected. Draw i
-    is #{cdf <= u_i} for the i-th rng.random(n) of default_rng(seed); a
-    bucket table finds it for large n, with the same result as a binary
-    search.
+    zero-width bins (zero-probability symbols) are never selected. Row i is
+    #{cdf <= u} for each u of default_rng(seeds[i]).random(size), drawn
+    into its row of one block; every row is mapped in one _search_cdf call,
+    whose bucket table finds the indices of many draws with the same result
+    as a binary search.
     """
-    rng = np.random.default_rng(seed)
-    return _search_cdf(_sampling_cdf(q), rng.random(n))
-
-
-def _sampling_cdf(q: DiscreteDistribution) -> np.ndarray:
-    """The CDF of q renormalized by its final value, as sample_indices searches it."""
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
-    return cdf
+    uniforms = np.empty((len(seeds), size))
+    for row, seed in zip(uniforms, seeds):
+        np.random.default_rng(seed).random(out=row)
+    return _search_cdf(cdf, uniforms.ravel()).reshape(uniforms.shape)
 
 
 def sample(q: DiscreteDistribution, seed: int) -> str:

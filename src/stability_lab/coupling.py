@@ -80,16 +80,20 @@ def _cell_variates(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Unit-rate exponential variate of each (stream key, symbol) cell.
 
     Tape keys and symbol offsets broadcast; key + offset goes through
-    splitmix64, and its top 53 bits become a uniform in (0,1) mapped
-    through -log (strictly positive, finite). Offsets must be uint64:
-    NumPy 2 promotes uint64 + int64 to float64. The float steps run in
-    place on one buffer; neither operand is written.
+    splitmix64, and its top 53 bits m become the uniform u = (m + 0.5)
+    2^-53, mapped through -log (strictly positive, finite). The sum rounds
+    to even above 2^52, so m = 2^53 - 1 alone would give u = 1.0 and a
+    variate of -0.0; u is clamped to 1 - 2^-53, the largest double below
+    1, which changes that one hash value's variate and no other. Offsets
+    must be uint64: NumPy 2 promotes uint64 + int64 to float64. The float
+    steps run in place on one buffer; neither operand is written.
     """
     cells = _splitmix64(keys, symbols)
     cells >>= np.uint64(11)
     u = cells.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     np.log(u, out=u)
     np.negative(u, out=u)
     return u
@@ -103,10 +107,15 @@ def _tape_key(seed) -> int:
     return operator.index(seed) & _U64_MASK
 
 
-def _exp_variates(seeds: np.ndarray, size: int) -> np.ndarray:
-    """Tape-major variates: row i, column z is the cell (key of seeds[i], z)."""
-    keys = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
-    return _cell_variates(keys, np.arange(size, dtype=np.uint64))
+def _stream_keys(seeds) -> np.ndarray:
+    """The stream key of each seed, the one seeding rule of the tapes and
+    the histogram noise: splitmix64 of its _tape_key, as a uint64 array."""
+    return _splitmix64(np.array([_tape_key(s) for s in seeds], dtype=np.uint64))
+
+
+def _exp_variates(seeds, size: int) -> np.ndarray:
+    """Tape-major variates: row i, column z is the cell (stream key of seeds[i], z)."""
+    return _cell_variates(_stream_keys(seeds)[:, None], np.arange(size, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +142,7 @@ class CouplingTape:
 
 def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
     """Fresh tape of |Z| unit-rate exponentials, deterministic in the seed."""
-    variates = _exp_variates(np.array([_tape_key(seed)], dtype=np.uint64), domain.size)[0]
-    return CouplingTape(domain=domain, variates=variates, seed=seed)
+    return CouplingTape(domain=domain, variates=_exp_variates([seed], domain.size)[0], seed=seed)
 
 
 def _masked(weights: np.ndarray) -> np.ndarray:
@@ -425,8 +433,8 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     rank_group = 1 << (group.bit_length() - 1)
     weight_pairs = functools.cache(lambda: _weight_pairs(columns, rank_group))
     with np.errstate(divide="ignore"):
-        while keys := [_tape_key(s) for s in islice(seeds, block)]:
-            variates = _exp_variates(np.array(keys, dtype=np.uint64), size)
+        while block_seeds := [*islice(seeds, block)]:
+            variates = _exp_variates(block_seeds, size)
             bound = (variates / low).min(axis=1, keepdims=True)
             candidates = variates / high <= bound
             # a group starts at each run's first tape and every `group` tapes after it
@@ -500,6 +508,8 @@ def race_counts(
 def _streamed_winners(models, trials: int, seed: int):
     """(len(models), n) winners of each step of n <= _tapes_per_block(len(models)) tapes.
 
+    The step's stream keys are those of _stream_keys(range(seed + start,
+    seed + stop)), made as one uint64 sum that wraps as _tape_key does.
     Symbol z's row is column z of the tape-major block, bit for bit,
     because its offset is a uint64 scalar.
     """

@@ -31,7 +31,7 @@ from .core import (
     _require_same_domain,
     _require_size,
 )
-from .coupling import _cell_variates, _splitmix64, _tape_key
+from .coupling import _cell_variates, _stream_keys
 from .errors import EmptyDataset, SizeMismatch
 
 # Multiplier on the log term in the histogram size rule. The theory fixes
@@ -69,21 +69,23 @@ class DpParams:
 
 
 def _check_privacy(epsilon: float, delta: float) -> None:
-    """The one (epsilon, delta) rule: a finite epsilon > 0 and 0 < delta < 1; NaN fails."""
-    if not (0 < epsilon < math.inf and 0 < delta < 1):
-        raise ValueError(f"need 0 < epsilon < inf and 0 < delta < 1, got {epsilon!r}, {delta!r}")
+    """The one (epsilon, delta) rule: _require_epsilon's epsilon and 0 < delta < 1 (NaN fails)."""
+    _require_epsilon(epsilon)
+    if not 0 < delta < 1:
+        raise ValueError(f"need 0 < delta < 1, got delta = {delta!r}")
 
 
-def _geometric_p(epsilon: float) -> float:
-    """The one noise rule: the histogram's geometric parameter p = 1 -
-    e^(-epsilon/2) must be > 0. Raises ValueError where it is not: epsilon
-    <= 0, NaN, or so small (<= 1.1e-16) that p rounds to 0. An epsilon it
-    passes keeps every draw ceil(2 E / epsilon) of _release_rows, with E
-    at most 37.5, below 2^63, so the draws' int64 cast is exact."""
-    p = 1.0 - math.exp(-epsilon / 2.0)
-    if not p > 0:
-        raise ValueError(f"need 1 - e^(-epsilon/2) > 0, got epsilon = {epsilon!r}")
-    return p
+def _require_epsilon(epsilon: float) -> None:
+    """The one epsilon rule, the CLI's: a finite epsilon > 0 whose histogram
+    noise parameter p = 1 - e^(-epsilon/2) is > 0. ValueError for epsilon
+    <= 0, NaN, +inf, or an epsilon so small (<= 1.1e-16) that p rounds to
+    0. An epsilon it passes keeps every draw ceil(2 E / epsilon) of
+    _release_rows, with E at most 37.5, below 2^63, so the draws' int64
+    cast is exact."""
+    if not (0 < epsilon < math.inf and 1.0 - math.exp(-epsilon / 2.0) > 0):
+        raise ValueError(
+            f"need a finite epsilon > 0 with 1 - e^(-epsilon/2) > 0, got epsilon = {epsilon!r}"
+        )
 
 
 def freq(dataset: Dataset, symbol: str) -> float:
@@ -217,27 +219,25 @@ def _release_rows(
     Row i is the release of that row alone, with k_i its sum. Its present
     symbol j, in index order, gets the noise ceil(2 E_2j / epsilon) -
     ceil(2 E_2j+1 / epsilon), where E_v is coupling._cell_variates' unit
-    exponential of the cell (splitmix64(_tape_key(seeds[i])), 2^63 + v):
-    the seed is read as a tape seed is, and _NOISE_OFFSET keeps its cells
+    exponential of the cell (coupling._stream_keys(seeds)[i], 2^63 + v):
+    the seed is keyed as a tape seed is, and _NOISE_OFFSET keeps its cells
     apart from the tape's. P(ceil(2 E / epsilon) > g) = e^(-g epsilon / 2),
     so each draw is geometric with p = 1 - e^(-epsilon/2), and the noise is
     two-sided geometric, P(G = g) proportional to e^(-epsilon |g| / 2).
     Every row's cells are hashed in one array pass, and the threshold,
     clamp and range check run once over the matrix. Raises SizeMismatch
     unless there is one seed per row, then EmptyDataset for a row with no
-    counts, then _geometric_p's ValueError for an epsilon whose p is not >
-    0, histogram_threshold's for an (epsilon, delta) it refuses and
-    TypeError for a seed that is not an integer, all before any noise is
-    drawn.
+    counts, then histogram_threshold's ValueError for an (epsilon, delta)
+    it refuses and TypeError for a seed that is not an integer, all before
+    any noise is drawn.
     """
     if len(seeds) != counts.shape[0]:
         raise SizeMismatch(f"{len(seeds)} noise seeds for {counts.shape[0]} histogram rows")
     k = counts.sum(axis=1)
     if (k < 1).any():
         raise EmptyDataset("every histogram row needs a non-empty sample")
-    _geometric_p(epsilon)
     tau = histogram_threshold(epsilon, delta, k)
-    keys = _splitmix64(np.array([_tape_key(s) for s in seeds], dtype=np.uint64))
+    keys = _stream_keys(seeds)
     rows, cols = np.nonzero(counts)
     # np.nonzero lists each row's present symbols together and in index
     # order, so symbol j of its row is j places after the row's first.
@@ -436,9 +436,10 @@ def audit_histogram_dp(
     enumerated, not filtered from all |bins|^2 pairs (at k = 10 and
     domain_size = 5, 14,300 of 1,002,001). Raises ValueError for
     a k or domain_size that is not an integer (a bool is not), k < 1,
-    domain_size < 1, epsilon outside (0, ln(DBL_MAX)] (the alpha rule,
-    so e^epsilon is finite), tail outside (0, 1) or delta outside (0, 1),
-    and DomainTooLarge, before any law is built, above OUTPUT_LAW_MAX cells.
+    domain_size < 1, epsilon above ln(DBL_MAX) (the alpha rule, so
+    e^epsilon is finite), an (epsilon, delta) that _check_privacy refuses
+    or tail outside (0, 1), and DomainTooLarge, before any law is built,
+    above OUTPUT_LAW_MAX cells.
     """
     k = _require_count("k", k)
     domain_size = _require_count("domain_size", domain_size)

@@ -30,8 +30,7 @@ from .core import (
     _check_probability_rows,
     _require_count,
     _require_domain,
-    _sampling_cdf,
-    _search_cdf,
+    _sample_rows,
     _tv_rows,
     make_distribution,
     sample_dataset,
@@ -116,34 +115,28 @@ def estimate_premise_alpha(
     b are sample_dataset(data_dist, m, s) for its seeds s from the
     "premise-sample-a" and "-b" streams. The trials run in blocks of
     _tapes_per_block(max(m, |Z|)) rows, so a block's uniforms and models
-    fit the race's cell budget: each block fills each row with
-    default_rng(s).random, sample_dataset's own draw, maps the rows in one
-    _search_cdf call, and trains each side once through _train_rows, side s
-    of block b with train seed derive_seed(seed, "premise-train-s", b). The
-    row TVs are core._tv_rows, tv_distance's own sum, and are added in
-    trial order. A learner that ignores its seed, as both built-in ones do,
-    so gets the per-trial loop's estimate bit for bit; a seeded learner
-    sees the block train seeds. Raises ValueError for trials < 1 or m < 0
+    fit the race's cell budget: each block draws each side's rows in one
+    core._sample_rows call, sample_dataset's own sampler, and trains each
+    side once through _train_rows, side s of block b with train seed
+    derive_seed(seed, "premise-train-s", b). The row TVs are
+    core._tv_rows, tv_distance's own sum, and are added in trial order. A
+    learner that ignores its seed, as both built-in ones do, so gets the
+    per-trial loop's estimate bit for bit; a seeded learner sees the block
+    train seeds. Raises ValueError for trials < 1 or m < 0
     (a bool or float is not a count) before any seed is drawn.
     """
     trials = _require_count("trials", trials)
     m = _require_count("m", m, minimum=0)
     domain = data_dist.domain
-    cdf = _sampling_cdf(data_dist)
     block = _tapes_per_block(max(m, domain.size))
     streams = [_derive_seeds(seed, f"premise-sample-{side}", range(trials)) for side in "ab"]
     total = 0.0
-    for b, start in enumerate(range(0, trials, block)):
-        rows = min(block, trials - start)
-        models = []
-        for side, stream in zip("ab", streams):
-            uniforms = np.empty((rows, m))
-            for row, s in zip(uniforms, islice(stream, rows)):
-                np.random.default_rng(s).random(out=row)
-            samples = _search_cdf(cdf, uniforms.ravel()).reshape(rows, m)
-            models.append(
-                _train_rows(learner, domain, samples, derive_seed(seed, f"premise-train-{side}", b))
-            )
+    for b in range(-(-trials // block)):
+        samples = (_sample_rows(data_dist, m, [*islice(stream, block)]) for stream in streams)
+        models = [
+            _train_rows(learner, domain, rows, derive_seed(seed, f"premise-train-{side}", b))
+            for side, rows in zip("ab", samples)
+        ]
         for tv in _tv_rows(*models).tolist():
             total += tv
     return total / trials

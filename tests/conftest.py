@@ -162,10 +162,10 @@ def scalar_splitmix64(x: int) -> int:
 def noise_variate(seed, v: int) -> float:
     """Unit exponential of cell v of a noise seed's stream: the hash of the
     seed's key (seed mod 2^64) plus 2^63 + v, its top 53 bits a uniform
-    in (0, 1) mapped through -log."""
+    in (0, 1), at most 1 - 2^-53, mapped through -log."""
     key = scalar_splitmix64(operator.index(seed) & _M64)
     bits = scalar_splitmix64((key + (1 << 63) + v) & _M64) >> 11
-    return -math.log((bits + 0.5) * 2.0**-53)
+    return -math.log(min((bits + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
 
 
 def noise_geometric(seed, v: int, epsilon: float) -> int:

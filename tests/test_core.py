@@ -73,6 +73,19 @@ class TestContentDomain:
             ContentDomain(symbols)
         assert ContentDomain(["abc"]).symbols == ("abc",)
 
+    @pytest.mark.parametrize(
+        "symbols",
+        [(1, 2), ("a", 1), ("a", b"b"), ("a", None)],
+        ids=["ints", "str-int", "str-bytes", "str-none"],
+    )
+    def test_rejects_a_symbol_that_is_not_a_string(self, symbols):
+        # such a domain could be written but not read back
+        with pytest.raises(TypeError, match="domain symbols must be strings"):
+            ContentDomain(symbols)
+        with pytest.raises(TypeError, match="domain symbols must be strings"):
+            ContentDomain.from_json_obj({"symbols": list(symbols)})
+        assert ContentDomain((np.str_("a"), "b")).symbols == ("a", "b")
+
     def test_unknown_symbol(self):
         with pytest.raises(DomainMismatch):
             domain(2).index_of("nope")
@@ -354,6 +367,17 @@ class TestSampleExact:
             got = sample_indices(q, n, seed)
             want = searchsorted_sample_indices(q, n, seed)
             assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), (q, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 300, 5000])
+    def test_rows_are_the_draws_of_their_own_seeds(self, n):
+        # one block of rows, searched in one call: a table for the larger n
+        q = _zipf(8)
+        seeds = [3, 2**64 - 1, 0, 3]
+        rows = core._sample_rows(q, n, seeds)
+        assert rows.dtype == np.int64 and rows.shape == (len(seeds), n)
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == searchsorted_sample_indices(q, n, seed).tobytes()
+        assert core._sample_rows(q, n, []).shape == (0, n)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 100, 1000, 1025, 5000])
     def test_dirichlet_and_zipf_laws(self, size):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import stability_lab.coupling as coupling_mod
-from conftest import argmin_race, dist, domain, random_distribution, random_pair
+from conftest import (
+    argmin_race,
+    dist,
+    domain,
+    random_distribution,
+    random_pair,
+    scalar_splitmix64,
+)
 from stability_lab import (
     CouplingTape,
     Dataset,
@@ -22,7 +29,9 @@ from stability_lab.coupling import (
     _GOLD,
     _MIX1,
     _MIX2,
+    _U64_MASK,
     _exp_variates,
+    _stream_keys,
     race_counts,
     race_tapes,
 )
@@ -43,7 +52,23 @@ def _out_of_place_exp_variates(seeds, size):
     keys = splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
     cells = splitmix64(keys + np.arange(size, dtype=np.uint64)[None, :])
     u = ((cells >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return -np.log(u)
+    return -np.log(np.minimum(u, 1.0 - 2.0**-53))
+
+
+def _unxorshift(z, shift):
+    """The x with x ^ (x >> shift) == z, for a 64-bit z."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def inverse_splitmix64(h):
+    """The 64-bit x whose splitmix64 is h: each step of the finalizer undone."""
+    z = _unxorshift(h, 31)
+    z = _unxorshift(z * pow(int(_MIX2), -1, 1 << 64) & _U64_MASK, 27)
+    z = _unxorshift(z * pow(int(_MIX1), -1, 1 << 64) & _U64_MASK, 30)
+    return (z - int(_GOLD)) & _U64_MASK
 
 
 class TestNewTape:
@@ -136,6 +161,33 @@ class TestTapeHashBits:
         assert np.array_equal(seeds, before)
         race_tapes(domain(7), seeds, np.full((3, 7), 1.0 / 7.0))
         assert np.array_equal(seeds, before)
+
+
+class TestTopCell:
+    """A cell whose hash is all ones: its top 53 bits m = 2**53 - 1 make
+    (m + 0.5) 2**-53 round to 1.0, and the clamp to 1 - 2**-53 keeps its
+    variate strictly positive."""
+
+    # The tape seed whose symbol 0 hashes to all ones, found by undoing
+    # both hashes (seed -> stream key -> cell 0).
+    SEED = inverse_splitmix64(inverse_splitmix64(_U64_MASK))
+
+    def test_variate_is_the_least_one(self):
+        assert self.SEED == 2295574122455614247
+        assert scalar_splitmix64(scalar_splitmix64(self.SEED)) == _U64_MASK
+        variates = new_tape(domain(3), self.SEED).variates
+        assert 0 < variates[0] < 2.0**-52  # -log(1 - 2**-53), about 1.1e-16
+        assert variates.tobytes() == _out_of_place_exp_variates([self.SEED], 3)[0].tobytes()
+
+    @pytest.mark.parametrize("row", [(0.0, 0.5, 0.5), (0.2, 0.4, 0.4)], ids=["zero", "positive"])
+    def test_races_equal_argmin(self, row):
+        d = domain(3)
+        weights = np.array([row, (0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+        got = assert_races_match_argmin(d, [self.SEED - 1, self.SEED, self.SEED + 1], weights)
+        # symbol 0 wins on its least variate wherever its weight is > 0
+        assert (got[1] == 0).tolist() == [row[0] > 0, True, True, False]
+        q1, q2 = dist(row), dist([1 / 3] * 3)
+        assert_monte_carlo_matches_argmin(q1, q2, 3, self.SEED - 1)
 
 
 class TestNumpyIntegerSeeds:
@@ -357,8 +409,7 @@ class TestRaceTapes:
 
 def _argmin_tapes(d, seeds):
     """Tape-major variates of each seed's tape, as the races draw them."""
-    keys = np.array([coupling_mod._tape_key(s) for s in seeds], dtype=np.uint64)
-    return coupling_mod._exp_variates(keys, d.size)
+    return coupling_mod._exp_variates(seeds, d.size)
 
 
 def assert_races_match_argmin(d, seeds, weights):
@@ -893,6 +944,22 @@ class TestStreamedMonteCarlo:
         monkeypatch.setattr(coupling_mod, "_tournament", recording)
         coupled_marginal_counts(dist(np.full(5000, 1 / 5000)), seeds.size, 2**64 - 20)
         assert symbols == list(range(5000))
+
+    @pytest.mark.parametrize("seed", [2**64 - 5, -5], ids=["below-2**64", "negative"])
+    def test_stream_keys_wrap_as_the_tape_keys_do(self, monkeypatch, seed):
+        # the helpers key a step's tapes as one uint64 sum, base + arange,
+        # which wraps past 2**64 - 1 as _tape_key's mod 2**64 does
+        cell_variates = coupling_mod._cell_variates
+        keys = []
+
+        def spy(step_keys, symbols):
+            keys.append(step_keys.copy())
+            return cell_variates(step_keys, symbols)
+
+        monkeypatch.setattr(coupling_mod, "_cell_variates", spy)
+        coupled_marginal_counts(dist([0.5, 0.25, 0.25]), 10, seed)
+        expected = _stream_keys(range(seed, seed + 10)).tobytes()
+        assert len(keys) == 3 and all(k.tobytes() == expected for k in keys)
 
     @staticmethod
     def models(size):

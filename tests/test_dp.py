@@ -45,6 +45,7 @@ from stability_lab import (
     tv_distance,
 )
 from stability_lab import dp
+from stability_lab.coupling import _stream_keys
 from stability_lab.dp import (
     _compositions,
     _joint_law,
@@ -270,7 +271,9 @@ class TestRequiredK:
 @pytest.mark.parametrize(
     "epsilon, delta",
     [(1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.1), (-1.0, 0.1),
-     (float("nan"), 0.1), (1.0, float("nan")), (math.inf, 0.1)],
+     (float("nan"), 0.1), (1.0, float("nan")), (math.inf, 0.1),
+     # 1 - e^(-epsilon/2) rounds to 0: no geometric noise exists
+     (1e-17, 0.1), (1.1e-16, 0.1), (5e-324, 0.1), (1e-300, 0.1)],
 )
 def test_privacy_parameters_rejected_everywhere(epsilon, delta):
     sample = Dataset(domain(2), ["z0", "z0", "z1"])
@@ -299,7 +302,7 @@ class TestPrivateHistogram:
 
     def test_epsilon_whose_geometric_p_rounds_to_zero(self, monkeypatch):
         # 1 - e^(-epsilon/2) is 0 in floats up to epsilon = 1.1e-16, and
-        # _geometric_p refuses such an epsilon before any noise is drawn.
+        # _require_epsilon refuses such an epsilon before any noise is drawn.
         sample = Dataset(domain(2), ["z0", "z0", "z1"])
         released = private_histogram(sample, 1.2e-16, 0.05, 7)
         assert released.values.tolist() == [0.0, 0.0]  # tau is huge at this epsilon
@@ -318,7 +321,7 @@ class TestPrivateHistogram:
 
     def test_subnormal_epsilon_refused_before_any_warning(self, monkeypatch):
         # At epsilon = 5e-324 the threshold's division by epsilon * k would
-        # overflow; _geometric_p refuses the epsilon first.
+        # overflow; _require_epsilon refuses the epsilon first.
         def no_noise(keys, cells):
             raise AssertionError("noise drawn")
 
@@ -621,7 +624,7 @@ class TestReleaseRows:
         rng = np.random.default_rng(47)
         seeds = [int(s) for s in rng.integers(0, 2**64, size=200, dtype=np.uint64)]
         seeds += [0, 1, 2**32 - 1, 2**63, 2**64 - 1, 2**127, 2**128 - 1, -1]
-        keys = dp._splitmix64(np.array([dp._tape_key(s) for s in seeds], dtype=np.uint64))
+        keys = _stream_keys(seeds)
         cells = np.arange(steps, dtype=np.uint64) + dp._NOISE_OFFSET
         got = dp._cell_variates(keys[:, None], cells)
         expected = np.array([[noise_variate(s, v) for v in range(steps)] for s in seeds])
@@ -964,10 +967,11 @@ class TestExactAudit:
             with pytest.raises(ValueError):
                 coordinate_output_law(1, **args)
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 1e-300])
+    @pytest.mark.parametrize("epsilon", [1e-6])
     def test_noise_enumeration_cap(self, epsilon):
-        # ~5.5e7 noise values at epsilon = 1e-6; at 1e-300 the ratio
-        # exp(-epsilon / 2) rounds to 1 and the tail never shrinks.
+        # ~5.5e7 noise values at epsilon = 1e-6. An epsilon whose ratio
+        # exp(-epsilon / 2) rounds to 1, so that the tail never shrinks, is
+        # refused as invalid (test_privacy_parameters_rejected_everywhere).
         with pytest.raises(DomainTooLarge):
             coordinate_output_law(2, 3, epsilon, 1e-3)
         with pytest.raises(DomainTooLarge):

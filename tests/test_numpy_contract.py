@@ -274,7 +274,7 @@ def test_uint64_arrays_wrap_without_a_warning():
 
 def test_ceil_and_int64_cast_are_exact_below_2_63(rng):
     """dp._release_rows draws ceil(2 E / epsilon) with np.ceil and casts it
-    to int64; below 2**63 (dp._geometric_p's bound) both must be exact."""
+    to int64; below 2**63 (dp._require_epsilon's bound) both must be exact."""
     x = np.r_[0.5, 1.0, 1.5, 2.0**52 + 0.5, 2.0**53, 2.0**62 + 2.0**10, 9.2e18,
               rng.random(1000) * 10.0 ** rng.integers(-3, 18, 1000)]
     up = np.ceil(x)
@@ -283,14 +283,32 @@ def test_ceil_and_int64_cast_are_exact_below_2_63(rng):
 
 
 def test_log_is_within_one_ulp_of_math_log(rng):
-    """coupling._cell_variates maps each uniform (m + 0.5) 2**-53 through
-    np.log, and the scalar noise draw in tests/conftest.py through
-    math.log: the two must agree to within one ulp."""
-    bits = np.r_[rng.integers(0, 2**53, 100_000, dtype=np.uint64), np.uint64(0)]
+    """coupling._cell_variates maps each uniform (m + 0.5) 2**-53, clamped
+    to 1 - 2**-53, through np.log, and the scalar noise draw in
+    tests/conftest.py through math.log: the two must agree to within one
+    ulp. The clamp acts on m = 2**53 - 1 alone, whose sum rounds to even,
+    so that u would be 1.0."""
+    top = np.uint64(2**53 - 1)
+    bits = np.r_[rng.integers(0, 2**53, 100_000, dtype=np.uint64), np.uint64(0), top]
     u = (bits.astype(np.float64) + 0.5) * 2.0**-53
+    assert u[-1] == 1.0 and (u[:-1] < 1.0).all()
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     ours = np.log(u)
     reference = np.array([math.log(v) for v in u.tolist()])
     assert (np.abs(ours - reference) <= np.spacing(np.abs(reference))).all()
+    assert (ours < 0).all()
+
+
+def test_random_into_a_row_equals_a_fresh_draw():
+    """core._sample_rows draws default_rng(s).random(out=row) into each row
+    of one 2-D block, for sample_indices (one row) and the premise estimate
+    (many rows): each row must hold the doubles of default_rng(s).random(n)."""
+    for rows, n in ((1, 1), (1, 1000), (5, 333), (3, 0)):
+        block = np.empty((rows, n))
+        for s, row in enumerate(block):
+            np.random.default_rng(s).random(out=row)
+        for s, row in enumerate(block):
+            assert row.tobytes() == np.random.default_rng(s).random(n).tobytes()
 
 
 def test_searchsorted_side_rules(rng):

@@ -242,14 +242,15 @@ class TestEstimatePremiseAlpha:
         "size, m, trials", [(8, 500, 200), (1000, 1, 70), (4, 0, 3), (2, 40_000, 3)]
     )
     def test_blocks_fit_the_budget(self, monkeypatch, size, m, trials):
-        searched, trained = [], []
-        search_cdf, train_rows = transform_mod._search_cdf, transform_mod._train_rows
+        sampled, trained = [], []
+        sample_rows, train_rows = transform_mod._sample_rows, transform_mod._train_rows
 
-        def search_spy(cdf, u):
-            searched.append(u.size)
-            return search_cdf(cdf, u)
+        def sample_spy(q, size, seeds):
+            samples = sample_rows(q, size, seeds)
+            sampled.append(samples.shape)
+            return samples
 
-        monkeypatch.setattr(transform_mod, "_search_cdf", search_spy)
+        monkeypatch.setattr(transform_mod, "_sample_rows", sample_spy)
 
         def spy(learner, domain, samples, train_seed):
             weights = train_rows(learner, domain, samples, train_seed)
@@ -260,9 +261,9 @@ class TestEstimatePremiseAlpha:
         data = random_distribution(np.random.default_rng(size), size)
         estimate_premise_alpha(learner_empirical(1.0), data, m, trials, seed=3)
         budget = coupling_mod._CELL_BUDGET
-        assert sum(trained) == 2 * trials and len(searched) == len(trained)
-        for cells, rows in zip(searched, trained):
-            assert cells == rows * m
+        assert sum(trained) == 2 * trials and len(sampled) == len(trained)
+        for shape, rows in zip(sampled, trained):
+            assert shape == (rows, m)
             assert rows == 1 or rows * max(m, size) <= budget
 
 
