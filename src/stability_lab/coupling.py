@@ -145,8 +145,23 @@ def new_tape(domain: ContentDomain, seed: int) -> CouplingTape:
     return CouplingTape(domain=domain, variates=_exp_variates([seed], domain.size)[0], seed=seed)
 
 
+def _race_floats() -> np.errstate:
+    """The race's float rule, held only where its quotients E / w are formed.
+
+    A quotient over a masked zero weight (a division by zero) or one past
+    DBL_MAX (a subnormal weight) is +inf, with no warning. +inf never wins
+    a row that has a finite quotient, and a law's row has one: its largest
+    weight is at least 1/|Z|, and a variate is at most 37.5. The setting is
+    made afresh at each use (numpy 2 enters an np.errstate only once) and
+    closed before every yield, so the callers of the race's generators keep
+    their own settings.
+    """
+    return np.errstate(divide="ignore", over="ignore")
+
+
 def _masked(weights: np.ndarray) -> np.ndarray:
-    """Weights not > 0 as +0.0: their quotient is +inf and never wins.
+    """Weights not > 0 as +0.0: under _race_floats their quotient is +inf
+    and never wins.
 
     Variates are strictly positive and finite; a -0.0 left as it is would
     give -inf and win.
@@ -167,8 +182,8 @@ def _tournament(rows, columns: np.ndarray) -> np.ndarray:
     largest index so far, so the update is a maximum. Winners are held in
     the narrowest unsigned type that indexes every symbol (uint8 up to 256
     symbols), where the mask times z is several times cheaper than in
-    intp. Call it under np.errstate(divide="ignore"): masked weights
-    divide to +inf.
+    intp. Its quotients follow _race_floats, which the caller holds:
+    masked and subnormal weights give +inf.
     """
     index = np.min_scalar_type(columns.shape[0] - 1).type
     first, values = next(rows)
@@ -189,7 +204,7 @@ def _tapes_per_block(cells_per_tape: int) -> int:
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample: np.argmin's first minimum is the tie rule."""
     _require_same_domain(tape, q)
-    with np.errstate(divide="ignore"):
+    with _race_floats():
         return int(np.argmin(tape.variates / _masked(q.weights)))
 
 
@@ -323,9 +338,11 @@ def _rank_chunk(
     ranked once. The pairs are symbol-major, so a stable order ranks an
     exact tie's lower symbol first, np.argmin's rule. The default argsort
     gives the same order to a row with no two equal quotients, so only
-    rows that hold a tie are sorted again, stably. A +0.0 pair is left out
-    and ranks 0xFFFF: its +inf quotient never wins, as every weight row has
-    a weight > 0 (_weight_pairs) and so a finite least quotient in a
+    rows that hold a tie are sorted again, stably. The quotients follow
+    _race_floats, which the caller holds: a subnormal weight's may be +inf,
+    ranked after every finite one. A +0.0 pair is left out and ranks
+    0xFFFF: its +inf quotient never wins, as every weight row has a weight
+    > 0 (_weight_pairs), and a law's row a finite least quotient in a
     candidate symbol. Tape t of a group ranks from t * E_C on, so a uint16
     (E, group) table holds a group: a weight row's winners are the least
     ranks of its raced cells (one row gather per raced symbol; the codes
@@ -432,8 +449,8 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     group = _tapes_per_block(k)
     rank_group = 1 << (group.bit_length() - 1)
     weight_pairs = functools.cache(lambda: _weight_pairs(columns, rank_group))
-    with np.errstate(divide="ignore"):
-        while block_seeds := [*islice(seeds, block)]:
+    while block_seeds := [*islice(seeds, block)]:
+        with _race_floats():
             variates = _exp_variates(block_seeds, size)
             bound = (variates / low).min(axis=1, keepdims=True)
             candidates = variates / high <= bound
@@ -469,7 +486,8 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
                     winners = _tournament(raced, weight_rows)
                     groups.append(_row_counts(winners, size) if count else winners)
             # the inverse of `order` puts each tape's row back at its seed
-            yield np.concatenate(groups)[np.argsort(order)]
+            block_rows = np.concatenate(groups)[np.argsort(order)]
+        yield block_rows
 
 
 def race_tapes(
@@ -518,12 +536,13 @@ def _streamed_winners(models, trials: int, seed: int):
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
     base = np.uint64(_tape_key(seed))
     step = _tapes_per_block(len(models))
-    with np.errstate(divide="ignore"):
-        for start in range(0, trials, step):
-            stop = min(start + step, trials)
-            keys = _splitmix64(base + np.arange(start, stop, dtype=np.uint64))
-            rows = ((z, _cell_variates(keys, offset)) for z, offset in enumerate(offsets))
-            yield _tournament(rows, columns[:, :, None])
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        keys = _splitmix64(base + np.arange(start, stop, dtype=np.uint64))
+        rows = ((z, _cell_variates(keys, offset)) for z, offset in enumerate(offsets))
+        with _race_floats():
+            winners = _tournament(rows, columns[:, :, None])
+        yield winners
 
 
 def disagreement_estimate(

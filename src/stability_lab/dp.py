@@ -281,19 +281,44 @@ def private_histogram(
 # tail whose mass is accounted for conservatively).
 
 
+def _noise_span(p: float, tail: float, most: int) -> int:
+    """The least span >= 1 whose two-sided noise tail past +-span,
+    2 p^(span+1) / (1 + p) for the ratio 0 <= p < 1, is at most `tail`,
+    or most + 1 when that span is above `most`.
+
+    In closed form, span + 1 >= log_p(tail) + log_p((1 + p) / 2), and the
+    second term lies in [0, 1/2), so one log puts the span at most one
+    below its value. The tail rule itself then steps onto the least
+    integer, as rounding in the log (or in a subnormal tail) may move it,
+    and stops past `most`, so no span far above the cap is stepped. p = 0
+    (epsilon above about 1490) leaves no tail past one.
+    """
+
+    def beyond(span: int) -> bool:
+        return 2.0 * p ** (span + 1) / (1.0 + p) > tail
+
+    span = min(max(1, math.ceil(math.log(tail, p)) - 1), most + 1) if p > 0 else 1
+    while span > 1 and not beyond(span - 1):
+        span -= 1
+    while span <= most and beyond(span):
+        span += 1
+    return span
+
+
 def coordinate_output_law(
     count: int, k: int, epsilon: float, delta: float, tail: float = 1e-12
 ) -> dict[float, float]:
     """Exact atom law of one released coordinate with true count `count`.
 
-    Noise values are enumerated until the remaining two-sided tail mass
-    drops below `tail`; the returned probabilities then sum to at least
-    1 - tail. Each atom is the release rule _threshold_clamp applied to
-    count + g, keyed in order of the noise value g. Raises ValueError for
-    a count or k that is not an integer (a bool is not), k < 1, a count
-    outside [0, k], tail outside (0, 1) or an (epsilon, delta) that
-    histogram_threshold refuses, and DomainTooLarge when the enumeration
-    would pass OUTPUT_LAW_MAX noise values.
+    The noise values g run over -span..span, the least span whose
+    two-sided tail mass past it is at most `tail` (_noise_span); the
+    returned probabilities then sum to at least 1 - tail. Each atom is the
+    release rule _threshold_clamp applied to count + g, keyed in order of
+    the noise value g. Raises ValueError for a count or k that is not an
+    integer (a bool is not), k < 1, a count outside [0, k], tail outside
+    (0, 1) or an (epsilon, delta) that histogram_threshold refuses, and
+    DomainTooLarge, before any noise value is enumerated, when there would
+    be more than OUTPUT_LAW_MAX.
     """
     _require_count("k", k)
     _require_count("count", count, 0)
@@ -305,10 +330,8 @@ def coordinate_output_law(
     if count == 0:
         return {0.0: 1.0}
     p = math.exp(-epsilon / 2.0)
-    span = 1
-    while 2.0 * p ** (span + 1) / (1.0 + p) > tail:
-        span += 1
-        _require_size("noise values", 2 * span + 1, OUTPUT_LAW_MAX)
+    span = _noise_span(p, tail, (OUTPUT_LAW_MAX - 1) // 2)
+    _require_size("noise values", 2 * span + 1, OUTPUT_LAW_MAX)
     norm = (1.0 - p) / (1.0 + p)
     # (count + g) / k in int64 -> float64 is Python's int division below 2**53.
     atoms = _threshold_clamp(count + np.arange(-span, span + 1), k, tau).tolist()

@@ -268,12 +268,13 @@ def argmin_race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     tapes against a (k, |Z|) matrix. Weights that are not > 0 are
     replaced by +0.0 before the division, so they give +inf (variates are
     strictly positive and finite) and never win; a -0.0 weight left as it
-    is would give -inf and win. Masking the weights rather than the
+    is would give -inf and win. A quotient past DBL_MAX (a subnormal
+    weight) is +inf too; neither division warns. Masking the weights rather than the
     quotient does the mask once per weight cell, not once per broadcast
     cell. np.argmin takes the first minimum, which implements the
     lowest-index tie rule.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.argmin(variates / np.where(weights > 0, weights, 0.0), axis=-1)
 
 

@@ -1,9 +1,11 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
 import stability_lab.coupling as coupling_mod
+import stability_lab.transform as transform_mod
 from conftest import (
     argmin_race,
     dist,
@@ -20,7 +22,9 @@ from stability_lab import (
     coupled_sample,
     coupled_sample_index,
     disagreement_estimate,
+    dp_transform,
     dp_transform_trace,
+    learner_constant,
     make_distribution,
     new_tape,
     tv_distance,
@@ -1090,3 +1094,93 @@ class TestCellBudget:
         assert bool(laws) == any(cells > tape for cells, tape in ranks)
         # a chunk holds the most groups that fit, short only at a block's end
         assert all(spare >= 0 for spare in chunks) and bool(laws) == (0 in chunks)
+
+
+class TestFloatRule:
+    """The race's float rule (coupling._race_floats): a quotient over a zero
+    weight or past DBL_MAX is +inf, with no warning, and the rule is held
+    only around the race's arithmetic, never across a yield."""
+
+    # Weights of 5e-324 and 1e-310: E / 5e-324 passes DBL_MAX unless E is
+    # below about 8.9e-16 (TestTopCell's least variate is 1.1e-16), and
+    # E / 1e-310 unless E is below about 0.018.
+    WEIGHTS = np.array([
+        [0.5, 0.5, 5e-324, 0.0],
+        [5e-324, 0.25, 0.75, 1e-310],
+        [1e-310, 5e-324, 0.0, 1.0],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.0, 1e-310, 0.6, 0.4],
+    ])
+    SEEDS = [TestTopCell.SEED, *range(300)]
+
+    @pytest.mark.parametrize("ranks", [False, True], ids=["tournament", "rank-race"])
+    def test_races_equal_argmin_without_warning(self, monkeypatch, ranks):
+        # 60 rows: rank groups of 512 tapes, whose tables of 19 weight pairs fit the budget
+        d, weights = domain(4), np.tile(self.WEIGHTS, (12, 1))
+        calls = kernel_calls(monkeypatch, rule=lambda *args: ranks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assert_races_match_argmin(d, self.SEEDS, weights)
+        assert (calls["_rank_chunk"] > 0, calls["_tournament"] > 0) == (ranks, not ranks)
+        # rows 1 and 2 lose symbol 0 to a weight of at least 1/4, and row 2
+        # loses symbol 1 too, on every tape
+        assert not np.any(got[:, 1:3] == 0) and not np.any(got[:, 2] == 1)
+
+    def test_coupled_sample_index_equals_argmin(self):
+        d = domain(4)
+        tapes = [new_tape(d, seed) for seed in self.SEEDS[:50]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in self.WEIGHTS:
+                q = dist(row)
+                got = [coupled_sample_index(tape, q) for tape in tapes]
+                assert got == [int(argmin_race(tape.variates, row)) for tape in tapes]
+
+    def test_monte_carlo_equals_argmin(self):
+        q1, q2 = dist(self.WEIGHTS[0]), dist(self.WEIGHTS[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_monte_carlo_matches_argmin(q1, q2, 3000, TestTopCell.SEED - 1)
+
+    def test_constant_learner_transform(self):
+        # every shard is the law of row 2, so each tape gives all k shards
+        # to the one symbol argmin picks for that row
+        d, q = domain(4), dist(self.WEIGHTS[2])
+        config = TransformConfig(2.0, 0.05, 0.3, 3)
+        sample = Dataset.from_indices(d, np.arange(config.m_priv) % d.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in self.SEEDS[:20]:
+                trace = dp_transform_trace(learner_constant(q), sample, config, seed, 7)
+                winner = int(argmin_race(new_tape(d, seed).variates, q.weights))
+                expected = config.k * np.eye(4, dtype=np.intp)[winner]
+                assert np.array_equal(trace.coupled_counts, expected)
+                output = dp_transform(learner_constant(q), sample, config, seed, 7)
+                assert output.weights.tobytes() == trace.output.weights.tobytes()
+
+    @staticmethod
+    def chains(name):
+        """One of the race's generators, which yields at least twice at a budget of 8 cells."""
+        d = domain(4)
+        weights = TestFloatRule.WEIGHTS
+        if name == "race_tape_blocks":
+            return coupling_mod._race_tape_blocks(d, range(7), weights, count=True)
+        if name == "streamed_winners":
+            return coupling_mod._streamed_winners((dist(weights[0]), dist(weights[1])), 7, 3)
+        config = TransformConfig(2.0, 0.05, 0.3, 3)
+        shards = np.resize(weights, (config.k, 4))
+        return transform_mod._release_chain(d, shards, range(7), range(7, 14), config)
+
+    @pytest.mark.parametrize("name", ["race_tape_blocks", "release_chain", "streamed_winners"])
+    def test_callers_keep_their_settings_between_yields(self, monkeypatch, name):
+        # 8 cells: tape blocks of 2 tapes, Monte Carlo steps of 4
+        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 8)
+        settings = np.geterr()
+        steps = 0
+        for _ in self.chains(name):
+            steps += 1
+            assert np.geterr() == settings
+            # the suite turns the RuntimeWarning of a division by zero into an error
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                np.float64(1.0) / 0.0
+        assert steps >= 2 and np.geterr() == settings

@@ -4,6 +4,7 @@ import itertools
 import json
 import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -1033,6 +1034,65 @@ class TestSizeCaps:
         monkeypatch.setattr(dp, "_joint_law", unreachable)
         with pytest.raises(DomainTooLarge):
             audit_histogram_dp(k, size, 1.0, 1e-3)
+
+
+def loop_noise_span(p: float, tail: float, most: int) -> int:
+    """The loop coordinate_output_law once stepped, one span at a time,
+    stopped one past `most` as its cap check stopped it."""
+    span = 1
+    while 2.0 * p ** (span + 1) / (1.0 + p) > tail and span <= most:
+        span += 1
+    return span
+
+
+class TestNoiseSpan:
+    """The closed-form noise span is the loop's span, and a span above the
+    cap is refused before any noise value is stepped or enumerated."""
+
+    MOST = (dp.OUTPUT_LAW_MAX - 1) // 2
+    # subnormal tails (1e-320, 5e-324) round the tail rule's last steps
+    TAILS = [5e-324, 1e-320, 1e-300, 1e-30, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.98]
+
+    @pytest.mark.parametrize(
+        "epsilon", [*np.geomspace(0.03, 316, 12).tolist(), 1489.0, 1491.0, 1e308]
+    )
+    def test_closed_form_equals_the_loop(self, monkeypatch, epsilon):
+        # from epsilon 1491 on, p = e^(-epsilon/2) is 0.0; the law enumerates
+        # the span's 2 * span + 1 noise values
+        clamp = dp._threshold_clamp
+        sizes = []
+
+        def spy(noisy_counts, k, tau):
+            sizes.append(len(noisy_counts))
+            return clamp(noisy_counts, k, tau)
+
+        monkeypatch.setattr(dp, "_threshold_clamp", spy)
+        p = math.exp(-epsilon / 2.0)
+        for tail in self.TAILS:
+            span = loop_noise_span(p, tail, self.MOST)
+            assert dp._noise_span(p, tail, self.MOST) == span
+            coordinate_output_law(2, 3, epsilon, 1e-3, tail)
+            assert sizes.pop() == 2 * span + 1
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 2e-3, 2.8e-3, 3e-3])
+    def test_spans_at_the_cap_equal_the_loop(self, epsilon):
+        # the three least tails put the span near the cap or past it; at
+        # epsilon = 3e-3 the subnormal tail's span, 496,023, is just below it
+        p = math.exp(-epsilon / 2.0)
+        spans = [dp._noise_span(p, tail, self.MOST) for tail in self.TAILS]
+        assert spans == [loop_noise_span(p, tail, self.MOST) for tail in self.TAILS]
+        assert (self.MOST + 1 in spans) == (epsilon < 3e-3) and min(spans) < self.MOST
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-4, 2.3e-16])
+    def test_refused_before_stepping(self, epsilon):
+        # spans of about 13.8 / epsilon, all above the cap of 499,999
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DomainTooLarge, match="noise values: 1000001 is above the cap"):
+                coordinate_output_law(2, 3, epsilon, 1e-3)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
 
 
 class TestCompositions:
