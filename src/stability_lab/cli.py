@@ -7,7 +7,7 @@ transform, prop1, ingest. All inputs come from a single JSON config
 document; the --seed flag overrides the config's "seed" field (flag >
 config > default 0). Reports are JSON with a versioned schema; the same
 config and seed always produce the same payload. Exit codes: 0 on pass,
-2 when an assertion-style check fails, 1 on any error.
+2 when a subcommand's check fails, 1 on any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -428,20 +428,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stability-lab",
         description="Stability diagnostics over finite content domains.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config document")
-        p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--csv", default=None, help="write the tabular payload here")
-        if name == "transform":
-            p.add_argument(
-                "--tape-seed",
-                type=int,
-                default=None,
-                help="pin the coupling tape seed (overrides the config field)",
-            )
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config document")
+    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    parser.add_argument("--out", default=None, help="write the JSON report here")
+    parser.add_argument("--csv", default=None, help="write the tabular payload here")
     return parser
 
 
@@ -463,12 +454,14 @@ def run(subcommand: str, config: dict, seed: int) -> tuple[dict, list[dict], int
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after -h and 2 after printing a usage error
+        return EXIT_ERROR if exc.code else EXIT_PASS
     try:
         config = _json_object({"config": args.config}, "config", dict)
         seed = args.seed if args.seed is not None else _param(config, "seed", 0)
-        if getattr(args, "tape_seed", None) is not None:
-            config["tape_seed"] = args.tape_seed
         report, rows, code = run(args.subcommand, config, seed)
         _write_report(report, args.out)
         if args.csv:

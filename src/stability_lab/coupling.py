@@ -150,11 +150,11 @@ def _race_floats() -> np.errstate:
 
     A quotient over a masked zero weight (a division by zero) or one past
     DBL_MAX (a subnormal weight) is +inf, with no warning. +inf never wins
-    a row that has a finite quotient, and a law's row has one: its largest
-    weight is at least 1/|Z|, and a variate is at most 37.5. The setting is
-    made afresh at each use (numpy 2 enters an np.errstate only once) and
-    closed before every yield, so the callers of the race's generators keep
-    their own settings.
+    a row that has a finite quotient (the rank path's premise, stated in
+    _weight_pairs), and np.argmin's rule gives a row of +inf alone its
+    lowest raced symbol. The setting is made afresh at each use (numpy 2
+    enters an np.errstate only once) and closed before every yield, so the
+    callers of the race's generators keep their own settings.
     """
     return np.errstate(divide="ignore", over="ignore")
 
@@ -247,16 +247,20 @@ class _WeightPairs(NamedTuple):
 def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     """The pairs of the (|Z|, k) masked columns, or None when E * group,
     the cells of a group's rank table, would pass _CELL_BUDGET, or when a
-    weight row is all zero.
+    weight row has no weight >= 2^-1016.
 
-    E >= |Z|, so |Z| * group is checked before the columns are sorted. The
-    mask leaves no -0.0 (sort and != would take it for +0.0 anyway). A +0.0
-    pair's quotient is +inf and never wins a row that has a weight > 0, so
-    the rank path leaves it out; a row of zeros alone (np.argmin gives it
-    the lowest symbol) keeps the tournament.
+    The rank path's premise is that every weight row has a finite least
+    quotient. A variate is at most 54 ln 2 (about 37.43, below 2^6), so
+    E / w is finite for every w >= 2^-1016, and a law's largest weight is
+    at least 1/|Z|. A +inf quotient then never wins, so the rank path
+    leaves +0.0 pairs out; a row of zero and subnormal weights alone, whose
+    quotients may all be +inf (np.argmin gives it the lowest symbol), keeps
+    the tournament. E >= |Z|, so |Z| * group is checked before the columns
+    are sorted. The mask leaves no -0.0 (sort and != would take it for +0.0
+    anyway).
     """
     size = columns.shape[0]
-    if size * group > _CELL_BUDGET or not columns.any(axis=0).all():
+    if size * group > _CELL_BUDGET or not (columns >= 2.0**-1016).any(axis=0).all():
         return None
     ordered = np.sort(columns, axis=1)
     new = np.empty(ordered.shape, dtype=bool)
@@ -341,15 +345,15 @@ def _rank_chunk(
     rows that hold a tie are sorted again, stably. The quotients follow
     _race_floats, which the caller holds: a subnormal weight's may be +inf,
     ranked after every finite one. A +0.0 pair is left out and ranks
-    0xFFFF: its +inf quotient never wins, as every weight row has a weight
-    > 0 (_weight_pairs), and a law's row a finite least quotient in a
-    candidate symbol. Tape t of a group ranks from t * E_C on, so a uint16
-    (E, group) table holds a group: a weight row's winners are the least
-    ranks of its raced cells (one row gather per raced symbol; the codes
-    are in range, so take's clip mode never clips), and one bincount per
-    group counts them. One weighted bincount maps the chunk's rank counts
-    to symbols, exact below 2**53. Returns the (n, |Z|) counts, or with
-    count=False the (n, k) winners.
+    0xFFFF: its +inf quotient never wins, as every weight row has a finite
+    least quotient in a candidate symbol (_weight_pairs). Tape t of a
+    group ranks from t * E_C on, so a uint16 (E, group) table holds a
+    group: a weight row's winners are the least ranks of its raced cells
+    (one row gather per raced symbol; the codes are in range, so take's
+    clip mode never clips), and one bincount per group counts them. One
+    weighted bincount maps the chunk's rank counts to symbols, exact below
+    2**53. Returns the (n, |Z|) counts, or with count=False the (n, k)
+    winners.
 
     Ranking with the default argsort first pays: on a prop1 chunk (272 x
     120 quotients) it took 0.31 ms against 1.54 ms for a stable argsort,

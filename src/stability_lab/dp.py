@@ -146,11 +146,12 @@ def histogram_threshold(epsilon: float, delta: float, k):
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
     absent from its neighbor. Raises ValueError unless epsilon is finite
-    and > 0, 0 < delta < 1 and every k is at least 1.
+    and > 0, 0 < delta < 1 and k is of an integer dtype (a float or a bool
+    is not) with every k at least 1.
     """
     _check_privacy(epsilon, delta)
-    if (np.asarray(k) < 1).any():
-        raise ValueError("histogram size k must be at least 1")
+    if np.asarray(k).dtype.kind not in "iu" or (np.asarray(k) < 1).any():
+        raise ValueError(f"histogram size k must be >= 1, of an integer dtype, got {k!r}")
     return 2.0 * math.log(2.0 / delta) / (epsilon * k) + 1.0 / k
 
 

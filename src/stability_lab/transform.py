@@ -265,13 +265,7 @@ def _release_chain(
     seeds may be any iterables, and each block draws its own tape and noise
     seeds when it is taken, so no seed list grows with the chain. Everything
     after the histogram is data-independent post-processing, so releasing
-    the rows together leaves the (epsilon, delta) argument as it is.
-
-    The stages are called by their names in this module (_race_tape_blocks,
-    _release_rows, _project_rows), so a tracer can wrap them here. The race
-    is a generator, and its work per block is in functions that coupling
-    calls by name: _exp_variates per tape block, and _tournament per group
-    or _rank_chunk per chunk."""
+    the rows together leaves the (epsilon, delta) argument as it is."""
     noise = iter(noise_seeds)
     for counts in _race_tape_blocks(domain, tape_seeds, weights, count=True):
         values = _release_rows(counts, config.epsilon, config.delta, [*islice(noise, len(counts))])

@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import dist
-from stability_lab import TransformConfig, write_distribution
-from stability_lab.cli import main
+from stability_lab import (
+    ContentDomain,
+    TransformConfig,
+    dp_transform_trace,
+    learner_empirical,
+    load_dataset,
+    write_distribution,
+)
+from stability_lab.cli import entrypoint, main
+from stability_lab.util import derive_seed
 
 
 def write_config(tmp_path, name, obj):
@@ -319,22 +327,28 @@ class TestTransform:
         assert code == 1 and report is None
         assert "model: distribution symbols do not match" in capsys.readouterr().err
 
-    def test_tape_seed_flag_pins_the_tape(self, tmp_path):
+    def test_tape_seed_field_pins_the_tape(self, tmp_path):
+        # the config field is the one way to pin the tape; the noise and
+        # training seeds still derive from the run's seed, 5
         config = TransformConfig.from_params(epsilon=2.0, delta=0.05, eta=0.3, m=3)
-        cfg = self.config(tmp_path, config.m_priv)
-        cfg_path = write_config(tmp_path, "cfg.json", cfg)
-        out_flag, out_field = tmp_path / "rf.json", tmp_path / "rc.json"
-        assert main(
-            ["transform", "--config", cfg_path, "--out", str(out_flag),
-             "--tape-seed", "314"]
-        ) == 0
-        cfg["tape_seed"] = 314
-        cfg_path2 = write_config(tmp_path, "cfg2.json", cfg)
-        assert main(["transform", "--config", cfg_path2, "--out", str(out_field)]) == 0
-        pf = json.loads(out_flag.read_text())["payload"]
-        pc = json.loads(out_field.read_text())["payload"]
-        assert pf == pc
-        assert pf["tape_seed"] == 314
+        cfg = {**self.config(tmp_path, config.m_priv), "tape_seed": 314}
+        code, report = run_cli(tmp_path, "transform", cfg)
+        assert code == 0
+        payload = report["payload"]
+        assert payload["tape_seed"] == report["config"]["tape_seed"] == 314
+        dataset = load_dataset(cfg["dataset"], ContentDomain(cfg["domain"]["symbols"]))
+        trace = dp_transform_trace(
+            learner_empirical(1.0),
+            dataset,
+            config,
+            tape_seed=314,
+            noise_seed=derive_seed(5, "noise"),
+            train_seed=derive_seed(5, "train"),
+        )
+        expected = json.loads(json.dumps(
+            {"histogram": trace.histogram.to_json_obj(), "output": trace.output.to_json_obj()}
+        ))
+        assert {key: payload[key] for key in expected} == expected
 
 
 class TestProp1:
@@ -512,6 +526,29 @@ class TestHarnessContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["tv"] == 0.0
+
+    # argparse's usage errors exit 1, as every error does (exit 2 means a
+    # failed check), and its help exits 0
+    USAGE = {
+        "no-config": (["prop1"], 1),
+        "unknown-subcommand": (["histogram", "--config", "cfg.json"], 1),
+        "seed-not-integer": (["hist", "--config", "cfg.json", "--seed", "abc"], 1),
+        "unknown-flag": (["tv", "--config", "cfg.json", "--verbose"], 1),
+        "tape-seed-flag": (["transform", "--config", "cfg.json", "--tape-seed", "3"], 1),
+        "help": (["-h"], 0),
+        "subcommand-help": (["transform", "--help"], 0),
+    }
+
+    @pytest.mark.parametrize("argv, code", USAGE.values(), ids=USAGE)
+    def test_usage_exit_code(self, capsys, monkeypatch, argv, code):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (err if code else out).startswith("usage: stability-lab")
+        assert "Traceback" not in err
+        monkeypatch.setattr(sys, "argv", ["stability-lab", *argv])
+        with pytest.raises(SystemExit) as info:
+            entrypoint()
+        assert info.value.code == code
 
     # One config per exit code: a pass, an error, and a failed check.
     EXIT_CASES = {

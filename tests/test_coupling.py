@@ -822,6 +822,21 @@ class TestRankRace:
         assert not got[:, [7, 11]].any()
         assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
 
+    @pytest.mark.parametrize(
+        "row", [(0.0, 5e-324, 5e-324), (0.0, 1e-310, 1e-310)], ids=["5e-324", "1e-310"]
+    )
+    def test_rows_of_subnormal_weights_keep_the_tournament(self, monkeypatch, row):
+        # E / 5e-324 passes DBL_MAX unless E is below about 8.9e-16, and
+        # E / 1e-310 unless E is below about 0.018: on most tapes every
+        # quotient of such a row is +inf, np.argmin gives it symbol 0, and
+        # no rank could decide it, so both kernel rules race it in the tournament
+        d, w = domain(3), np.tile([row, (0.5, 0.25, 0.25)], (32, 1))
+        for ranks in (True, False):
+            calls = kernel_calls(monkeypatch, rule=lambda *args: ranks)
+            got = assert_races_match_argmin(d, range(200), w)
+            assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
+        assert np.count_nonzero(got[:, 0] == 0) > 150
+
     def test_signed_zeros_and_a_zero_column(self, monkeypatch):
         rng = np.random.default_rng(9)
         w = np.tile(rng.dirichlet(np.ones(6), size=4), (10, 1))

@@ -511,7 +511,10 @@ class TestDerivedThreshold:
         with pytest.raises(ValueError):
             NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=epsilon, delta=delta, k=3)
 
-    @pytest.mark.parametrize("k", [0, -1, np.int64(0), np.array([3, 0]), np.array([-2])])
+    @pytest.mark.parametrize(
+        "k",
+        [0, -1, np.int64(0), np.array([3, 0]), np.array([-2]), 2.5, 2.0, True, np.array([2.5])],
+    )
     def test_threshold_needs_k_at_least_one(self, k):
         with pytest.raises(ValueError, match="k"):
             histogram_threshold(1.0, 0.1, k)
