@@ -29,8 +29,11 @@ from .core import (
     load_dataset,
     tv_distance,
     tv_event_form,
-    _SPLITS,
     _require_alpha,
+    _require_count,
+    _require_fraction,
+    _require_nonnegative,
+    _require_tokenization,
 )
 from .dp import (
     dp_beta,
@@ -75,43 +78,42 @@ def _field(cfg: dict, key: str, default=_REQUIRED):
     return default
 
 
-# Config field -> (type, test of the typed value, what the field must be):
-# each field's one rule. A test may also raise ValueError, as the library's
-# alpha and epsilon rules do. The entries of alpha_grid follow "alpha". A
-# float field also takes a JSON integer; no field takes a bool.
+# Config field -> (JSON type, the library's rule for the typed value): each
+# scalar field's one rule, called as rule(field, value), which raises
+# ValueError. A seed has no rule beyond its type. The entries of alpha_grid
+# follow "alpha". A float field also takes a JSON integer; no field takes a bool.
 _RULES = {
-    "alpha": (
-        float, lambda v: _require_alpha(v) is None, "a finite number >= 0 whose e^alpha is finite"
-    ),
-    "margin": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "smoothing": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "epsilon": (
-        float,
-        lambda v: _require_epsilon(v) is None,
-        "a finite number > 0 whose 1 - e^(-epsilon/2) is > 0",
-    ),
-    "delta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "eta": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "m": (int, lambda v: v >= 1, "an integer >= 1"),
-    "outer_trials": (int, lambda v: v >= 1, "an integer >= 1"),
-    "inner_trials": (int, lambda v: v >= 1, "an integer >= 1"),
-    "premise_trials": (int, lambda v: v >= 1, "an integer >= 1"),
-    "seed": (int, lambda v: True, "an integer"),
-    "tape_seed": (int, lambda v: True, "an integer"),
-    "tokenization": (str, lambda v: v in _SPLITS, "'line' or 'whitespace'"),
+    "alpha": (float, _require_alpha),
+    "margin": (float, _require_nonnegative),
+    "smoothing": (float, _require_nonnegative),
+    "epsilon": (float, _require_epsilon),
+    "delta": (float, _require_fraction),
+    "eta": (float, _require_fraction),
+    "m": (int, _require_count),
+    "outer_trials": (int, _require_count),
+    "inner_trials": (int, _require_count),
+    "premise_trials": (int, _require_count),
+    "seed": (int, None),
+    "tape_seed": (int, None),
+    "tokenization": (str, _require_tokenization),
 }
 
 
-def _check(key: str, raw, rule: str):
-    """`raw` typed and tested by `rule`'s entry, else a ConfigError naming `key`."""
-    kind, test, text = _RULES[rule]
-    typed = isinstance(raw, (int, float) if kind is float else kind)
+def _check(key: str, raw, field: str):
+    """`raw` as `field`'s JSON type, passed by its rule, else a ConfigError
+    naming `key`: "expected <type>" for the wrong type, and the rule's own
+    message for a value out of range."""
+    kind, rule = _RULES[field]
+    if not isinstance(raw, (int, float) if kind is float else kind) or isinstance(raw, bool):
+        kinds = {float: "a number", int: "an integer", str: "a string"}
+        raise ConfigError(f"{key}: expected {kinds[kind]}, got {raw!r}")
     try:
-        if typed and not isinstance(raw, bool) and test(kind(raw)):
-            return kind(raw)
-    except (OverflowError, ValueError):  # OverflowError: an int too large for a float
-        pass
-    raise ConfigError(f"{key}: expected {text}, got {raw!r}")
+        value = kind(raw)
+        if rule is not None:
+            rule(field, value)
+    except (OverflowError, ValueError) as exc:  # OverflowError: an int too large for a float
+        raise ConfigError(f"{key}: {exc}") from exc
+    return value
 
 
 def _param(cfg: dict, key: str, default=_REQUIRED):

@@ -318,14 +318,21 @@ def _flags_mask(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _require_count(name: str, value, minimum: int = 1) -> int:
-    """The one rule for a trial count or size: an int or np.integer, not a
-    bool (True would run one trial), at least `minimum`; returned as an int."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+def _require_count(name: str, value, minimum: int = 1):
+    """The one rule for a trial count or size, a scalar or an array: of a
+    numpy integer dtype, so a bool (True would run one trial), a float and
+    a Python int past the dtypes (2^64 and up: too large) are refused
+    alike, and at least `minimum` throughout. A scalar is returned as an
+    int, an array as it is."""
+    counts = np.asarray(value)
+    too_large = counts.dtype == object and isinstance(value, int)
+    if counts.dtype.kind not in "iu" and not too_large:
         raise ValueError(f"{name} must be an integer, got {value!r} (bools are not integers here)")
-    if value < minimum:
+    if (counts < minimum).any():
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return operator.index(value)
+    if too_large:
+        raise ValueError(f"{name} must be below 2**64, got {value!r}: too large")
+    return operator.index(value) if counts.ndim == 0 else value
 
 
 def _require_size(what: str, size: int, cap: int) -> None:
@@ -334,13 +341,27 @@ def _require_size(what: str, size: int, cap: int) -> None:
         raise DomainTooLarge(f"{what}: {size} is above the cap {cap}")
 
 
-def _require_alpha(alpha, name: str = "alpha") -> None:
-    """The one DP/NAF level rule, the CLI's: a number in [0, ln(DBL_MAX)],
-    the largest level whose e^alpha is a finite float (NaN fails)."""
+def _require_alpha(name: str, alpha) -> None:
+    """The one DP/NAF level rule: a number in [0, ln(DBL_MAX)], the largest
+    level whose e^alpha is a finite float (NaN fails)."""
     if not 0 <= alpha <= math.log(sys.float_info.max):
         raise ValueError(
             f"{name} must be a finite number >= 0 whose e^{name} is finite, got {alpha!r}"
         )
+
+
+def _require_fraction(name: str, value) -> None:
+    """The one rule for delta, eta, beta and an output law's tail: a number
+    in (0, 1) (NaN fails)."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _require_nonnegative(name: str, value) -> None:
+    """The one rule for the empirical learner's smoothing and prop1's
+    margin: a finite number >= 0 (NaN fails)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
@@ -460,8 +481,10 @@ def _sample_rows(q: DiscreteDistribution, size: int, seeds: Sequence[int]) -> np
     #{cdf <= u} for each u of default_rng(seeds[i]).random(size), drawn
     into its row of one block; every row is mapped in one _search_cdf call,
     whose bucket table finds the indices of many draws with the same result
-    as a binary search.
+    as a binary search. A size that _require_count refuses (below 0) raises
+    its ValueError before any draw.
     """
+    size = _require_count("size", size, 0)
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
     uniforms = np.empty((len(seeds), size))
@@ -513,6 +536,14 @@ _CORPUS_CHUNK_CHARS = 2**18
 _SPLITS = {"line": str.splitlines, "whitespace": str.split}
 
 
+def _require_tokenization(name: str, tokenization: str):
+    """The one tokenization rule: "line" or "whitespace", returned as the
+    str method that cuts text into raw pieces."""
+    if tokenization not in _SPLITS:
+        raise ValueError(f"{name} must be 'line' or 'whitespace', got {tokenization!r}")
+    return _SPLITS[tokenization]
+
+
 def _corpus_chunks(text: str):
     r"""`text` cut right after each "\n" that sits at least
     _CORPUS_CHUNK_CHARS characters past the previous cut.
@@ -543,9 +574,7 @@ def _index_corpus(
     Each distinct raw piece gets a compact id, so it is stripped and looked
     up in the domain once however often it repeats.
     """
-    split = _SPLITS.get(tokenization)
-    if split is None:
-        raise ValueError(f"unknown tokenization {tokenization!r}")
+    split = _require_tokenization("tokenization", tokenization)
     # A piece seen for the first time gets the next id from a C-level
     # counter, so no Python frame runs per piece.
     ids = collections.defaultdict(itertools.count().__next__)

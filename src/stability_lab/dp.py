@@ -28,6 +28,7 @@ from .core import (
     _max_event,
     _require_alpha,
     _require_count,
+    _require_fraction,
     _require_same_domain,
     _require_size,
 )
@@ -54,7 +55,10 @@ _NOISE_OFFSET = np.uint64(1 << 63)
 
 @dataclass(frozen=True)
 class DpParams:
-    """Privacy/accuracy parameter bundle: epsilon, delta, eta, beta."""
+    """Privacy/accuracy parameter bundle: epsilon, delta, eta, beta.
+
+    Raises _require_epsilon's ValueError for epsilon, then
+    _require_fraction's for delta, eta and beta outside (0, 1)."""
 
     epsilon: float
     delta: float
@@ -62,21 +66,13 @@ class DpParams:
     beta: float
 
     def __post_init__(self):
-        _check_privacy(self.epsilon, self.delta)
-        for name in ("eta", "beta"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        _require_epsilon("epsilon", self.epsilon)
+        for name in ("delta", "eta", "beta"):
+            _require_fraction(name, getattr(self, name))
 
 
-def _check_privacy(epsilon: float, delta: float) -> None:
-    """The one (epsilon, delta) rule: _require_epsilon's epsilon and 0 < delta < 1 (NaN fails)."""
-    _require_epsilon(epsilon)
-    if not 0 < delta < 1:
-        raise ValueError(f"need 0 < delta < 1, got delta = {delta!r}")
-
-
-def _require_epsilon(epsilon: float) -> None:
-    """The one epsilon rule, the CLI's: a finite epsilon > 0 whose histogram
+def _require_epsilon(name: str, epsilon: float) -> None:
+    """The one epsilon rule: a finite epsilon > 0 whose histogram
     noise parameter p = 1 - e^(-epsilon/2) is > 0. ValueError for epsilon
     <= 0, NaN, +inf, or an epsilon so small (<= 1.1e-16) that p rounds to
     0. An epsilon it passes keeps every draw ceil(2 E / epsilon) of
@@ -84,7 +80,7 @@ def _require_epsilon(epsilon: float) -> None:
     cast is exact."""
     if not (0 < epsilon < math.inf and 1.0 - math.exp(-epsilon / 2.0) > 0):
         raise ValueError(
-            f"need a finite epsilon > 0 with 1 - e^(-epsilon/2) > 0, got epsilon = {epsilon!r}"
+            f"{name} must be a finite number > 0 with 1 - e^(-{name}/2) > 0, got {epsilon!r}"
         )
 
 
@@ -105,7 +101,7 @@ def dp_beta(
     this is the total variation distance.
     """
     _require_same_domain(p, p_prime)
-    _require_alpha(alpha)
+    _require_alpha("alpha", alpha)
     return float(np.maximum(p.weights - math.exp(alpha) * p_prime.weights, 0.0).sum())
 
 
@@ -116,7 +112,7 @@ def dp_beta_event_form(
     E+ = {z : p(z) > e^alpha * p_prime(z)}, the value summed over it in
     index order (core._max_event)."""
     _require_same_domain(p, p_prime)
-    _require_alpha(alpha)
+    _require_alpha("alpha", alpha)
     return _max_event(p.domain, p.weights - math.exp(alpha) * p_prime.weights)
 
 
@@ -145,13 +141,13 @@ def histogram_threshold(epsilon: float, delta: float, k):
 
     Counts whose noisy frequency lands below tau are reported as zero;
     that is what pays the delta for symbols present in one dataset and
-    absent from its neighbor. Raises ValueError unless epsilon is finite
-    and > 0, 0 < delta < 1 and k is of an integer dtype (a float or a bool
-    is not) with every k at least 1.
+    absent from its neighbor. Raises ValueError for an epsilon that
+    _require_epsilon refuses, a delta outside (0, 1) (_require_fraction)
+    and a k that _require_count refuses, in that order.
     """
-    _check_privacy(epsilon, delta)
-    if np.asarray(k).dtype.kind not in "iu" or (np.asarray(k) < 1).any():
-        raise ValueError(f"histogram size k must be >= 1, of an integer dtype, got {k!r}")
+    _require_epsilon("epsilon", epsilon)
+    _require_fraction("delta", delta)
+    _require_count("k", k)
     return 2.0 * math.log(2.0 / delta) / (epsilon * k) + 1.0 / k
 
 
@@ -315,19 +311,17 @@ def coordinate_output_law(
     two-sided tail mass past it is at most `tail` (_noise_span); the
     returned probabilities then sum to at least 1 - tail. Each atom is the
     release rule _threshold_clamp applied to count + g, keyed in order of
-    the noise value g. Raises ValueError for a count or k that is not an
-    integer (a bool is not), k < 1, a count outside [0, k], tail outside
-    (0, 1) or an (epsilon, delta) that histogram_threshold refuses, and
+    the noise value g. Raises ValueError for an (epsilon, delta, k) that
+    histogram_threshold refuses, a count that is not a count (a bool is
+    not) or lies outside [0, k] and a tail outside (0, 1), and
     DomainTooLarge, before any noise value is enumerated, when there would
     be more than OUTPUT_LAW_MAX.
     """
-    _require_count("k", k)
+    tau = histogram_threshold(epsilon, delta, k)
     _require_count("count", count, 0)
-    if not 0 < tail < 1:
-        raise ValueError("tail must lie in (0, 1)")
+    _require_fraction("tail", tail)
     if count > k:
         raise ValueError(f"count must lie in [0, k], got {count!r} with k={k}")
-    tau = histogram_threshold(epsilon, delta, k)
     if count == 0:
         return {0.0: 1.0}
     p = math.exp(-epsilon / 2.0)
@@ -384,7 +378,7 @@ def dp_beta_over_laws(law: dict, law_prime: dict, alpha: float) -> float:
     on every interpreter (it compensates since Python 3.12), so an audit's
     bits and worst_pair are the same on 3.10 to 3.13.
     """
-    _require_alpha(alpha)
+    _require_alpha("alpha", alpha)
     scale = math.exp(alpha)
     total = excess = 0.0
     for atom, mass in law.items():
@@ -461,13 +455,13 @@ def audit_histogram_dp(
     domain_size = 5, 14,300 of 1,002,001). Raises ValueError for
     a k or domain_size that is not an integer (a bool is not), k < 1,
     domain_size < 1, epsilon above ln(DBL_MAX) (the alpha rule, so
-    e^epsilon is finite), an (epsilon, delta) that _check_privacy refuses
+    e^epsilon is finite), an (epsilon, delta) that histogram_threshold refuses
     or tail outside (0, 1), and DomainTooLarge, before any law is built,
     above OUTPUT_LAW_MAX cells.
     """
     k = _require_count("k", k)
     domain_size = _require_count("domain_size", domain_size)
-    _require_alpha(epsilon, "epsilon")
+    _require_alpha("epsilon", epsilon)
     # Every count vector sums to k, so only k + 1 coordinate laws exist.
     coordinate_laws = [
         coordinate_output_law(c, k, epsilon, delta, tail) for c in range(k + 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from .core import (
     DiscreteDistribution,
     _index_corpus,
     _require_domain,
+    _require_nonnegative,
     _row_counts,
     make_distribution,
 )
@@ -28,8 +28,7 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
     uniform. Ignores its seed (the map is deterministic in the data).
     Raises ValueError unless smoothing is a finite number >= 0.
     """
-    if not 0 <= smoothing < math.inf:  # NaN fails too
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
+    _require_nonnegative("smoothing", smoothing)
 
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int

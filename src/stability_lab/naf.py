@@ -176,7 +176,7 @@ def is_naf(
     failed check doubles as a soft flag report rather than a bare verdict.
     """
     support, table = _log_ratios(p, safes)
-    _require_alpha(alpha)
+    _require_alpha("alpha", alpha)
     ids, symbols = safes.ids, p.domain.symbols
     violations = [
         Violation(ids[c], symbols[int(support[pos])], float(table[c, pos]))
@@ -262,7 +262,7 @@ class CensorshipReport:
 
 def censorship_report(safes: SafeAssignment, alpha: float) -> CensorshipReport:
     """Per-symbol allowed-mass caps and the total withheld mass at level alpha."""
-    _require_alpha(alpha)
+    _require_alpha("alpha", alpha)
     bounds = np.minimum(math.exp(alpha) * safes.envelope(), 1.0)
     return CensorshipReport(alpha=alpha, domain=safes.domain, bounds=bounds)
 

@@ -173,7 +173,9 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
     the loop's zero residual does. np.clip, np.minimum and np.maximum each
     return one of their operands, and no residual or slack is -0.0, so
     adding a zero step turns -0.0 into 0.0 as the loop's + 0.0 does.
-    Raises ValueError unless eta > 0 (NaN fails).
+    Raises ValueError unless eta > 0 (NaN fails). This is not the (0, 1)
+    rule of DpParams' eta: any positive box radius is a valid projection,
+    and eta >= 1 only makes every box reach both ends of [0, 1].
     """
     if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")

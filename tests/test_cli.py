@@ -16,7 +16,9 @@ from stability_lab import (
     load_dataset,
     write_distribution,
 )
+from stability_lab import cli, core, dp
 from stability_lab.cli import entrypoint, main
+from stability_lab.errors import ConfigError
 from stability_lab.util import derive_seed
 
 
@@ -777,3 +779,52 @@ class TestConfigErrorContract:
         cfg = {"model": model, "safe_models": [{"id": "doc1", "model": model}, second],
                "alpha": 0.5}
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models: entry 1")
+
+
+class TestFieldRules:
+    """Each scalar config field names its library rule, and a value out of
+    range is refused with that rule's own message after the field's name."""
+
+    def test_rules_are_the_library_functions(self):
+        # field -> (the library rule, one value it refuses); a seed has none.
+        rules = {
+            "alpha": (core._require_alpha, -1.0),
+            "margin": (core._require_nonnegative, math.inf),
+            "smoothing": (core._require_nonnegative, -0.5),
+            "epsilon": (dp._require_epsilon, 1e-16),
+            "delta": (core._require_fraction, 1.5),
+            "eta": (core._require_fraction, 0),
+            "m": (core._require_count, 0),
+            "outer_trials": (core._require_count, -2),
+            "inner_trials": (core._require_count, 2**70),
+            "premise_trials": (core._require_count, 0),
+            "seed": (None, None),
+            "tape_seed": (None, None),
+            "tokenization": (core._require_tokenization, "char"),
+        }
+        assert set(cli._RULES) == set(rules)
+        for field, (kind, rule) in cli._RULES.items():
+            want, bad = rules[field]
+            assert rule is want, field
+            if rule is None:
+                continue
+            with pytest.raises(ValueError) as library:
+                rule(field, kind(bad))
+            with pytest.raises(ConfigError) as config:
+                cli._check(field, bad, field)
+            assert str(config.value) == f"{field}: {library.value}"
+
+    @pytest.mark.parametrize(
+        "field, raw, expected",
+        [
+            ("delta", "0.5", "a number"),
+            ("alpha", True, "a number"),
+            ("m", 3.0, "an integer"),
+            ("outer_trials", "3", "an integer"),
+            ("tokenization", 3, "a string"),
+        ],
+    )
+    def test_wrong_json_type(self, field, raw, expected):
+        with pytest.raises(ConfigError) as info:
+            cli._check(field, raw, field)
+        assert str(info.value) == f"{field}: expected {expected}, got {raw!r}"

@@ -324,6 +324,18 @@ class TestSample:
         assert np.all(np.abs(freqs - 0.25) <= 0.01)
         assert chisquare(np.bincount(idx, minlength=4)).pvalue > 0.001
 
+    @pytest.mark.parametrize("size", [True, -1, 2.0, 2**70])
+    def test_size_follows_the_count_rule(self, size):
+        # numpy's own errors were TypeError for True and 2.0 and "negative
+        # dimensions are not allowed" for -1; every sampler size is now a
+        # count, refused by core._require_count's ValueError.
+        q = dist([0.5, 0.5])
+        for draw in (sample_indices, sample_dataset):
+            with pytest.raises(ValueError, match="^size must be"):
+                draw(q, size, 3)
+        assert sample_indices(q, np.uint8(0), 3).shape == (0,)
+        assert sample_dataset(q, np.int64(2), 3).size == 2
+
     def test_marginal_chi_square_nonuniform(self):
         from scipy.stats import chisquare
 

@@ -45,7 +45,7 @@ from stability_lab import (
     symmetric_dp_beta,
     tv_distance,
 )
-from stability_lab import dp
+from stability_lab import core, dp
 from stability_lab.coupling import _stream_keys
 from stability_lab.dp import (
     _compositions,
@@ -518,6 +518,24 @@ class TestDerivedThreshold:
     def test_threshold_needs_k_at_least_one(self, k):
         with pytest.raises(ValueError, match="k"):
             histogram_threshold(1.0, 0.1, k)
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda k: core._require_count("k", k),
+            lambda k: histogram_threshold(1.0, 0.1, k),
+            lambda k: NoisyHistogram(domain(2), np.array([0.5, 0.0]), epsilon=1.0, delta=0.1, k=k),
+            lambda k: coordinate_output_law(1, k, 1.0, 0.1),
+        ],
+        ids=["_require_count", "histogram_threshold", "NoisyHistogram", "coordinate_output_law"],
+    )
+    def test_one_count_rule_for_k(self, apply):
+        # A Python int of 2^64 or more has no numpy integer dtype, so every
+        # k is refused as too large with one text; np.uint64(2**63) is a count.
+        with pytest.raises(ValueError) as info:
+            apply(2**70)
+        assert str(info.value) == f"k must be below 2**64, got {2**70}: too large"
+        apply(np.uint64(2**63))
 
     @pytest.mark.parametrize("k", [0, -3, 2.0, True])
     def test_histogram_rejects_bad_k(self, k):
