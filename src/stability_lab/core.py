@@ -115,10 +115,8 @@ class DiscreteDistribution:
     __slots__ = ("domain", "weights")
 
     def __init__(self, domain: ContentDomain, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        _check_probability_rows(w, (domain.size,))
-        w = w.copy()
-        w.flags.writeable = False
+        w = _frozen_row(domain, weights)
+        _check_probability_rows(w)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "weights", w)
 
@@ -155,7 +153,12 @@ class DiscreteDistribution:
     def from_json_obj(
         cls, obj: dict, domain: ContentDomain | None = None
     ) -> "DiscreteDistribution":
-        """As ContentDomain's, and "weights" must be a JSON list of numbers (not bools)."""
+        """As ContentDomain's, and "weights" must be a JSON list of numbers (not bools).
+
+        A file whose symbols differ from a given `domain` raises DomainMismatch
+        with its own text, "distribution symbols do not match the domain":
+        it compares the file's symbols, not an operand's domain or an
+        array's width, and the CLI reports it under the field's name."""
         file_domain = ContentDomain.from_json_obj(obj)
         weights = obj["weights"]
         if not isinstance(weights, list) or not {type(w) for w in weights} <= {int, float}:
@@ -165,16 +168,33 @@ class DiscreteDistribution:
         return cls(domain or file_domain, weights)
 
 
-def _check_probability_rows(w: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Raise unless `w` has `shape` and each row along its last axis is a
-    probability vector: finite, non-negative, summing to one within
-    NORMALIZATION_ATOL.
+def _require_shape(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`array`, unless its shape is not `shape`: the one width rule of an
+    array over a domain (one entry per symbol along the last axis), which
+    raises LengthMismatch with one text naming both shapes."""
+    if array.shape != shape:
+        raise LengthMismatch(
+            f"an array over the domain needs shape {shape}, got shape {array.shape}"
+        )
+    return array
+
+
+def _frozen_row(domain: ContentDomain, values) -> np.ndarray:
+    """A read-only float64 copy of `values`, a vector over `domain`
+    (_require_shape)."""
+    row = _require_shape(np.array(values, dtype=np.float64), (domain.size,))
+    row.flags.writeable = False
+    return row
+
+
+def _check_probability_rows(w: np.ndarray) -> None:
+    """Raise unless each row of `w` along its last axis is a probability
+    vector: finite, non-negative, summing to one within NORMALIZATION_ATOL.
 
     The one home of the distribution rule, for a single weight vector and
-    for a (k, |Z|) matrix of shard models validated in one pass.
+    for a (k, |Z|) matrix of shard models validated in one pass; the
+    caller applies the width rule (_require_shape) first.
     """
-    if w.shape != shape:
-        raise LengthMismatch(f"expected weights of shape {shape}, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NegativeWeight("weights must be finite")
     if (w < 0).any():

@@ -32,11 +32,12 @@ import numpy as np
 from .core import (
     ContentDomain,
     DiscreteDistribution,
+    _frozen_row,
     _require_count,
     _require_same_domain,
+    _require_shape,
     _row_counts,
 )
-from .errors import DomainMismatch
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -131,12 +132,9 @@ class CouplingTape:
     seed: int
 
     def __post_init__(self):
-        v = np.array(self.variates, dtype=np.float64)
-        if v.shape != (self.domain.size,):
-            raise ValueError("tape needs one variate per domain symbol")
+        v = _frozen_row(self.domain, self.variates)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ValueError("tape variates must be strictly positive and finite")
-        v.flags.writeable = False
         object.__setattr__(self, "variates", v)
 
 
@@ -219,10 +217,14 @@ def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
 
 
 def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndarray:
-    """The masked (k, |Z|) weight matrix as a contiguous, symbol-major (|Z|, k) block."""
+    """The masked (k, |Z|) weight matrix as a contiguous, symbol-major (|Z|, k) block.
+
+    The matrix follows the width rule (_require_shape). An array that is
+    not 2-D, a single 1-D row among them, is held to (1, |Z|), so the
+    width message names the domain's width."""
     weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != domain.size:
-        raise DomainMismatch("weight matrix width does not match the domain")
+    rows = len(weight_matrix) if weight_matrix.ndim == 2 else 1
+    _require_shape(weight_matrix, (rows, domain.size))
     if weight_matrix.shape[0] < 1:
         raise ValueError("weight matrix needs at least one row")
     return np.ascontiguousarray(_masked(weight_matrix).T)
@@ -464,12 +466,13 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
             run_first = np.maximum.accumulate(np.where(run_starts, position, 0))
             candidates = candidates[order]
             firsts = np.flatnonzero((position - run_first) % group == 0).tolist()
-            unions = np.logical_or.reduceat(candidates, firsts, axis=0)
+            # a tournament group lies inside one run, so its set is its first tape's
+            unions = candidates[firsts]
             rank_firsts = list(range(0, order.size, rank_group))
             rank_unions = np.logical_or.reduceat(candidates, rank_firsts, axis=0)
             ranked = _ranks_pay(
                 k,
-                _symbol_tapes(firsts, unions, order.size),
+                int(np.count_nonzero(candidates)),
                 int(np.count_nonzero(unions)),
                 _symbol_tapes(rank_firsts, rank_unions, order.size),
             ) and weight_pairs() is not None

@@ -25,6 +25,7 @@ from .core import (
     Dataset,
     DiscreteDistribution,
     Event,
+    _frozen_row,
     _max_event,
     _require_alpha,
     _require_count,
@@ -178,11 +179,8 @@ class NoisyHistogram:
     tau: float = field(init=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.shape != (self.domain.size,):
-            raise ValueError("histogram needs one value per symbol")
+        v = _frozen_row(self.domain, self.values)
         _check_unit_interval(v)
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "k", _require_count("k", self.k))
         object.__setattr__(self, "tau", histogram_threshold(self.epsilon, self.delta, self.k))

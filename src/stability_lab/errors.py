@@ -14,7 +14,10 @@ class NotNormalized(StabilityLabError):
 
 
 class LengthMismatch(StabilityLabError):
-    """A vector's length does not match the domain size."""
+    """An array over a domain has the wrong shape: weights, tape variates,
+    histogram values, or a shard matrix given to a race or returned by a
+    learner. Raised only by core._require_shape, with one text that names
+    the shape needed and the shape given."""
 
 
 class DomainMismatch(StabilityLabError):

@@ -28,7 +28,6 @@ from .core import (
 from .errors import (
     DatasetTooSmall,
     DegenerateTV,
-    DomainMismatch,
     EmptySafeAssignment,
 )
 
@@ -60,9 +59,8 @@ class SafeAssignment:
         ids = [cid for cid, _ in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("protected content identifiers must be unique")
-        domains = {q.domain for _, q in self.entries}
-        if len(domains) > 1:
-            raise DomainMismatch("all safe models must share one domain")
+        for _, q in self.entries[1:]:
+            _require_same_domain(self.entries[0][1], q)
 
     @classmethod
     def from_models(cls, models: Iterable[DiscreteDistribution]) -> "SafeAssignment":

@@ -30,6 +30,7 @@ from .core import (
     _check_probability_rows,
     _require_count,
     _require_domain,
+    _require_shape,
     _sample_rows,
     _tv_rows,
     make_distribution,
@@ -199,7 +200,7 @@ def _project_rows(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarra
     np.subtract.accumulate(before, axis=1, out=before)
     x += np.clip(before, np.minimum(slack, 0.0), np.maximum(slack, 0.0))
     out[feasible] = x
-    _check_probability_rows(out, values.shape)
+    _check_probability_rows(out)
     return out, feasible
 
 
@@ -237,8 +238,8 @@ def _train_rows(
             _require_domain(domain, q)
             rows.append(q.weights)
         weights = np.stack(rows)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_probability_rows(weights, (n, domain.size))
+    weights = _require_shape(np.asarray(weights, dtype=np.float64), (n, domain.size))
+    _check_probability_rows(weights)
     return weights
 
 

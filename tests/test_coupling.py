@@ -39,7 +39,7 @@ from stability_lab.coupling import (
     race_counts,
     race_tapes,
 )
-from stability_lab.errors import DomainMismatch
+from stability_lab.errors import DomainMismatch, LengthMismatch
 from stability_lab.learners import learner_empirical
 
 
@@ -99,7 +99,7 @@ class TestNewTape:
 
     def test_validation(self):
         d = domain(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch):
             CouplingTape(domain=d, variates=np.array([1.0, 2.0]), seed=0)
         with pytest.raises(ValueError):
             CouplingTape(domain=d, variates=np.array([1.0, 0.0, 2.0]), seed=0)
@@ -397,12 +397,12 @@ class TestRaceTapes:
             assert race(d, self.SEEDS, w).dtype == np.intp
             got = race(d, [], w)
             assert got.shape == (0, width) and got.dtype == np.intp
-            with pytest.raises(DomainMismatch):
+            with pytest.raises(LengthMismatch):
                 race(domain(5), [], w)
 
     def test_width_mismatch(self):
         for race in (race_tapes, race_counts):
-            with pytest.raises(DomainMismatch):
+            with pytest.raises(LengthMismatch):
                 race(domain(5), [1, 2], self.weights())
 
     @pytest.mark.parametrize("race", [race_tapes, race_counts])

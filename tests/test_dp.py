@@ -55,7 +55,13 @@ from stability_lab.dp import (
     coordinate_output_law,
     dp_beta_over_laws,
 )
-from stability_lab.errors import DomainMismatch, DomainTooLarge, EmptyDataset, SizeMismatch
+from stability_lab.errors import (
+    DomainMismatch,
+    DomainTooLarge,
+    EmptyDataset,
+    LengthMismatch,
+    SizeMismatch,
+)
 
 # ln(DBL_MAX): the largest alpha whose e^alpha is a finite float.
 ALPHA_MAX = 709.782712893384
@@ -444,7 +450,7 @@ class TestPrivateHistogram:
 
     @pytest.mark.parametrize("values", [[0.5], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
     def test_histogram_needs_one_value_per_symbol(self, values):
-        with pytest.raises(ValueError, match="one value per symbol"):
+        with pytest.raises(LengthMismatch, match=r"needs shape \(2,\)"):
             NoisyHistogram(
                 domain=domain(2), values=np.array(values), epsilon=1.0, delta=1e-3, k=3
             )
