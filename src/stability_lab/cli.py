@@ -4,10 +4,11 @@
 
 Subcommands: tv, naf-check, nfl-check, censorship, dp-beta, hist,
 transform, prop1, ingest. All inputs come from a single JSON config
-document; the --seed flag overrides the config's "seed" field (flag >
-config > default 0). Reports are JSON with a versioned schema; the same
-config and seed always produce the same payload. Exit codes: 0 on pass,
-2 when a subcommand's check fails, 1 on any error, a usage error included.
+document, which holds only the fields its subcommand reads; the --seed
+flag overrides the config's "seed" field (flag > config > default 0).
+Reports are JSON with a versioned schema; the same config and seed always
+produce the same payload. Exit codes: 0 on pass, 2 when a subcommand's
+check fails, 1 on any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def _check(key: str, raw, field: str):
     return value
 
 
+def _known_fields(cfg: dict, known: tuple[str, ...], owner: str, prefix: str = "") -> None:
+    """Refuse a field of `cfg` outside `known` with a ConfigError naming it:
+    a misspelled field would otherwise be echoed and never read."""
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(
+                f"{prefix}{key}: unknown field of {owner}; known fields: {', '.join(known)}"
+            )
+
+
 def _param(cfg: dict, key: str, default=_REQUIRED):
     return _check(key, _field(cfg, key, default), key)
 
@@ -182,11 +193,13 @@ def _learner(cfg, key, domain: ContentDomain):
     if not isinstance(raw, dict):
         raise ConfigError(f"{key}: expected an object with a 'kind' field")
     kind = raw.get("kind")
+    if kind not in ("empirical", "constant"):
+        raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
+    spec = "smoothing" if kind == "empirical" else "model"
+    _known_fields(raw, ("kind", spec), f"the {kind} learner", f"{key}.")
     if kind == "empirical":
         return learner_empirical(_param(raw, "smoothing", 0.0))
-    if kind == "constant":
-        return learner_constant(_distribution(raw, "model", domain))
-    raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
+    return learner_constant(_distribution(raw, "model", domain))
 
 
 def _dataset(cfg) -> Dataset:
@@ -301,12 +314,11 @@ def _run_nfl_check(cfg: dict, seed: int):
     q1 = _distribution(cfg, "q1", p.domain)
     q2 = _distribution(cfg, "q2", p.domain)
     witness = nfl_witness(p, q1, q2)
-    satisfied = witness.p_value >= witness.threshold - 1e-12
     thresholds = nfl_thresholds(q1, q2)
     payload = {
         "tv": tv_distance(q1, q2),
         "witness": witness._asdict(),
-        "satisfied": satisfied,
+        "satisfied": witness.satisfied,
     }
     rows = [
         {"symbol": s, "p": float(pv), "min_q": float(min(a, b)), "threshold": float(t)}
@@ -314,7 +326,7 @@ def _run_nfl_check(cfg: dict, seed: int):
             p.domain.symbols, p.weights, q1.weights, q2.weights, thresholds
         )
     ]
-    return payload, rows, EXIT_PASS if satisfied else EXIT_CHECK_FAILED
+    return payload, rows, EXIT_PASS if witness.satisfied else EXIT_CHECK_FAILED
 
 
 def _run_censorship(cfg: dict, seed: int):
@@ -412,16 +424,27 @@ def _run_ingest(cfg: dict, seed: int):
     return payload, rows, EXIT_PASS
 
 
+# Subcommand -> (runner, the config fields it reads besides "seed"). run
+# refuses any other field before the runner reads anything.
 _SUBCOMMANDS = {
-    "tv": _run_tv,
-    "naf-check": _run_naf_check,
-    "nfl-check": _run_nfl_check,
-    "censorship": _run_censorship,
-    "dp-beta": _run_dp_beta,
-    "hist": _run_hist,
-    "transform": _run_transform,
-    "prop1": _run_prop1,
-    "ingest": _run_ingest,
+    "tv": (_run_tv, ("q1", "q2")),
+    "naf-check": (_run_naf_check, ("model", "safe_models", "alpha")),
+    "nfl-check": (_run_nfl_check, ("model", "q1", "q2")),
+    "censorship": (_run_censorship, ("safe_models", "alpha")),
+    "dp-beta": (_run_dp_beta, ("p", "p_prime", "alpha", "alpha_grid")),
+    "hist": (_run_hist, ("dataset", "domain", "epsilon", "delta")),
+    "transform": (
+        _run_transform,
+        ("dataset", "domain", "learner", "epsilon", "delta", "eta", "m", "tape_seed"),
+    ),
+    "prop1": (
+        _run_prop1,
+        (
+            "data_distribution", "learner", "epsilon", "delta", "eta", "m",
+            "outer_trials", "inner_trials", "premise_trials", "margin",
+        ),
+    ),
+    "ingest": (_run_ingest, ("corpus", "tokenization")),
 }
 
 
@@ -439,9 +462,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(subcommand: str, config: dict, seed: int) -> tuple[dict, list[dict], int]:
-    """Dispatch one subcommand; returns (report, csv rows, exit code)."""
+    """Dispatch one subcommand; returns (report, csv rows, exit code).
+
+    A config field that the subcommand does not read, other than "seed",
+    raises ConfigError before any field is read. The report echoes the
+    config and the seed as given."""
     started = time.perf_counter()
-    payload, rows, code = _SUBCOMMANDS[subcommand](config, seed)
+    runner, fields = _SUBCOMMANDS[subcommand]
+    _known_fields(config, ("seed", *fields), f"the {subcommand} config")
+    payload, rows, code = runner(config, seed)
     report = {
         "schema": SCHEMA_VERSION,
         "subcommand": subcommand,

@@ -28,6 +28,7 @@ from .errors import (
     NegativeWeight,
     NotNormalized,
 )
+from .util import _seed_key
 
 # Normalization is checked to 1e-9 at construction; exact-arithmetic style
 # identities (event-form equivalences and the like) are asserted to 1e-12.
@@ -498,18 +499,19 @@ def _sample_rows(q: DiscreteDistribution, size: int, seeds: Sequence[int]) -> np
     Inverse-CDF sampling with the CDF renormalized by its final value, so
     the 1e-9 construction slack cannot leak probability onto any symbol and
     zero-width bins (zero-probability symbols) are never selected. Row i is
-    #{cdf <= u} for each u of default_rng(seeds[i]).random(size), drawn
-    into its row of one block; every row is mapped in one _search_cdf call,
-    whose bucket table finds the indices of many draws with the same result
-    as a binary search. A size that _require_count refuses (below 0) raises
-    its ValueError before any draw.
+    #{cdf <= u} for each u of default_rng(key).random(size), drawn into its
+    row of one block, where key is util._seed_key(seeds[i]): a seed is read
+    mod 2**64, as every seed is. Every row is mapped in one _search_cdf
+    call, whose bucket table finds the indices of many draws with the same
+    result as a binary search. A size that _require_count refuses (below 0)
+    raises its ValueError before any draw.
     """
     size = _require_count("size", size, 0)
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
     uniforms = np.empty((len(seeds), size))
     for row, seed in zip(uniforms, seeds):
-        np.random.default_rng(seed).random(out=row)
+        np.random.default_rng(_seed_key(seed)).random(out=row)
     return _search_cdf(cdf, uniforms.ravel()).reshape(uniforms.shape)
 
 

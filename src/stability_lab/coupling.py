@@ -22,7 +22,6 @@ gives every weight row the least rank of its cells.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, NamedTuple
@@ -38,11 +37,11 @@ from .core import (
     _require_shape,
     _row_counts,
 )
+from .util import _seed_key
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64_MASK = (1 << 64) - 1
 
 # The race's one cell budget. _tapes_per_block sizes every block by it: a
 # tape block (tapes x |Z| variates, and the release chunk of its count
@@ -100,18 +99,10 @@ def _cell_variates(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return u
 
 
-def _tape_key(seed) -> int:
-    """The tape seed as its 64-bit key: any Python or numpy integer, mod 2**64.
-
-    So True is 1, -1 and 2**64 - 1 name one tape, and a float raises
-    TypeError."""
-    return operator.index(seed) & _U64_MASK
-
-
 def _stream_keys(seeds) -> np.ndarray:
     """The stream key of each seed, the one seeding rule of the tapes and
-    the histogram noise: splitmix64 of its _tape_key, as a uint64 array."""
-    return _splitmix64(np.array([_tape_key(s) for s in seeds], dtype=np.uint64))
+    the histogram noise: splitmix64 of its util._seed_key, as a uint64 array."""
+    return _splitmix64(np.array([_seed_key(s) for s in seeds], dtype=np.uint64))
 
 
 def _exp_variates(seeds, size: int) -> np.ndarray:
@@ -534,14 +525,15 @@ def _streamed_winners(models, trials: int, seed: int):
     """(len(models), n) winners of each step of n <= _tapes_per_block(len(models)) tapes.
 
     The step's stream keys are those of _stream_keys(range(seed + start,
-    seed + stop)), made as one uint64 sum that wraps as _tape_key does.
+    seed + stop)): the uint64 sum of the seed's _seed_key and the trial
+    offsets, which wraps mod 2**64 as _seed_key does.
     Symbol z's row is column z of the tape-major block, bit for bit,
     because its offset is a uint64 scalar.
     """
     _require_count("trials", trials)
     columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
-    base = np.uint64(_tape_key(seed))
+    base = np.uint64(_seed_key(seed))
     step = _tapes_per_block(len(models))
     for start in range(0, trials, step):
         stop = min(start + step, trials)

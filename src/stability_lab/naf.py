@@ -30,6 +30,7 @@ from .errors import (
     DegenerateTV,
     EmptySafeAssignment,
 )
+from .util import _seed_key
 
 
 class Violation(NamedTuple):
@@ -46,6 +47,11 @@ class NflWitness(NamedTuple):
     symbol: str
     p_value: float
     threshold: float
+
+    @property
+    def satisfied(self) -> bool:
+        """The nfl-check verdict: p meets the threshold at the witness, to 1e-12."""
+        return self.p_value >= self.threshold - 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +125,14 @@ def safe_leave_one_out(learner, dataset: Dataset, seed: int) -> SafeAssignment:
 def safe_sharded(learner, dataset: Dataset, seed: int) -> SafeAssignment:
     """Two-shard safety: each item's safe model is trained on the other half.
 
-    The dataset is split in two by a seeded permutation. An item occurring
+    The dataset is split in two by the permutation of
+    default_rng(util._seed_key(seed)). An item occurring
     in both halves has no occurrence-free half; the tie goes to the model
     of shard 0.
     """
     if dataset.size < 2:
         raise DatasetTooSmall("sharded safety needs at least two items")
-    perm = np.random.default_rng(seed).permutation(dataset.size)
+    perm = np.random.default_rng(_seed_key(seed)).permutation(dataset.size)
     half = dataset.size // 2
     shards = [
         Dataset._from_owned(dataset.domain, dataset.indices[np.sort(perm[:half])]),

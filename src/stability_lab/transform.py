@@ -40,7 +40,7 @@ from .core import (
 from .coupling import _race_tape_blocks, _tapes_per_block
 from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
-from .util import _derive_seeds, derive_seed
+from .util import _derive_seeds, _seed_key, derive_seed
 
 # Coefficient on eta in the reported deviation bound: the accuracy chain
 # contributes 3*eta, the histogram failure event at most eta more, and the
@@ -154,8 +154,12 @@ def simplex_project_linf(
     Construction: clip the input into [0, 1], then push the mass surplus
     or deficit through the coordinates in index order within each
     coordinate's remaining slack. This is one row of _project_rows.
+    Non-finite values raise ValueError before any projection.
     """
-    rows, feasible = _project_rows(np.asarray(values, dtype=np.float64)[None, :], eta)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    rows, feasible = _project_rows(values[None, :], eta)
     return make_distribution(domain, rows[0]) if feasible[0] else None
 
 
@@ -224,9 +228,12 @@ def _train_rows(
     """(n, |Z|) weights of the models trained on each row of an (n, m) index
     matrix, validated once as n distributions on `domain`.
 
-    A batched `train_shards` takes the matrix whole; otherwise row i trains
-    through `train` with seed derive_seed(train_seed, "shard-train", i).
+    The train seed is read once, as its util._seed_key, whether or not the
+    learner uses it. A batched `train_shards` takes the matrix whole;
+    otherwise row i trains through `train` with seed derive_seed(train_seed,
+    "shard-train", i).
     """
+    train_seed = _seed_key(train_seed)
     n = samples.shape[0]
     if learner.train_shards is not None:
         weights = learner.train_shards(domain, samples, train_seed)

@@ -10,6 +10,7 @@ import pytest
 from conftest import dist
 from stability_lab import (
     ContentDomain,
+    NflWitness,
     TransformConfig,
     dp_transform_trace,
     learner_empirical,
@@ -32,6 +33,12 @@ def dist_file(tmp_path, name, weights):
     path = tmp_path / name
     write_distribution(path, dist(weights))
     return str(path)
+
+
+def fields_of(subcommand, config_obj):
+    """The fields of a config shared by several subcommands that `subcommand`
+    reads; it refuses any other."""
+    return {k: v for k, v in config_obj.items() if k in cli._SUBCOMMANDS[subcommand][1]}
 
 
 def run_cli(tmp_path, subcommand, config_obj, extra=()):
@@ -166,6 +173,18 @@ class TestNflCheck:
         assert code == 0
         assert report["payload"]["satisfied"] is True
         assert report["payload"]["witness"]["threshold"] == pytest.approx(0.25)
+
+    def test_short_witness_exits_2(self, tmp_path, monkeypatch):
+        # the verdict is the witness's own: NflWitness.satisfied
+        short = NflWitness("a", 0.25 - 1.1e-12, 0.25)
+        monkeypatch.setattr(cli, "nfl_witness", lambda p, q1, q2: short)
+        cfg = {
+            "model": {"symbols": ["a", "b"], "weights": [0.5, 0.5]},
+            "q1": {"symbols": ["a", "b"], "weights": [0.8, 0.2]},
+            "q2": {"symbols": ["a", "b"], "weights": [0.2, 0.8]},
+        }
+        code, report = run_cli(tmp_path, "nfl-check", cfg)
+        assert code == 2 and report["payload"]["satisfied"] is False
 
     def test_degenerate_tv_is_an_error(self, tmp_path):
         cfg = {
@@ -419,16 +438,17 @@ class TestHarnessContract:
 
     def test_non_finite_config_values_echoed_as_strings(self, tmp_path):
         # json.load reads the literals Infinity, -Infinity and NaN; no rule
-        # checks the "note" field, so the report echoes what was read.
-        cfg = {**self.reusable_hist_cfg(tmp_path),
-               "note": {"up": math.inf, "down": [-math.inf, math.nan, 1.5]}}
+        # checks the "note" key of the inline domain, so the report echoes
+        # what was read.
+        note = {"up": math.inf, "down": [-math.inf, math.nan, 1.5]}
+        cfg = {**self.reusable_hist_cfg(tmp_path), "domain": {"symbols": ["a", "b"], "note": note}}
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert "Infinity" in Path(cfg_path).read_text()
         out = tmp_path / "r.json"
         assert main(["hist", "--config", cfg_path, "--out", str(out)]) == 0
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
-        note = json.loads(text)["config"]["note"]
+        note = json.loads(text)["config"]["domain"]["note"]
         assert note == {"up": "inf", "down": ["-inf", "nan", 1.5]}
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -735,8 +755,8 @@ class TestConfigErrorContract:
         # ln(DBL_MAX) is the largest alpha whose e^alpha is finite; above
         # it the library's exp raised a bare OverflowError
         model = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
-        cfg = {"model": model, "safe_models": [model], "p": model, "p_prime": model,
-               "alpha": alpha}
+        cfg = fields_of(subcommand, {"model": model, "safe_models": [model], "p": model,
+                                     "p_prime": model, "alpha": alpha})
         if code == 0:
             assert run_cli(tmp_path, subcommand, cfg)[0] == 0
         else:
@@ -767,7 +787,7 @@ class TestConfigErrorContract:
         entries = [{"id": cid, "model": model} for cid in ids]
         if ids[0] == "c1":
             entries[1] = model  # an entry without an id is named c1
-        cfg = {"model": model, "safe_models": entries, "alpha": 0.5}
+        cfg = fields_of(subcommand, {"model": model, "safe_models": entries, "alpha": 0.5})
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models")
 
     @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
@@ -776,8 +796,8 @@ class TestConfigErrorContract:
         model = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
         bad = {"symbols": ["a", "b"], "weights": [1.25, -0.25]}
         second = {"id": "doc2", "model": bad} if wrapped else bad
-        cfg = {"model": model, "safe_models": [{"id": "doc1", "model": model}, second],
-               "alpha": 0.5}
+        cfg = fields_of(subcommand, {"model": model, "alpha": 0.5,
+                                     "safe_models": [{"id": "doc1", "model": model}, second]})
         self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models: entry 1")
 
 
@@ -828,3 +848,109 @@ class TestFieldRules:
         with pytest.raises(ConfigError) as info:
             cli._check(field, raw, field)
         assert str(info.value) == f"{field}: expected {expected}, got {raw!r}"
+
+
+class Reads(dict):
+    """A config that records every top-level field a runner looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = set()
+
+    def __contains__(self, key):
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+
+class TestConfigFields:
+    """Each subcommand reads exactly the fields _SUBCOMMANDS names, and run
+    refuses any other (apart from "seed") before it reads anything."""
+
+    @staticmethod
+    def passing(tmp_path, subcommand):
+        two = {"symbols": ["a", "b"], "weights": [0.75, 0.25]}
+        other = {"symbols": ["a", "b"], "weights": [0.25, 0.75]}
+        transform = TestTransform().config(tmp_path, 73 * 3)
+        return {
+            "tv": {"q1": two, "q2": other},
+            "naf-check": {"model": two, "safe_models": [other], "alpha": 1.5},
+            "nfl-check": {"model": two, "q1": two, "q2": other},
+            "censorship": {"safe_models": [two, other], "alpha": 0.5},
+            "dp-beta": {"p": two, "p_prime": other, "alpha": 0.5, "alpha_grid": [0.0]},
+            "hist": {k: transform[k] for k in ("dataset", "domain", "epsilon", "delta")},
+            "transform": {**transform, "tape_seed": 3},
+            "prop1": {**TestProp1().config(), "margin": 0.5},
+            "ingest": {"corpus": transform["dataset"], "tokenization": "line"},
+        }[subcommand]
+
+    @pytest.mark.parametrize("subcommand", cli._SUBCOMMANDS)
+    def test_runner_reads_its_named_fields(self, tmp_path, subcommand):
+        runner, fields = cli._SUBCOMMANDS[subcommand]
+        cfg = Reads(self.passing(tmp_path, subcommand))
+        assert runner(cfg, 0)[2] == 0
+        assert cfg.looked_up == set(fields)
+        assert run_cli(tmp_path, subcommand, {**cfg, "seed": 4})[0] == 0
+
+    @pytest.mark.parametrize("subcommand", cli._SUBCOMMANDS)
+    def test_unknown_field_is_refused_first(self, tmp_path, capsys, subcommand):
+        # every other field is missing, so the refusal comes before any read
+        code, report = run_cli(tmp_path, subcommand, {"seed": 1, "note": "x"})
+        err = capsys.readouterr().err
+        assert code == 1 and report is None
+        known = ", ".join(("seed", *cli._SUBCOMMANDS[subcommand][1]))
+        assert err == (
+            f"error: note: unknown field of the {subcommand} config; known fields: {known}\n"
+        )
+
+    def test_misspelled_fields_of_a_transform(self, tmp_path, capsys):
+        # both used to run empirical(smoothing=0) on a derived tape, exit 0
+        # and echo the misspelled fields
+        cfg = TestTransform().config(tmp_path, 73 * 3)
+        for bad, field in (
+            ({"tape_sed": 5}, "tape_sed"),
+            ({"learner": {"kind": "empirical", "smoothng": 1.0}}, "learner.smoothng"),
+            ({"learner": {"kind": "empirical", "model": cfg["domain"]}}, "learner.model"),
+            ({"learner": {"kind": "constant", "smoothing": 1.0}}, "learner.smoothing"),
+        ):
+            code, report = run_cli(tmp_path, "transform", {**cfg, **bad})
+            err = capsys.readouterr().err
+            assert code == 1 and report is None
+            assert err.startswith(f"error: {field}: unknown field of "), err
+
+    @pytest.mark.parametrize(
+        "subcommand, field, value, message",
+        [
+            ("hist", "dataset", 5, "expected a file path string"),
+            ("censorship", "safe_models", {"symbols": ["a"]}, "expected a non-empty list"),
+            ("censorship", "safe_models", [], "expected a non-empty list"),
+            ("transform", "learner", "empirical", "expected an object with a 'kind' field"),
+            ("dp-beta", "alpha_grid", 0.5, "expected a list, got 0.5"),
+        ],
+    )
+    def test_wrong_shape_of_field(self, tmp_path, capsys, subcommand, field, value, message):
+        cfg = {**self.passing(tmp_path, subcommand), field: value}
+        code, report = run_cli(tmp_path, subcommand, cfg)
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "cfg.json", self.passing(tmp_path, "tv"))
+        assert main(["tv", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["payload"]["tv"] == 0.5
+
+    def test_seed_is_taken_mod_2_64(self, tmp_path):
+        # the envelope echoes the seed as given; the payload is that of its
+        # 64-bit key
+        cfg = self.passing(tmp_path, "hist")
+        reports = {}
+        for seed in (-1, 2**64 - 1, 2**65 - 1):
+            code, report = run_cli(tmp_path, "hist", cfg, ["--seed", str(seed)])
+            assert code == 0 and report["seed"] == seed
+            reports[seed] = report
+            del report["wall_clock_s"], report["seed"]
+        assert reports[-1] == reports[2**64 - 1] == reports[2**65 - 1]

@@ -561,6 +561,10 @@ class TestDataset:
         with pytest.raises(DomainMismatch):  # wraps to -1 as int64
             Dataset.from_indices(domain(3), np.array([2**64 - 1], dtype=np.uint64))
 
+    def test_from_indices_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match="^indices must be one-dimensional$"):
+            Dataset.from_indices(domain(3), [[0, 1], [2, 0]])
+
     def test_from_indices_keeps_its_own_copy(self):
         idx = np.array([0, 1, 2], dtype=np.int64)
         ds = Dataset.from_indices(domain(3), idx)

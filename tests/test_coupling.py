@@ -33,7 +33,6 @@ from stability_lab.coupling import (
     _GOLD,
     _MIX1,
     _MIX2,
-    _U64_MASK,
     _exp_variates,
     _stream_keys,
     race_counts,
@@ -41,6 +40,7 @@ from stability_lab.coupling import (
 )
 from stability_lab.errors import DomainMismatch, LengthMismatch
 from stability_lab.learners import learner_empirical
+from stability_lab.util import _U64_MASK
 
 
 def _out_of_place_exp_variates(seeds, size):
@@ -967,7 +967,7 @@ class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("seed", [2**64 - 5, -5], ids=["below-2**64", "negative"])
     def test_stream_keys_wrap_as_the_tape_keys_do(self, monkeypatch, seed):
         # the helpers key a step's tapes as one uint64 sum, base + arange,
-        # which wraps past 2**64 - 1 as _tape_key's mod 2**64 does
+        # which wraps past 2**64 - 1 as util._seed_key's mod 2**64 does
         cell_variates = coupling_mod._cell_variates
         keys = []
 

@@ -7,6 +7,7 @@ docstring that describes it.
 
 import ast
 import inspect
+import itertools
 import math
 import re
 from pathlib import Path
@@ -72,6 +73,15 @@ def test_config_table_names_every_rule_once():
 def test_subcommand_table_names_every_subcommand_once():
     subcommands = table_keys("| subcommand |")
     assert subcommands == list(cli._SUBCOMMANDS)
+
+
+def test_subcommand_table_names_the_config_fields_each_reads():
+    # run refuses any field outside these, and "seed"
+    lines = README[README.index("\n| subcommand |") + 1 :].splitlines()[2:]
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines):
+        name, fields = line.split(" | ")[:2]
+        _, read = cli._SUBCOMMANDS[name.strip("| `")]
+        assert re.findall(r"`([^`]+)`", fields) == list(read), name
 
 
 @pytest.mark.parametrize("name", sl.__all__)

@@ -38,7 +38,7 @@ from stability_lab.errors import (
     DomainMismatch,
     EmptySafeAssignment,
 )
-from stability_lab.naf import CensorshipReport
+from stability_lab.naf import CensorshipReport, NflWitness
 
 
 def _reference_nfl_witness(p, q1, q2):
@@ -300,7 +300,7 @@ class TestNflWitness:
         q = dist([0.6, 0.4])
         p = dist([0.1, 0.9])
         w = nfl_witness(p, q, q)
-        assert w.p_value >= w.threshold - 1e-12
+        assert w.satisfied
         assert w.threshold == pytest.approx(q.prob(w.symbol) / 2)
 
     def test_hand_pair(self):
@@ -319,7 +319,12 @@ class TestNflWitness:
                 for j in range(step + 1 - i):
                     p = dist(np.array([i, j, step - i - j], dtype=float) / step)
                     w = nfl_witness(p, q1, q2)
-                    assert w.p_value >= w.threshold - 1e-12
+                    assert w.satisfied
+
+    def test_satisfied_to_1e_12(self):
+        assert NflWitness("z0", 0.25, 0.25).satisfied
+        assert NflWitness("z0", 0.25 - 0.9e-12, 0.25).satisfied
+        assert not NflWitness("z0", 0.25 - 1.1e-12, 0.25).satisfied
 
     def test_degenerate_tv(self):
         with pytest.raises(DegenerateTV):

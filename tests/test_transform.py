@@ -291,6 +291,13 @@ class TestSimplexProjectLinf:
         with pytest.raises(ValueError, match="eta must be positive"):
             simplex_project_linf(domain(3), np.array([0.5, 0.3, 0.2]), eta=math.nan)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN raised NegativeWeight from the projection's own output check,
+        # and +-inf returned None as an infeasible box
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            simplex_project_linf(domain(3), np.array([0.5, bad, 0.2]), eta=0.3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=8),

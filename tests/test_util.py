@@ -49,8 +49,9 @@ class TestDeriveSeeds:
         for root in self.ROOTS:
             stream = list(_derive_seeds(root, label, self.INDICES))
             assert stream == [derive_seed(root, label, i) for i in self.INDICES]
-            # the payload: the decimal root and index around the UTF-8 label
-            payloads = (f"{int(root)}/{label}/{int(i)}".encode() for i in self.INDICES)
+            # the payload: the root's decimal key (mod 2**64) and the plain
+            # decimal index around the UTF-8 label
+            payloads = (f"{int(root) % 2**64}/{label}/{int(i)}".encode() for i in self.INDICES)
             assert stream == [
                 int.from_bytes(hashlib.blake2b(b, digest_size=8).digest(), "little")
                 for b in payloads
