@@ -6,14 +6,18 @@ Subcommands: tv, naf-check, nfl-check, censorship, dp-beta, hist,
 transform, prop1, ingest. All inputs come from a single JSON config
 document, which holds only the fields its subcommand reads; the --seed
 flag overrides the config's "seed" field (flag > config > default 0).
-Reports are JSON with a versioned schema; the same config and seed always
-produce the same payload. Exit codes: 0 on pass, 2 when a subcommand's
-check fails, 1 on any error, a usage error included.
+Every JSON object in the config, inline or a file, holds only the keys its
+reader reads, and every error names its dotted path ("learner.smoothing",
+"safe_models[1].model"). Reports are JSON with a versioned schema; the
+same config and seed always produce the same payload. Exit codes: 0 on
+pass, 2 when a subcommand's check fails, 1 on any error, a usage error
+included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -30,6 +34,8 @@ from .core import (
     load_dataset,
     tv_distance,
     tv_event_form,
+    _json_field,
+    _known_fields,
     _require_alpha,
     _require_count,
     _require_fraction,
@@ -65,18 +71,31 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
-_REQUIRED = object()
-
 
 # --- config access ----------------------------------------------------------
 
 
-def _field(cfg: dict, key: str, default=_REQUIRED):
-    if key in cfg:
-        return cfg[key]
-    if default is _REQUIRED:
-        raise ConfigError(f"{key}: missing required field")
-    return default
+@contextlib.contextmanager
+def _at(key: str):
+    """Name each error raised in the block by its path under `key`: a
+    ConfigError's path gains `key` in front (an "[i]" entry joins without a
+    dot), and an error of the library, or a TypeError, ValueError or
+    OverflowError (a JSON integer too large for a float) from a reader or a
+    constructor, becomes a ConfigError at `key`."""
+    try:
+        yield
+    except ConfigError as exc:
+        inner = exc.path if exc.path[:1] in ("", "[") else f".{exc.path}"
+        raise ConfigError(key + inner, exc.reason) from exc
+    except (StabilityLabError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
+def _read(cfg: dict, key: str, read, *args):
+    """read(cfg[key], *args), each error named by its path under `key`."""
+    raw = _json_field(cfg, key)
+    with _at(key):
+        return read(raw, *args)
 
 
 # Config field -> (JSON type, the library's rule for the typed value): each
@@ -102,116 +121,102 @@ _RULES = {
 
 def _check(key: str, raw, field: str):
     """`raw` as `field`'s JSON type, passed by its rule, else a ConfigError
-    naming `key`: "expected <type>" for the wrong type, and the rule's own
+    at `key`: "expected <type>" for the wrong type, and the rule's own
     message for a value out of range."""
     kind, rule = _RULES[field]
     if not isinstance(raw, (int, float) if kind is float else kind) or isinstance(raw, bool):
         kinds = {float: "a number", int: "an integer", str: "a string"}
-        raise ConfigError(f"{key}: expected {kinds[kind]}, got {raw!r}")
+        raise ConfigError(key, f"expected {kinds[kind]}, got {raw!r}")
     try:
         value = kind(raw)
         if rule is not None:
             rule(field, value)
     except (OverflowError, ValueError) as exc:  # OverflowError: an int too large for a float
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(key, str(exc)) from exc
     return value
 
 
-def _known_fields(cfg: dict, known: tuple[str, ...], owner: str, prefix: str = "") -> None:
-    """Refuse a field of `cfg` outside `known` with a ConfigError naming it:
-    a misspelled field would otherwise be echoed and never read."""
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(
-                f"{prefix}{key}: unknown field of {owner}; known fields: {', '.join(known)}"
-            )
+def _param(cfg: dict, key: str, *default):
+    return _check(key, _json_field(cfg, key, *default), key)
 
 
-def _param(cfg: dict, key: str, default=_REQUIRED):
-    return _check(key, _field(cfg, key, default), key)
-
-
-def _text_file(cfg, key, read):
-    """`read(path)` for the field's text file. A non-string path, a missing
-    file, text that cannot be read as UTF-8 (a directory, bad bytes) or parsed
-    by `read`, and content that `read` rejects are config errors naming the field."""
-    raw = _field(cfg, key)
+def _text_file(raw, read):
+    """`read(path)` for the text file that `raw` names. A non-string path, a
+    missing file, and text that cannot be read as UTF-8 (a directory, bad
+    bytes) or parsed by `read` are config errors; content that `read`
+    rejects raises the library's own error."""
     if not isinstance(raw, str):
-        raise ConfigError(f"{key}: expected a file path string")
+        raise ConfigError("", "expected a file path string")
     path = Path(raw)
     if not path.exists():
-        raise ConfigError(f"{key}: file not found: {raw}")
+        raise ConfigError("", f"file not found: {raw}")
     try:
         return read(path)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
-    except StabilityLabError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError("", f"cannot read {path}: {exc}") from exc
 
 
-def _json_object(cfg, key, build):
-    """`build(obj)` for the field's JSON object, given inline or as a file
-    path; a file's leading UTF-8 byte-order mark is dropped."""
-    raw = _field(cfg, key)
+def _object(raw, build, *args):
+    """build(obj, *args) for a JSON object given inline or as the path of a
+    JSON file, whose leading UTF-8 byte-order mark is dropped."""
     if isinstance(raw, str):
-        raw = _text_file(cfg, key, lambda path: json.loads(path.read_text(encoding="utf-8-sig")))
+        raw = _text_file(raw, lambda path: json.loads(path.read_text(encoding="utf-8-sig")))
     if not isinstance(raw, dict):
-        raise ConfigError(f"{key}: expected a JSON object, inline or as a file path")
-    try:
-        return build(raw)
-    except StabilityLabError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: invalid spec ({exc!r})") from exc
+        raise ConfigError("", "expected a JSON object, inline or as a file path")
+    return build(raw, *args)
 
 
-def _distribution(cfg, key, domain: ContentDomain | None = None) -> DiscreteDistribution:
-    return _json_object(cfg, key, lambda obj: DiscreteDistribution.from_json_obj(obj, domain))
+def _distribution(raw, domain: ContentDomain | None = None) -> DiscreteDistribution:
+    return _object(raw, DiscreteDistribution.from_json_obj, domain)
 
 
-def _safe_models(cfg, key) -> SafeAssignment:
-    raw = _field(cfg, key)
+def _safe_model(obj: dict, cid: str) -> tuple[str, DiscreteDistribution]:
+    """(id, model) of a safe_models entry: an {"id", "model"} object when it
+    holds "model", its id `cid` by default, else a distribution named `cid`."""
+    if "model" not in obj:
+        return cid, DiscreteDistribution.from_json_obj(obj)
+    _known_fields(obj, ("id", "model"), "a safe model entry")
+    cid = _json_field(obj, "id", cid)
+    if not isinstance(cid, str):
+        raise ConfigError("id", f"expected a string, got {cid!r}")
+    return cid, _read(obj, "model", _distribution)
+
+
+def _safe_models(raw) -> SafeAssignment:
+    """The assignment of a non-empty list; entry i is named c<i> unless it
+    gives an id."""
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{key}: expected a non-empty list")
+        raise ConfigError("", "expected a non-empty list")
     entries = []
     for i, item in enumerate(raw):
-        cid, where = f"c{i}", f"{key}: entry {i}"
-        if isinstance(item, dict) and "model" in item:
-            cid, item = item.get("id", cid), item["model"]
-            if not isinstance(cid, str):
-                raise ConfigError(f"{where}: id must be a string, got {cid!r}")
-        entries.append((cid, _distribution({where: item}, where)))
-    try:
-        return SafeAssignment(tuple(entries))
-    except (StabilityLabError, ValueError) as exc:  # ValueError: a duplicate id
-        raise ConfigError(f"{key}: {exc}") from exc
+        with _at(f"[{i}]"):
+            entries.append(_object(item, _safe_model, f"c{i}"))
+    return SafeAssignment(tuple(entries))  # ValueError: a duplicate id
 
 
-def _learner(cfg, key, domain: ContentDomain):
-    """The learner spec; a constant model must live on the data's `domain`."""
-    raw = _field(cfg, key)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{key}: expected an object with a 'kind' field")
-    kind = raw.get("kind")
+def _learner(obj: dict, domain: ContentDomain):
+    """The learner of a {"kind": ...} object: "empirical" with an optional
+    "smoothing", or "constant" with a "model" on the data's `domain`."""
+    kind = _json_field(obj, "kind")
     if kind not in ("empirical", "constant"):
-        raise ConfigError(f"{key}.kind: expected 'empirical' or 'constant', got {kind!r}")
+        raise ConfigError("kind", f"expected 'empirical' or 'constant', got {kind!r}")
     spec = "smoothing" if kind == "empirical" else "model"
-    _known_fields(raw, ("kind", spec), f"the {kind} learner", f"{key}.")
+    _known_fields(obj, ("kind", spec), f"the {kind} learner")
     if kind == "empirical":
-        return learner_empirical(_param(raw, "smoothing", 0.0))
-    return learner_constant(_distribution(raw, "model", domain))
+        return learner_empirical(_param(obj, "smoothing", 0.0))
+    return learner_constant(_read(obj, "model", _distribution, domain))
 
 
 def _dataset(cfg) -> Dataset:
     """The `dataset` file, one symbol per line, read once.
 
-    The domain is the `domain` field (a path or an inline object) or, when
-    that is absent, the file's own distinct lines.
+    The domain is the `domain` object or, when that is absent, the file's
+    own distinct lines.
     """
-    if _field(cfg, "domain", None) is None:
-        return _text_file(cfg, "dataset", lambda path: ingest_corpus(path, "line")[1])
-    domain = _json_object(cfg, "domain", ContentDomain.from_json_obj)
-    return _text_file(cfg, "dataset", lambda path: load_dataset(path, domain))
+    if _json_field(cfg, "domain", None) is None:
+        return _read(cfg, "dataset", _text_file, lambda path: ingest_corpus(path, "line")[1])
+    domain = _read(cfg, "domain", _object, ContentDomain.from_json_obj)
+    return _read(cfg, "dataset", _text_file, lambda path: load_dataset(path, domain))
 
 
 def _transform_config(cfg) -> TransformConfig:
@@ -259,8 +264,8 @@ def _write_csv(rows: list[dict], path: str) -> None:
 
 
 def _run_tv(cfg: dict, seed: int):
-    q1 = _distribution(cfg, "q1")
-    q2 = _distribution(cfg, "q2", q1.domain)
+    q1 = _read(cfg, "q1", _distribution)
+    q2 = _read(cfg, "q2", _distribution, q1.domain)
     payload = {"tv": tv_distance(q1, q2), "event_form": _event_form(*tv_event_form(q1, q2))}
     rows = [
         {"symbol": s, "q1": float(a), "q2": float(b), "abs_diff": float(abs(a - b))}
@@ -270,15 +275,15 @@ def _run_tv(cfg: dict, seed: int):
 
 
 def _run_dp_beta(cfg: dict, seed: int):
-    p = _distribution(cfg, "p")
-    p_prime = _distribution(cfg, "p_prime", p.domain)
+    p = _read(cfg, "p", _distribution)
+    p_prime = _read(cfg, "p_prime", _distribution, p.domain)
     alpha = _param(cfg, "alpha")
-    grid = _field(cfg, "alpha_grid", None)
+    grid = _json_field(cfg, "alpha_grid", None)
     if grid is None:
         grid = [alpha]
     if not isinstance(grid, list):
-        raise ConfigError(f"alpha_grid: expected a list, got {grid!r}")
-    grid = [_check("alpha_grid", a, "alpha") for a in grid]
+        raise ConfigError("alpha_grid", f"expected a list, got {grid!r}")
+    grid = [_check(f"alpha_grid[{i}]", a, "alpha") for i, a in enumerate(grid)]
     curve = [
         {
             "alpha": a,
@@ -300,8 +305,8 @@ def _run_dp_beta(cfg: dict, seed: int):
 
 
 def _run_naf_check(cfg: dict, seed: int):
-    model = _distribution(cfg, "model")
-    safes = _safe_models(cfg, "safe_models")
+    model = _read(cfg, "model", _distribution)
+    safes = _read(cfg, "safe_models", _safe_models)
     alpha = _param(cfg, "alpha")
     report = naf_report(model, safes, alpha)
     payload = report.to_json_obj()
@@ -310,9 +315,9 @@ def _run_naf_check(cfg: dict, seed: int):
 
 
 def _run_nfl_check(cfg: dict, seed: int):
-    p = _distribution(cfg, "model")
-    q1 = _distribution(cfg, "q1", p.domain)
-    q2 = _distribution(cfg, "q2", p.domain)
+    p = _read(cfg, "model", _distribution)
+    q1 = _read(cfg, "q1", _distribution, p.domain)
+    q2 = _read(cfg, "q2", _distribution, p.domain)
     witness = nfl_witness(p, q1, q2)
     thresholds = nfl_thresholds(q1, q2)
     payload = {
@@ -330,7 +335,7 @@ def _run_nfl_check(cfg: dict, seed: int):
 
 
 def _run_censorship(cfg: dict, seed: int):
-    safes = _safe_models(cfg, "safe_models")
+    safes = _read(cfg, "safe_models", _safe_models)
     alpha = _param(cfg, "alpha")
     report = censorship_report(safes, alpha)
     rows = [
@@ -363,7 +368,7 @@ def _run_hist(cfg: dict, seed: int):
 
 def _run_transform(cfg: dict, seed: int):
     dataset = _dataset(cfg)
-    learner = _learner(cfg, "learner", dataset.domain)
+    learner = _read(cfg, "learner", _object, _learner, dataset.domain)
     config = _transform_config(cfg)
     tape_seed = _param(cfg, "tape_seed", derive_seed(seed, "tape"))
     trace = dp_transform_trace(
@@ -390,8 +395,8 @@ def _run_transform(cfg: dict, seed: int):
 
 
 def _run_prop1(cfg: dict, seed: int):
-    data_dist = _distribution(cfg, "data_distribution")
-    learner = _learner(cfg, "learner", data_dist.domain)
+    data_dist = _read(cfg, "data_distribution", _distribution)
+    learner = _read(cfg, "learner", _object, _learner, data_dist.domain)
     config = _transform_config(cfg)
     outer = _param(cfg, "outer_trials")
     inner = _param(cfg, "inner_trials")
@@ -412,7 +417,9 @@ def _run_prop1(cfg: dict, seed: int):
 
 def _run_ingest(cfg: dict, seed: int):
     tokenization = _param(cfg, "tokenization", "line")
-    domain, dataset = _text_file(cfg, "corpus", lambda path: ingest_corpus(path, tokenization))
+    domain, dataset = _read(
+        cfg, "corpus", _text_file, lambda path: ingest_corpus(path, tokenization)
+    )
     counts = dataset.counts().tolist()
     payload = {
         "domain_size": domain.size,
@@ -491,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 after -h and 2 after printing a usage error
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
-        config = _json_object({"config": args.config}, "config", dict)
+        config = _read({"config": args.config}, "config", _object, dict)
         seed = args.seed if args.seed is not None else _param(config, "seed", 0)
         report, rows, code = run(args.subcommand, config, seed)
         _write_report(report, args.out)

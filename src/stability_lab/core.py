@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainMismatch,
     DomainTooLarge,
     EmptyCorpus,
@@ -33,6 +34,28 @@ from .util import _seed_key
 # Normalization is checked to 1e-9 at construction; exact-arithmetic style
 # identities (event-form equivalences and the like) are asserted to 1e-12.
 NORMALIZATION_ATOL = 1e-9
+
+_REQUIRED = object()
+
+
+def _json_field(obj: dict, key: str, default=_REQUIRED):
+    """obj[key], or `default` when the key is absent. The one home of the
+    missing-key error: an absent key without a default raises ConfigError
+    at `key`, "missing required field"."""
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ConfigError(key, "missing required field")
+    return default
+
+
+def _known_fields(obj: dict, known: tuple[str, ...], owner: str) -> None:
+    """The one key rule of a JSON object the package reads: a key outside
+    `known` raises ConfigError at that key, "unknown field of <owner>; known
+    fields: ...", as a misspelled key would otherwise never be read."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(key, f"unknown field of {owner}; known fields: {', '.join(known)}")
 
 
 class _SymbolIndex(dict):
@@ -97,9 +120,11 @@ class ContentDomain:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ContentDomain":
-        """The domain of a {"symbols": [...]} object; the symbols must be a
-        JSON list (TypeError otherwise) of strings, as the constructor checks."""
-        symbols = obj["symbols"]
+        """The domain of a {"symbols": [...]} object, which holds no other key
+        (_known_fields); the symbols must be a JSON list (TypeError otherwise)
+        of strings, as the constructor checks."""
+        _known_fields(obj, ("symbols",), "a domain")
+        symbols = _json_field(obj, "symbols")
         if not isinstance(symbols, list):
             raise TypeError(f'"symbols" must be a list of strings, got {symbols!r}')
         return cls(tuple(symbols))
@@ -154,14 +179,18 @@ class DiscreteDistribution:
     def from_json_obj(
         cls, obj: dict, domain: ContentDomain | None = None
     ) -> "DiscreteDistribution":
-        """As ContentDomain's, and "weights" must be a JSON list of numbers (not bools).
+        """The distribution of a {"symbols": [...], "weights": [...]} object,
+        which holds no other key (_known_fields). The symbols are read as
+        ContentDomain's, and "weights" must be a JSON list of numbers (not
+        bools).
 
         A file whose symbols differ from a given `domain` raises DomainMismatch
         with its own text, "distribution symbols do not match the domain":
         it compares the file's symbols, not an operand's domain or an
         array's width, and the CLI reports it under the field's name."""
-        file_domain = ContentDomain.from_json_obj(obj)
-        weights = obj["weights"]
+        _known_fields(obj, ("symbols", "weights"), "a distribution")
+        file_domain = ContentDomain.from_json_obj({"symbols": _json_field(obj, "symbols")})
+        weights = _json_field(obj, "weights")
         if not isinstance(weights, list) or not {type(w) for w in weights} <= {int, float}:
             raise TypeError(f'"weights" must be a list of numbers, got {weights!r}')
         if domain is not None and domain != file_domain:
@@ -627,8 +656,9 @@ def _index_corpus(
 def read_distribution(
     path: str | Path, domain: ContentDomain | None = None
 ) -> DiscreteDistribution:
-    """Read a {"symbols": [...], "weights": [...]} JSON file; a leading UTF-8
-    byte-order mark is dropped."""
+    """Read a {"symbols": [...], "weights": [...]} JSON file
+    (DiscreteDistribution.from_json_obj, so any other key raises
+    ConfigError); a leading UTF-8 byte-order mark is dropped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         obj = json.load(fh)
     return DiscreteDistribution.from_json_obj(obj, domain)

@@ -262,7 +262,9 @@ def private_histogram(
     zero), so the mechanism never reports a false positive. Privacy is
     with respect to replacing one element of the input sample. The values
     are one row of _release_rows, whose noise stream the seed keys as a
-    tape seed (any integer, read mod 2^64).
+    tape seed (any integer, read mod 2^64). The seed rebuilds every noise
+    draw, so the (epsilon, delta) guarantee holds only while it is secret;
+    a CLI report, which echoes the seed, is a lab record.
     """
     values = _release_rows(dataset.counts()[None, :], epsilon, delta, [seed])[0]
     return NoisyHistogram(dataset.domain, values, epsilon, delta, dataset.size)

@@ -57,4 +57,18 @@ class EmptyCorpus(StabilityLabError):
 
 
 class ConfigError(StabilityLabError):
-    """A run configuration is missing a field or holds an invalid value."""
+    """A JSON document that the package reads (a run config, or any object
+    in it or in a file it names: a domain, a distribution, a learner, a safe
+    model entry) is missing a field, holds a field that its reader does not
+    read, or holds a value that cannot be used.
+
+    `path` names the value inside the document, keys joined by "." and list
+    entries as "[i]" (for example "safe_models[1].model"), or is "" for the
+    document itself; the message is "<path>: <reason>"."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(path, reason)
+        self.path, self.reason = path, reason
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}"

@@ -49,9 +49,12 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
 
 
 def learner_constant(q: DiscreteDistribution) -> Learner:
-    """Learner that ignores its input entirely and always outputs q."""
+    """Learner that ignores its input's items and always outputs q; a
+    dataset on another domain raises DomainMismatch, in train as in
+    train_shards."""
 
     def train(dataset: Dataset, seed: int) -> DiscreteDistribution:
+        _require_domain(dataset.domain, q)
         return q
 
     def train_shards(

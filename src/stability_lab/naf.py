@@ -148,27 +148,31 @@ def safe_sharded(learner, dataset: Dataset, seed: int) -> SafeAssignment:
     ))
 
 
-def _log_ratios(
+def _envelope_log_ratios(
     p: DiscreteDistribution, safes: SafeAssignment
 ) -> tuple[np.ndarray, np.ndarray]:
-    """p's support and the (safe model, support symbol) table of
-    ln p(z) - ln q_c(z), +inf where q_c(z) = 0."""
+    """p's support and ln p(z) - ln env(z) on it, where env = min_c q_c is
+    the envelope; +inf where it is 0.
+
+    Each value is the largest of the safe models' log ratios at z, bit for
+    bit: rounded log is monotone, and a - x is non-increasing in x, so the
+    smallest q_c(z) gives the largest rounded ratio."""
     _require_same_domain(p, safes)
     support = np.flatnonzero(p.weights > 0)
-    safe_weights = np.stack([q.weights[support] for q in safes.models])
     with np.errstate(divide="ignore"):
-        return support, np.log(p.weights[support]) - np.log(safe_weights)
+        return support, np.log(p.weights[support]) - np.log(safes.envelope()[support])
 
 
 def naf_alpha(p: DiscreteDistribution, safes: SafeAssignment) -> float:
     """Smallest alpha >= 0 with p(z) <= e^alpha * q_c(z) for all c, z.
 
     Equals the largest log-ratio ln(p(z)/q_c(z)) over symbols in p's
-    support; +inf when some safe model puts zero mass where p does not.
-    Symbols with p(z) = 0 impose no constraint. An assignment with no
-    entries raises EmptySafeAssignment, here and in is_naf.
+    support, read from the envelope min_c q_c; +inf when some safe model
+    puts zero mass where p does not. Symbols with p(z) = 0 impose no
+    constraint. An assignment with no entries raises EmptySafeAssignment,
+    here and in is_naf.
     """
-    return max(0.0, float(_log_ratios(p, safes)[1].max()))
+    return max(0.0, float(_envelope_log_ratios(p, safes)[1].max()))
 
 
 def is_naf(
@@ -177,14 +181,21 @@ def is_naf(
     """Check p against every safe model at level alpha.
 
     Returns (ok, violations): ok is True when no constraint is exceeded,
-    and the list names every (c, z) whose log-ratio exceeds alpha, so a
-    failed check doubles as a soft flag report rather than a bare verdict.
+    and the list names every (c, z) whose log-ratio exceeds alpha, in that
+    (c, z) order, so a failed check doubles as a soft flag report rather
+    than a bare verdict. Only the symbols whose envelope ratio exceeds
+    alpha can violate, so the (safe model, symbol) table holds only those.
     """
-    support, table = _log_ratios(p, safes)
+    support, ratios = _envelope_log_ratios(p, safes)
     _require_alpha("alpha", alpha)
+    columns = support[ratios > alpha]
+    with np.errstate(divide="ignore"):
+        table = np.log(p.weights[columns]) - np.log(
+            np.stack([q.weights[columns] for q in safes.models])
+        )
     ids, symbols = safes.ids, p.domain.symbols
     violations = [
-        Violation(ids[c], symbols[int(support[pos])], float(table[c, pos]))
+        Violation(ids[c], symbols[int(columns[pos])], float(table[c, pos]))
         for c, pos in zip(*np.nonzero(table > alpha))
     ]
     return (not violations), violations

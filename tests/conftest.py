@@ -281,7 +281,7 @@ def argmin_race(variates: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # --- loop oracles for the NAF table, the first-occurrence walk and the
 # empirical learner ----------------------------------------------------------
 #
-# Verbatim copies of the per-model loops that naf._log_ratios,
+# Verbatim copies of the per-model loops that naf's envelope ratios,
 # naf._first_occurrences and the one-row learner_empirical.train replaced
 # (their domain checks left out); the rewritten forms must match them bit
 # for bit.

@@ -436,20 +436,24 @@ class TestHarnessContract:
             report.pop("wall_clock_s")
         assert first == second
 
-    def test_non_finite_config_values_echoed_as_strings(self, tmp_path):
-        # json.load reads the literals Infinity, -Infinity and NaN; no rule
-        # checks the "note" key of the inline domain, so the report echoes
-        # what was read.
-        note = {"up": math.inf, "down": [-math.inf, math.nan, 1.5]}
-        cfg = {**self.reusable_hist_cfg(tmp_path), "domain": {"symbols": ["a", "b"], "note": note}}
-        cfg_path = write_config(tmp_path, "cfg.json", cfg)
-        assert "Infinity" in Path(cfg_path).read_text()
+    def test_non_finite_payload_values_written_as_strings(self, tmp_path):
+        # a safe model with no mass on a symbol that the model puts mass on
+        # gives alpha_star, feasibility_alpha and a violation's log ratio of
+        # +inf; the report writes each as the string "inf", not Infinity
+        cfg = {
+            "model": {"symbols": ["a", "b"], "weights": [0.5, 0.5]},
+            "safe_models": [{"symbols": ["a", "b"], "weights": [1.0, 0.0]},
+                            {"symbols": ["a", "b"], "weights": [0.0, 1.0]}],
+            "alpha": 1.0,
+        }
         out = tmp_path / "r.json"
-        assert main(["hist", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["naf-check", "--config", write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 2
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
-        note = json.loads(text)["config"]["domain"]["note"]
-        assert note == {"up": "inf", "down": ["-inf", "nan", 1.5]}
+        payload = json.loads(text)["payload"]
+        assert payload["alpha_star"] == payload["feasibility_alpha"] == "inf"
+        assert [v["log_ratio"] for v in payload["violations"]] == ["inf", "inf"]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         data = tmp_path / "sample.txt"
@@ -642,7 +646,8 @@ class TestConfigErrorContract:
             path.write_text(domain_file)
             inline = str(path)
         cfg = self.hist_config(tmp_path, domain=inline)
-        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain")
+        field = "domain.names" if domain_file and "names" in domain_file else "domain"
+        self.assert_rejected(tmp_path, capsys, "hist", cfg, field)
 
     @pytest.mark.parametrize(
         "subcommand, field, value",
@@ -665,7 +670,9 @@ class TestConfigErrorContract:
             },
             "ingest": {"corpus": self.hist_config(tmp_path)["dataset"]},
         }[subcommand]
-        self.assert_rejected(tmp_path, capsys, subcommand, {**base, field: value}, field)
+        # a bad list entry is named by its index
+        where = "alpha_grid[1]" if field == "alpha_grid" else field
+        self.assert_rejected(tmp_path, capsys, subcommand, {**base, field: value}, where)
 
     @pytest.mark.parametrize("subcommand", ["hist", "prop1"])
     def test_epsilon_whose_geometric_p_rounds_to_zero(self, tmp_path, capsys, subcommand):
@@ -681,7 +688,7 @@ class TestConfigErrorContract:
 
     @pytest.mark.parametrize(
         "subcommand, field",
-        [("tv", "q1"), ("naf-check", "safe_models: entry 0"), ("prop1", "data_distribution")],
+        [("tv", "q1"), ("naf-check", "safe_models[0]"), ("prop1", "data_distribution")],
     )
     def test_weight_too_large_for_a_float(self, tmp_path, capsys, subcommand, field):
         # A JSON integer weight above DBL_MAX raised OverflowError out of
@@ -694,7 +701,7 @@ class TestConfigErrorContract:
             "prop1": {**TestProp1().config(), "data_distribution": huge},
         }[subcommand]
         err = self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
-        assert "OverflowError" in err
+        assert err == f"error: {field}: int too large to convert to float\n"
 
     @pytest.mark.parametrize("subcommand, field", [
         ("hist", "dataset"), ("transform", "dataset"), ("ingest", "corpus"),
@@ -788,7 +795,9 @@ class TestConfigErrorContract:
         if ids[0] == "c1":
             entries[1] = model  # an entry without an id is named c1
         cfg = fields_of(subcommand, {"model": model, "safe_models": entries, "alpha": 0.5})
-        self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models")
+        # an id that is not a string is named by its path; a clash by the list
+        field = "safe_models" if isinstance(ids[0], str) else "safe_models[0].id"
+        self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
 
     @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
     @pytest.mark.parametrize("wrapped", [True, False], ids=["id-and-model", "bare"])
@@ -798,7 +807,8 @@ class TestConfigErrorContract:
         second = {"id": "doc2", "model": bad} if wrapped else bad
         cfg = fields_of(subcommand, {"model": model, "alpha": 0.5,
                                      "safe_models": [{"id": "doc1", "model": model}, second]})
-        self.assert_rejected(tmp_path, capsys, subcommand, cfg, "safe_models: entry 1")
+        field = "safe_models[1].model" if wrapped else "safe_models[1]"
+        self.assert_rejected(tmp_path, capsys, subcommand, cfg, field)
 
 
 class TestFieldRules:
@@ -927,7 +937,7 @@ class TestConfigFields:
             ("hist", "dataset", 5, "expected a file path string"),
             ("censorship", "safe_models", {"symbols": ["a"]}, "expected a non-empty list"),
             ("censorship", "safe_models", [], "expected a non-empty list"),
-            ("transform", "learner", "empirical", "expected an object with a 'kind' field"),
+            ("transform", "learner", "empirical", "file not found: empirical"),
             ("dp-beta", "alpha_grid", 0.5, "expected a list, got 0.5"),
         ],
     )
@@ -954,3 +964,81 @@ class TestConfigFields:
             reports[seed] = report
             del report["wall_clock_s"], report["seed"]
         assert reports[-1] == reports[2**64 - 1] == reports[2**65 - 1]
+
+
+TWO = {"symbols": ["a", "b"], "weights": [0.5, 0.5]}
+PROP1_SCALARS = {"epsilon": 2.0, "delta": 0.05, "eta": 0.3, "m": 3,
+                 "outer_trials": 1, "inner_trials": 2, "premise_trials": 2}
+
+
+class TestConfigDocuments:
+    """Every JSON object a config holds, inline or as a file, refuses the
+    keys it does not read, and every error inside it is named by its dotted
+    path."""
+
+    # case -> (subcommand, config, the exact error line)
+    CASES = {
+        "misspelled weights": (
+            "tv", {"q1": {**TWO, "wieghts": [0.9, 0.1]}, "q2": TWO},
+            "q1.wieghts: unknown field of a distribution; known fields: symbols, weights",
+        ),
+        "missing weights": (
+            "tv", {"q1": {"symbols": ["a", "b"]}, "q2": TWO},
+            "q1.weights: missing required field",
+        ),
+        "second key of a domain": (
+            "hist", {"domain": {"symbols": ["a", "b"], "symbol": ["c"]},
+                     "epsilon": 1.0, "delta": 1e-3},
+            "domain.symbol: unknown field of a domain; known fields: symbols",
+        ),
+        "misspelled id": (
+            "naf-check", {"model": TWO, "safe_models": [{"ID": "doc1", "model": TWO}],
+                          "alpha": 0.5},
+            "safe_models[0].ID: unknown field of a safe model entry; known fields: id, model",
+        ),
+        "id beside a bare model": (
+            "censorship", {"safe_models": [TWO, {**TWO, "id": "doc1"}], "alpha": 0.5},
+            "safe_models[1].id: unknown field of a distribution; known fields: symbols, weights",
+        ),
+        "smoothing out of range": (
+            "prop1", {"data_distribution": TWO, **PROP1_SCALARS,
+                      "learner": {"kind": "empirical", "smoothing": -1}},
+            "learner.smoothing: smoothing must be a finite number >= 0, got -1.0",
+        ),
+        "constant model without weights": (
+            "prop1", {"data_distribution": TWO, **PROP1_SCALARS,
+                      "learner": {"kind": "constant", "model": {"symbols": ["a", "b"]}}},
+            "learner.model.weights: missing required field",
+        ),
+        "learner without a kind": (
+            "prop1", {"data_distribution": TWO, **PROP1_SCALARS, "learner": {}},
+            "learner.kind: missing required field",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_error_names_its_dotted_path(self, tmp_path, capsys, case):
+        subcommand, cfg, line = self.CASES[case]
+        if subcommand == "hist":
+            data = tmp_path / "sample.txt"
+            data.write_text("a\nb\n")
+            cfg = {**cfg, "dataset": str(data)}
+        code, report = run_cli(tmp_path, subcommand, cfg)
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_objects_in_files_follow_the_same_rule(self, tmp_path, capsys):
+        # a learner and a wrapped safe model may be file paths, like every object
+        inline = {"data_distribution": TWO, **PROP1_SCALARS,
+                  "learner": {"kind": "empirical", "smoothing": 1.0}}
+        learner = write_config(tmp_path, "learner.json", inline["learner"])
+        _, want = run_cli(tmp_path, "prop1", inline)
+        code, got = run_cli(tmp_path, "prop1", {**inline, "learner": learner})
+        assert code == 0 and got["payload"] == want["payload"]
+        entry = write_config(tmp_path, "entry.json", {"id": "doc1", "model": TWO})
+        code, report = run_cli(tmp_path, "censorship", {"safe_models": [entry], "alpha": 0.5})
+        assert code == 0
+        typo = write_config(tmp_path, "typo.json", {"kind": "empirical", "smoothng": 1.0})
+        cfg = write_config(tmp_path, "cfg.json", {**inline, "learner": typo})
+        assert main(["prop1", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: learner.smoothng: unknown field of ")

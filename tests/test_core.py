@@ -41,6 +41,7 @@ from stability_lab import (
 )
 from stability_lab.core import _corpus_chunks
 from stability_lab.errors import (
+    ConfigError,
     DomainMismatch,
     EmptyCorpus,
     EmptyList,
@@ -863,3 +864,31 @@ class TestSerialization:
         path.write_bytes(b"\xff\xfea\n")
         with pytest.raises(ValueError):
             load_dataset(path, ContentDomain(("a",)))
+
+
+class TestJsonKeyRule:
+    """A domain and a distribution read from JSON refuse every key they do
+    not read, and name a missing one, with ConfigError at that key."""
+
+    @pytest.mark.parametrize("obj, path, reason", [
+        ({"symbols": ["a", "b"], "weights": [0.5, 0.5], "wieghts": [1, 0]}, "wieghts",
+         "unknown field of a distribution; known fields: symbols, weights"),
+        ({"symbols": ["a", "b"]}, "weights", "missing required field"),
+        ({"weights": [0.5, 0.5]}, "symbols", "missing required field"),
+    ])
+    def test_distribution(self, tmp_path, obj, path, reason):
+        file = tmp_path / "q.json"
+        file.write_text(json.dumps(obj))
+        for read in (lambda: DiscreteDistribution.from_json_obj(obj),
+                     lambda: read_distribution(file)):
+            with pytest.raises(ConfigError) as info:
+                read()
+            assert (info.value.path, info.value.reason) == (path, reason)
+            assert str(info.value) == f"{path}: {reason}"
+
+    def test_domain(self):
+        with pytest.raises(ConfigError) as info:
+            ContentDomain.from_json_obj({"symbols": ["a"], "weights": [1.0]})
+        assert str(info.value) == "weights: unknown field of a domain; known fields: symbols"
+        with pytest.raises(ConfigError, match="^symbols: missing required field$"):
+            ContentDomain.from_json_obj({})

@@ -79,6 +79,9 @@ SITES = {
     "nfl_witness q1": _nfl(1),
     "nfl_witness q2": _nfl(2),
     "dp_transform per-shard model": lambda d: _transform_with_shard_model(on(d)),
+    "learner_constant train": lambda d: learner_constant(on(d)).train(
+        Dataset.from_indices(domain(3), [0, 1]), 0
+    ),
     "learner_constant train_shards": lambda d: learner_constant(on(d)).train_shards(
         domain(3), np.zeros((2, 1), dtype=np.int64), 0
     ),

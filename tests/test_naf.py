@@ -285,6 +285,27 @@ class TestFeasibilityAlpha:
             assert feasibility_alpha(large) >= feasibility_alpha(small) - 1e-12
             assert naf_alpha(p, large) >= naf_alpha(p, small) - 1e-12
 
+    def test_envelope_model_reaches_it(self):
+        # the constructive side: the envelope divided by its mass is a model
+        # whose naf_alpha is feasibility_alpha
+        rng = np.random.default_rng(55)
+        reached = 0
+        for _ in range(2000):
+            size = int(rng.integers(1, 9))
+            models = [
+                random_distribution(rng, size, sparsify=float(rng.choice([0.0, 0.3])))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            assignment = SafeAssignment.from_models(models)
+            envelope = assignment.envelope()
+            mass = envelope.sum()
+            if mass == 0.0:
+                continue
+            p = make_distribution(assignment.domain, envelope / mass)
+            assert abs(naf_alpha(p, assignment) - feasibility_alpha(assignment)) <= 1e-12
+            reached += 1
+        assert reached > 1000
+
     def test_never_beats_envelope(self):
         rng = np.random.default_rng(54)
         for _ in range(20):
