@@ -35,6 +35,7 @@ from .core import (
     tv_distance,
     tv_event_form,
     _json_field,
+    _json_value,
     _known_fields,
     _require_alpha,
     _require_count,
@@ -79,15 +80,15 @@ EXIT_CHECK_FAILED = 2
 def _at(key: str):
     """Name each error raised in the block by its path under `key`: a
     ConfigError's path gains `key` in front (an "[i]" entry joins without a
-    dot), and an error of the library, or a TypeError, ValueError or
-    OverflowError (a JSON integer too large for a float) from a reader or a
-    constructor, becomes a ConfigError at `key`."""
+    dot), and an error of the library, or a ValueError or OverflowError (a
+    JSON integer too large for a float) from a reader or a constructor,
+    becomes a ConfigError at `key`."""
     try:
         yield
     except ConfigError as exc:
         inner = exc.path if exc.path[:1] in ("", "[") else f".{exc.path}"
         raise ConfigError(key + inner, exc.reason) from exc
-    except (StabilityLabError, OverflowError, TypeError, ValueError) as exc:
+    except (StabilityLabError, OverflowError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from exc
 
 
@@ -98,37 +99,35 @@ def _read(cfg: dict, key: str, read, *args):
         return read(raw, *args)
 
 
-# Config field -> (JSON type, the library's rule for the typed value): each
+# Config field -> (JSON kind, the library's rule for the typed value): each
 # scalar field's one rule, called as rule(field, value), which raises
-# ValueError. A seed has no rule beyond its type. The entries of alpha_grid
-# follow "alpha". A float field also takes a JSON integer; no field takes a bool.
+# ValueError. A seed has no rule beyond its kind. The entries of alpha_grid
+# follow "alpha". A number is read as a float.
 _RULES = {
-    "alpha": (float, _require_alpha),
-    "margin": (float, _require_nonnegative),
-    "smoothing": (float, _require_nonnegative),
-    "epsilon": (float, _require_epsilon),
-    "delta": (float, _require_fraction),
-    "eta": (float, _require_fraction),
-    "m": (int, _require_count),
-    "outer_trials": (int, _require_count),
-    "inner_trials": (int, _require_count),
-    "premise_trials": (int, _require_count),
-    "seed": (int, None),
-    "tape_seed": (int, None),
-    "tokenization": (str, _require_tokenization),
+    "alpha": ("a number", _require_alpha),
+    "margin": ("a number", _require_nonnegative),
+    "smoothing": ("a number", _require_nonnegative),
+    "epsilon": ("a number", _require_epsilon),
+    "delta": ("a number", _require_fraction),
+    "eta": ("a number", _require_fraction),
+    "m": ("an integer", _require_count),
+    "outer_trials": ("an integer", _require_count),
+    "inner_trials": ("an integer", _require_count),
+    "premise_trials": ("an integer", _require_count),
+    "seed": ("an integer", None),
+    "tape_seed": ("an integer", None),
+    "tokenization": ("a string", _require_tokenization),
 }
 
 
 def _check(key: str, raw, field: str):
-    """`raw` as `field`'s JSON type, passed by its rule, else a ConfigError
-    at `key`: "expected <type>" for the wrong type, and the rule's own
-    message for a value out of range."""
+    """`raw` as `field`'s JSON kind (_json_value), passed by its rule, else a
+    ConfigError at `key` with the rule's own message."""
     kind, rule = _RULES[field]
-    if not isinstance(raw, (int, float) if kind is float else kind) or isinstance(raw, bool):
-        kinds = {float: "a number", int: "an integer", str: "a string"}
-        raise ConfigError(key, f"expected {kinds[kind]}, got {raw!r}")
+    value = _json_value(key, raw, kind)
     try:
-        value = kind(raw)
+        if kind == "a number":
+            value = float(value)
         if rule is not None:
             rule(field, value)
     except (OverflowError, ValueError) as exc:  # OverflowError: an int too large for a float
@@ -140,14 +139,19 @@ def _param(cfg: dict, key: str, *default):
     return _check(key, _json_field(cfg, key, *default), key)
 
 
+def _given(cfg: dict, *keys: str) -> dict:
+    """{key: _param(cfg, key)} of the `keys` that `cfg` gives, as keyword
+    arguments: a field that the config leaves out takes the library's
+    default."""
+    return {key: _param(cfg, key) for key in keys if key in cfg}
+
+
 def _text_file(raw, read):
     """`read(path)` for the text file that `raw` names. A non-string path, a
     missing file, and text that cannot be read as UTF-8 (a directory, bad
     bytes) or parsed by `read` are config errors; content that `read`
     rejects raises the library's own error."""
-    if not isinstance(raw, str):
-        raise ConfigError("", "expected a file path string")
-    path = Path(raw)
+    path = Path(_json_value("", raw, "a file path string"))
     if not path.exists():
         raise ConfigError("", f"file not found: {raw}")
     try:
@@ -161,9 +165,7 @@ def _object(raw, build, *args):
     JSON file, whose leading UTF-8 byte-order mark is dropped."""
     if isinstance(raw, str):
         raw = _text_file(raw, lambda path: json.loads(path.read_text(encoding="utf-8-sig")))
-    if not isinstance(raw, dict):
-        raise ConfigError("", "expected a JSON object, inline or as a file path")
-    return build(raw, *args)
+    return build(_json_value("", raw, "a JSON object"), *args)
 
 
 def _distribution(raw, domain: ContentDomain | None = None) -> DiscreteDistribution:
@@ -176,19 +178,15 @@ def _safe_model(obj: dict, cid: str) -> tuple[str, DiscreteDistribution]:
     if "model" not in obj:
         return cid, DiscreteDistribution.from_json_obj(obj)
     _known_fields(obj, ("id", "model"), "a safe model entry")
-    cid = _json_field(obj, "id", cid)
-    if not isinstance(cid, str):
-        raise ConfigError("id", f"expected a string, got {cid!r}")
+    cid = _json_value("id", _json_field(obj, "id", cid), "a string")
     return cid, _read(obj, "model", _distribution)
 
 
 def _safe_models(raw) -> SafeAssignment:
     """The assignment of a non-empty list; entry i is named c<i> unless it
     gives an id."""
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("", "expected a non-empty list")
     entries = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_json_value("", raw, "a non-empty list")):
         with _at(f"[{i}]"):
             entries.append(_object(item, _safe_model, f"c{i}"))
     return SafeAssignment(tuple(entries))  # ValueError: a duplicate id
@@ -203,7 +201,7 @@ def _learner(obj: dict, domain: ContentDomain):
     spec = "smoothing" if kind == "empirical" else "model"
     _known_fields(obj, ("kind", spec), f"the {kind} learner")
     if kind == "empirical":
-        return learner_empirical(_param(obj, "smoothing", 0.0))
+        return learner_empirical(**_given(obj, "smoothing"))
     return learner_constant(_read(obj, "model", _distribution, domain))
 
 
@@ -278,11 +276,7 @@ def _run_dp_beta(cfg: dict, seed: int):
     p = _read(cfg, "p", _distribution)
     p_prime = _read(cfg, "p_prime", _distribution, p.domain)
     alpha = _param(cfg, "alpha")
-    grid = _json_field(cfg, "alpha_grid", None)
-    if grid is None:
-        grid = [alpha]
-    if not isinstance(grid, list):
-        raise ConfigError("alpha_grid", f"expected a list, got {grid!r}")
+    grid = _json_value("alpha_grid", _json_field(cfg, "alpha_grid", [alpha]), "a non-empty list")
     grid = [_check(f"alpha_grid[{i}]", a, "alpha") for i, a in enumerate(grid)]
     curve = [
         {
@@ -400,11 +394,9 @@ def _run_prop1(cfg: dict, seed: int):
     config = _transform_config(cfg)
     outer = _param(cfg, "outer_trials")
     inner = _param(cfg, "inner_trials")
-    premise = _param(cfg, "premise_trials", 200)
+    premise = _given(cfg, "premise_trials")
     margin = _param(cfg, "margin", 0.02)
-    report = transform_bound_experiment(
-        learner, data_dist, config, outer, inner, seed, premise_trials=premise
-    )
+    report = transform_bound_experiment(learner, data_dist, config, outer, inner, seed, **premise)
     passed = report.within_bound(margin)
     payload = report.to_json_obj()
     payload["margin"] = margin
@@ -416,9 +408,9 @@ def _run_prop1(cfg: dict, seed: int):
 
 
 def _run_ingest(cfg: dict, seed: int):
-    tokenization = _param(cfg, "tokenization", "line")
+    tokenization = _given(cfg, "tokenization")
     domain, dataset = _read(
-        cfg, "corpus", _text_file, lambda path: ingest_corpus(path, tokenization)
+        cfg, "corpus", _text_file, lambda path: ingest_corpus(path, **tokenization)
     )
     counts = dataset.counts().tolist()
     payload = {

@@ -58,6 +58,35 @@ def _known_fields(obj: dict, known: tuple[str, ...], owner: str) -> None:
             raise ConfigError(key, f"unknown field of {owner}; known fields: {', '.join(known)}")
 
 
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+# JSON kind -> the test of a value of that kind. A number is a JSON integer
+# or float, and no number is a bool.
+_JSON_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda raw: isinstance(raw, int) and not isinstance(raw, bool),
+    "a string": lambda raw: isinstance(raw, str),
+    "a file path string": lambda raw: isinstance(raw, str),
+    "a non-empty list": lambda raw: isinstance(raw, list) and len(raw) > 0,
+    "a list of strings": lambda raw: (
+        isinstance(raw, list) and all(isinstance(s, str) for s in raw)
+    ),
+    "a list of numbers": lambda raw: isinstance(raw, list) and all(map(_is_number, raw)),
+    "a JSON object": lambda raw: isinstance(raw, dict),
+}
+
+
+def _json_value(path: str, raw, kind: str):
+    """`raw`, unless it is not a JSON value of `kind` (a key of _JSON_KINDS):
+    the one type rule of a JSON document the package reads, which raises
+    ConfigError at `path`, "expected <kind>, got <raw!r>"."""
+    if not _JSON_KINDS[kind](raw):
+        raise ConfigError(path, f"expected {kind}, got {raw!r}")
+    return raw
+
+
 class _SymbolIndex(dict):
     """symbol -> domain index, the one home of the rule that a symbol outside
     the domain raises DomainMismatch. A hit takes dict's C path; `in` and
@@ -121,13 +150,10 @@ class ContentDomain:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ContentDomain":
         """The domain of a {"symbols": [...]} object, which holds no other key
-        (_known_fields); the symbols must be a JSON list (TypeError otherwise)
-        of strings, as the constructor checks."""
+        (_known_fields); "symbols" must be a JSON list of strings
+        (_json_value)."""
         _known_fields(obj, ("symbols",), "a domain")
-        symbols = _json_field(obj, "symbols")
-        if not isinstance(symbols, list):
-            raise TypeError(f'"symbols" must be a list of strings, got {symbols!r}')
-        return cls(tuple(symbols))
+        return cls(tuple(_json_value("symbols", _json_field(obj, "symbols"), "a list of strings")))
 
 
 class DiscreteDistribution:
@@ -181,8 +207,8 @@ class DiscreteDistribution:
     ) -> "DiscreteDistribution":
         """The distribution of a {"symbols": [...], "weights": [...]} object,
         which holds no other key (_known_fields). The symbols are read as
-        ContentDomain's, and "weights" must be a JSON list of numbers (not
-        bools).
+        ContentDomain's, and "weights" must be a JSON list of numbers, not
+        bools (_json_value).
 
         A file whose symbols differ from a given `domain` raises DomainMismatch
         with its own text, "distribution symbols do not match the domain":
@@ -190,9 +216,7 @@ class DiscreteDistribution:
         array's width, and the CLI reports it under the field's name."""
         _known_fields(obj, ("symbols", "weights"), "a distribution")
         file_domain = ContentDomain.from_json_obj({"symbols": _json_field(obj, "symbols")})
-        weights = _json_field(obj, "weights")
-        if not isinstance(weights, list) or not {type(w) for w in weights} <= {int, float}:
-            raise TypeError(f'"weights" must be a list of numbers, got {weights!r}')
+        weights = _json_value("weights", _json_field(obj, "weights"), "a list of numbers")
         if domain is not None and domain != file_domain:
             raise DomainMismatch("distribution symbols do not match the domain")
         return cls(domain or file_domain, weights)
@@ -657,11 +681,12 @@ def read_distribution(
     path: str | Path, domain: ContentDomain | None = None
 ) -> DiscreteDistribution:
     """Read a {"symbols": [...], "weights": [...]} JSON file
-    (DiscreteDistribution.from_json_obj, so any other key raises
-    ConfigError); a leading UTF-8 byte-order mark is dropped."""
+    (DiscreteDistribution.from_json_obj, so any other key or a value of the
+    wrong JSON type raises ConfigError, as does a file that holds no JSON
+    object); a leading UTF-8 byte-order mark is dropped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         obj = json.load(fh)
-    return DiscreteDistribution.from_json_obj(obj, domain)
+    return DiscreteDistribution.from_json_obj(_json_value("", obj, "a JSON object"), domain)
 
 
 def write_distribution(path: str | Path, q: DiscreteDistribution) -> None:

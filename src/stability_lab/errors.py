@@ -60,15 +60,18 @@ class ConfigError(StabilityLabError):
     """A JSON document that the package reads (a run config, or any object
     in it or in a file it names: a domain, a distribution, a learner, a safe
     model entry) is missing a field, holds a field that its reader does not
-    read, or holds a value that cannot be used.
+    read, holds a value of the wrong JSON type ("expected <kind>, got
+    <value>", for a kind such as "a list of numbers", from the one type rule
+    core._json_value), or holds a value that cannot be used.
 
     `path` names the value inside the document, keys joined by "." and list
     entries as "[i]" (for example "safe_models[1].model"), or is "" for the
-    document itself; the message is "<path>: <reason>"."""
+    document itself; the message is "<path>: <reason>", or only the reason
+    when the path is empty."""
 
     def __init__(self, path: str, reason: str):
         super().__init__(path, reason)
         self.path, self.reason = path, reason
 
     def __str__(self) -> str:
-        return f"{self.path}: {self.reason}"
+        return f"{self.path}: {self.reason}" if self.path else self.reason

@@ -646,7 +646,12 @@ class TestConfigErrorContract:
             path.write_text(domain_file)
             inline = str(path)
         cfg = self.hist_config(tmp_path, domain=inline)
-        field = "domain.names" if domain_file and "names" in domain_file else "domain"
+        if domain_file and "names" in domain_file:
+            field = "domain.names"
+        elif isinstance(inline, dict):  # a wrong JSON type is named at its key
+            field = "domain.symbols"
+        else:
+            field = "domain"
         self.assert_rejected(tmp_path, capsys, "hist", cfg, field)
 
     @pytest.mark.parametrize(
@@ -772,16 +777,16 @@ class TestConfigErrorContract:
     @pytest.mark.parametrize("symbols", ["ab", [1, 2]])
     def test_symbols_not_a_list_of_strings(self, tmp_path, capsys, symbols):
         cfg = self.hist_config(tmp_path, domain={"symbols": symbols})
-        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain")
+        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain.symbols")
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
-        self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1")
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1.symbols")
 
     @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False]])
     def test_weights_not_a_list_of_numbers(self, tmp_path, capsys, weights):
         q = {"symbols": ["a", "b"], "weights": weights}
         good = {"symbols": ["a", "b"], "weights": [0.5, 0.5]}
-        self.assert_rejected(tmp_path, capsys, "tv", {"q1": q, "q2": good}, "q1")
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": q, "q2": good}, "q1.weights")
 
     @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
     @pytest.mark.parametrize(
@@ -839,7 +844,7 @@ class TestFieldRules:
             if rule is None:
                 continue
             with pytest.raises(ValueError) as library:
-                rule(field, kind(bad))
+                rule(field, float(bad) if kind == "a number" else bad)
             with pytest.raises(ConfigError) as config:
                 cli._check(field, bad, field)
             assert str(config.value) == f"{field}: {library.value}"
@@ -905,6 +910,28 @@ class TestConfigFields:
         assert cfg.looked_up == set(fields)
         assert run_cli(tmp_path, subcommand, {**cfg, "seed": 4})[0] == 0
 
+    # subcommand -> the header of its --csv table
+    CSV_HEADERS = {
+        "tv": "symbol,q1,q2,abs_diff",
+        "naf-check": "content_id,symbol,log_ratio",
+        "nfl-check": "symbol,p,min_q,threshold",
+        "censorship": "symbol,bound",
+        "dp-beta": "alpha,beta,beta_reverse,symmetric_beta,beta_event_form",
+        "hist": "symbol,count,freq,value",
+        "transform": "symbol,weight",
+        "prop1": "trial,tv",
+        "ingest": "symbol,count",
+    }
+
+    @pytest.mark.parametrize("subcommand", cli._SUBCOMMANDS)
+    def test_csv_header_names_its_own_columns(self, tmp_path, subcommand):
+        # naf-check's table is empty here, and the only table that can be:
+        # an empty alpha_grid used to write naf-check's header for dp-beta
+        table = tmp_path / "table.csv"
+        cfg = self.passing(tmp_path, subcommand)
+        assert run_cli(tmp_path, subcommand, cfg, ["--csv", str(table)])[0] == 0
+        assert table.read_text().splitlines()[0] == self.CSV_HEADERS[subcommand]
+
     @pytest.mark.parametrize("subcommand", cli._SUBCOMMANDS)
     def test_unknown_field_is_refused_first(self, tmp_path, capsys, subcommand):
         # every other field is missing, so the refusal comes before any read
@@ -934,11 +961,12 @@ class TestConfigFields:
     @pytest.mark.parametrize(
         "subcommand, field, value, message",
         [
-            ("hist", "dataset", 5, "expected a file path string"),
-            ("censorship", "safe_models", {"symbols": ["a"]}, "expected a non-empty list"),
-            ("censorship", "safe_models", [], "expected a non-empty list"),
+            ("hist", "dataset", 5, "expected a file path string, got 5"),
+            ("censorship", "safe_models", {"symbols": ["a"]},
+             "expected a non-empty list, got {'symbols': ['a']}"),
+            ("censorship", "safe_models", [], "expected a non-empty list, got []"),
             ("transform", "learner", "empirical", "file not found: empirical"),
-            ("dp-beta", "alpha_grid", 0.5, "expected a list, got 0.5"),
+            ("dp-beta", "alpha_grid", 0.5, "expected a non-empty list, got 0.5"),
         ],
     )
     def test_wrong_shape_of_field(self, tmp_path, capsys, subcommand, field, value, message):
@@ -1042,3 +1070,65 @@ class TestConfigDocuments:
         cfg = write_config(tmp_path, "cfg.json", {**inline, "learner": typo})
         assert main(["prop1", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("error: learner.smoothng: unknown field of ")
+
+
+class TestJsonTypes:
+    """A JSON value of the wrong type exits 1 with one line,
+    "<dotted path>: expected <kind>, got <value>", from core._json_value,
+    whichever reader finds it."""
+
+    LEARNER = {"data_distribution": TWO, **PROP1_SCALARS}
+    # case -> (subcommand, config, the exact error line)
+    CASES = {
+        "scalar field": ("hist", {"epsilon": "1", "delta": 1e-3},
+                         "epsilon: expected a number, got '1'"),
+        "scalar in a learner": (
+            "prop1", {**LEARNER, "learner": {"kind": "empirical", "smoothing": True}},
+            "learner.smoothing: expected a number, got True",
+        ),
+        "text file path": ("ingest", {"corpus": 5}, "corpus: expected a file path string, got 5"),
+        "object": ("prop1", {**LEARNER, "learner": 5}, "learner: expected a JSON object, got 5"),
+        "safe model entry": ("censorship", {"safe_models": [TWO, [0.5]], "alpha": 0.5},
+                             "safe_models[1]: expected a JSON object, got [0.5]"),
+        "safe model id": (
+            "naf-check", {"model": TWO, "safe_models": [{"id": 3, "model": TWO}], "alpha": 0.5},
+            "safe_models[0].id: expected a string, got 3",
+        ),
+        "safe models": ("censorship", {"safe_models": "ab", "alpha": 0.5},
+                        "safe_models: expected a non-empty list, got 'ab'"),
+        "alpha grid": ("dp-beta", {"p": TWO, "p_prime": TWO, "alpha": 0.5, "alpha_grid": []},
+                       "alpha_grid: expected a non-empty list, got []"),
+        "alpha grid entry": (
+            "dp-beta", {"p": TWO, "p_prime": TWO, "alpha": 0.5, "alpha_grid": [0.1, "x"]},
+            "alpha_grid[1]: expected a number, got 'x'",
+        ),
+        "domain symbols": ("hist", {"domain": {"symbols": "ab"}, "epsilon": 1.0, "delta": 1e-3},
+                           "domain.symbols: expected a list of strings, got 'ab'"),
+        "distribution symbols": (
+            "tv", {"q1": {"symbols": ["a", 1], "weights": [0.5, 0.5]}, "q2": TWO},
+            "q1.symbols: expected a list of strings, got ['a', 1]",
+        ),
+        "distribution weights": ("tv", {"q1": {"symbols": ["a", "b"], "weights": "x"}, "q2": TWO},
+                                 "q1.weights: expected a list of numbers, got 'x'"),
+        "model weights in a learner": (
+            "prop1", {**LEARNER, "learner": {"kind": "constant",
+                                             "model": {"symbols": ["a", "b"], "weights": "x"}}},
+            "learner.model.weights: expected a list of numbers, got 'x'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_error_names_its_dotted_path(self, tmp_path, capsys, case):
+        subcommand, cfg, line = self.CASES[case]
+        if subcommand == "hist":
+            data = tmp_path / "sample.txt"
+            data.write_text("a\nb\n")
+            cfg = {**cfg, "dataset": str(data)}
+        code, report = run_cli(tmp_path, subcommand, cfg)
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_config_document(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", [1])
+        assert main(["tv", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: config: expected a JSON object, got [1]\n"

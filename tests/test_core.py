@@ -80,11 +80,13 @@ class TestContentDomain:
         ids=["ints", "str-int", "str-bytes", "str-none"],
     )
     def test_rejects_a_symbol_that_is_not_a_string(self, symbols):
-        # such a domain could be written but not read back
+        # such a domain could be written but not read back; read from JSON,
+        # it is a value of the wrong JSON type
         with pytest.raises(TypeError, match="domain symbols must be strings"):
             ContentDomain(symbols)
-        with pytest.raises(TypeError, match="domain symbols must be strings"):
+        with pytest.raises(ConfigError) as info:
             ContentDomain.from_json_obj({"symbols": list(symbols)})
+        assert str(info.value) == f"symbols: expected a list of strings, got {list(symbols)!r}"
         assert ContentDomain((np.str_("a"), "b")).symbols == ("a", "b")
 
     def test_unknown_symbol(self):
@@ -820,15 +822,20 @@ class TestSerialization:
     @pytest.mark.parametrize("symbols", ["ab", [1, 2], ["a", 2], ("a", "b"), {"a": 1}])
     def test_symbols_must_be_a_list_of_strings(self, tmp_path, symbols):
         # A JSON string used to be split into one-character symbols.
-        with pytest.raises(TypeError):
-            ContentDomain.from_json_obj({"symbols": symbols})
-        with pytest.raises(TypeError):
-            DiscreteDistribution.from_json_obj({"symbols": symbols, "weights": [0.5, 0.5]})
+        obj = {"symbols": symbols, "weights": [0.5, 0.5]}
+        reads = [
+            lambda: ContentDomain.from_json_obj({"symbols": symbols}),
+            lambda: DiscreteDistribution.from_json_obj(obj),
+        ]
         if not isinstance(symbols, tuple):
             path = tmp_path / "q.json"
-            path.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
-            with pytest.raises(TypeError):
-                read_distribution(path)
+            path.write_text(json.dumps(obj))
+            reads.append(lambda: read_distribution(path))
+        for read in reads:
+            with pytest.raises(ConfigError) as info:
+                read()
+            assert info.value.path == "symbols"
+            assert info.value.reason == f"expected a list of strings, got {symbols!r}"
 
     @pytest.mark.parametrize(
         "weights", [["0.5", "0.5"], [True, False], "0.5", {"a": 1}, [0.5, None], (0.5, 0.5)]
@@ -836,13 +843,16 @@ class TestSerialization:
     def test_weights_must_be_a_list_of_numbers(self, tmp_path, weights):
         # strings and bools used to be cast to floats
         obj = {"symbols": ["a", "b"], "weights": weights}
-        with pytest.raises(TypeError):
-            DiscreteDistribution.from_json_obj(obj)
+        reads = [lambda: DiscreteDistribution.from_json_obj(obj)]
         if not isinstance(weights, tuple):
             path = tmp_path / "q.json"
             path.write_text(json.dumps(obj))
-            with pytest.raises(TypeError):
-                read_distribution(path)
+            reads.append(lambda: read_distribution(path))
+        for read in reads:
+            with pytest.raises(ConfigError) as info:
+                read()
+            assert info.value.path == "weights"
+            assert info.value.reason == f"expected a list of numbers, got {weights!r}"
 
     def test_integer_weights_allowed(self):
         q = DiscreteDistribution.from_json_obj({"symbols": ["a", "b"], "weights": [1, 0]})
@@ -868,7 +878,8 @@ class TestSerialization:
 
 class TestJsonKeyRule:
     """A domain and a distribution read from JSON refuse every key they do
-    not read, and name a missing one, with ConfigError at that key."""
+    not read, and name a missing one, with ConfigError at that key; a file
+    that read_distribution reads must hold a JSON object."""
 
     @pytest.mark.parametrize("obj, path, reason", [
         ({"symbols": ["a", "b"], "weights": [0.5, 0.5], "wieghts": [1, 0]}, "wieghts",
@@ -885,6 +896,18 @@ class TestJsonKeyRule:
                 read()
             assert (info.value.path, info.value.reason) == (path, reason)
             assert str(info.value) == f"{path}: {reason}"
+
+    @pytest.mark.parametrize("obj", [["symbols", "weights"], 5, "x"])
+    def test_read_distribution_needs_an_object(self, tmp_path, obj):
+        # a list and a number used to raise Python's own TypeError texts
+        file = tmp_path / "q.json"
+        file.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError) as info:
+            read_distribution(file)
+        assert (info.value.path, info.value.reason) == ("", f"expected a JSON object, got {obj!r}")
+        assert str(info.value) == f"expected a JSON object, got {obj!r}"
+        with pytest.raises(FileNotFoundError):
+            read_distribution(tmp_path / "missing.json")
 
     def test_domain(self):
         with pytest.raises(ConfigError) as info:
