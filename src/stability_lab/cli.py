@@ -34,6 +34,7 @@ from .core import (
     load_dataset,
     tv_distance,
     tv_event_form,
+    _JsonObject,
     _json_field,
     _json_value,
     _known_fields,
@@ -162,9 +163,15 @@ def _text_file(raw, read):
 
 def _object(raw, build, *args):
     """build(obj, *args) for a JSON object given inline or as the path of a
-    JSON file, whose leading UTF-8 byte-order mark is dropped."""
+    JSON file, whose leading UTF-8 byte-order mark is dropped and whose
+    objects keep their repeated keys for the key rule (_JsonObject)."""
     if isinstance(raw, str):
-        raw = _text_file(raw, lambda path: json.loads(path.read_text(encoding="utf-8-sig")))
+        raw = _text_file(
+            raw,
+            lambda path: json.loads(
+                path.read_text(encoding="utf-8-sig"), object_pairs_hook=_JsonObject
+            ),
+        )
     return build(_json_value("", raw, "a JSON object"), *args)
 
 
@@ -208,10 +215,10 @@ def _learner(obj: dict, domain: ContentDomain):
 def _dataset(cfg) -> Dataset:
     """The `dataset` file, one symbol per line, read once.
 
-    The domain is the `domain` object or, when that is absent, the file's
-    own distinct lines.
+    The domain is the `domain` object or, when that field is absent, the
+    file's own distinct lines.
     """
-    if _json_field(cfg, "domain", None) is None:
+    if "domain" not in cfg:
         return _read(cfg, "dataset", _text_file, lambda path: ingest_corpus(path, "line")[1])
     domain = _read(cfg, "domain", _object, ContentDomain.from_json_obj)
     return _read(cfg, "dataset", _text_file, lambda path: load_dataset(path, domain))
@@ -490,7 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 after -h and 2 after printing a usage error
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
-        config = _read({"config": args.config}, "config", _object, dict)
+        # the parsed object itself, not a dict copy: run's key rule reads its repeated keys
+        config = _read({"config": args.config}, "config", _object, lambda obj: obj)
         seed = args.seed if args.seed is not None else _param(config, "seed", 0)
         report, rows, code = run(args.subcommand, config, seed)
         _write_report(report, args.out)

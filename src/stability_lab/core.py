@@ -49,41 +49,56 @@ def _json_field(obj: dict, key: str, default=_REQUIRED):
     return default
 
 
+class _JsonObject(dict):
+    """A JSON object as the package's document readers parse it (the
+    object_pairs_hook of their json.load): a dict that also keeps
+    `repeated`, the keys given more than once, of which a dict keeps only
+    the last value."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self.repeated = [k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1]
+
+
 def _known_fields(obj: dict, known: tuple[str, ...], owner: str) -> None:
     """The one key rule of a JSON object the package reads: a key outside
     `known` raises ConfigError at that key, "unknown field of <owner>; known
-    fields: ...", as a misspelled key would otherwise never be read."""
+    fields: ...", as a misspelled key would otherwise never be read, and a
+    key given twice (_JsonObject) raises at that key, "repeated field", as
+    only its last value would be read."""
     for key in obj:
         if key not in known:
             raise ConfigError(key, f"unknown field of {owner}; known fields: {', '.join(known)}")
-
-
-def _is_number(raw) -> bool:
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if repeated := getattr(obj, "repeated", None):
+        raise ConfigError(repeated[0], "repeated field")
 
 
 # JSON kind -> the test of a value of that kind. A number is a JSON integer
 # or float, and no number is a bool.
 _JSON_KINDS = {
-    "a number": _is_number,
+    "a number": lambda raw: isinstance(raw, (int, float)) and not isinstance(raw, bool),
     "an integer": lambda raw: isinstance(raw, int) and not isinstance(raw, bool),
     "a string": lambda raw: isinstance(raw, str),
     "a file path string": lambda raw: isinstance(raw, str),
     "a non-empty list": lambda raw: isinstance(raw, list) and len(raw) > 0,
-    "a list of strings": lambda raw: (
-        isinstance(raw, list) and all(isinstance(s, str) for s in raw)
-    ),
-    "a list of numbers": lambda raw: isinstance(raw, list) and all(map(_is_number, raw)),
     "a JSON object": lambda raw: isinstance(raw, dict),
 }
+# List kind -> the kind of each of its entries.
+_ENTRY_KINDS = {"a list of strings": "a string", "a list of numbers": "a number"}
 
 
 def _json_value(path: str, raw, kind: str):
-    """`raw`, unless it is not a JSON value of `kind` (a key of _JSON_KINDS):
-    the one type rule of a JSON document the package reads, which raises
-    ConfigError at `path`, "expected <kind>, got <raw!r>"."""
-    if not _JSON_KINDS[kind](raw):
+    """`raw`, unless it is not a JSON value of `kind` (a key of _JSON_KINDS
+    or _ENTRY_KINDS): the one type rule of a JSON document the package
+    reads, which raises ConfigError at `path`, "expected <kind>, got
+    <raw!r>". A value of a list kind is a list whose first entry of the
+    wrong kind raises at "<path>[i]", so the error never echoes the list."""
+    entry_kind = _ENTRY_KINDS.get(kind)
+    if not (isinstance(raw, list) if entry_kind else _JSON_KINDS[kind](raw)):
         raise ConfigError(path, f"expected {kind}, got {raw!r}")
+    for i, entry in enumerate(raw if entry_kind else ()):
+        if not _JSON_KINDS[entry_kind](entry):
+            _json_value(f"{path}[{i}]", entry, entry_kind)  # raises at the entry
     return raw
 
 
@@ -685,7 +700,7 @@ def read_distribution(
     wrong JSON type raises ConfigError, as does a file that holds no JSON
     object); a leading UTF-8 byte-order mark is dropped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_pairs_hook=_JsonObject)
     return DiscreteDistribution.from_json_obj(_json_value("", obj, "a JSON object"), domain)
 
 

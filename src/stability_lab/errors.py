@@ -60,9 +60,14 @@ class ConfigError(StabilityLabError):
     """A JSON document that the package reads (a run config, or any object
     in it or in a file it names: a domain, a distribution, a learner, a safe
     model entry) is missing a field, holds a field that its reader does not
-    read, holds a value of the wrong JSON type ("expected <kind>, got
-    <value>", for a kind such as "a list of numbers", from the one type rule
-    core._json_value), or holds a value that cannot be used.
+    read or a key given twice ("repeated field"; the key rule
+    core._known_fields), holds a value of the wrong JSON type ("expected
+    <kind>, got <value>", from the one type rule core._json_value), or holds
+    a value that cannot be used. JSON null is the wrong type for every
+    field, never an absent one. A list of strings or of numbers names its
+    first entry of the wrong type by its index ("weights[299]: expected a
+    number, got 'x'"); a value that is not a list at all is named whole
+    ("weights: expected a list of numbers, got 'x'").
 
     `path` names the value inside the document, keys joined by "." and list
     entries as "[i]" (for example "safe_models[1].model"), or is "" for the

@@ -776,17 +776,18 @@ class TestConfigErrorContract:
 
     @pytest.mark.parametrize("symbols", ["ab", [1, 2]])
     def test_symbols_not_a_list_of_strings(self, tmp_path, capsys, symbols):
+        at = "symbols" if isinstance(symbols, str) else "symbols[0]"  # a list names its entry
         cfg = self.hist_config(tmp_path, domain={"symbols": symbols})
-        self.assert_rejected(tmp_path, capsys, "hist", cfg, "domain.symbols")
+        self.assert_rejected(tmp_path, capsys, "hist", cfg, f"domain.{at}")
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"symbols": symbols, "weights": [0.5, 0.5]}))
-        self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, "q1.symbols")
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": str(q), "q2": str(q)}, f"q1.{at}")
 
     @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False]])
     def test_weights_not_a_list_of_numbers(self, tmp_path, capsys, weights):
         q = {"symbols": ["a", "b"], "weights": weights}
         good = {"symbols": ["a", "b"], "weights": [0.5, 0.5]}
-        self.assert_rejected(tmp_path, capsys, "tv", {"q1": q, "q2": good}, "q1.weights")
+        self.assert_rejected(tmp_path, capsys, "tv", {"q1": q, "q2": good}, "q1.weights[0]")
 
     @pytest.mark.parametrize("subcommand", ["naf-check", "censorship"])
     @pytest.mark.parametrize(
@@ -1106,14 +1107,42 @@ class TestJsonTypes:
                            "domain.symbols: expected a list of strings, got 'ab'"),
         "distribution symbols": (
             "tv", {"q1": {"symbols": ["a", 1], "weights": [0.5, 0.5]}, "q2": TWO},
-            "q1.symbols: expected a list of strings, got ['a', 1]",
+            "q1.symbols[1]: expected a string, got 1",
         ),
         "distribution weights": ("tv", {"q1": {"symbols": ["a", "b"], "weights": "x"}, "q2": TWO},
                                  "q1.weights: expected a list of numbers, got 'x'"),
+        "weight entry": ("tv", {"q1": {"symbols": ["a", "b"], "weights": [0.5, "x"]}, "q2": TWO},
+                         "q1.weights[1]: expected a number, got 'x'"),
+        # one short line, where the whole list (6,934 bytes) used to be echoed
+        "one bad entry among 300 weights": (
+            "tv", {"q1": {"symbols": [f"s{i}" for i in range(300)],
+                          "weights": [1 / 300] * 299 + ["x"]}, "q2": TWO},
+            "q1.weights[299]: expected a number, got 'x'",
+        ),
+        "domain symbol entry": (
+            "hist", {"domain": {"symbols": ["a", None]}, "epsilon": 1.0, "delta": 1e-3},
+            "domain.symbols[1]: expected a string, got None",
+        ),
         "model weights in a learner": (
             "prop1", {**LEARNER, "learner": {"kind": "constant",
                                              "model": {"symbols": ["a", "b"], "weights": "x"}}},
             "learner.model.weights: expected a list of numbers, got 'x'",
+        ),
+        "model weight entry in a learner": (
+            "prop1", {**LEARNER, "learner": {"kind": "constant",
+                                             "model": {"symbols": ["a", "b"], "weights": [1, True]}}},
+            "learner.model.weights[1]: expected a number, got True",
+        ),
+        # null is a value of the wrong type, never an absent field
+        "null domain": ("hist", {"domain": None, "epsilon": 1.0, "delta": 1e-3},
+                        "domain: expected a JSON object, got None"),
+        # raw JSON text: a dict cannot hold a key twice
+        "repeated field": ("tv", '{"q1": %s, "q2": %s, "q1": %s}' % ((json.dumps(TWO),) * 3),
+                           "q1: repeated field"),
+        "repeated field in a distribution": (
+            "tv", '{"q1": {"symbols": ["a", "b"], "weights": [0.5, 0.5], "weights": [1, 0]},'
+                  ' "q2": %s}' % json.dumps(TWO),
+            "q1.weights: repeated field",
         ),
     }
 
@@ -1124,8 +1153,14 @@ class TestJsonTypes:
             data = tmp_path / "sample.txt"
             data.write_text("a\nb\n")
             cfg = {**cfg, "dataset": str(data)}
-        code, report = run_cli(tmp_path, subcommand, cfg)
-        assert code == 1 and report is None
+        if isinstance(cfg, str):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(cfg)
+            code = main([subcommand, "--config", str(cfg_path)])
+        else:
+            code, report = run_cli(tmp_path, subcommand, cfg)
+            assert report is None
+        assert code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_config_document(self, tmp_path, capsys):

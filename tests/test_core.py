@@ -75,18 +75,23 @@ class TestContentDomain:
         assert ContentDomain(["abc"]).symbols == ("abc",)
 
     @pytest.mark.parametrize(
-        "symbols",
-        [(1, 2), ("a", 1), ("a", b"b"), ("a", None)],
+        "symbols, error",
+        [
+            ((1, 2), "symbols[0]: expected a string, got 1"),
+            (("a", 1), "symbols[1]: expected a string, got 1"),
+            (("a", b"b"), "symbols[1]: expected a string, got b'b'"),
+            (("a", None), "symbols[1]: expected a string, got None"),
+        ],
         ids=["ints", "str-int", "str-bytes", "str-none"],
     )
-    def test_rejects_a_symbol_that_is_not_a_string(self, symbols):
+    def test_rejects_a_symbol_that_is_not_a_string(self, symbols, error):
         # such a domain could be written but not read back; read from JSON,
-        # it is a value of the wrong JSON type
+        # its first bad entry is a value of the wrong JSON type
         with pytest.raises(TypeError, match="domain symbols must be strings"):
             ContentDomain(symbols)
         with pytest.raises(ConfigError) as info:
             ContentDomain.from_json_obj({"symbols": list(symbols)})
-        assert str(info.value) == f"symbols: expected a list of strings, got {list(symbols)!r}"
+        assert str(info.value) == error
         assert ContentDomain((np.str_("a"), "b")).symbols == ("a", "b")
 
     def test_unknown_symbol(self):
@@ -819,8 +824,14 @@ class TestSerialization:
         d = domain(4)
         assert ContentDomain.from_json_obj(d.to_json_obj()) == d
 
-    @pytest.mark.parametrize("symbols", ["ab", [1, 2], ["a", 2], ("a", "b"), {"a": 1}])
-    def test_symbols_must_be_a_list_of_strings(self, tmp_path, symbols):
+    @pytest.mark.parametrize("symbols, at, reason", [
+        ("ab", "symbols", "expected a list of strings, got 'ab'"),
+        ([1, 2], "symbols[0]", "expected a string, got 1"),
+        (["a", 2], "symbols[1]", "expected a string, got 2"),
+        (("a", "b"), "symbols", "expected a list of strings, got ('a', 'b')"),
+        ({"a": 1}, "symbols", "expected a list of strings, got {'a': 1}"),
+    ], ids=["ab", "symbols1", "symbols2", "symbols3", "symbols4"])
+    def test_symbols_must_be_a_list_of_strings(self, tmp_path, symbols, at, reason):
         # A JSON string used to be split into one-character symbols.
         obj = {"symbols": symbols, "weights": [0.5, 0.5]}
         reads = [
@@ -834,13 +845,17 @@ class TestSerialization:
         for read in reads:
             with pytest.raises(ConfigError) as info:
                 read()
-            assert info.value.path == "symbols"
-            assert info.value.reason == f"expected a list of strings, got {symbols!r}"
+            assert (info.value.path, info.value.reason) == (at, reason)
 
-    @pytest.mark.parametrize(
-        "weights", [["0.5", "0.5"], [True, False], "0.5", {"a": 1}, [0.5, None], (0.5, 0.5)]
-    )
-    def test_weights_must_be_a_list_of_numbers(self, tmp_path, weights):
+    @pytest.mark.parametrize("weights, at, reason", [
+        (["0.5", "0.5"], "weights[0]", "expected a number, got '0.5'"),
+        ([True, False], "weights[0]", "expected a number, got True"),
+        ("0.5", "weights", "expected a list of numbers, got '0.5'"),
+        ({"a": 1}, "weights", "expected a list of numbers, got {'a': 1}"),
+        ([0.5, None], "weights[1]", "expected a number, got None"),
+        ((0.5, 0.5), "weights", "expected a list of numbers, got (0.5, 0.5)"),
+    ], ids=["weights0", "weights1", "0.5", "weights3", "weights4", "weights5"])
+    def test_weights_must_be_a_list_of_numbers(self, tmp_path, weights, at, reason):
         # strings and bools used to be cast to floats
         obj = {"symbols": ["a", "b"], "weights": weights}
         reads = [lambda: DiscreteDistribution.from_json_obj(obj)]
@@ -851,8 +866,7 @@ class TestSerialization:
         for read in reads:
             with pytest.raises(ConfigError) as info:
                 read()
-            assert info.value.path == "weights"
-            assert info.value.reason == f"expected a list of numbers, got {weights!r}"
+            assert (info.value.path, info.value.reason) == (at, reason)
 
     def test_integer_weights_allowed(self):
         q = DiscreteDistribution.from_json_obj({"symbols": ["a", "b"], "weights": [1, 0]})
@@ -908,6 +922,14 @@ class TestJsonKeyRule:
         assert str(info.value) == f"expected a JSON object, got {obj!r}"
         with pytest.raises(FileNotFoundError):
             read_distribution(tmp_path / "missing.json")
+
+    def test_read_distribution_refuses_a_repeated_key(self, tmp_path):
+        # json.load alone would keep the second list, ["b", "a"]
+        file = tmp_path / "q.json"
+        file.write_text('{"symbols": ["a", "b"], "weights": [0.5, 0.5], "symbols": ["b", "a"]}')
+        with pytest.raises(ConfigError) as info:
+            read_distribution(file)
+        assert (info.value.path, info.value.reason) == ("symbols", "repeated field")
 
     def test_domain(self):
         with pytest.raises(ConfigError) as info:
