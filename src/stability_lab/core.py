@@ -86,16 +86,24 @@ _JSON_KINDS = {
 # List kind -> the kind of each of its entries.
 _ENTRY_KINDS = {"a list of strings": "a string", "a list of numbers": "a number"}
 
+# The most characters of a wrong value's repr that its error echoes; a
+# longer repr is cut to this length, its last three characters "...".
+_ECHO_CHARS = 80
+
 
 def _json_value(path: str, raw, kind: str):
     """`raw`, unless it is not a JSON value of `kind` (a key of _JSON_KINDS
     or _ENTRY_KINDS): the one type rule of a JSON document the package
     reads, which raises ConfigError at `path`, "expected <kind>, got
-    <raw!r>". A value of a list kind is a list whose first entry of the
-    wrong kind raises at "<path>[i]", so the error never echoes the list."""
+    <raw!r>", the repr cut to _ECHO_CHARS characters. A value of a list
+    kind is a list whose first entry of the wrong kind raises at
+    "<path>[i]", so the error never echoes the list."""
     entry_kind = _ENTRY_KINDS.get(kind)
     if not (isinstance(raw, list) if entry_kind else _JSON_KINDS[kind](raw)):
-        raise ConfigError(path, f"expected {kind}, got {raw!r}")
+        echo = repr(raw)
+        if len(echo) > _ECHO_CHARS:
+            echo = echo[: _ECHO_CHARS - 3] + "..."
+        raise ConfigError(path, f"expected {kind}, got {echo}")
     for i, entry in enumerate(raw if entry_kind else ()):
         if not _JSON_KINDS[entry_kind](entry):
             _json_value(f"{path}[{i}]", entry, entry_kind)  # raises at the entry
@@ -453,11 +461,47 @@ def _require_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
+# The one cell budget. _tapes_per_block sizes every block of the package's
+# array work by it: a race's tape block (tapes x |Z| variates, and the
+# release chunk of its count rows), tournament group (tapes x k quotients),
+# rank group (tapes x k gathered ranks), rank chunk (tapes x E: its rank
+# table, quotients and their order) and Monte Carlo step (models x tapes);
+# a premise block (rows x max(m, |Z|)); a sampler block of _sample_rows
+# (whole rows of draws, or a slice of one longer row); and a shard-count
+# block of _row_counts (rows x max(m, |Z|)). 2**15 float64 cells are
+# 256 KB. The Monte Carlo step of two models x 2**14 tapes timed best: the
+# oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at 2**15
+# tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament group
+# races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
+_CELL_BUDGET = 2**15
+
+
+def _tapes_per_block(cells_per_tape: int) -> int:
+    """Tapes (or rows) whose cells fit in one _CELL_BUDGET block (at least one)."""
+    return max(1, _CELL_BUDGET // cells_per_tape)
+
+
 def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
-    """(n, size) symbol counts of each row of an (n, m) index matrix."""
-    n = indices.shape[0]
-    cells = (np.arange(n, dtype=np.intp)[:, None] * size + indices).ravel()
-    return np.bincount(cells, minlength=n * size).reshape(n, size)
+    """(n, size) symbol counts of each row of an (n, m) index matrix.
+
+    The rows are counted in blocks of _tapes_per_block(max(m, size)) whole
+    rows, so a block's offset cells and counts fit the cell budget: one
+    bincount of the block's cells, row r's indices offset by r * size, or
+    of the row itself in a block of one row, with no offset array.
+    """
+    n, m = indices.shape
+    counts = np.empty((n, size), np.intp)
+    block = _tapes_per_block(max(m, size))
+    for start in range(0, n, block):
+        rows = indices[start : start + block]
+        if len(rows) == 1:
+            counts[start] = np.bincount(rows[0], minlength=size)
+            continue
+        cells = np.arange(0, len(rows) * size, size, dtype=np.intp)[:, None] + rows
+        counts[start : start + len(rows)] = np.bincount(
+            cells.ravel(), minlength=len(rows) * size
+        ).reshape(len(rows), size)
+    return counts
 
 
 def _require_domain(domain: ContentDomain, operand) -> None:
@@ -531,23 +575,32 @@ def _bucket_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
     return table
 
 
-def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") as int64, for a non-decreasing
-    `cdf` and draws `u` in [0, 1).
-
-    With more draws than buckets (B, the smallest power of two >= 16|cdf|)
-    each draw is resolved in a bucket table (Chen & Asau 1974): u * B only
-    shifts u's exponent, so the truncating cast gives its bucket exactly,
-    and only draws whose bucket holds a cdf value, at most |cdf| - 1 of the
-    B buckets, are searched.
-    """
+def _search_table(cdf: np.ndarray, draws: int) -> np.ndarray | None:
+    """The bucket table that _search_cdf reads for a call of `draws` draws
+    over `cdf`, or None when the draws are at most B, the smallest power of
+    two >= 16|cdf|: the table would cost more than it saves. The call's
+    total draw count chooses, never the size of one block."""
     buckets = 1 << (16 * cdf.size - 1).bit_length()
-    if u.size <= buckets:  # the table would cost more than it saves
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
-    table = _bucket_table(cdf, buckets)
-    # Buckets go straight into the int64 result, then map through the table
-    # in place (take reads each index before it writes that slot).
-    out = np.multiply(u, buckets, out=np.empty(u.size, np.int64), casting="unsafe")
+    return _bucket_table(cdf, buckets) if draws > buckets else None
+
+
+def _search_cdf(
+    cdf: np.ndarray, u: np.ndarray, table: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") written into the int64 `out`,
+    for a non-decreasing `cdf` and draws `u` in [0, 1).
+
+    With a bucket table of B buckets (_search_table; Chen & Asau 1974) each
+    draw is resolved in the table: u * B only shifts u's exponent, so the
+    truncating cast gives its bucket exactly, and only draws whose bucket
+    holds a cdf value, at most |cdf| - 1 of the B buckets, are searched.
+    """
+    if table is None:
+        out[...] = np.searchsorted(cdf, u, side="right")
+        return out
+    # Buckets go straight into `out`, then map through the table in place
+    # (take reads each index before it writes that slot).
+    np.multiply(u, table.size, out=out, casting="unsafe")
     np.take(table, out, out=out, mode="clip")
     miss = np.flatnonzero(out < 0)
     out[miss] = np.searchsorted(cdf, u[miss], side="right")
@@ -567,20 +620,38 @@ def _sample_rows(q: DiscreteDistribution, size: int, seeds: Sequence[int]) -> np
     Inverse-CDF sampling with the CDF renormalized by its final value, so
     the 1e-9 construction slack cannot leak probability onto any symbol and
     zero-width bins (zero-probability symbols) are never selected. Row i is
-    #{cdf <= u} for each u of default_rng(key).random(size), drawn into its
-    row of one block, where key is util._seed_key(seeds[i]): a seed is read
-    mod 2**64, as every seed is. Every row is mapped in one _search_cdf
-    call, whose bucket table finds the indices of many draws with the same
-    result as a binary search. A size that _require_count refuses (below 0)
-    raises its ValueError before any draw.
+    #{cdf <= u} for each u of default_rng(key).random(size), where key is
+    util._seed_key(seeds[i]): a seed is read mod 2**64, as every seed is.
+
+    The draws go through one buffer of at most _CELL_BUDGET doubles, reused
+    block by block: a block holds _tapes_per_block(size) whole rows, each
+    drawn from its own seed's Generator, or, for a row longer than the
+    buffer, one slice of that row, its Generator going on where the last
+    slice stopped (consecutive random(out=...) blocks are the one-call
+    stream). Each block is mapped by _search_cdf straight into its span of
+    the int64 result, with the one bucket table that _search_table chooses
+    for the whole call, built at most once; the table gives the same result
+    as a binary search. A size that _require_count refuses (below 0) raises
+    its ValueError before any draw.
     """
     size = _require_count("size", size, 0)
     cdf = np.cumsum(q.weights)
     cdf /= cdf[-1]
-    uniforms = np.empty((len(seeds), size))
-    for row, seed in zip(uniforms, seeds):
-        np.random.default_rng(_seed_key(seed)).random(out=row)
-    return _search_cdf(cdf, uniforms.ravel()).reshape(uniforms.shape)
+    out = np.empty(len(seeds) * size, np.int64)
+    table = _search_table(cdf, out.size)
+    rows = _tapes_per_block(max(size, 1))
+    width = min(size, _CELL_BUDGET) or 1  # draws of one row in one block
+    buffer = np.empty(min(out.size, rows * width))
+    done = 0
+    for first in range(0, len(seeds), rows):
+        generators = [np.random.default_rng(_seed_key(s)) for s in seeds[first : first + rows]]
+        for column in range(0, size, width):
+            block = buffer[: len(generators) * min(width, size - column)]
+            for generator, row in zip(generators, block.reshape(len(generators), -1)):
+                generator.random(out=row)
+            _search_cdf(cdf, block, table, out[done : done + block.size])
+            done += block.size
+    return out.reshape(len(seeds), size)
 
 
 def sample(q: DiscreteDistribution, seed: int) -> str:

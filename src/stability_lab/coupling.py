@@ -28,6 +28,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import (
     ContentDomain,
     DiscreteDistribution,
@@ -36,23 +37,13 @@ from .core import (
     _require_same_domain,
     _require_shape,
     _row_counts,
+    _tapes_per_block,
 )
 from .util import _seed_key
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-# The race's one cell budget. _tapes_per_block sizes every block by it: a
-# tape block (tapes x |Z| variates, and the release chunk of its count
-# rows), a tournament group (tapes x k quotients), a rank group (tapes x k
-# gathered ranks), a rank chunk (tapes x E: its rank table, quotients and
-# their order) and a Monte Carlo step (models x tapes). 2**15 float64
-# cells are 256 KB. The Monte Carlo step of two models x 2**14 tapes timed
-# best: the oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at
-# 2**15 tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament
-# group races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
-_CELL_BUDGET = 2**15
 
 
 def _splitmix64(x: np.ndarray, offsets=np.uint64(0)) -> np.ndarray:
@@ -185,11 +176,6 @@ def _tournament(rows, columns: np.ndarray) -> np.ndarray:
     return winner
 
 
-def _tapes_per_block(cells_per_tape: int) -> int:
-    """Tapes whose cells fit in one _CELL_BUDGET block (at least one)."""
-    return max(1, _CELL_BUDGET // cells_per_tape)
-
-
 def coupled_sample_index(tape: CouplingTape, q: DiscreteDistribution) -> int:
     """Index form of coupled_sample: np.argmin's first minimum is the tie rule."""
     _require_same_domain(tape, q)
@@ -239,7 +225,7 @@ class _WeightPairs(NamedTuple):
 
 def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     """The pairs of the (|Z|, k) masked columns, or None when E * group,
-    the cells of a group's rank table, would pass _CELL_BUDGET, or when a
+    the cells of a group's rank table, would pass core._CELL_BUDGET, or when a
     weight row has no weight >= 2^-1016.
 
     The rank path's premise is that every weight row has a finite least
@@ -253,14 +239,14 @@ def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     anyway).
     """
     size = columns.shape[0]
-    if size * group > _CELL_BUDGET or not (columns >= 2.0**-1016).any(axis=0).all():
+    if size * group > core._CELL_BUDGET or not (columns >= 2.0**-1016).any(axis=0).all():
         return None
     ordered = np.sort(columns, axis=1)
     new = np.empty(ordered.shape, dtype=bool)
     new[:, 0] = True
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
     distinct = new.sum(axis=1)
-    if distinct.sum() * group > _CELL_BUDGET:
+    if distinct.sum() * group > core._CELL_BUDGET:
         return None
     values = ordered[new]
     del ordered, new
@@ -431,7 +417,7 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     bytes by typed copies, wider rows by memmove); in the mask order
     neighbouring sets share most symbols. It ranks a chunk of groups at
     once: the most consecutive groups whose tapes by E pairs fit
-    _CELL_BUDGET, and always at least one. _ranks_pay chooses the kernel
+    core._CELL_BUDGET, and always at least one. _ranks_pay chooses the kernel
     of each block; the weight pairs are built, once, for the first block
     that takes the rank path, and when there are too many of them every
     block keeps the tournament.
@@ -497,7 +483,7 @@ def race_tapes(
     coupled_sample_index(new_tape(domain, seeds[j]), q_i), where q_i is
     weight row i: all rows share each tape, which is the point of the
     coupling. The tapes are made by the same counter-based hash, in blocks
-    of at most _CELL_BUDGET variates, and raced in groups that share their
+    of at most core._CELL_BUDGET variates, and raced in groups that share their
     candidate symbols. `seeds` may be any iterable; the result is intp,
     (0, n_models) when there are no seeds.
     """
@@ -513,7 +499,7 @@ def race_counts(
 
     Row j counts how many weight rows won each symbol on seeds[j]'s tape.
     Only one group of tapes' winners exists at a time (at most about
-    _CELL_BUDGET), never the whole (len(seeds), n_models) matrix, and each
+    core._CELL_BUDGET), never the whole (len(seeds), n_models) matrix, and each
     group is counted in one call. The result is intp, (0, |Z|) when there
     are no seeds.
     """

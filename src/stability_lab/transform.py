@@ -32,12 +32,13 @@ from .core import (
     _require_domain,
     _require_shape,
     _sample_rows,
+    _tapes_per_block,
     _tv_rows,
     make_distribution,
     sample_dataset,
     tv_distance,
 )
-from .coupling import _race_tape_blocks, _tapes_per_block
+from .coupling import _race_tape_blocks
 from .dp import DpParams, NoisyHistogram, _release_rows, required_k
 from .errors import SizeMismatch
 from .util import _derive_seeds, _seed_key, derive_seed
@@ -116,9 +117,10 @@ def estimate_premise_alpha(
     b are sample_dataset(data_dist, m, s) for its seeds s from the
     "premise-sample-a" and "-b" streams. The trials run in blocks of
     _tapes_per_block(max(m, |Z|)) rows, so a block's uniforms and models
-    fit the race's cell budget: each block draws each side's rows in one
-    core._sample_rows call, sample_dataset's own sampler, and trains each
-    side once through _train_rows, side s of block b with train seed
+    fit the one cell budget, core._CELL_BUDGET: each block draws each
+    side's rows in one core._sample_rows call, sample_dataset's own
+    sampler, and trains each side once through _train_rows, side s of
+    block b with train seed
     derive_seed(seed, "premise-train-s", b). The row TVs are
     core._tv_rows, tv_distance's own sum, and are added in trial order. A
     learner that ignores its seed, as both built-in ones do, so gets the

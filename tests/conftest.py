@@ -118,6 +118,23 @@ def searchsorted_sample_indices(q: DiscreteDistribution, n: int, seed: int) -> n
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
+def record_bincounts(monkeypatch, module) -> list[tuple[int, int]]:
+    """Patch `module`'s np so that each np.bincount(x, minlength) call it
+    makes appends (x.size, minlength) to the returned list."""
+    counted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, x, minlength=0):
+            counted.append((x.size, minlength))
+            return np.bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(module, "np", CountingNumpy())
+    return counted
+
+
 # --- per-trial premise oracle ------------------------------------------------
 #
 # The body of transform.estimate_premise_alpha before its block passes: two

@@ -1119,6 +1119,13 @@ class TestJsonTypes:
                           "weights": [1 / 300] * 299 + ["x"]}, "q2": TWO},
             "q1.weights[299]: expected a number, got 'x'",
         ),
+        # a long value of the wrong kind is echoed cut to core._ECHO_CHARS
+        # characters, where the whole list (6,939 bytes) used to be echoed
+        "bare list of 300 weights": (
+            "tv", {"q1": [1 / 300] * 300, "q2": TWO},
+            "q1: expected a JSON object, got [0.0033333333333333335, 0.0033333333333333335,"
+            " 0.0033333333333333335, 0.00333...",
+        ),
         "domain symbol entry": (
             "hist", {"domain": {"symbols": ["a", None]}, "epsilon": 1.0, "delta": 1e-3},
             "domain.symbols[1]: expected a string, got None",
@@ -1161,7 +1168,8 @@ class TestJsonTypes:
             code, report = run_cli(tmp_path, subcommand, cfg)
             assert report is None
         assert code == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {line}\n" and len(err.encode()) < 200
 
     def test_config_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", [1])

@@ -19,6 +19,7 @@ from conftest import (
     generator_line_tokens,
     random_distribution,
     random_pair,
+    record_bincounts,
     searchsorted_sample_indices,
 )
 from stability_lab import (
@@ -462,7 +463,9 @@ class TestSampleExact:
         b = _buckets(cdf.size)
         u = np.concatenate([_around(np.arange(b) / b), _around(cdf)])
         assert u.size > b
-        got = core._search_cdf(cdf, u)
+        table = core._search_table(cdf, u.size)
+        assert table is not None
+        got = core._search_cdf(cdf, u, table, np.empty(u.size, np.int64))
         assert got.dtype == np.int64
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
@@ -504,6 +507,102 @@ class TestSampleExact:
         monkeypatch.setattr(core, "sample_indices", lambda q, n, seed: drawn)
         ds = sample_dataset(dist([0.2, 0.3, 0.5]), 3, seed=0)
         assert ds.indices is drawn and not drawn.flags.writeable
+
+    BUDGET = 2**15
+
+    @pytest.mark.parametrize("size", [8, 5000])
+    def test_rows_longer_than_the_buffer(self, size):
+        # a row past the budget is drawn in consecutive slices of one
+        # Generator; a table at |Z| = 8, a binary search at |Z| = 5000 for
+        # all but the longest row
+        q = _zipf(size)
+        budget = self.BUDGET
+        self._check(q, seed=size, ns=(budget - 1, budget, budget + 1, 3 * budget + 7))
+
+    @pytest.mark.parametrize("size, rows", [(50, 2000), (7, 10_000), (2**14 + 1, 3)])
+    def test_many_rows_in_blocks_of_whole_rows(self, size, rows):
+        # 655 rows of 50 to a block, 4,681 of 7, one of 2^14 + 1: each call
+        # spans several blocks, the last one partial
+        q = _zipf(8)
+        seeds = [2**64 - 1 - i for i in range(rows)]
+        got = core._sample_rows(q, size, seeds)
+        assert got.dtype == np.int64 and got.shape == (rows, size)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == searchsorted_sample_indices(q, size, seed).tobytes()
+
+    @pytest.mark.parametrize("size, rows", [(10**6, 1), (500, 300), (_buckets(5000) + 1, 1)])
+    def test_one_bucket_table_per_call(self, monkeypatch, size, rows):
+        # |Z| = 5000 has B = 131,072 buckets: the call's total draws choose
+        # the table, which is built once and searches every block, though
+        # each block holds fewer draws than B
+        q = _zipf(5000)
+        tables, searched = [], []
+        bucket_table, search_cdf = core._bucket_table, core._search_cdf
+
+        def table_spy(cdf, buckets):
+            tables.append(buckets)
+            return bucket_table(cdf, buckets)
+
+        def search_spy(cdf, u, table, out):
+            searched.append(None if table is None else table.size)
+            return search_cdf(cdf, u, table, out)
+
+        monkeypatch.setattr(core, "_bucket_table", table_spy)
+        monkeypatch.setattr(core, "_search_cdf", search_spy)
+        seeds = list(range(rows))
+        got = core._sample_rows(q, size, seeds)
+        assert tables == [_buckets(5000)] and size * rows > tables[0] > self.BUDGET
+        assert len(searched) > 1 and searched == tables * len(searched)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == searchsorted_sample_indices(q, size, seed).tobytes()
+
+
+def _one_bincount(indices: np.ndarray, size: int) -> np.ndarray:
+    """The counts of every row of `indices` in one bincount of offset cells."""
+    n = indices.shape[0]
+    cells = (np.arange(n, dtype=np.intp)[:, None] * size + indices).ravel()
+    return np.bincount(cells, minlength=n * size).reshape(n, size)
+
+
+class TestRowCounts:
+    """core._row_counts counts blocks of whole rows, each within the cell
+    budget, and equals one bincount of the whole matrix."""
+
+    @pytest.mark.parametrize(
+        "n, m, size",
+        [
+            (3170, 50, 8),  # 655 rows a block: 3170 is no multiple of it
+            (655, 50, 8),  # exactly one block
+            (656, 50, 8),
+            (1, 2**15 + 5, 8),  # one row longer than the budget
+            (3, 40_000, 8),  # blocks of one row each
+            (1000, 3, 7000),  # 4 rows a block: the counts set the block
+            (5, 0, 4),
+            (0, 5, 3),
+        ],
+    )
+    def test_blocks_equal_one_bincount(self, n, m, size):
+        rng = np.random.default_rng(n + m + size)
+        for dtype in (np.int64, np.uint16):
+            indices = rng.integers(0, size, (n, m)).astype(dtype)
+            got = core._row_counts(indices, size)
+            assert got.dtype == np.intp and got.shape == (n, size)
+            assert np.array_equal(got, _one_bincount(indices, size))
+
+    @pytest.mark.parametrize("n, m, size", [(3170, 50, 8), (1, 2**15 + 5, 8), (1000, 3, 7000)])
+    def test_every_block_fits_the_budget(self, monkeypatch, n, m, size):
+        # every bincount holds at most a budget of cells, unless one row
+        # alone is longer; a block of one row counts the row itself
+        indices = np.random.default_rng(n).integers(0, size, (n, m))
+        counted = record_bincounts(monkeypatch, core)
+        got = core._row_counts(indices, size)
+        monkeypatch.undo()
+        assert np.array_equal(got, _one_bincount(indices, size))
+        rows = max(1, 2**15 // max(m, size))
+        assert sum(cells for cells, _ in counted) == n * m
+        assert len(counted) == -(-n // rows)
+        for cells, minlength in counted:
+            assert max(cells, minlength) <= 2**15 or (cells, minlength) == (m, size)
 
 
 class TestMinEnvelope:

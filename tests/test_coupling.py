@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stability_lab.core as core_mod
 import stability_lab.coupling as coupling_mod
 import stability_lab.transform as transform_mod
 from conftest import (
@@ -12,6 +13,7 @@ from conftest import (
     domain,
     random_distribution,
     random_pair,
+    record_bincounts,
     scalar_splitmix64,
 )
 from stability_lab import (
@@ -27,6 +29,7 @@ from stability_lab import (
     learner_constant,
     make_distribution,
     new_tape,
+    transform_bound_experiment,
     tv_distance,
 )
 from stability_lab.coupling import (
@@ -328,7 +331,7 @@ class TestDisagreementEstimate:
     def test_independent_of_chunking(self, monkeypatch):
         q1, q2 = dist([0.6, 0.4]), dist([0.2, 0.8])
         full = disagreement_estimate(q1, q2, 3000, seed=9)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 1)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 1)
         assert disagreement_estimate(q1, q2, 3000, seed=9) == full
 
     def test_trials_validation(self):
@@ -375,7 +378,7 @@ class TestRaceTapes:
         sizes = {w.shape[1]: tapes_per_block, w.shape[0]: tapes_per_group}
         limits = [(n + 1) * cells - 1 for cells, n in sizes.items() if n is not None]
         if limits:
-            monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", min(limits))
+            monkeypatch.setattr(core_mod, "_CELL_BUDGET", min(limits))
         for cells, n in sizes.items():
             assert n is None or coupling_mod._tapes_per_block(cells) == n
         got = race_tapes(d, self.SEEDS, w)
@@ -481,7 +484,7 @@ class TestTournamentMatchesArgmin:
         # of row 1; a group races only tapes whose candidate sets hash alike,
         # so it races other tapes' candidates only under a key collision
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 1)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 1)
         assert assert_races_match_argmin(d, range(8), w[:2])[1, 1] == 1
         models = [make_distribution(d, row) for row in w]
         for q1, q2 in zip(models, models[1:]):
@@ -608,7 +611,7 @@ class TestCandidateBuckets:
         sizes = {s: sets.count(s) for s in sets}
         assert len(sizes) >= 3 and any(n >= 3 and n % 2 for n in sizes.values())
         groups = self.record_groups(monkeypatch)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 2 * w.shape[0])
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 2 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
         expected = [(s, 2) for s, n in sizes.items() for _ in range(n // 2)]
         expected += [(s, 1) for s, n in sizes.items() if n % 2]
@@ -621,7 +624,7 @@ class TestCandidateBuckets:
         d, w = domain(6), self.weights()
         sets = self.candidate_sets(d, self.SEEDS, w)
         groups = self.record_groups(monkeypatch)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 40 * w.shape[0])
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 40 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
         expected = [(s, sets.count(s)) for s in set(sets)]
         assert len(expected) >= 3 and any(n > 1 for _, n in expected)
@@ -648,7 +651,7 @@ class TestCandidateBuckets:
 
         monkeypatch.setattr(coupling_mod, "_rank_chunk", recording)
         monkeypatch.setattr(coupling_mod, "_ranks_pay", lambda *args: True)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * w.shape[0])
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * w.shape[0])
         assert_races_match_argmin(d, self.SEEDS, w)
         tapes = len(self.SEEDS)
         for race in (seen[:tapes], seen[tapes:]):
@@ -725,7 +728,7 @@ class TestRankRace:
         tapes: a chunk holds the most groups whose tapes by E pairs fit the
         cell budget, and at least one."""
         pairs = coupling_mod._weight_pairs(coupling_mod._weight_columns(d, w), group)
-        return -(-groups // max(1, coupling_mod._CELL_BUDGET // len(pairs.values) // group))
+        return -(-groups // max(1, core_mod._CELL_BUDGET // len(pairs.values) // group))
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("size", [1, 2, 8, 32])
@@ -867,7 +870,7 @@ class TestRankRace:
         # groups of the largest power of two up to n (1, 2, 2 and 4); 23
         # tapes end in a ragged group
         d, w = self.empirical(5, 40, 1.0)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", tapes_per_group * 40 + 39)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", tapes_per_group * 40 + 39)
         calls = rank_path(monkeypatch)
         pairs = coupling_mod._weight_pairs(np.ascontiguousarray(w.T), 1)
         assert len(pairs.values) <= 40
@@ -1029,7 +1032,7 @@ class TestStreamedMonteCarlo:
         x1, x2 = _argmin_monte_carlo(q1, q2, 30, 5)
         monkeypatch.setattr(coupling_mod, "_cell_variates", one_row)
         # 14 cells: steps of 7 tapes for the pair, of 14 for one model
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 14)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 14)
         assert disagreement_estimate(q1, q2, 30, 5) == np.count_nonzero(x1 != x2) / 30
         assert np.array_equal(coupled_marginal_counts(q1, 30, 5), np.bincount(x1, minlength=8))
         assert widths == [7] * 8 * 4 + [2] * 8 + [14] * 8 * 2 + [2] * 8
@@ -1092,7 +1095,7 @@ class TestCellBudget:
             return rank_chunk(variates, unions, pairs, group, count)
 
         budget = 20
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", budget)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", budget)
         monkeypatch.setattr(coupling_mod, "_exp_variates", recording_variates)
         monkeypatch.setattr(coupling_mod, "_tournament", recording_tournament)
         monkeypatch.setattr(coupling_mod, "_rank_chunk", recording_rank_chunk)
@@ -1109,6 +1112,31 @@ class TestCellBudget:
         assert bool(laws) == any(cells > tape for cells, tape in ranks)
         # a chunk holds the most groups that fit, short only at a block's end
         assert all(spare >= 0 for spare in chunks) and bool(laws) == (0 in chunks)
+
+    def test_transform_samples_and_counts_shards_in_blocks(self, monkeypatch):
+        # epsilon = 1, delta = 1e-6, eta = 0.2 and m = 50 give k = 682: the
+        # private sample, one row of k * m = 34,100 draws, is drawn in two
+        # slices, and its shard counts in two blocks of whole rows, 655 rows
+        # of 50 and then 27
+        config = TransformConfig.from_params(epsilon=1.0, delta=1e-6, eta=0.2, m=50)
+        assert config.k == 682 and config.m_priv > core_mod._CELL_BUDGET
+        law = dist([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04])
+        draws = []
+        search_cdf = core_mod._search_cdf
+
+        def recording_search(cdf, u, table, out):
+            draws.append(u.size)
+            return search_cdf(cdf, u, table, out)
+
+        monkeypatch.setattr(core_mod, "_search_cdf", recording_search)
+        counted = record_bincounts(monkeypatch, core_mod)
+        transform_bound_experiment(learner_empirical(1.0), law, config, 1, 3, 9, premise_trials=2)
+        monkeypatch.undo()
+        budget = core_mod._CELL_BUDGET
+        assert draws.count(budget) == 1 and draws.count(config.m_priv - budget) == 1
+        assert (655 * 50, 655 * 8) in counted and (27 * 50, 27 * 8) in counted
+        assert all(n <= budget for n in draws)
+        assert all(max(cells, minlength) <= budget for cells, minlength in counted)
 
 
 class TestFloatRule:
@@ -1189,7 +1217,7 @@ class TestFloatRule:
     @pytest.mark.parametrize("name", ["race_tape_blocks", "release_chain", "streamed_winners"])
     def test_callers_keep_their_settings_between_yields(self, monkeypatch, name):
         # 8 cells: tape blocks of 2 tapes, Monte Carlo steps of 4
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 8)
         settings = np.geterr()
         steps = 0
         for _ in self.chains(name):

@@ -301,14 +301,32 @@ def test_log_is_within_one_ulp_of_math_log(rng):
 
 def test_random_into_a_row_equals_a_fresh_draw():
     """core._sample_rows draws default_rng(s).random(out=row) into each row
-    of one 2-D block, for sample_indices (one row) and the premise estimate
-    (many rows): each row must hold the doubles of default_rng(s).random(n)."""
+    of a 2-D block of its buffer, for sample_indices (one row) and the
+    premise estimate (many rows): each row must hold the doubles of
+    default_rng(s).random(n)."""
     for rows, n in ((1, 1), (1, 1000), (5, 333), (3, 0)):
         block = np.empty((rows, n))
         for s, row in enumerate(block):
             np.random.default_rng(s).random(out=row)
         for s, row in enumerate(block):
             assert row.tobytes() == np.random.default_rng(s).random(n).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 77, 2**15 - 1, 2**15 + 1])
+def test_random_in_consecutive_blocks_equals_one_call(block):
+    """core._sample_rows draws a row longer than its buffer as consecutive
+    blocks of one Generator, random(out=buffer[:n]) block after block: the
+    blocks must hold, in order, the doubles of one random(size) call from
+    the same seed, also where the last block is partial."""
+    size = 3 * block + 2
+    generator = np.random.default_rng(2**64 - 1)
+    buffer = np.empty(block)
+    drawn = []
+    for start in range(0, size, block):
+        part = buffer[: min(block, size - start)]
+        generator.random(out=part)
+        drawn.append(part.tobytes())
+    assert b"".join(drawn) == np.random.default_rng(2**64 - 1).random(size).tobytes()
 
 
 def test_searchsorted_side_rules(rng):

@@ -193,7 +193,7 @@ class TestEstimatePremiseAlpha:
     @pytest.mark.parametrize("kind", PREMISE_LEARNERS)
     def test_blocks_straddle_trials(self, monkeypatch, kind):
         # A 64-cell budget makes blocks of 8 rows at |Z| = 8 and m = 5.
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 64)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 64)
         data = random_distribution(np.random.default_rng(71), 8)
         learner = self.premise_learner(kind, data)
         for trials in (1, 7, 8, 9, 16, 25):
@@ -207,7 +207,7 @@ class TestEstimatePremiseAlpha:
             return learner_empirical(seed % 5 / 2).train(dataset, seed)
 
         learner = Learner("seeded", train)
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 64)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 64)
         data = random_distribution(np.random.default_rng(72), 8)
         m, trials, seed = 5, 19, 17
         block = transform_mod._tapes_per_block(max(m, 8))
@@ -260,7 +260,7 @@ class TestEstimatePremiseAlpha:
         monkeypatch.setattr(transform_mod, "_train_rows", spy)
         data = random_distribution(np.random.default_rng(size), size)
         estimate_premise_alpha(learner_empirical(1.0), data, m, trials, seed=3)
-        budget = coupling_mod._CELL_BUDGET
+        budget = core_mod._CELL_BUDGET
         assert sum(trained) == 2 * trials and len(sampled) == len(trained)
         for shape, rows in zip(sampled, trained):
             assert shape == (rows, m)
@@ -716,13 +716,13 @@ class TestBoundExperiment:
         # 16 cells: the chain's race makes the 7 inner trials' tapes in
         # blocks of 2, 2, 2 and 1 tapes of |Z| = 8 variates, and
         # _release_chain releases each block as it is raced
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 2 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 2 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_spans_release_chunks(self, monkeypatch):
         # 24 cells: _release_chain releases the 7 inner trials as count
         # matrices of 3, 3 and 1 rows of |Z| = 8 counts
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * 8)
         self.check_inner_average(7)
 
     def test_inner_average_adds_rows_in_trial_order(self):
@@ -872,7 +872,7 @@ class TestReleaseChain:
         # 24 cells: each outer trial's 7 inner trials are one chain call,
         # which races all 7 tapes in one call and releases and projects them
         # in its tape blocks of 3, 3 and 1
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * 8)
         rows = self.stage_rows(monkeypatch)
         seed = 17
         transform_bound_experiment(
@@ -890,7 +890,7 @@ class TestReleaseChain:
     def test_weight_columns_built_once_per_chain(self, chains, monkeypatch):
         # a release of 7 inner trials spans chunks of 3, 3 and 1 rows, and
         # its one race builds the masked, symbol-major weight columns once
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * 8)
         weight_columns = coupling_mod._weight_columns
         built = []
 
@@ -909,7 +909,7 @@ class TestReleaseChain:
     def test_chain_races_a_block_only_when_it_is_taken(self, monkeypatch):
         # 24 cells: the first chunk of a chain of 7 seeds races the first
         # tape block of 3 tapes, not all 7, and each later chunk its own
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * 8)
         exp_variates = coupling_mod._exp_variates
         raced = []
 
@@ -927,7 +927,7 @@ class TestReleaseChain:
     def test_chain_draws_seeds_a_block_at_a_time(self, monkeypatch):
         # 24 cells: the first chunk of a chain fed 7 seeds from generators
         # draws the 3 tape seeds and 3 noise seeds of its block, not all 7
-        monkeypatch.setattr(coupling_mod, "_CELL_BUDGET", 3 * 8)
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 3 * 8)
         drawn = {"tape": 0, "noise": 0}
 
         def seeds(name, start):
