@@ -486,17 +486,13 @@ def _row_counts(indices: np.ndarray, size: int) -> np.ndarray:
 
     The rows are counted in blocks of _tapes_per_block(max(m, size)) whole
     rows, so a block's offset cells and counts fit the cell budget: one
-    bincount of the block's cells, row r's indices offset by r * size, or
-    of the row itself in a block of one row, with no offset array.
+    bincount of the block's cells, row r's indices offset by r * size.
     """
     n, m = indices.shape
     counts = np.empty((n, size), np.intp)
     block = _tapes_per_block(max(m, size))
     for start in range(0, n, block):
         rows = indices[start : start + block]
-        if len(rows) == 1:
-            counts[start] = np.bincount(rows[0], minlength=size)
-            continue
         cells = np.arange(0, len(rows) * size, size, dtype=np.intp)[:, None] + rows
         counts[start : start + len(rows)] = np.bincount(
             cells.ravel(), minlength=len(rows) * size
@@ -644,10 +640,15 @@ def _sample_rows(q: DiscreteDistribution, size: int, seeds: Sequence[int]) -> np
     buffer = np.empty(min(out.size, rows * width))
     done = 0
     for first in range(0, len(seeds), rows):
-        generators = [np.random.default_rng(_seed_key(s)) for s in seeds[first : first + rows]]
+        chunk = seeds[first : first + rows]
+        # A whole row's Generator is made as the row is drawn and dropped
+        # after it; only a row cut into slices keeps its one Generator.
+        generators = (np.random.default_rng(_seed_key(s)) for s in chunk)
+        if size > width:
+            generators = list(generators)
         for column in range(0, size, width):
-            block = buffer[: len(generators) * min(width, size - column)]
-            for generator, row in zip(generators, block.reshape(len(generators), -1)):
+            block = buffer[: len(chunk) * min(width, size - column)]
+            for generator, row in zip(generators, block.reshape(len(chunk), -1)):
                 generator.random(out=row)
             _search_cdf(cdf, block, table, out[done : done + block.size])
             done += block.size

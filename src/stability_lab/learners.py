@@ -33,7 +33,7 @@ def learner_empirical(smoothing: float = 0.0) -> Learner:
     def train_shards(
         domain: ContentDomain, shard_indices: np.ndarray, train_seed: int
     ) -> np.ndarray:
-        # One bincount counts every shard at once; train is its one-row call.
+        # _row_counts counts the shards in cell-budget blocks; train is its one-row call.
         if shard_indices.shape[1] == 0 and smoothing == 0:
             raise EmptyDataset("the unsmoothed empirical learner needs data")
         counts = _row_counts(shard_indices, domain.size).astype(np.float64) + smoothing

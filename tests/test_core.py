@@ -592,7 +592,7 @@ class TestRowCounts:
     @pytest.mark.parametrize("n, m, size", [(3170, 50, 8), (1, 2**15 + 5, 8), (1000, 3, 7000)])
     def test_every_block_fits_the_budget(self, monkeypatch, n, m, size):
         # every bincount holds at most a budget of cells, unless one row
-        # alone is longer; a block of one row counts the row itself
+        # alone is longer
         indices = np.random.default_rng(n).integers(0, size, (n, m))
         counted = record_bincounts(monkeypatch, core)
         got = core._row_counts(indices, size)
