@@ -468,11 +468,14 @@ def _require_nonnegative(name: str, value) -> None:
 # table, quotients and their order) and Monte Carlo step (models x tapes);
 # a premise block (rows x max(m, |Z|)); a sampler block of _sample_rows
 # (whole rows of draws, or a slice of one longer row); and a shard-count
-# block of _row_counts (rows x max(m, |Z|)). 2**15 float64 cells are
-# 256 KB. The Monte Carlo step of two models x 2**14 tapes timed best: the
-# oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at 2**15
-# tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament group
-# races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
+# block of _row_counts (rows x max(m, |Z|)). It also caps two lookup
+# tables: the sampler's bucket table (_search_table doubles its buckets up
+# to the budget, unless 16 |cdf| already passes it) and the rank race's
+# code table (coupling._weight_codes, |Z| (B + 1) cells). 2**15 float64
+# cells are 256 KB. The Monte Carlo step of two models x 2**14 tapes timed
+# best: the oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at
+# 2**15 tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament
+# group races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
 _CELL_BUDGET = 2**15
 
 
@@ -550,6 +553,15 @@ def tv_event_form(
     return _max_event(q1.domain, q1.weights - q2.weights)
 
 
+def _mixed_buckets(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """The buckets [b/B, (b+1)/B) of `buckets` B, a power of two, that hold a
+    value c < 1 of `cdf` strictly inside: c * B is exact, so that bucket is
+    floor(c * B), taken where c * B is not an integer."""
+    scaled = cdf * buckets
+    bucket = np.floor(scaled)
+    return bucket[(bucket != scaled) & (scaled < buckets)].astype(np.intp)
+
+
 def _bucket_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
     """Guide table of a non-decreasing `cdf` over `buckets` buckets, a power
     of two: entry b is #{cdf <= b/B}, or -1 where a cdf value lies strictly
@@ -557,27 +569,41 @@ def _bucket_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
 
     For u in bucket b, #{cdf <= b/B} <= #{cdf <= u} <= #{cdf < (b+1)/B}, so
     where the two counts agree every draw of the bucket has that index.
-    They differ exactly where a cdf value c < 1 lies strictly inside the
-    bucket: c * B is exact, as B is a power of two, so that bucket is
-    floor(c * B), marked where c * B is not an integer.
+    They differ exactly in the buckets of _mixed_buckets.
     """
     edges = np.arange(buckets, dtype=np.float64)
     edges /= buckets
     table = np.searchsorted(cdf, edges, side="right")
     del edges
-    scaled = cdf * buckets
-    bucket = np.floor(scaled)
-    table[bucket[(bucket != scaled) & (scaled < buckets)].astype(np.intp)] = -1
+    table[_mixed_buckets(cdf, buckets)] = -1
     return table
 
 
 def _search_table(cdf: np.ndarray, draws: int) -> np.ndarray | None:
     """The bucket table that _search_cdf reads for a call of `draws` draws
-    over `cdf`, or None when the draws are at most B, the smallest power of
+    over `cdf`, or None when the draws are at most the smallest power of
     two >= 16|cdf|: the table would cost more than it saves. The call's
-    total draw count chooses, never the size of one block."""
-    buckets = 1 << (16 * cdf.size - 1).bit_length()
-    return _bucket_table(cdf, buckets) if draws > buckets else None
+    total draw count chooses, never the size of one block.
+
+    From that many buckets B0, B doubles while the table still has mixed
+    buckets (_mixed_buckets), whose draws fall through to a binary search,
+    and while 2B stays within both _CELL_BUDGET and draws / 16, so the
+    table's build and cache footprint stay small next to the draws. Each
+    doubling halves a draw's chance 1/B of landing in a given mixed
+    bucket; a cdf whose values all lie on bucket edges has no mixed bucket
+    and keeps B0. A value on an edge at B is on one at 2B, so B is found
+    from the top: the most buckets the draws allow, halved while half as
+    many have no mixed bucket either (one check for a law with a value off
+    every dyadic edge). The table is exact at every B (_bucket_table), so
+    B moves only the time.
+    """
+    first = 1 << (16 * cdf.size - 1).bit_length()
+    if draws <= first:
+        return None
+    buckets = max(first, 1 << (min(_CELL_BUDGET, draws // 16).bit_length() - 1))
+    while buckets > first and not _mixed_buckets(cdf, buckets // 2).size:
+        buckets //= 2
+    return _bucket_table(cdf, buckets)
 
 
 def _search_cdf(

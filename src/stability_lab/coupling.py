@@ -236,7 +236,9 @@ def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
     quotients may all be +inf (np.argmin gives it the lowest symbol), keeps
     the tournament. E >= |Z|, so |Z| * group is checked before the columns
     are sorted. The mask leaves no -0.0 (sort and != would take it for +0.0
-    anyway).
+    anyway). The codes come from one exact-hit bucket table within the cell
+    budget, _weight_codes, whose docstring gives its rule and why each
+    code equals the per-column binary search's.
     """
     size = columns.shape[0]
     if size * group > core._CELL_BUDGET or not (columns >= 2.0**-1016).any(axis=0).all():
@@ -250,12 +252,85 @@ def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
         return None
     values = ordered[new]
     del ordered, new
-    starts = np.cumsum(distinct) - distinct
-    codes = np.empty(columns.shape, dtype=np.uint16)
-    for z, (start, stop) in enumerate(zip(starts, starts + distinct)):
-        codes[z] = np.searchsorted(values[start:stop], columns[z]) + start
     owners = np.repeat(np.arange(size, dtype=np.min_scalar_type(size - 1)), distinct)
-    return _WeightPairs(values, owners, codes)
+    return _WeightPairs(values, owners, _weight_codes(columns, values, owners, distinct))
+
+
+def _weight_codes(
+    columns: np.ndarray, values: np.ndarray, owners: np.ndarray, distinct: np.ndarray
+) -> np.ndarray:
+    """codes[z, i], the pair of columns[z, i]: np.searchsorted(values_z,
+    columns[z, i]) plus column z's first pair, where values_z are its
+    `distinct` ascending weights, read from one exact-hit bucket table.
+
+    The table gives each column B + 1 buckets, B the largest power of two
+    with |Z| (B + 1) cells in core._CELL_BUDGET. Column z's weight w lies in
+    bucket floor(w * B / S_z), S_z the least power of two at or above its
+    largest finite weight (at least 2^(log2 B - 1023), so B / S_z is a
+    double). B / S_z is a power of two, so the product only shifts w's
+    exponent: every bucket is exact for w in [0, S_z], subnormals included
+    (a product that underflows is below 1, in bucket 0 either way), and a
+    weight of S_z lands in the extra bucket B. A bucket that holds one pair
+    stores its index. Each key is one of its column's weights and goes
+    through the same arithmetic as its pair, so a hit is that pair,
+    exactly; the scaling is monotone, so the pairs of a bucket are
+    adjacent. Keys in a bucket of two or more pairs are searched in their
+    column. So are +inf keys (race_counts takes rows that are not laws):
+    keys and pairs are clamped to their column's largest finite weight, so
+    +inf shares that weight's bucket (in a column of +inf alone it is the
+    bucket's one pair, a hit).
+
+    The table is built only where it pays. A binary search costs about
+    20 ns for each key of a column of two or more weights (its branches
+    mispredict), a table lookup about 5 ns and the table itself a fixed
+    25-30 us in two dozen numpy calls, so the table takes at least 2,048
+    keys in such columns, and at least 2 |Z| cells in the budget; otherwise
+    every key is searched. A column of one weight never branches, so its
+    keys do not count. On the |Z| x k grid of _ranks_pay every shape that
+    builds the table took 0.29-0.96 of the per-column search's time; next
+    to the threshold the two cost about the same (within 10% at |Z| = 4,
+    k = 500).
+    """
+    size, k = columns.shape
+    starts = np.cumsum(distinct) - distinct
+    width = core._CELL_BUDGET // size
+    # |Z| k bounds the keys in columns of two or more weights, without a count
+    if width < 2 or size * k < 2048 or k * np.count_nonzero(distinct > 1) < 2048:
+        codes = np.empty(columns.shape, dtype=np.uint16)
+        for z, (start, stop) in enumerate(zip(starts, starts + distinct)):
+            codes[z] = np.searchsorted(values[start:stop], columns[z]) + start
+        return codes
+    buckets = 1 << ((width - 1).bit_length() - 1)
+    shift = buckets.bit_length() - 1
+    top = values[starts + distinct - 1]
+    keys, pair_keys = columns, values
+    if top.max() == np.inf:
+        top = np.maximum.reduceat(np.where(values < np.inf, values, 0.0), starts)
+        keys, pair_keys = np.minimum(columns, top[:, None]), np.minimum(values, top[owners])
+    mantissa, exponent = np.frexp(top)
+    exponent -= mantissa == 0.5  # S_z = top when top is a power of two
+    scale = np.ldexp(1.0, shift - np.maximum(exponent, shift - 1023))
+    # column z's buckets start at offsets[z] in the flat table; the pairs'
+    # slots ascend, so a pair alone in its bucket differs from both its
+    # neighbours
+    offsets = np.arange(0, size * (buckets + 1), buckets + 1)
+    slots = (pair_keys * scale[owners]).astype(np.intp)
+    slots += offsets[owners]
+    edges = np.ones(slots.size + 1, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=edges[1:-1])
+    alone = np.flatnonzero(edges[1:] & edges[:-1])
+    table = np.full(size * (buckets + 1), 0xFFFF, dtype=np.uint16)
+    table[slots[alone]] = alone
+    index = np.empty(columns.shape, np.intp)
+    np.multiply(keys, scale[:, None], out=index, casting="unsafe")
+    index += offsets[:, None]
+    codes = np.take(table, index, mode="clip")
+    del index
+    missed = codes == 0xFFFF
+    for z in np.flatnonzero(missed.any(axis=1)).tolist():
+        start, stop = starts[z], starts[z] + distinct[z]
+        codes[z, missed[z]] = np.searchsorted(values[start:stop], columns[z, missed[z]]) + start
+    return codes
 
 
 def _ranks_pay(k: int, raced: int, passes: int, gathered: int) -> bool:

@@ -356,7 +356,8 @@ class TestSample:
 
 
 def _buckets(size: int) -> int:
-    """The sampler's bucket count B: the smallest power of two >= 16 |Z|."""
+    """The sampler's first bucket count: the smallest power of two >= 16 |Z|,
+    the fewest buckets a table has and the most draws that get no table."""
     return 1 << (16 * size - 1).bit_length()
 
 
@@ -555,6 +556,85 @@ class TestSampleExact:
         assert len(searched) > 1 and searched == tables * len(searched)
         for row, seed in zip(got, seeds):
             assert row.tobytes() == searchsorted_sample_indices(q, size, seed).tobytes()
+
+
+_RULE_LAWS = {
+    "D8": _cdf([0.25, 0.20, 0.15, 0.12, 0.10, 0.08, 0.06, 0.04]),
+    "uniform-64": _cdf([1 / 64] * 64),
+    "zipf-1000": _cdf(_zipf(1000).weights),
+    "zero weights": _cdf([0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0]),
+}
+_RULE_DRAWS = [2**e + d for e in range(4, 25) for d in (-1, 0, 1)] + [158_500, 10**6]
+
+
+class TestSearchTableRule:
+    """core._search_table picks B from the call's draws and the table's
+    own mixed buckets; every table it picks gives the binary search."""
+
+    @staticmethod
+    def picked(cdf) -> dict:
+        """The table the rule picks for each draw count that gets one."""
+        tables = {}
+        for draws in _RULE_DRAWS:
+            table = core._search_table(cdf, draws)
+            if table is not None:
+                tables[draws] = table
+        return tables
+
+    @pytest.mark.parametrize("name", _RULE_LAWS)
+    def test_every_picked_table_searches_exactly(self, name):
+        cdf = _RULE_LAWS[name]
+        rng = np.random.default_rng(len(cdf))
+        sizes = sorted({t.size for t in self.picked(cdf).values()})
+        assert sizes[0] == _buckets(cdf.size)
+        for b in sizes:
+            table = next(t for t in self.picked(cdf).values() if t.size == b)
+            u = np.concatenate([rng.random(10_000), _around(np.arange(b) / b), _around(cdf)])
+            got = core._search_cdf(cdf, u, table, np.empty(u.size, np.int64))
+            assert np.array_equal(got, np.searchsorted(cdf, u, side="right")), b
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 64, 1000, 5000])
+    def test_a_table_exactly_above_the_first_bucket_count(self, size):
+        cdf = _cdf(np.random.default_rng(size).dirichlet(np.ones(size)))
+        b = _buckets(size)
+        for draws in (0, 1, b - 1, b):
+            assert core._search_table(cdf, draws) is None
+        for draws in (b + 1, 2 * b, 10**7):
+            assert core._search_table(cdf, draws) is not None
+
+    @pytest.mark.parametrize("budget", [2**15, 2**10])
+    @pytest.mark.parametrize("name", _RULE_LAWS)
+    def test_the_budget_and_the_draws_bound_b(self, monkeypatch, budget, name):
+        # B starts at 16 |cdf| rounded up to a power of two and passes
+        # neither the budget nor draws / 16 unless that start already does
+        monkeypatch.setattr(core, "_CELL_BUDGET", budget)
+        cdf = _RULE_LAWS[name]
+        first = _buckets(cdf.size)
+        for draws, table in self.picked(cdf).items():
+            assert table.size == first or table.size <= min(budget, draws // 16)
+            assert table.size & (table.size - 1) == 0 and table.size >= first
+
+    @pytest.mark.parametrize("name", _RULE_LAWS)
+    def test_b_doubles_only_while_a_bucket_is_mixed(self, name):
+        cdf = _RULE_LAWS[name]
+        for draws, table in self.picked(cdf).items():
+            b = table.size
+            assert b == _buckets(cdf.size) or core._mixed_buckets(cdf, b // 2).size
+            if 2 * b <= min(core._CELL_BUDGET, draws // 16):
+                assert not core._mixed_buckets(cdf, b).size
+        # a cdf on the edges of 1/64 has no mixed bucket at B = 1024; D8
+        # keeps some at every B and takes the most buckets the draws allow
+        assert {t.size for t in self.picked(_RULE_LAWS["uniform-64"]).values()} == {1024}
+        tables = self.picked(_RULE_LAWS["D8"])
+        assert tables[158_500].size == 8192 and tables[10**6].size == core._CELL_BUDGET
+
+    def test_a_dyadic_law_stops_at_its_edges(self):
+        # weights in multiples of 1/512 over 8 symbols: mixed at B = 128 and
+        # 256, none from 512 on, whatever the draws
+        cdf = _cdf(np.array([3, 61, 100, 7, 200, 41, 50, 50]) / 512)
+        assert cdf[-1] == 1.0 and core._mixed_buckets(cdf, 256).size
+        assert {t.size for t in self.picked(cdf).values()} == {128, 256, 512}
+        assert core._search_table(cdf, 10**6).size == 512
 
 
 def _one_bincount(indices: np.ndarray, size: int) -> np.ndarray:

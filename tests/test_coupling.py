@@ -927,6 +927,150 @@ class TestRankRace:
         assert np.array_equal(pairs.owners[pairs.codes], np.repeat([[0], [1], [2]], 3, axis=1))
 
 
+def code_calls(monkeypatch):
+    """The keys of each np.searchsorted call and the size of each np.take
+    table, spied on while the weight codes are built."""
+    calls = {"searched": [], "tables": []}
+    searchsorted, take = np.searchsorted, np.take
+
+    def search_spy(a, v, *args, **kwargs):
+        calls["searched"].append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    def take_spy(a, *args, **kwargs):
+        calls["tables"].append(np.size(a))
+        return take(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", search_spy)
+    monkeypatch.setattr(np, "take", take_spy)
+    return calls
+
+
+class TestWeightCodes:
+    """coupling._weight_codes reads each cell's pair from one bucket table,
+    and its codes are those of one np.searchsorted per column over the
+    column's distinct weights, on every input."""
+
+    @staticmethod
+    def check(weights, monkeypatch):
+        """The pairs of the masked `weights`, held to the per-column search,
+        and the spied calls that built them."""
+        weights = np.asarray(weights, dtype=np.float64)
+        columns = coupling_mod._weight_columns(domain(weights.shape[1]), weights)
+        calls = code_calls(monkeypatch)
+        pairs = coupling_mod._weight_pairs(columns, 1)
+        monkeypatch.undo()
+        first = 0
+        for z, column in enumerate(columns):
+            values = np.unique(column)
+            assert np.array_equal(pairs.values[first : first + values.size], values)
+            assert np.array_equal(pairs.codes[z], np.searchsorted(values, column) + first)
+            first += values.size
+        assert first == pairs.values.size
+        return pairs, calls
+
+    @staticmethod
+    def shuffled(rows, k, seed=0):
+        """k weight rows drawn from `rows`, in a random order."""
+        rows = np.asarray(rows, dtype=np.float64)
+        return rows[np.random.default_rng(seed).integers(0, len(rows), k)]
+
+    @staticmethod
+    def table_cells(size):
+        """|Z| (B + 1) cells, B the largest power of two that fits the budget."""
+        width = core_mod._CELL_BUDGET // size
+        return size * (1 + (1 << ((width - 1).bit_length() - 1)))
+
+    def test_shards_are_hits(self, monkeypatch):
+        # smoothed shards of 50 items: each column's weights are (c + 1) / 58,
+        # far apart next to a bucket, so every key is a hit and none is searched
+        d = domain(8)
+        rng = np.random.default_rng(8)
+        shards = rng.choice(8, size=(300, 50), p=rng.dirichlet(np.ones(8)))
+        _, calls = self.check(learner_empirical(1.0).train_shards(d, shards, 0), monkeypatch)
+        assert calls == {"searched": [], "tables": [self.table_cells(8)]}
+
+    def test_point_masses(self, monkeypatch):
+        # a weight of 1.0 is its column's S and lands in the extra bucket B
+        rows = np.r_[np.eye(4), [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]]]
+        _, calls = self.check(self.shuffled(rows, 1024), monkeypatch)
+        assert calls["tables"] == [self.table_cells(4)] and not calls["searched"]
+
+    def test_weights_above_one_and_infinite(self, monkeypatch):
+        # race_counts takes rows that are not laws: an +inf key shares the
+        # bucket of its column's largest finite weight (4.0 and 3.0), and
+        # both are searched; column 2 holds +inf alone, a hit
+        inf = np.inf
+        rows = [[2.0, 3.0, inf], [inf, 1.0, inf], [0.5, inf, inf], [4.0, 0.25, inf]]
+        weights = self.shuffled(rows, 1024)
+        _, calls = self.check(weights, monkeypatch)
+        assert calls["tables"] == [self.table_cells(3)]
+        shared = np.count_nonzero(weights[:, 0] >= 4.0) + np.count_nonzero(weights[:, 1] >= 3.0)
+        assert sum(calls["searched"]) == shared
+
+    def test_subnormal_weights(self, monkeypatch):
+        # the 2^-1016 edge and subnormals: column 1's largest weight is
+        # 2^-1016, so its S is raised to keep B / S a double, and only its
+        # three least weights share a bucket; in column 0 (S = 0.5) every
+        # weight below 0.5 falls in bucket 0
+        edge = 2.0**-1016
+        tiny = [edge, np.nextafter(edge, 0.0), 2.0**-1022, 1e-310, 5e-324, 0.0]
+        rows = [[0.5, w, 0.5] for w in tiny] + [[w, 0.0, 1.0 - w] for w in tiny]
+        weights = self.shuffled(rows, 1024)
+        _, calls = self.check(weights, monkeypatch)
+        shared = np.count_nonzero(weights[:, 0] < 0.5) + np.count_nonzero(weights[:, 1] <= 1e-310)
+        assert sum(calls["searched"]) == shared
+
+    def test_masked_signed_zeros(self, monkeypatch):
+        rows = [[-0.0, 0.5, 0.5], [0.0, -0.0, 1.0], [0.5, 0.25, 0.25], [-1.0, 0.5, 0.5]]
+        pairs, calls = self.check(self.shuffled(rows, 1024), monkeypatch)
+        assert not np.signbit(pairs.values).any() and not calls["searched"]
+
+    def test_two_weights_in_one_bucket(self, monkeypatch):
+        # w and the next double share a bucket: only their keys are searched
+        w = 0.3
+        rows = [[w, 1.0 - w], [np.nextafter(w, 1.0), 1.0 - np.nextafter(w, 1.0)], [0.1, 0.9]]
+        weights = self.shuffled(rows, 2048)
+        _, calls = self.check(weights, monkeypatch)
+        shared = np.count_nonzero(weights[:, 0] != 0.1)
+        assert calls["searched"] == [shared]
+
+    def test_one_symbol(self, monkeypatch):
+        _, calls = self.check(self.shuffled([[0.25], [0.5], [1.0], [3.0]], 4096), monkeypatch)
+        assert calls["tables"] == [self.table_cells(1)] and not calls["searched"]
+
+    def test_budget_caps_the_table(self, monkeypatch):
+        # 10 pairs fit a budget of 10 cells: B = 4 buckets and the extra
+        # one for each of the 2 columns; 0.5 and 0.7 share bucket 2
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 10)
+        rows = [[0.1, 0.9], [0.3, 0.7], [0.5, 0.5], [0.7, 0.3], [0.9, 0.1]]
+        weights = self.shuffled(rows, 1024)
+        with monkeypatch.context() as patch:
+            _, calls = self.check(weights, patch)
+        assert calls["tables"] == [10]
+        assert sum(calls["searched"]) == np.count_nonzero((weights == 0.5) | (weights == 0.7))
+
+    def test_budget_below_two_cells_a_column(self, monkeypatch):
+        # 7 cells for 4 columns leave no table: every key is searched
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 7)
+        rows = [[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.1, 0.4]]
+        with monkeypatch.context() as patch:
+            _, calls = self.check(self.shuffled(rows, 1024), patch)
+        assert calls == {"searched": [1024] * 4, "tables": []}
+
+    def test_few_keys_are_searched(self, monkeypatch):
+        # the table pays from 2,048 keys in columns of two or more weights
+        rows = [[0.1, 0.9], [0.3, 0.7], [0.6, 0.4]]
+        _, calls = self.check(self.shuffled(rows, 1023), monkeypatch)
+        assert calls == {"searched": [1023, 1023], "tables": []}
+        _, calls = self.check(self.shuffled(rows, 1024), monkeypatch)
+        assert calls == {"searched": [], "tables": [self.table_cells(2)]}
+        # a column of one weight never branches, so it counts no key:
+        # 3,000 cells, 2,000 of them in columns of two weights
+        _, calls = self.check(self.shuffled([[0.5, 0.1, 0.4], [0.5, 0.3, 0.2]], 1000), monkeypatch)
+        assert calls == {"searched": [1000] * 3, "tables": []}
+
+
 def _argmin_monte_carlo(q1, q2, trials, seed, tapes_per_chunk=1024):
     """Argmin winners of q1 and q2 on the tapes seed + i (mod 2**64).
 

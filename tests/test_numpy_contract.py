@@ -9,6 +9,7 @@ it. CI runs this file on the oldest numpy that pyproject.toml allows, and
 in Python's development mode, where every warning is shown.
 """
 
+import fractions
 import functools
 import math
 import warnings
@@ -331,9 +332,10 @@ def test_random_in_consecutive_blocks_equals_one_call(block):
 
 def test_searchsorted_side_rules(rng):
     """core._search_cdf and core._bucket_table read a non-decreasing cdf
-    with searchsorted: side="right" counts the values <= the key, and
-    side="left" (coupling._weight_pairs' codes) those < it, the index of an
-    equal value when there is one."""
+    with searchsorted: side="right" counts the values <= the key. Side
+    "left" counts those < it, the index of an equal value when there is
+    one: coupling._weight_codes' fallback, which searches only the keys its
+    bucket table leaves unresolved."""
     cdf = np.sort(rng.integers(0, 20, 50)).astype(np.float64) / 20.0
     keys = np.r_[cdf, rng.random(1000), 0.0, 1.0]
     right = np.searchsorted(cdf, keys, side="right")
@@ -349,7 +351,12 @@ def test_power_of_two_scaling_and_the_truncating_cast(rng):
     """core._search_cdf finds a draw's bucket as u * B cast to int64, for B
     a power of two, and core._bucket_table scales the cdf by B: the product
     only shifts the exponent, so it is exact, and the unsafe float64 ->
-    int64 cast truncates each value in [0, B)."""
+    int64 cast truncates each value in [0, B). coupling._weight_codes
+    scales a column's weights in [0, S] the same way, by B / S with S the
+    least power of two at or above its largest weight (from np.frexp, whose
+    mantissa is 0.5 exactly at a power of two) and B / S made by np.ldexp:
+    every bucket floor(w B / S) is exact, subnormal weights included, and
+    the top weight S lands in bucket B."""
     u = np.r_[rng.random(100_000), 0.0, np.nextafter(1.0, 0.0)]
     for buckets in (16, 1 << 17):
         scaled = u * buckets
@@ -360,3 +367,23 @@ def test_power_of_two_scaling_and_the_truncating_cast(rng):
         assert np.array_equal(out, np.floor(scaled).astype(np.int64))
         assert out.tolist()[:100] == [int(v) for v in scaled[:100].tolist()]
         assert 0 <= out.min() and out.max() < buckets
+    # the codes' keys: weights w in [0, S], S = 2^e >= the top weight,
+    # scaled by 2^(b - e), with e raised to b - 1023 at most so that B / S
+    # is a double
+    for top in (1.0, 0.3, 3.0, 2.0**-1016, 1e-310, 5e-324, 2.0**1000):
+        mantissa, exponent = np.frexp(top)
+        exponent -= mantissa == 0.5
+        assert math.ldexp(1.0, int(exponent)) >= top > math.ldexp(1.0, int(exponent) - 1)
+        for buckets in (2, 128, 2048):
+            shift = buckets.bit_length() - 1
+            exponent = max(int(exponent), shift - 1023)
+            scale = np.ldexp(1.0, shift - exponent)
+            tiny = [w for w in (2.0**-1016, 2.0**-1022, 1e-310, 5e-324) if w <= top]
+            weights = np.r_[top * rng.random(2000), tiny, 0.0, np.nextafter(top, 0.0), top]
+            weights = np.r_[weights, math.ldexp(1.0, exponent)]
+            out = np.empty(weights.size, np.int64)
+            np.multiply(weights, scale, out=out, casting="unsafe")
+            factor = fractions.Fraction(scale)
+            exact = [math.floor(fractions.Fraction(w) * factor) for w in weights.tolist()]
+            assert out.tolist() == exact
+            assert 0 <= out.min() and out[-1] == buckets
