@@ -280,52 +280,41 @@ def _weight_codes(
     +inf shares that weight's bucket (in a column of +inf alone it is the
     bucket's one pair, a hit).
 
-    The table is built only where it pays. A binary search costs about
-    20 ns for each key of a column of two or more weights (its branches
-    mispredict), a table lookup about 5 ns and the table itself a fixed
-    25-30 us in two dozen numpy calls, so the table takes at least 2,048
-    keys in such columns, and at least 2 |Z| cells in the budget; otherwise
-    every key is searched. A column of one weight never branches, so its
-    keys do not count. On the |Z| x k grid of _ranks_pay every shape that
-    builds the table took 0.29-0.96 of the per-column search's time; next
-    to the threshold the two cost about the same (within 10% at |Z| = 4,
-    k = 500).
+    A budget of fewer than 2 |Z| cells builds no table, and every key is
+    searched.
     """
-    size, k = columns.shape
+    size = columns.shape[0]
     starts = np.cumsum(distinct) - distinct
     width = core._CELL_BUDGET // size
-    # |Z| k bounds the keys in columns of two or more weights, without a count
-    if width < 2 or size * k < 2048 or k * np.count_nonzero(distinct > 1) < 2048:
-        codes = np.empty(columns.shape, dtype=np.uint16)
-        for z, (start, stop) in enumerate(zip(starts, starts + distinct)):
-            codes[z] = np.searchsorted(values[start:stop], columns[z]) + start
-        return codes
-    buckets = 1 << ((width - 1).bit_length() - 1)
-    shift = buckets.bit_length() - 1
-    top = values[starts + distinct - 1]
-    keys, pair_keys = columns, values
-    if top.max() == np.inf:
-        top = np.maximum.reduceat(np.where(values < np.inf, values, 0.0), starts)
-        keys, pair_keys = np.minimum(columns, top[:, None]), np.minimum(values, top[owners])
-    mantissa, exponent = np.frexp(top)
-    exponent -= mantissa == 0.5  # S_z = top when top is a power of two
-    scale = np.ldexp(1.0, shift - np.maximum(exponent, shift - 1023))
-    # column z's buckets start at offsets[z] in the flat table; the pairs'
-    # slots ascend, so a pair alone in its bucket differs from both its
-    # neighbours
-    offsets = np.arange(0, size * (buckets + 1), buckets + 1)
-    slots = (pair_keys * scale[owners]).astype(np.intp)
-    slots += offsets[owners]
-    edges = np.ones(slots.size + 1, dtype=bool)
-    np.not_equal(slots[1:], slots[:-1], out=edges[1:-1])
-    alone = np.flatnonzero(edges[1:] & edges[:-1])
-    table = np.full(size * (buckets + 1), 0xFFFF, dtype=np.uint16)
-    table[slots[alone]] = alone
-    index = np.empty(columns.shape, np.intp)
-    np.multiply(keys, scale[:, None], out=index, casting="unsafe")
-    index += offsets[:, None]
-    codes = np.take(table, index, mode="clip")
-    del index
+    if width < 2:
+        codes = np.full(columns.shape, 0xFFFF, dtype=np.uint16)
+    else:
+        buckets = 1 << ((width - 1).bit_length() - 1)
+        shift = buckets.bit_length() - 1
+        top = values[starts + distinct - 1]
+        keys, pair_keys = columns, values
+        if top.max() == np.inf:
+            top = np.maximum.reduceat(np.where(values < np.inf, values, 0.0), starts)
+            keys, pair_keys = np.minimum(columns, top[:, None]), np.minimum(values, top[owners])
+        mantissa, exponent = np.frexp(top)
+        exponent -= mantissa == 0.5  # S_z = top when top is a power of two
+        scale = np.ldexp(1.0, shift - np.maximum(exponent, shift - 1023))
+        # column z's buckets start at offsets[z] in the flat table; the pairs'
+        # slots ascend, so a pair alone in its bucket differs from both its
+        # neighbours
+        offsets = np.arange(0, size * (buckets + 1), buckets + 1)
+        slots = (pair_keys * scale[owners]).astype(np.intp)
+        slots += offsets[owners]
+        edges = np.ones(slots.size + 1, dtype=bool)
+        np.not_equal(slots[1:], slots[:-1], out=edges[1:-1])
+        alone = np.flatnonzero(edges[1:] & edges[:-1])
+        table = np.full(size * (buckets + 1), 0xFFFF, dtype=np.uint16)
+        table[slots[alone]] = alone
+        index = np.empty(columns.shape, np.intp)
+        np.multiply(keys, scale[:, None], out=index, casting="unsafe")
+        index += offsets[:, None]
+        codes = np.take(table, index, mode="clip")
+        del index
     missed = codes == 0xFFFF
     for z in np.flatnonzero(missed.any(axis=1)).tolist():
         start, stop = starts[z], starts[z] + distinct[z]
