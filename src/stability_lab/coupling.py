@@ -32,6 +32,7 @@ from . import core
 from .core import (
     ContentDomain,
     DiscreteDistribution,
+    _check_probability_rows,
     _frozen_row,
     _require_count,
     _require_same_domain,
@@ -130,11 +131,11 @@ def _race_floats() -> np.errstate:
 
     A quotient over a masked zero weight (a division by zero) or one past
     DBL_MAX (a subnormal weight) is +inf, with no warning. +inf never wins
-    a row that has a finite quotient (the rank path's premise, stated in
-    _weight_pairs), and np.argmin's rule gives a row of +inf alone its
-    lowest raced symbol. The setting is made afresh at each use (numpy 2
-    enters an np.errstate only once) and closed before every yield, so the
-    callers of the race's generators keep their own settings.
+    a row that has a finite quotient, and every raced row is a law, so it
+    has one (the rank path's premise, stated in _weight_pairs). The setting
+    is made afresh at each use (numpy 2 enters an np.errstate only once)
+    and closed before every yield, so the callers of the race's generators
+    keep their own settings.
     """
     return np.errstate(divide="ignore", over="ignore")
 
@@ -193,18 +194,25 @@ def coupled_sample(tape: CouplingTape, q: DiscreteDistribution) -> str:
     return tape.domain.symbols[coupled_sample_index(tape, q)]
 
 
-def _weight_columns(domain: ContentDomain, weight_matrix: np.ndarray) -> np.ndarray:
-    """The masked (k, |Z|) weight matrix as a contiguous, symbol-major (|Z|, k) block.
-
-    The matrix follows the width rule (_require_shape). An array that is
-    not 2-D, a single 1-D row among them, is held to (1, |Z|), so the
-    width message names the domain's width."""
-    weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
-    rows = len(weight_matrix) if weight_matrix.ndim == 2 else 1
-    _require_shape(weight_matrix, (rows, domain.size))
-    if weight_matrix.shape[0] < 1:
+def _race_weights(domain: ContentDomain, weight_matrix) -> np.ndarray:
+    """The float64 (k, |Z|) weight matrix of a public race, checked once,
+    before any seed is read: the width rule (_require_shape), at least one
+    row, then the distribution rule (core._check_probability_rows), so
+    every raced row is a law. An array that is not 2-D, a single 1-D row
+    among them, is held to (1, |Z|), so the width message names the
+    domain's width."""
+    weights = np.asarray(weight_matrix, dtype=np.float64)
+    rows = len(weights) if weights.ndim == 2 else 1
+    _require_shape(weights, (rows, domain.size))
+    if rows < 1:
         raise ValueError("weight matrix needs at least one row")
-    return np.ascontiguousarray(_masked(weight_matrix).T)
+    _check_probability_rows(weights)
+    return weights
+
+
+def _weight_columns(weights: np.ndarray) -> np.ndarray:
+    """The masked (k, |Z|) weight matrix as a contiguous, symbol-major (|Z|, k) block."""
+    return np.ascontiguousarray(_masked(weights).T)
 
 
 class _WeightPairs(NamedTuple):
@@ -224,24 +232,24 @@ class _WeightPairs(NamedTuple):
 
 
 def _weight_pairs(columns: np.ndarray, group: int) -> _WeightPairs | None:
-    """The pairs of the (|Z|, k) masked columns, or None when E * group,
-    the cells of a group's rank table, would pass core._CELL_BUDGET, or when a
-    weight row has no weight >= 2^-1016.
+    """The pairs of the (|Z|, k) masked columns of law rows, or None when
+    E * group, the cells of a group's rank table, would pass
+    core._CELL_BUDGET, or when the budget holds fewer than the two cells a
+    column that _weight_codes' table needs.
 
     The rank path's premise is that every weight row has a finite least
     quotient. A variate is at most 54 ln 2 (about 37.43, below 2^6), so
     E / w is finite for every w >= 2^-1016, and a law's largest weight is
-    at least 1/|Z|. A +inf quotient then never wins, so the rank path
-    leaves +0.0 pairs out; a row of zero and subnormal weights alone, whose
-    quotients may all be +inf (np.argmin gives it the lowest symbol), keeps
-    the tournament. E >= |Z|, so |Z| * group is checked before the columns
-    are sorted. The mask leaves no -0.0 (sort and != would take it for +0.0
-    anyway). The codes come from one exact-hit bucket table within the cell
-    budget, _weight_codes, whose docstring gives its rule and why each
-    code equals the per-column binary search's.
+    at least (1 - NORMALIZATION_ATOL) / |Z|. A +inf quotient then never
+    wins, so the rank path leaves +0.0 pairs out. E >= |Z|, so the two
+    limits on |Z| are checked before the columns are sorted. The mask
+    leaves no -0.0 (sort and != would take it for +0.0 anyway). The codes
+    come from one exact-hit bucket table within the cell budget,
+    _weight_codes, whose docstring gives its rule and why each code equals
+    the per-column binary search's.
     """
     size = columns.shape[0]
-    if size * group > core._CELL_BUDGET or not (columns >= 2.0**-1016).any(axis=0).all():
+    if size * max(group, 2) > core._CELL_BUDGET:
         return None
     ordered = np.sort(columns, axis=1)
     new = np.empty(ordered.shape, dtype=bool)
@@ -264,9 +272,10 @@ def _weight_codes(
     `distinct` ascending weights, read from one exact-hit bucket table.
 
     The table gives each column B + 1 buckets, B the largest power of two
-    with |Z| (B + 1) cells in core._CELL_BUDGET. Column z's weight w lies in
+    with |Z| (B + 1) cells in core._CELL_BUDGET (B >= 1, as _weight_pairs
+    leaves at least two cells a column). Column z's weight w lies in
     bucket floor(w * B / S_z), S_z the least power of two at or above its
-    largest finite weight (at least 2^(log2 B - 1023), so B / S_z is a
+    largest weight (at least 2^(log2 B - 1023), so B / S_z is a
     double). B / S_z is a power of two, so the product only shifts w's
     exponent: every bucket is exact for w in [0, S_z], subnormals included
     (a product that underflows is below 1, in bucket 0 either way), and a
@@ -275,46 +284,31 @@ def _weight_codes(
     through the same arithmetic as its pair, so a hit is that pair,
     exactly; the scaling is monotone, so the pairs of a bucket are
     adjacent. Keys in a bucket of two or more pairs are searched in their
-    column. So are +inf keys (race_counts takes rows that are not laws):
-    keys and pairs are clamped to their column's largest finite weight, so
-    +inf shares that weight's bucket (in a column of +inf alone it is the
-    bucket's one pair, a hit).
-
-    A budget of fewer than 2 |Z| cells builds no table, and every key is
-    searched.
+    column.
     """
     size = columns.shape[0]
     starts = np.cumsum(distinct) - distinct
-    width = core._CELL_BUDGET // size
-    if width < 2:
-        codes = np.full(columns.shape, 0xFFFF, dtype=np.uint16)
-    else:
-        buckets = 1 << ((width - 1).bit_length() - 1)
-        shift = buckets.bit_length() - 1
-        top = values[starts + distinct - 1]
-        keys, pair_keys = columns, values
-        if top.max() == np.inf:
-            top = np.maximum.reduceat(np.where(values < np.inf, values, 0.0), starts)
-            keys, pair_keys = np.minimum(columns, top[:, None]), np.minimum(values, top[owners])
-        mantissa, exponent = np.frexp(top)
-        exponent -= mantissa == 0.5  # S_z = top when top is a power of two
-        scale = np.ldexp(1.0, shift - np.maximum(exponent, shift - 1023))
-        # column z's buckets start at offsets[z] in the flat table; the pairs'
-        # slots ascend, so a pair alone in its bucket differs from both its
-        # neighbours
-        offsets = np.arange(0, size * (buckets + 1), buckets + 1)
-        slots = (pair_keys * scale[owners]).astype(np.intp)
-        slots += offsets[owners]
-        edges = np.ones(slots.size + 1, dtype=bool)
-        np.not_equal(slots[1:], slots[:-1], out=edges[1:-1])
-        alone = np.flatnonzero(edges[1:] & edges[:-1])
-        table = np.full(size * (buckets + 1), 0xFFFF, dtype=np.uint16)
-        table[slots[alone]] = alone
-        index = np.empty(columns.shape, np.intp)
-        np.multiply(keys, scale[:, None], out=index, casting="unsafe")
-        index += offsets[:, None]
-        codes = np.take(table, index, mode="clip")
-        del index
+    buckets = 1 << ((core._CELL_BUDGET // size - 1).bit_length() - 1)
+    shift = buckets.bit_length() - 1
+    mantissa, exponent = np.frexp(values[starts + distinct - 1])
+    exponent -= mantissa == 0.5  # S_z = top when top is a power of two
+    scale = np.ldexp(1.0, shift - np.maximum(exponent, shift - 1023))
+    # column z's buckets start at offsets[z] in the flat table; the pairs'
+    # slots ascend, so a pair alone in its bucket differs from both its
+    # neighbours
+    offsets = np.arange(0, size * (buckets + 1), buckets + 1)
+    slots = (values * scale[owners]).astype(np.intp)
+    slots += offsets[owners]
+    edges = np.ones(slots.size + 1, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=edges[1:-1])
+    alone = np.flatnonzero(edges[1:] & edges[:-1])
+    table = np.full(size * (buckets + 1), 0xFFFF, dtype=np.uint16)
+    table[slots[alone]] = alone
+    index = np.empty(columns.shape, np.intp)
+    np.multiply(columns, scale[:, None], out=index, casting="unsafe")
+    index += offsets[:, None]
+    codes = np.take(table, index, mode="clip")
+    del index
     missed = codes == 0xFFFF
     for z in np.flatnonzero(missed.any(axis=1)).tolist():
         start, stop = starts[z], starts[z] + distinct[z]
@@ -453,13 +447,14 @@ def _rank_chunk(
     return counts.astype(np.intp).reshape(tapes, size)
 
 
-def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, count: bool):
-    """Race every weight row on each seed's tape, one tape block at a time.
+def _race_tape_blocks(seeds, weights: np.ndarray, count: bool):
+    """Race each row of the (k, |Z|) `weights` on each seed's tape, a tape block at a time.
 
-    Yields each block of _tapes_per_block(|Z|) seeds' rows in seed order: a
-    tape's (k,) winners, or with `count` its (|Z|,) symbol counts, counted
-    per group; a block's seeds are read as it is taken. The weight columns
-    and each one's max and min are built once.
+    The rows are laws, checked once by the caller (_race_weights, or the
+    transform's _train_rows). Yields each block of _tapes_per_block(|Z|)
+    seeds' rows in seed order: a tape's (k,) winners, or with `count` its
+    (|Z|,) symbol counts, counted per group; a block's seeds are read as it
+    is taken. The weight columns and each one's max and min are built once.
     A tape's candidates are the symbols z with E_z / max_z <= U =
     min_y E_y / min_y on its tape E. This is exact. IEEE division is
     monotone in the divisor, so every row's minimum quotient on tape E is
@@ -486,7 +481,7 @@ def _race_tape_blocks(domain: ContentDomain, seeds, weight_matrix: np.ndarray, c
     that takes the rank path, and when there are too many of them every
     block keeps the tournament.
     """
-    columns = _weight_columns(domain, weight_matrix)
+    columns = _weight_columns(weights)
     size, k = columns.shape
     high = columns.max(axis=1)
     low = columns.min(axis=1)
@@ -550,10 +545,16 @@ def race_tapes(
     of at most core._CELL_BUDGET variates, and raced in groups that share their
     candidate symbols. `seeds` may be any iterable; the result is intp,
     (0, n_models) when there are no seeds.
+
+    Before any seed is read, raises LengthMismatch unless the matrix is
+    (n_models, |Z|), ValueError when it has no row, NegativeWeight for a
+    weight that is negative or not finite, and NotNormalized for a row
+    that does not sum to 1 (_race_weights).
     """
-    blocks = _race_tape_blocks(domain, seeds, weight_matrix, count=False)
+    weights = _race_weights(domain, weight_matrix)
+    blocks = _race_tape_blocks(seeds, weights, count=False)
     # the empty intp tail fixes the dtype, and the shape when there are no seeds
-    return np.concatenate([*blocks, np.empty((0, len(weight_matrix)), dtype=np.intp)])
+    return np.concatenate([*blocks, np.empty((0, len(weights)), dtype=np.intp)])
 
 
 def race_counts(
@@ -565,9 +566,10 @@ def race_counts(
     Only one group of tapes' winners exists at a time (at most about
     core._CELL_BUDGET), never the whole (len(seeds), n_models) matrix, and each
     group is counted in one call. The result is intp, (0, |Z|) when there
-    are no seeds.
+    are no seeds. Raises LengthMismatch, ValueError, NegativeWeight or
+    NotNormalized as race_tapes does, before any seed is read.
     """
-    blocks = _race_tape_blocks(domain, seeds, weight_matrix, count=True)
+    blocks = _race_tape_blocks(seeds, _race_weights(domain, weight_matrix), count=True)
     return np.concatenate([*blocks, np.empty((0, domain.size), dtype=np.intp)])
 
 
@@ -581,7 +583,7 @@ def _streamed_winners(models, trials: int, seed: int):
     because its offset is a uint64 scalar.
     """
     _require_count("trials", trials)
-    columns = _weight_columns(models[0].domain, np.stack([q.weights for q in models]))
+    columns = _weight_columns(np.stack([q.weights for q in models]))
     offsets = np.arange(columns.shape[0], dtype=np.uint64)
     base = np.uint64(_seed_key(seed))
     step = _tapes_per_block(len(models))

@@ -6,7 +6,7 @@ class StabilityLabError(Exception):
 
 
 class NegativeWeight(StabilityLabError):
-    """A probability weight is negative."""
+    """A probability weight is negative or not finite (NaN, +inf or -inf)."""
 
 
 class NotNormalized(StabilityLabError):

@@ -156,9 +156,10 @@ def simplex_project_linf(
     Construction: clip the input into [0, 1], then push the mass surplus
     or deficit through the coordinates in index order within each
     coordinate's remaining slack. This is one row of _project_rows.
-    Non-finite values raise ValueError before any projection.
+    Values of any shape but (|Z|,) raise LengthMismatch (_require_shape),
+    and non-finite values ValueError, before any projection.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _require_shape(np.asarray(values, dtype=np.float64), (domain.size,))
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     rows, feasible = _project_rows(values[None, :], eta)
@@ -266,9 +267,7 @@ def _shard_weight_matrix(
     )
 
 
-def _release_chain(
-    domain: ContentDomain, weights: np.ndarray, tape_seeds, noise_seeds, config: TransformConfig
-):
+def _release_chain(weights: np.ndarray, tape_seeds, noise_seeds, config: TransformConfig):
     """Race, release and project the shard models on (tape, noise) seed pairs.
 
     Yields (counts, values, outputs, feasible) per tape block of its one
@@ -279,7 +278,7 @@ def _release_chain(
     after the histogram is data-independent post-processing, so releasing
     the rows together leaves the (epsilon, delta) argument as it is."""
     noise = iter(noise_seeds)
-    for counts in _race_tape_blocks(domain, tape_seeds, weights, count=True):
+    for counts in _race_tape_blocks(tape_seeds, weights, count=True):
         values = _release_rows(counts, config.epsilon, config.delta, [*islice(noise, len(counts))])
         yield (counts, values, *_project_rows(values, config.eta))
 
@@ -300,7 +299,7 @@ def dp_transform_trace(
     weights = _shard_weight_matrix(learner, sample, config, train_seed)
     domain = sample.domain
     [(counts, values, outputs, feasible)] = _release_chain(
-        domain, weights, [tape_seed], [noise_seed], config
+        weights, [tape_seed], [noise_seed], config
     )
     return TransformTrace(
         shard_weights=weights,
@@ -420,7 +419,7 @@ def transform_bound_experiment(
         # The rounding of the sum depends on its order: an axis-0 add.reduce
         # adds acc and then the outputs row by row, in trial order.
         acc = np.zeros(domain.size)
-        for _, _, outputs, _ in _release_chain(domain, weights, tapes, noise_seeds, config):
+        for _, _, outputs, _ in _release_chain(weights, tapes, noise_seeds, config):
             acc = np.add.reduce(np.vstack((acc, outputs)))
         mean_model = make_distribution(domain, acc / inner_trials)
         return tv_distance(mean_model, base_model)

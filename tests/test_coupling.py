@@ -41,7 +41,7 @@ from stability_lab.coupling import (
     race_counts,
     race_tapes,
 )
-from stability_lab.errors import DomainMismatch, LengthMismatch
+from stability_lab.errors import DomainMismatch, LengthMismatch, NegativeWeight, NotNormalized
 from stability_lab.learners import learner_empirical
 from stability_lab.util import _U64_MASK
 
@@ -414,6 +414,85 @@ class TestRaceTapes:
             race(domain(5), [1, 2], np.empty((0, 5)))
 
 
+def unread_seeds():
+    """Seeds that fail the test if one is read."""
+    raise AssertionError("a seed was read")
+    yield
+
+
+class TestRaceRule:
+    """race_tapes and race_counts race laws only: the width rule, then the
+    distribution rule, checked once before any seed is read or tape drawn."""
+
+    LAWS = [[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]]
+    BAD_ROWS = {
+        "nan": ([np.nan, 0.5, 0.5], NegativeWeight),
+        "+inf": ([np.inf, 0.5, 0.5], NegativeWeight),
+        "-inf": ([-np.inf, 0.5, 0.5], NegativeWeight),
+        "negative": ([-0.5, 1.0, 0.5], NegativeWeight),
+        "all-zero": ([0.0, 0.0, 0.0], NotNormalized),
+        "sum-1.1": ([0.5, 0.3, 0.3], NotNormalized),
+    }
+
+    @staticmethod
+    def no_tapes(monkeypatch):
+        def no_variates(*args):
+            raise AssertionError("a tape was drawn")
+
+        monkeypatch.setattr(coupling_mod, "_exp_variates", no_variates)
+
+    @pytest.mark.parametrize("race", [race_tapes, race_counts])
+    @pytest.mark.parametrize("name", BAD_ROWS)
+    def test_a_row_that_is_no_law_is_refused(self, monkeypatch, race, name):
+        row, error = self.BAD_ROWS[name]
+        self.no_tapes(monkeypatch)
+        with pytest.raises(error):
+            race(domain(3), unread_seeds(), np.array([self.LAWS[0], row, self.LAWS[1]]))
+
+    @pytest.mark.parametrize("race", [race_tapes, race_counts])
+    def test_width_comes_first(self, monkeypatch, race):
+        self.no_tapes(monkeypatch)
+        with pytest.raises(LengthMismatch):
+            race(domain(3), unread_seeds(), np.full((2, 4), np.nan))
+
+    def test_rule_runs_once_per_call(self, monkeypatch):
+        # 6 cells: 7 seeds make tape blocks of 2 tapes; one check a public
+        # call, and none in the Monte Carlo helpers, whose models are laws
+        monkeypatch.setattr(core_mod, "_CELL_BUDGET", 6)
+        checked = []
+        check = coupling_mod._check_probability_rows
+
+        def spy(w):
+            checked.append(np.shape(w))
+            return check(w)
+
+        monkeypatch.setattr(coupling_mod, "_check_probability_rows", spy)
+        d, w = domain(3), np.array(self.LAWS * 2)
+        assert_races_match_argmin(d, range(7), w)
+        assert checked == [(4, 3), (4, 3)]
+        assert_monte_carlo_matches_argmin(dist(self.LAWS[0]), dist(self.LAWS[1]), 7, 0)
+        assert checked == [(4, 3), (4, 3)]
+
+    def test_transform_checks_its_shards_once(self, monkeypatch):
+        # the chain races the matrix that _train_rows has checked, so no
+        # check of the distribution rule runs in the coupling module
+        callers = []
+        for module in (core_mod, coupling_mod, transform_mod):
+            def spy(w, check=module._check_probability_rows):
+                frame = inspect.currentframe().f_back
+                callers.append((frame.f_globals["__name__"], frame.f_code.co_name, np.shape(w)))
+                return check(w)
+
+            monkeypatch.setattr(module, "_check_probability_rows", spy)
+        config = TransformConfig(2.0, 0.05, 0.3, 3)
+        law = dist([0.1, 0.2, 0.3, 0.4])
+        sample = Dataset.from_indices(law.domain, np.arange(config.m_priv) % 4)
+        dp_transform_trace(learner_empirical(1.0), sample, config, 5, 7)
+        shard_checks = [caller for caller in callers if caller[2] == (config.k, 4)]
+        assert shard_checks == [("stability_lab.transform", "_train_rows", (config.k, 4))]
+        assert not [caller for caller in callers if caller[0] == "stability_lab.coupling"]
+
+
 def _argmin_tapes(d, seeds):
     """Tape-major variates of each seed's tape, as the races draw them."""
     return coupling_mod._exp_variates(seeds, d.size)
@@ -523,7 +602,7 @@ class TestTournamentMatchesArgmin:
 
     def test_single_symbol(self):
         d = domain(1)
-        got = assert_races_match_argmin(d, range(5), np.array([[1.0], [0.0], [-0.0]]))
+        got = assert_races_match_argmin(d, range(5), np.ones((3, 1)))
         assert not got.any()
         assert_monte_carlo_matches_argmin(dist([1.0]), dist([1.0]), 50, 17)
 
@@ -711,6 +790,16 @@ def tied_rows(monkeypatch):
     return found
 
 
+def dyadic_law(rng, size):
+    """A law of `size` powers of two: the leaf masses of a random binary tree,
+    which sum to 1 exactly."""
+    law = [1.0]
+    while len(law) < size:
+        i = int(rng.integers(len(law)))
+        law[i : i + 1] = [law[i] / 2] * 2
+    return rng.permutation(law)
+
+
 class TestRankRace:
     """The rank path races each block where _ranks_pay says so and the
     weight pairs fit the cell budget; it is the argmin race, bit for bit."""
@@ -727,7 +816,7 @@ class TestRankRace:
         """_rank_chunk calls of one race of `groups` rank groups of `group`
         tapes: a chunk holds the most groups whose tapes by E pairs fit the
         cell budget, and at least one."""
-        pairs = coupling_mod._weight_pairs(coupling_mod._weight_columns(d, w), group)
+        pairs = coupling_mod._weight_pairs(coupling_mod._weight_columns(w), group)
         return -(-groups // max(1, core_mod._CELL_BUDGET // len(pairs.values) // group))
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
@@ -784,7 +873,8 @@ class TestRankRace:
 
     def test_many_exact_ties(self, monkeypatch):
         # powers of two only: every quotient is a power of two, so a tape's
-        # 30 or more pairs fall on a few values and tie across symbols
+        # 30 or more pairs fall on a few values and tie across symbols; each
+        # weight row is a dyadic law
         rng = np.random.default_rng(11)
         tapes = 2.0 ** rng.integers(-2, 3, size=(6, 8))
         stream_keys = coupling_mod._splitmix64(np.arange(6, dtype=np.uint64))
@@ -794,7 +884,7 @@ class TestRankRace:
             return tapes[seed, np.asarray(symbols, dtype=np.intp)]
 
         monkeypatch.setattr(coupling_mod, "_cell_variates", dyadic_cells)
-        w = 2.0 ** -rng.integers(1, 7, size=(64, 8))
+        w = np.stack([dyadic_law(rng, 8) for _ in range(64)])
         calls, resorted = rank_path(monkeypatch), tied_rows(monkeypatch)
         got = assert_races_match_argmin(domain(8), range(6), w)
         quotients = tapes[:, None, :] / w
@@ -814,36 +904,38 @@ class TestRankRace:
         assert_races_match_argmin(d, range(100), w)
         assert calls["_rank_chunk"] > 0 and resorted and not any(resorted)
 
-    def test_a_row_of_zeros_keeps_the_tournament(self, monkeypatch):
-        # np.argmin gives a row of zeros its lowest symbol: every quotient is
-        # +inf, no rank could decide it, so the blocks keep the tournament
+    def test_a_row_of_zeros_is_refused(self, monkeypatch):
+        # every quotient of a row of zeros is +inf, so no rank could decide
+        # it; it is no law, and both races refuse it before either kernel runs
         d, w = self.empirical(8, 300, 1.0)
         w[7], w[11] = 0.0, -0.0
-        assert coupling_mod._weight_pairs(coupling_mod._weight_columns(d, w), 1) is None
         calls = rank_path(monkeypatch)
-        got = assert_races_match_argmin(d, range(60), w)
-        assert not got[:, [7, 11]].any()
-        assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
+        for race in (race_tapes, race_counts):
+            with pytest.raises(NotNormalized):
+                race(d, range(60), w)
+        assert calls == {"_rank_chunk": 0, "_tournament": 0}
 
     @pytest.mark.parametrize(
         "row", [(0.0, 5e-324, 5e-324), (0.0, 1e-310, 1e-310)], ids=["5e-324", "1e-310"]
     )
-    def test_rows_of_subnormal_weights_keep_the_tournament(self, monkeypatch, row):
+    def test_rows_of_subnormal_weights_are_refused(self, monkeypatch, row):
         # E / 5e-324 passes DBL_MAX unless E is below about 8.9e-16, and
         # E / 1e-310 unless E is below about 0.018: on most tapes every
-        # quotient of such a row is +inf, np.argmin gives it symbol 0, and
-        # no rank could decide it, so both kernel rules race it in the tournament
+        # quotient of such a row is +inf and no rank could decide it; the
+        # row sums to far below 1, so both races refuse it first
         d, w = domain(3), np.tile([row, (0.5, 0.25, 0.25)], (32, 1))
-        for ranks in (True, False):
-            calls = kernel_calls(monkeypatch, rule=lambda *args: ranks)
-            got = assert_races_match_argmin(d, range(200), w)
-            assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
-        assert np.count_nonzero(got[:, 0] == 0) > 150
+        calls = rank_path(monkeypatch)
+        for race in (race_tapes, race_counts):
+            with pytest.raises(NotNormalized):
+                race(d, range(200), w)
+        assert calls == {"_rank_chunk": 0, "_tournament": 0}
 
     def test_signed_zeros_and_a_zero_column(self, monkeypatch):
         rng = np.random.default_rng(9)
         w = np.tile(rng.dirichlet(np.ones(6), size=4), (10, 1))
         w[:, 3] = 0.0
+        w[1::4, 1] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
         w[::3, 3] = -0.0
         w[1::4, 1] = -0.0
         w[5] = [-0.0, 0.0, 0.0, -0.0, 0.0, 1.0]
@@ -918,7 +1010,7 @@ class TestRankRace:
         # symbol-major pairs, ascending within a symbol; -0.0 is masked to
         # +0.0, and each cell's code is its weight's pair
         w = np.array([[0.5, -0.0, 0.5], [0.25, 0.0, 0.75], [0.5, 0.5, 0.0]])
-        columns = coupling_mod._weight_columns(domain(3), w)
+        columns = coupling_mod._weight_columns(w)
         pairs = coupling_mod._weight_pairs(columns, 1)
         assert pairs.values.tolist() == [0.25, 0.5, 0.0, 0.5, 0.0, 0.5, 0.75]
         assert pairs.owners.tolist() == [0, 0, 1, 1, 2, 2, 2]
@@ -956,7 +1048,7 @@ class TestWeightCodes:
         """The pairs of the masked `weights`, held to the per-column search,
         and the spied calls that built them."""
         weights = np.asarray(weights, dtype=np.float64)
-        columns = coupling_mod._weight_columns(domain(weights.shape[1]), weights)
+        columns = coupling_mod._weight_columns(weights)
         calls = code_calls(monkeypatch)
         pairs = coupling_mod._weight_pairs(columns, 1)
         monkeypatch.undo()
@@ -997,16 +1089,15 @@ class TestWeightCodes:
         assert calls["tables"] == [self.table_cells(4)] and not calls["searched"]
 
     def test_weights_above_one_and_infinite(self, monkeypatch):
-        # race_counts takes rows that are not laws: an +inf key shares the
-        # bucket of its column's largest finite weight (4.0 and 3.0), and
-        # both are searched; column 2 holds +inf alone, a hit
-        inf = np.inf
-        rows = [[2.0, 3.0, inf], [inf, 1.0, inf], [0.5, inf, inf], [4.0, 0.25, inf]]
-        weights = self.shuffled(rows, 1024)
-        _, calls = self.check(weights, monkeypatch)
-        assert calls["tables"] == [self.table_cells(3)]
-        shared = np.count_nonzero(weights[:, 0] >= 4.0) + np.count_nonzero(weights[:, 1] >= 3.0)
-        assert sum(calls["searched"]) == shared
+        # a column's largest weight sets its S, above 1 as below, and the
+        # spread-out weights are all hits; an +inf weight never reaches the
+        # table, as both races refuse its row (NegativeWeight)
+        rows = [[2.0, 3.0, 0.5], [4.0, 0.25, 1.0], [0.5, 1.0, 3.0]]
+        _, calls = self.check(self.shuffled(rows, 1024), monkeypatch)
+        assert calls["tables"] == [self.table_cells(3)] and not calls["searched"]
+        for race in (race_tapes, race_counts):
+            with pytest.raises(NegativeWeight):
+                race(domain(3), [1], [[0.5, 0.5, 0.0], [np.inf, 0.0, 0.0]])
 
     def test_subnormal_weights(self, monkeypatch):
         # the 2^-1016 edge and subnormals: column 1's largest weight is
@@ -1051,12 +1142,14 @@ class TestWeightCodes:
         assert sum(calls["searched"]) == np.count_nonzero((weights == 0.5) | (weights == 0.7))
 
     def test_budget_below_two_cells_a_column(self, monkeypatch):
-        # 7 cells for 4 columns leave no table: every key is searched
+        # 7 cells for 4 columns hold no table of two buckets a column, so
+        # there are no weight pairs and every block keeps the tournament
         monkeypatch.setattr(core_mod, "_CELL_BUDGET", 7)
-        rows = [[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.1, 0.4]]
-        with monkeypatch.context() as patch:
-            _, calls = self.check(self.shuffled(rows, 1024), patch)
-        assert calls == {"searched": [1024] * 4, "tables": []}
+        w = self.shuffled([[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.1, 0.4]], 1024)
+        assert coupling_mod._weight_pairs(coupling_mod._weight_columns(w), 1) is None
+        calls = rank_path(monkeypatch)
+        assert_races_match_argmin(domain(4), range(20), w)
+        assert calls["_tournament"] > 0 and calls["_rank_chunk"] == 0
 
     def test_any_key_count_builds_the_table(self, monkeypatch):
         # the table is built whatever the key count, down to one weight row
@@ -1346,12 +1439,12 @@ class TestFloatRule:
         d = domain(4)
         weights = TestFloatRule.WEIGHTS
         if name == "race_tape_blocks":
-            return coupling_mod._race_tape_blocks(d, range(7), weights, count=True)
+            return coupling_mod._race_tape_blocks(range(7), weights, count=True)
         if name == "streamed_winners":
             return coupling_mod._streamed_winners((dist(weights[0]), dist(weights[1])), 7, 3)
         config = TransformConfig(2.0, 0.05, 0.3, 3)
         shards = np.resize(weights, (config.k, 4))
-        return transform_mod._release_chain(d, shards, range(7), range(7, 14), config)
+        return transform_mod._release_chain(shards, range(7), range(7, 14), config)
 
     @pytest.mark.parametrize("name", ["race_tape_blocks", "release_chain", "streamed_winners"])
     def test_callers_keep_their_settings_between_yields(self, monkeypatch, name):

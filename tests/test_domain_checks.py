@@ -135,6 +135,13 @@ WIDTH_SITES = {
         (CONFIG.k, 2),
     ),
     "simplex_project_linf": (lambda: simplex_project_linf(domain(3), [0.5, 0.5], 0.3), (3,), (2,)),
+    # a box that misses the simplex is refused for its width, not projected to None
+    "simplex_project_linf infeasible": (
+        lambda: simplex_project_linf(domain(3), [5.0, 5.0], 0.1), (3,), (2,)
+    ),
+    "simplex_project_linf 2-D": (
+        lambda: simplex_project_linf(domain(3), np.full((1, 3), 1 / 3), 0.3), (3,), (1, 3)
+    ),
 }
 
 

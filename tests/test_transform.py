@@ -824,10 +824,10 @@ class TestReleaseChain:
         chains = []
         chain = transform_mod._release_chain
 
-        def spy(domain, weights, tape_seeds, noise_seeds, config):
+        def spy(weights, tape_seeds, noise_seeds, config):
             # the chain consumes its seeds, so they are read before it runs
             tape_seeds, noise_seeds = list(tape_seeds), list(noise_seeds)
-            chunks = list(chain(domain, weights, tape_seeds, noise_seeds, config))
+            chunks = list(chain(weights, tape_seeds, noise_seeds, config))
             chains.append((tape_seeds, noise_seeds, [c[0].shape[0] for c in chunks]))
             yield from chunks
 
@@ -894,9 +894,9 @@ class TestReleaseChain:
         weight_columns = coupling_mod._weight_columns
         built = []
 
-        def spy(domain, weight_matrix):
-            built.append(np.shape(weight_matrix))
-            return weight_columns(domain, weight_matrix)
+        def spy(weights):
+            built.append(np.shape(weights))
+            return weight_columns(weights)
 
         monkeypatch.setattr(coupling_mod, "_weight_columns", spy)
         transform_bound_experiment(
@@ -919,7 +919,7 @@ class TestReleaseChain:
 
         monkeypatch.setattr(coupling_mod, "_exp_variates", spy)
         weights = np.full((TINY.k, 8), 1 / 8)
-        chain = transform_mod._release_chain(D8.domain, weights, range(7), range(100, 107), TINY)
+        chain = transform_mod._release_chain(weights, range(7), range(100, 107), TINY)
         counts, *_ = next(chain)
         assert counts.shape == (3, 8) and raced == [3]
         assert [counts.shape[0] for counts, *_ in chain] == [3, 1] and raced == [3, 3, 1]
@@ -936,9 +936,7 @@ class TestReleaseChain:
                 yield seed
 
         weights = np.full((TINY.k, 8), 1 / 8)
-        chain = transform_mod._release_chain(
-            D8.domain, weights, seeds("tape", 0), seeds("noise", 100), TINY
-        )
+        chain = transform_mod._release_chain(weights, seeds("tape", 0), seeds("noise", 100), TINY)
         counts, *_ = next(chain)
         assert counts.shape == (3, 8) and drawn == {"tape": 3, "noise": 3}
         assert [counts.shape[0] for counts, *_ in chain] == [3, 1]
