@@ -469,10 +469,11 @@ def _require_nonnegative(name: str, value) -> None:
 # a premise block (rows x max(m, |Z|)); a sampler block of _sample_rows
 # (whole rows of draws, or a slice of one longer row); and a shard-count
 # block of _row_counts (rows x max(m, |Z|)). It also caps two lookup
-# tables: the sampler's bucket table (_search_table doubles its buckets up
-# to the budget, unless 16 |cdf| already passes it) and the rank race's
-# code table (coupling._weight_codes, |Z| (B + 1) cells). 2**15 float64
-# cells are 256 KB. The Monte Carlo step of two models x 2**14 tapes timed
+# tables, each of which takes the most buckets the budget allows: the
+# sampler's bucket table (_search_table, within draws / 16 as well, unless
+# 16 |cdf| already passes them) and the rank race's code table
+# (coupling._weight_codes, |Z| (B + 1) cells). 2**15 float64 cells are
+# 256 KB. The Monte Carlo step of two models x 2**14 tapes timed
 # best: the oracle sweep's 55 calls took 0.27-0.31 s there, 0.40-0.44 s at
 # 2**15 tapes and 0.42-0.53 s at 2**16 (2 vCPUs). At k = 3170 a tournament
 # group races 10 tapes, and a rank chunk of E = 124 pairs 33 groups of 8.
@@ -585,24 +586,18 @@ def _search_table(cdf: np.ndarray, draws: int) -> np.ndarray | None:
     two >= 16|cdf|: the table would cost more than it saves. The call's
     total draw count chooses, never the size of one block.
 
-    From that many buckets B0, B doubles while the table still has mixed
-    buckets (_mixed_buckets), whose draws fall through to a binary search,
-    and while 2B stays within both _CELL_BUDGET and draws / 16, so the
-    table's build and cache footprint stay small next to the draws. Each
-    doubling halves a draw's chance 1/B of landing in a given mixed
-    bucket; a cdf whose values all lie on bucket edges has no mixed bucket
-    and keeps B0. A value on an edge at B is on one at 2B, so B is found
-    from the top: the most buckets the draws allow, halved while half as
-    many have no mixed bucket either (one check for a law with a value off
-    every dyadic edge). The table is exact at every B (_bucket_table), so
-    B moves only the time.
+    B is that many buckets, or, if more, the largest power of two within
+    both _CELL_BUDGET and draws / 16, so the table's build and cache
+    footprint stay small next to the draws. B depends on |cdf| and the
+    draws alone. Each doubling halves a draw's chance 1/B of landing in a
+    given mixed bucket (_mixed_buckets), whose draws fall through to a
+    binary search. The table is exact at every B (_bucket_table), so B
+    moves only the time.
     """
     first = 1 << (16 * cdf.size - 1).bit_length()
     if draws <= first:
         return None
     buckets = max(first, 1 << (min(_CELL_BUDGET, draws // 16).bit_length() - 1))
-    while buckets > first and not _mixed_buckets(cdf, buckets // 2).size:
-        buckets //= 2
     return _bucket_table(cdf, buckets)
 
 

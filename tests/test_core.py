@@ -446,6 +446,17 @@ class TestSampleExact:
             assert _cdf(w)[-1] == 1.0 and np.all(_cdf(w) * scale % 1 == 0)
             self._check(dist(w), seed=scale)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 12), st.data())
+    def test_dyadic_laws_at_every_table_size(self, size, j, data):
+        # weights n_i / 2^j sum exactly, so from B = 2^j on no bucket is
+        # mixed; the draws run from the first table past 16 * budget, where
+        # B reaches the budget
+        cuts = data.draw(st.lists(st.integers(0, 2**j), min_size=size - 1, max_size=size - 1))
+        q = dist(np.diff([0, *sorted(cuts), 2**j]) / 2**j)
+        n = data.draw(st.integers(_buckets(size) + 1, 16 * self.BUDGET + 2**16))
+        self._check(q, seed=n, ns=(n,))
+
     @pytest.mark.parametrize(
         "cdf",
         [
@@ -563,13 +574,16 @@ _RULE_LAWS = {
     "uniform-64": _cdf([1 / 64] * 64),
     "zipf-1000": _cdf(_zipf(1000).weights),
     "zero weights": _cdf([0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0]),
+    # weights in multiples of 1/512 over 8 symbols: mixed buckets at B = 128
+    # and 256, none from 512 on
+    "dyadic-512": _cdf(np.array([3, 61, 100, 7, 200, 41, 50, 50]) / 512),
 }
 _RULE_DRAWS = [2**e + d for e in range(4, 25) for d in (-1, 0, 1)] + [158_500, 10**6]
 
 
 class TestSearchTableRule:
-    """core._search_table picks B from the call's draws and the table's
-    own mixed buckets; every table it picks gives the binary search."""
+    """core._search_table picks B from |cdf| and the call's draws alone;
+    every table it picks gives the binary search."""
 
     @staticmethod
     def picked(cdf) -> dict:
@@ -614,27 +628,24 @@ class TestSearchTableRule:
             assert table.size == first or table.size <= min(budget, draws // 16)
             assert table.size & (table.size - 1) == 0 and table.size >= first
 
-    @pytest.mark.parametrize("name", _RULE_LAWS)
-    def test_b_doubles_only_while_a_bucket_is_mixed(self, name):
-        cdf = _RULE_LAWS[name]
-        for draws, table in self.picked(cdf).items():
-            b = table.size
-            assert b == _buckets(cdf.size) or core._mixed_buckets(cdf, b // 2).size
-            if 2 * b <= min(core._CELL_BUDGET, draws // 16):
-                assert not core._mixed_buckets(cdf, b).size
-        # a cdf on the edges of 1/64 has no mixed bucket at B = 1024; D8
-        # keeps some at every B and takes the most buckets the draws allow
-        assert {t.size for t in self.picked(_RULE_LAWS["uniform-64"]).values()} == {1024}
-        tables = self.picked(_RULE_LAWS["D8"])
-        assert tables[158_500].size == 8192 and tables[10**6].size == core._CELL_BUDGET
-
-    def test_a_dyadic_law_stops_at_its_edges(self):
-        # weights in multiples of 1/512 over 8 symbols: mixed at B = 128 and
-        # 256, none from 512 on, whatever the draws
-        cdf = _cdf(np.array([3, 61, 100, 7, 200, 41, 50, 50]) / 512)
-        assert cdf[-1] == 1.0 and core._mixed_buckets(cdf, 256).size
-        assert {t.size for t in self.picked(cdf).values()} == {128, 256, 512}
-        assert core._search_table(cdf, 10**6).size == 512
+    def test_b_is_the_most_buckets_the_draws_allow(self):
+        # max(16 |cdf| rounded up to a power of two, the largest power of
+        # two within the budget and draws / 16), mixed buckets or none: a
+        # dyadic law takes the same B as any other law of its size
+        by_size = {}
+        for name, cdf in _RULE_LAWS.items():
+            sizes = {draws: t.size for draws, t in self.picked(cdf).items()}
+            for draws, b in sizes.items():
+                most = 2 ** math.floor(math.log2(min(core._CELL_BUDGET, draws // 16)))
+                assert b == max(_buckets(cdf.size), most), (name, draws)
+            assert by_size.setdefault(cdf.size, sizes) == sizes, name
+        assert core._mixed_buckets(_RULE_LAWS["dyadic-512"], 256).size
+        assert not core._mixed_buckets(_RULE_LAWS["dyadic-512"], 512).size
+        d8 = _RULE_LAWS["D8"]
+        assert core._search_table(d8, 10_000).size == 512
+        assert core._search_table(d8, 158_500).size == 8192
+        assert core._search_table(d8, 10**6).size == core._CELL_BUDGET
+        assert core._search_table(_RULE_LAWS["uniform-64"], 10**6).size == core._CELL_BUDGET
 
 
 def _one_bincount(indices: np.ndarray, size: int) -> np.ndarray:
